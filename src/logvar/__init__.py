@@ -19,7 +19,15 @@ from .embed import CharVocab, EncodedLog, WordVocab, build_vocabs, encode_log, l
 from .evaluate import MetricsReport, category_prf, evaluate, general_accuracy, variable_aware_accuracy
 from .parse import ParseResult, TemplateStore, extract_template, parse_corpus
 from .synth import generate_synthetic
-from .tagger import Hyperparams, TaggerModel, decode, forward_emissions, init_model, tag_log
+from .tagger import (
+    Hyperparams,
+    TaggerModel,
+    decode,
+    forward_emissions,
+    init_model,
+    tag_log,
+    tag_logs,
+)
 from .taxonomy import (
     BinaryTag,
     Tag,
@@ -41,6 +49,6 @@ __all__ = [
     "finetune", "forward_emissions", "general_accuracy", "generate_synthetic",
     "init_model", "is_valid_transition", "load_model", "load_word_vectors",
     "parse_corpus", "read_annotations", "save_model", "split_dataset",
-    "decode", "tag_log", "tag_vocabulary", "tokenize", "train",
+    "decode", "tag_log", "tag_logs", "tag_vocabulary", "tokenize", "train",
     "variable_aware_accuracy", "write_annotations",
 ]

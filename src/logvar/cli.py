@@ -29,7 +29,7 @@ from .embed import build_vocabs, load_word_vectors
 from .errors import AlignmentError, EmptyLog, LogvarError
 from .evaluate import evaluate, to_binary_annotations
 from .parse import parse_corpus, result_record
-from .tagger import Hyperparams, init_model, tag_log
+from .tagger import Hyperparams, init_model, tag_logs
 from .taxonomy import BINARY, CATEGORY_ABBREVS, MULTICLASS, VariableCategory
 from .train import TrainConfig, finetune, load_model, save_model, train
 
@@ -178,10 +178,8 @@ def cmd_tag(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     blocks: list[str] = []
-    for i, line in enumerate(lines, start=1):
-        try:
-            annotated = tag_log(model, line)
-        except EmptyLog:
+    for i, annotated in enumerate(tag_logs(model, lines), start=1):
+        if annotated is None:
             print(f"line {i}: empty log, skipped", file=sys.stderr)
             continue
         blocks.append(
@@ -345,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="file of raw log lines")
     p.add_argument("--output", required=True, help="annotation-format output")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_tag)
 
     p = sub.add_parser("parse", help="extract templates, preserving selected categories")
@@ -355,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wildcard", default="<*>")
     p.add_argument("--output", required=True, help="line-delimited JSON records")
     p.add_argument("--templates", help="templates summary file")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("eval", help="score predictions against gold annotations")
@@ -365,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--token-level", action="store_true")
     p.add_argument("--collapse-binary", action="store_true",
                    help="relabel all variable categories to VAR before scoring")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("derive-annotations",
@@ -374,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--content-col", default="Content")
     p.add_argument("--template-col", default="EventTemplate")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_derive_annotations)
 
     p = sub.add_parser("synth", help="generate a synthetic annotated corpus")

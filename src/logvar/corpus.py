@@ -45,7 +45,7 @@ class AnnotatedLog:
         if len(self.tokens) == 0:
             raise ValueError("empty log")
         for tok in self.tokens:
-            if not tok or any(c.isspace() for c in tok):
+            if tok.split() != [tok]:  # empty, or holds whitespace
                 raise ValueError(f"invalid token: {tok!r}")
         check_iob(list(self.tags))
 

@@ -6,7 +6,8 @@ start scores s (K,) and end scores e (K,) scores
     s[y_0] + sum_t E[t, y_t] + sum_t trans[y_{t-1}, y_t] + e[y_{T-1}]
 
 All computations run in double precision log space regardless of the
-emission dtype; log-sum-exp is stabilized by max subtraction.
+emission dtype; log-sum-exp is stabilized by max subtraction. Viterbi also
+decodes a right-padded batch of sequences in one pass.
 """
 
 from __future__ import annotations
@@ -96,21 +97,39 @@ def nll_gradients(
 
 
 def viterbi_decode(
-    E: np.ndarray, trans: np.ndarray, s: np.ndarray, e: np.ndarray
-) -> list[int]:
-    """Highest-scoring tag path; ties break toward the lower tag index."""
+    E: np.ndarray,
+    trans: np.ndarray,
+    s: np.ndarray,
+    e: np.ndarray,
+    lengths: np.ndarray | None = None,
+) -> list[int] | list[list[int]]:
+    """Highest-scoring tag path; ties break toward the lower tag index.
+
+    ``E`` is (T, K) for one sequence, which returns one path, or a
+    right-padded batch (B, T, K) with ``lengths`` (B,), default all T, which
+    returns one path per sequence. A sequence's score is carried unchanged
+    through its padded steps: its final score is read at its last real step,
+    and its padded steps get identity back-pointers.
+    """
     E = np.asarray(E, dtype=np.float64)
+    single = E.ndim == 2
+    if single:
+        E = E[None]
     trans = np.asarray(trans, dtype=np.float64)
-    T, K = E.shape
-    score = s.astype(np.float64) + E[0]
-    back = np.empty((T, K), dtype=np.int64)
+    B, T, K = E.shape
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    scores = np.empty((T, B, K))
+    scores[0] = np.asarray(s, dtype=np.float64) + E[:, 0]
+    back = np.empty((T, B, K), dtype=np.int64)
+    rows, cols = np.arange(B), np.arange(K)
     for t in range(1, T):
-        cand = score[:, None] + trans  # (prev, next)
-        back[t] = np.argmax(cand, axis=0)  # argmax picks the lowest index on ties
-        score = cand[back[t], np.arange(K)] + E[t]
-    last = int(np.argmax(score + e))
-    path = [last]
+        cand = scores[t - 1][:, :, None] + trans  # (B, prev, next)
+        back[t] = np.argmax(cand, axis=1)  # argmax picks the lowest index on ties
+        scores[t] = cand[rows[:, None], back[t], cols] + E[:, t]
+    back[np.arange(T)[:, None] >= lengths] = cols
+    path = np.empty((B, T), dtype=np.int64)
+    path[:, -1] = np.argmax(scores[lengths - 1, rows] + e, axis=1)
     for t in range(T - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
-    path.reverse()
-    return path
+        path[:, t - 1] = back[t, rows, path[:, t]]
+    paths = [path[b, :n].tolist() for b, n in enumerate(lengths)]
+    return paths[0] if single else paths

@@ -128,8 +128,9 @@ def encode_log(
         raise ValueError("max_word_len must be >= 1")
     t = len(log.tokens)
     word_ids = np.fromiter((wv.lookup(tok) for tok in log.tokens), dtype=np.int64, count=t)
+    kept = [tok[:max_word_len] for tok in log.tokens]
+    filled = np.arange(max_word_len) < np.array([len(tok) for tok in kept])[:, None]
     char_ids = np.full((t, max_word_len), PAD, dtype=np.int64)
-    for i, tok in enumerate(log.tokens):
-        for j, ch in enumerate(tok[:max_word_len]):
-            char_ids[i, j] = cv.lookup(ch)
+    lookup = cv.index.get  # CharVocab.lookup without a method call per character
+    char_ids[filled] = [lookup(ch, UNK) for tok in kept for ch in tok]
     return EncodedLog(word_ids, char_ids)

@@ -4,27 +4,26 @@ Contiguous B-X(+I-X) runs form one variable occurrence each. Occurrences
 whose category is in the preserve set keep their concrete (space-joined)
 value in the rendered template; all others become the wildcard token. The
 canonical template, which defines template identity, always abstracts every
-variable, so preservation never fragments template ids.
+variable to DEFAULT_WILDCARD, so neither preservation nor the choice of
+wildcard changes template ids.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .corpus import AnnotatedLog
-from .errors import EmptyLog
 from .evaluate import spans
-from .tagger import TaggerModel, tag_log
+# tag_log stays importable here: the benchmark's layer trace hooks logvar.parse.tag_log
+from .tagger import TaggerModel, tag_log, tag_logs  # noqa: F401
 from .taxonomy import VariableCategory
 
 DEFAULT_WILDCARD = "<*>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Extraction:
     category: str
     value: str
@@ -36,7 +35,7 @@ class Extraction:
                 "start": self.start, "end": self.end}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseResult:
     template: str
     canonical_template: str
@@ -91,7 +90,7 @@ def extract_template(
         canon_tokens.extend(log.tokens[pos:start])
         value = " ".join(log.tokens[start:end])
         out_tokens.append(value if cat in preserve_abbrevs else wildcard)
-        canon_tokens.append(wildcard)
+        canon_tokens.append(DEFAULT_WILDCARD)
         extractions.append(Extraction(cat, value, start, end))
         pos = end
     out_tokens.extend(log.tokens[pos:])
@@ -105,27 +104,23 @@ def extract_template(
     )
 
 
-def reconstruct(result: ParseResult, canonical: bool = True) -> str:
-    """Rebuild the original message from a canonical template + extractions."""
-    parts = (result.canonical_template if canonical else result.template).split(" ")
-    values = iter(result.extractions)
+def reconstruct(result: ParseResult) -> str:
+    """Rebuild the original message from the canonical template + extractions.
+
+    Each static token is one canonical-template token and each extraction
+    one slot, so slots are located by the extractions' token positions, not
+    by matching the wildcard string, which a log may contain literally.
+    """
+    canon = result.canonical_template.split(" ")
     rebuilt: list[str] = []
-    for tok in parts:
-        if tok == DEFAULT_WILDCARD:
-            rebuilt.append(next(values).value)
-        else:
-            rebuilt.append(tok)
+    slot = pos = 0  # canonical-template index, original token index
+    for ex in result.extractions:
+        rebuilt.extend(canon[slot : slot + ex.start - pos])
+        rebuilt.append(ex.value)
+        slot += ex.start - pos + 1
+        pos = ex.end
+    rebuilt.extend(canon[slot:])
     return " ".join(rebuilt)
-
-
-def _worker_count() -> int:
-    env = os.environ.get("VALB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def parse_corpus(
@@ -136,29 +131,15 @@ def parse_corpus(
 ) -> tuple[list[ParseResult | None], TemplateStore]:
     """Tag and template every raw log; empty lines yield None entries.
 
-    Output order matches input order. Tagging may run on several threads
-    (VALB_THREADS); template ids and ordinals are assigned in a single
-    ordered pass afterwards, so results are deterministic either way.
+    Output order matches input order. Tagging runs in length-sorted batches
+    (``tag_logs``); template ids and ordinals are assigned in a single
+    ordered pass afterwards, so neither depends on how lines were batched.
     """
     if model.mode != "multiclass":
         raise ValueError("parse_corpus requires a multiclass model")
-
-    def tag_one(raw: str) -> AnnotatedLog | None:
-        try:
-            return tag_log(model, raw)
-        except EmptyLog:
-            return None
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tagged = list(pool.map(tag_one, raw_logs))
-    else:
-        tagged = [tag_one(raw) for raw in raw_logs]
-
     store = TemplateStore()
     results: list[ParseResult | None] = []
-    for annotated in tagged:
+    for annotated in tag_logs(model, raw_logs):
         if annotated is None:
             results.append(None)
             continue

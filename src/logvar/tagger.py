@@ -8,6 +8,21 @@ model is immutable during tagging (training mutates it under one writer).
 IOB structure is enforced inside the CRF: transitions that would produce an
 ill-formed tag sequence are pinned at a large negative score and never
 updated, so decoded paths are well-formed by construction.
+
+One forward pass, ``_forward``, serves inference and training. It runs a
+batch of logs as a right-padded (B, T) tensor: every log's padding comes
+after its last real step, in both LSTM directions (the backward direction
+reads each log through a per-log reversal index), so padded steps never
+reach a real step and the recurrences need no mask; Viterbi carries each
+score unchanged through padded steps. Training feeds one log at a time.
+
+The char-CNN runs once per distinct word of a batch, on char rows trimmed
+to the batch's longest word. Its convolution is linear in the character
+embedding, so it is read from a per-character table, table[k] =
+char_emb @ char_W[k] of shape (kernel, n_chars, filters) with the PAD row
+zero: a word's pre-activation at position j is char_b plus the sum over k
+of table[k] at the character in window slot k. That is a gather and a sum
+instead of a matmul over the embedding width per character.
 """
 
 from __future__ import annotations
@@ -15,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit as _sigmoid
 
 from . import crf
 from .corpus import AnnotatedLog, tokenize
 from .embed import PAD, CharVocab, EncodedLog, WordVocab, encode_log
+from .errors import EmptyLog
 from .taxonomy import MULTICLASS, Tag, is_valid_transition, tag_vocabulary
 
 FROZEN_SCORE = -10000.0
@@ -100,6 +115,29 @@ def _iob_masks(tags: list[Tag]) -> tuple[np.ndarray, np.ndarray]:
     return frozen_trans, frozen_start
 
 
+def param_shapes(
+    hp: Hyperparams, n_words: int, n_chars: int, n_tags: int
+) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every model tensor, as ``init_model`` creates them."""
+    din, h = hp.input_dim, hp.lstm_hidden
+    shapes = {
+        "char_emb": (n_chars, hp.char_emb_dim),
+        "char_W": (hp.char_kernel, hp.char_emb_dim, hp.char_filters),
+        "char_b": (hp.char_filters,),
+        "word_emb": (n_words, hp.word_dim),
+        "proj_W": (2 * h, n_tags),
+        "proj_b": (n_tags,),
+        "trans": (n_tags, n_tags),
+        "start": (n_tags,),
+        "end": (n_tags,),
+    }
+    for d in ("f", "b"):
+        shapes[f"lstm_{d}_Wx"] = (din, 4 * h)
+        shapes[f"lstm_{d}_Wh"] = (h, 4 * h)
+        shapes[f"lstm_{d}_b"] = (4 * h,)
+    return shapes
+
+
 def init_model(
     hp: Hyperparams,
     word_vocab: WordVocab,
@@ -171,33 +209,69 @@ def init_model(
 # ---------------------------------------------------------------------------
 # forward pass
 
+# Padded tokens (logs x longest log) per batch in tag_logs. A batch keeps
+# about 10 KB per padded token alive (LSTM caches, char-CNN pre-activations),
+# so this bounds the extra peak memory of tagging at about 3 MB; larger
+# batches gained little throughput on the synthetic corpus.
+BATCH_TOKENS = 288
+
 
 def _char_forward(char_ids: np.ndarray, model: TaggerModel) -> tuple[np.ndarray, dict]:
     """Convolution over character embeddings with masked max-pooling.
 
-    PAD positions contribute zero vectors to the convolution (same-padding
-    at the edges) and are masked out of the pool; an all-PAD row falls back
-    to the bias vector.
+    ``char_ids`` is (N, L), one row per word. The convolution is linear in
+    the character embedding, so it is read from the per-character table
+    ``table[k] = char_emb @ char_W[k]`` (PAD row zero): position j of a row
+    scores ``char_b + sum_k table[k][ids[j + k - char_kernel // 2]]``. PAD
+    positions contribute zero vectors (same-padding at the edges) and are
+    masked out of the pool; an all-PAD row falls back to the bias vector.
     """
     p = model.params
-    hp = model.hp
-    kern = hp.char_kernel
+    kern = model.hp.char_kernel
     half = kern // 2
-    t, length = char_ids.shape
-    mask = char_ids != PAD  # (T, L)
-    x = p["char_emb"][char_ids] * mask[..., None]  # (T, L, Dc)
-    xp = np.pad(x, ((0, 0), (half, kern - 1 - half), (0, 0)))
-    pre = np.tile(p["char_b"], (t, length, 1))
-    for k in range(kern):
-        pre += xp[:, k : k + length, :] @ p["char_W"][k]
-    masked = np.where(mask[..., None], pre, -np.inf)
-    arg = masked.argmax(axis=1)  # (T, F)
-    rep = np.take_along_axis(masked, arg[:, None, :], axis=1)[:, 0, :]
+    length = char_ids.shape[1]
+    emb = p["char_emb"].copy()
+    emb[PAD] = 0.0
+    table = emb @ p["char_W"]  # (kern, V, F)
+    ids_p = np.pad(char_ids, ((0, 0), (half, kern - 1 - half)), constant_values=PAD)
+    pre = p["char_b"] + table[0][ids_p[:, :length]]  # (N, L, F)
+    for k in range(1, kern):
+        pre += table[k][ids_p[:, k : k + length]]
+    mask = char_ids != PAD
+    pre[~mask] = -np.inf
+    rep = pre.max(axis=1)  # (N, F)
     empty = ~mask.any(axis=1)
     if empty.any():
         rep[empty] = p["char_b"]
-    cache = {"char_ids": char_ids, "mask": mask, "xp": xp, "arg": arg, "empty": empty}
-    return rep.astype(p["char_b"].dtype), cache
+    return rep, {"ids_p": ids_p, "emb": emb, "pre": pre}
+
+
+def _char_backward(
+    d_rep: np.ndarray, model: TaggerModel, cache: dict, grads: dict[str, np.ndarray]
+) -> None:
+    """Char-CNN gradients given d loss / d rep for the rows of one ``_char_forward``.
+
+    A pooled value was read at one position, so its gradient goes to the
+    kern table entries summed there: scatter it into ``d_table[k]``, then
+    ``dW[k] = emb.T @ d_table[k]`` and ``d_emb = sum_k d_table[k] @ W[k].T``.
+    An all-PAD row reads only the (constant zero) PAD entries.
+    """
+    p = model.params
+    n_filters = model.hp.char_filters
+    emb, ids_p = cache["emb"], cache["ids_p"]
+    arg = cache["pre"].argmax(axis=1)  # (N, F) pooled position, the first on ties
+    rows = np.arange(len(arg))[:, None]
+    grads["char_b"] += d_rep.sum(axis=0)
+    cols = np.arange(n_filters)
+    for k in range(model.hp.char_kernel):
+        ids = ids_p[rows, arg + k]  # (N, F)
+        d_table = np.bincount(
+            (ids * n_filters + cols).ravel(), weights=d_rep.ravel(),
+            minlength=emb.shape[0] * n_filters,
+        ).reshape(emb.shape[0], n_filters).astype(emb.dtype)
+        d_table[PAD] = 0.0
+        grads["char_W"][k] += emb.T @ d_table
+        grads["char_emb"] += d_table @ p["char_W"][k].T
 
 
 def char_representation(char_ids_row: np.ndarray, model: TaggerModel) -> np.ndarray:
@@ -206,170 +280,194 @@ def char_representation(char_ids_row: np.ndarray, model: TaggerModel) -> np.ndar
     return rep[0]
 
 
+def _gate_slices(h_dim: int) -> tuple[slice, slice, slice, slice]:
+    """Input, forget, cell and output gate columns of a (.., 4H) LSTM array."""
+    return tuple(slice(k * h_dim, (k + 1) * h_dim) for k in range(4))
+
+
 def _lstm_forward(
     inputs: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, dict]:
-    t_len = inputs.shape[0]
+    """One LSTM direction over a right-padded batch: (B, T, Din) -> (B, T, H).
+
+    The input projection of every step is one matmul; each step then adds
+    one (B, H) @ (H, 4H) product. Padding follows every sequence's last real
+    step, so it never reaches a real step's output. Caches are time-major.
+    """
+    b_len, t_len, d_in = inputs.shape
     h_dim = Wh.shape[0]
     dtype = Wx.dtype
-    hs = np.zeros((t_len + 1, h_dim), dtype=dtype)
-    cs = np.zeros((t_len + 1, h_dim), dtype=dtype)
-    gates = np.zeros((t_len, 4, h_dim), dtype=dtype)  # i, f, g, o after nonlinearity
-    tanh_c = np.zeros((t_len, h_dim), dtype=dtype)
+    i_, f_, g_, o_ = _gate_slices(h_dim)
+    # x @ Wx + b of every step in one matmul, time-major; each step adds its
+    # h @ Wh and overwrites the sum with the i, f, g, o gate activations
+    gates = inputs.transpose(1, 0, 2).reshape(-1, d_in) @ Wx + b
+    gates = gates.reshape(t_len, b_len, 4 * h_dim)
+    # sigmoid(z) = tanh(z / 2) / 2 + 1/2, so one tanh serves all four gates:
+    # scale by 1/2 before and after it, except on the tanh-activated g gate
+    scale = np.full(4 * h_dim, 0.5, dtype=dtype)
+    scale[g_] = 1.0
+    shift = np.full(4 * h_dim, 0.5, dtype=dtype)
+    shift[g_] = 0.0
+    hs = np.zeros((t_len + 1, b_len, h_dim), dtype=dtype)
+    cs = np.zeros((t_len + 1, b_len, h_dim), dtype=dtype)
     for t in range(t_len):
-        z = inputs[t] @ Wx + hs[t] @ Wh + b
-        i_g = _sigmoid(z[:h_dim])
-        f_g = _sigmoid(z[h_dim : 2 * h_dim])
-        g_g = np.tanh(z[2 * h_dim : 3 * h_dim])
-        o_g = _sigmoid(z[3 * h_dim :])
-        cs[t + 1] = f_g * cs[t] + i_g * g_g
-        tanh_c[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = o_g * tanh_c[t]
-        gates[t, 0], gates[t, 1], gates[t, 2], gates[t, 3] = i_g, f_g, g_g, o_g
-    cache = {"inputs": inputs, "hs": hs, "cs": cs, "gates": gates, "tanh_c": tanh_c}
-    return hs[1:], cache
+        act = gates[t]
+        act += hs[t] @ Wh
+        act *= scale
+        np.tanh(act, out=act)
+        act *= scale
+        act += shift
+        cs[t + 1] = act[:, f_] * cs[t] + act[:, i_] * act[:, g_]
+        np.multiply(act[:, o_], np.tanh(cs[t + 1]), out=hs[t + 1])
+    cache = {"inputs": inputs, "hs": hs, "cs": cs, "gates": gates}
+    return hs[1:].transpose(1, 0, 2), cache
 
 
 def _lstm_backward(
     d_h: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, cache: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    inputs, hs, cs = cache["inputs"], cache["hs"], cache["cs"]
-    gates, tanh_c = cache["gates"], cache["tanh_c"]
-    t_len, h_dim = d_h.shape
-    d_wx = np.zeros_like(Wx)
-    d_wh = np.zeros_like(Wh)
-    d_b = np.zeros(4 * h_dim, dtype=Wx.dtype)
-    d_inputs = np.zeros_like(inputs)
-    dh_next = np.zeros(h_dim, dtype=Wx.dtype)
-    dc_next = np.zeros(h_dim, dtype=Wx.dtype)
-    dz = np.empty(4 * h_dim, dtype=Wx.dtype)
+    """Gradients of one LSTM direction given d loss / d output, (B, T, H)."""
+    inputs, hs, cs, gates = cache["inputs"], cache["hs"], cache["cs"], cache["gates"]
+    tanh_c = np.tanh(cs[1:])
+    t_len, b_len, h_dim = tanh_c.shape
+    i_, f_, g_, o_ = _gate_slices(h_dim)
+    dz = np.empty_like(gates)  # (T, B, 4H)
+    dh_next = np.zeros((b_len, h_dim), dtype=Wx.dtype)
+    dc_next = np.zeros((b_len, h_dim), dtype=Wx.dtype)
     for t in range(t_len - 1, -1, -1):
-        i_g, f_g, g_g, o_g = gates[t]
-        dh = d_h[t] + dh_next
-        d_o = dh * tanh_c[t]
+        act = gates[t]
+        i_g, f_g, g_g, o_g = act[:, i_], act[:, f_], act[:, g_], act[:, o_]
+        dh = d_h[:, t] + dh_next
         dc = dc_next + dh * o_g * (1.0 - tanh_c[t] ** 2)
-        d_i = dc * g_g
-        d_g = dc * i_g
-        d_f = dc * cs[t]
+        dz[t, :, i_] = dc * g_g * i_g * (1.0 - i_g)
+        dz[t, :, f_] = dc * cs[t] * f_g * (1.0 - f_g)
+        dz[t, :, g_] = dc * i_g * (1.0 - g_g**2)
+        dz[t, :, o_] = dh * tanh_c[t] * o_g * (1.0 - o_g)
         dc_next = dc * f_g
-        dz[:h_dim] = d_i * i_g * (1.0 - i_g)
-        dz[h_dim : 2 * h_dim] = d_f * f_g * (1.0 - f_g)
-        dz[2 * h_dim : 3 * h_dim] = d_g * (1.0 - g_g**2)
-        dz[3 * h_dim :] = d_o * o_g * (1.0 - o_g)
-        d_wx += np.outer(inputs[t], dz)
-        d_wh += np.outer(hs[t], dz)
-        d_b += dz
-        d_inputs[t] = dz @ Wx.T
-        dh_next = dz @ Wh.T
+        dh_next = dz[t] @ Wh.T
+    flat_dz = dz.reshape(-1, 4 * h_dim)
+    d_wx = inputs.transpose(1, 0, 2).reshape(-1, inputs.shape[2]).T @ flat_dz
+    d_wh = hs[:-1].reshape(-1, h_dim).T @ flat_dz
+    d_b = flat_dz.sum(axis=0)
+    d_inputs = (flat_dz @ Wx.T).reshape(t_len, b_len, -1).transpose(1, 0, 2)
     return d_inputs, d_wx, d_wh, d_b
 
 
 def _dropout_masks(
-    model: TaggerModel, t_len: int, train_mode: bool, dropout_seed: int
+    model: TaggerModel, shape: tuple[int, int], train_mode: bool, dropout_seed: int
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     p = model.hp.dropout
     if not train_mode or p == 0.0:
         return None, None
     rng = np.random.default_rng(dropout_seed)
     scale = 1.0 / (1.0 - p)
-    m1 = (rng.random((t_len, model.hp.input_dim)) >= p) * scale
-    m2 = (rng.random((t_len, 2 * model.hp.lstm_hidden)) >= p) * scale
+    m1 = (rng.random((*shape, model.hp.input_dim)) >= p) * scale
+    m2 = (rng.random((*shape, 2 * model.hp.lstm_hidden)) >= p) * scale
     dtype = model.params["proj_W"].dtype
     return m1.astype(dtype), m2.astype(dtype)
 
 
 def _forward(
-    enc: EncodedLog, model: TaggerModel, train_mode: bool, dropout_seed: int
+    encs: list[EncodedLog], model: TaggerModel, train_mode: bool, dropout_seed: int
 ) -> tuple[np.ndarray, dict]:
+    """Emission scores of a right-padded batch of logs, (B, T, n_tags).
+
+    Log b occupies steps [0, lengths[b]); its padded steps score garbage
+    that no caller reads. The char-CNN runs once per distinct char row of
+    the batch, trimmed to the batch's longest token. Returns the emissions
+    and the cache the backward pass reads, which holds ``lengths``.
+    """
     p = model.params
     hp = model.hp
-    t_len = enc.token_count
+    lengths = np.array([enc.token_count for enc in encs])
+    t_max = int(lengths.max())
+    steps = np.arange(t_max)
+    real = steps < lengths[:, None]  # (B, T)
+    word_ids = np.concatenate([enc.word_ids for enc in encs])
+    u = np.zeros((len(encs), t_max, hp.input_dim), dtype=p["proj_W"].dtype)
+    u[real, : hp.word_dim] = p["word_emb"][word_ids]
+    char_cache = None
     if hp.use_char_channel:
-        rep, char_cache = _char_forward(enc.char_ids, model)
-    else:
-        rep = np.zeros((t_len, hp.char_filters), dtype=p["char_b"].dtype)
-        char_cache = None
-    word_vecs = p["word_emb"][enc.word_ids]  # (T, Dw)
-    u = np.concatenate([word_vecs, rep], axis=1)  # (T, Din)
-    m1, m2 = _dropout_masks(model, t_len, train_mode, dropout_seed)
+        rows = np.concatenate([enc.char_ids for enc in encs])
+        used = np.flatnonzero((rows != PAD).any(axis=0))
+        width = int(used[-1]) + 1 if used.size else 1  # the batch's longest word
+        rows = np.ascontiguousarray(rows[:, :width])
+        # distinct rows, compared as raw bytes (faster than np.unique(axis=0))
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        rep, char_cache = _char_forward(rows[first], model)
+        char_cache["inverse"] = inverse
+        u[real, hp.word_dim :] = rep[inverse]
+    m1, m2 = _dropout_masks(model, real.shape, train_mode, dropout_seed)
     u_d = u * m1 if m1 is not None else u
+    # x[rev] reverses each log's real steps in place, so in the backward
+    # direction too padding comes after the last real step; rev is its own
+    # inverse
+    rev = (np.arange(len(encs))[:, None], np.where(real, lengths[:, None] - 1 - steps, steps))
     h_f, cache_f = _lstm_forward(u_d, p["lstm_f_Wx"], p["lstm_f_Wh"], p["lstm_f_b"])
-    h_b_rev, cache_b = _lstm_forward(
-        u_d[::-1], p["lstm_b_Wx"], p["lstm_b_Wh"], p["lstm_b_b"]
-    )
-    h_cat = np.concatenate([h_f, h_b_rev[::-1]], axis=1)  # (T, 2H)
+    h_b_rev, cache_b = _lstm_forward(u_d[rev], p["lstm_b_Wx"], p["lstm_b_Wh"], p["lstm_b_b"])
+    h_cat = np.concatenate([h_f, h_b_rev[rev]], axis=2)  # (B, T, 2H)
     h_d = h_cat * m2 if m2 is not None else h_cat
-    emissions = h_d @ p["proj_W"] + p["proj_b"]
+    emissions = h_d.reshape(-1, h_d.shape[2]) @ p["proj_W"] + p["proj_b"]
     cache = {
-        "enc": enc, "char": char_cache, "m1": m1, "m2": m2,
+        "lengths": lengths, "real": real, "rev": rev, "word_ids": word_ids,
+        "char": char_cache, "m1": m1, "m2": m2,
         "lstm_f": cache_f, "lstm_b": cache_b, "h_d": h_d,
     }
-    return emissions, cache
+    return emissions.reshape(len(encs), t_max, -1), cache
 
 
 def forward_emissions(
     enc: EncodedLog, model: TaggerModel, train_mode: bool = False, dropout_seed: int = 0
 ) -> np.ndarray:
     """Per-token emission scores, (T, n_tags)."""
-    emissions, _ = _forward(enc, model, train_mode, dropout_seed)
-    return emissions
+    emissions, _ = _forward([enc], model, train_mode, dropout_seed)
+    return emissions[0]
 
 
 def _backward_net(
     d_emissions: np.ndarray, model: TaggerModel, cache: dict, grads: dict[str, np.ndarray]
 ) -> None:
-    """Accumulate network gradients given d loss / d emissions."""
+    """Accumulate network gradients given d loss / d emissions, (B, T, n_tags).
+
+    Padded steps must carry zero gradient; they then contribute nothing.
+    """
     p = model.params
     hp = model.hp
     h_dim = hp.lstm_hidden
     d_emissions = d_emissions.astype(p["proj_W"].dtype)
-
-    grads["proj_W"] += cache["h_d"].T @ d_emissions
-    grads["proj_b"] += d_emissions.sum(axis=0)
-    d_hd = d_emissions @ p["proj_W"].T
+    h_d = cache["h_d"]
+    flat_de = d_emissions.reshape(-1, d_emissions.shape[2])
+    grads["proj_W"] += h_d.reshape(-1, 2 * h_dim).T @ flat_de
+    grads["proj_b"] += flat_de.sum(axis=0)
+    d_hd = (flat_de @ p["proj_W"].T).reshape(h_d.shape)
     if cache["m2"] is not None:
         d_hd = d_hd * cache["m2"]
+    rev = cache["rev"]
     d_inputs_f, d_wx, d_wh, d_b = _lstm_backward(
-        d_hd[:, :h_dim], p["lstm_f_Wx"], p["lstm_f_Wh"], cache["lstm_f"]
+        d_hd[..., :h_dim], p["lstm_f_Wx"], p["lstm_f_Wh"], cache["lstm_f"]
     )
     grads["lstm_f_Wx"] += d_wx
     grads["lstm_f_Wh"] += d_wh
     grads["lstm_f_b"] += d_b
     d_inputs_b, d_wx, d_wh, d_b = _lstm_backward(
-        d_hd[::-1, h_dim:], p["lstm_b_Wx"], p["lstm_b_Wh"], cache["lstm_b"]
+        d_hd[..., h_dim:][rev], p["lstm_b_Wx"], p["lstm_b_Wh"], cache["lstm_b"]
     )
     grads["lstm_b_Wx"] += d_wx
     grads["lstm_b_Wh"] += d_wh
     grads["lstm_b_b"] += d_b
-    d_u = d_inputs_f + d_inputs_b[::-1]
+    d_u = d_inputs_f + d_inputs_b[rev]
     if cache["m1"] is not None:
         d_u = d_u * cache["m1"]
+    d_u = d_u[cache["real"]]  # (tokens, Din) in log order
 
-    enc: EncodedLog = cache["enc"]
-    np.add.at(grads["word_emb"], enc.word_ids, d_u[:, : hp.word_dim])
+    np.add.at(grads["word_emb"], cache["word_ids"], d_u[:, : hp.word_dim])
     if not hp.use_char_channel:
         return
-    d_rep = d_u[:, hp.word_dim :].copy()
     cc = cache["char"]
-    empty = cc["empty"]
-    if empty.any():
-        grads["char_b"] += d_rep[empty].sum(axis=0)
-        d_rep[empty] = 0.0
-    t_len, length = cc["char_ids"].shape
-    d_pre = np.zeros((t_len, length, hp.char_filters), dtype=d_rep.dtype)
-    np.put_along_axis(d_pre, cc["arg"][:, None, :], d_rep[:, None, :], axis=1)
-    grads["char_b"] += d_pre.sum(axis=(0, 1))
-    xp = cc["xp"]
-    d_xp = np.zeros_like(xp)
-    flat_dpre = d_pre.reshape(-1, hp.char_filters)
-    for k in range(hp.char_kernel):
-        window = xp[:, k : k + length, :].reshape(-1, hp.char_emb_dim)
-        grads["char_W"][k] += window.T @ flat_dpre
-        d_xp[:, k : k + length, :] += d_pre @ p["char_W"][k].T
-    half = hp.char_kernel // 2
-    d_x = d_xp[:, half : half + length, :] * cc["mask"][..., None]
-    ids = cc["char_ids"][cc["mask"]]
-    np.add.at(grads["char_emb"], ids, d_x[cc["mask"]])
+    d_rep = np.zeros((len(cc["pre"]), hp.char_filters), dtype=d_u.dtype)
+    np.add.at(d_rep, cc["inverse"], d_u[:, hp.word_dim :])
+    _char_backward(d_rep, model, cc, grads)
 
 
 def zero_grads(model: TaggerModel) -> dict[str, np.ndarray]:
@@ -384,22 +482,22 @@ def loss_and_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean per-log CRF negative log-likelihood and exact gradients.
 
-    Each log is processed at its true length; frozen CRF entries (IOB
-    constraints) receive zero gradient.
+    Each log goes through the network as a batch of one, at its true
+    length; frozen CRF entries (IOB constraints) receive zero gradient.
     """
     p = model.params
     grads = zero_grads(model)
     total = 0.0
     for i, (enc, gold) in enumerate(batch):
-        emissions, cache = _forward(enc, model, train_mode, dropout_seed + i)
+        emissions, cache = _forward([enc], model, train_mode, dropout_seed + i)
         loss, d_e, d_trans, d_s, d_e_end = crf.nll_gradients(
-            emissions, p["trans"], p["start"], p["end"], gold
+            emissions[0], p["trans"], p["start"], p["end"], gold
         )
         total += loss
         grads["trans"] += d_trans.astype(p["trans"].dtype)
         grads["start"] += d_s.astype(p["start"].dtype)
         grads["end"] += d_e_end.astype(p["end"].dtype)
-        _backward_net(d_e, model, cache, grads)
+        _backward_net(d_e[None], model, cache, grads)
     scale = 1.0 / len(batch)
     for name in grads:
         grads[name] *= scale
@@ -410,17 +508,57 @@ def loss_and_gradients(
     return total * scale, grads
 
 
+def _decode_batch(model: TaggerModel, encs: list[EncodedLog]) -> list[list[Tag]]:
+    p = model.params
+    emissions = _forward(encs, model, train_mode=False, dropout_seed=0)[0]  # drops the cache
+    lengths = [enc.token_count for enc in encs]
+    paths = crf.viterbi_decode(emissions, p["trans"], p["start"], p["end"], lengths)
+    return [[model.tags[i] for i in path] for path in paths]
+
+
 def decode(model: TaggerModel, enc: EncodedLog) -> list[Tag]:
     """Viterbi-decode one encoded log into tags (inference mode)."""
-    p = model.params
-    emissions = forward_emissions(enc, model, train_mode=False)
-    path = crf.viterbi_decode(emissions, p["trans"], p["start"], p["end"])
-    return [model.tags[i] for i in path]
+    return _decode_batch(model, [enc])[0]
+
+
+def _untagged(tokens: list[str]) -> AnnotatedLog:
+    return AnnotatedLog(tuple(tokens), tuple(Tag("O") for _ in tokens))
 
 
 def tag_log(model: TaggerModel, raw: str) -> AnnotatedLog:
     """Tokenize, encode, and tag one raw log message."""
-    tokens = tokenize(raw)
-    stub = AnnotatedLog(tuple(tokens), tuple(Tag("O") for _ in tokens))
-    tags = decode(model, model.encode(stub))
-    return AnnotatedLog(tuple(tokens), tuple(tags))
+    stub = _untagged(tokenize(raw))
+    return AnnotatedLog(stub.tokens, tuple(decode(model, model.encode(stub))))
+
+
+def tag_logs(model: TaggerModel, raws: list[str]) -> list[AnnotatedLog | None]:
+    """Tag many raw log messages; an empty message gives None.
+
+    Messages are sorted by token count and tagged in right-padded batches
+    of at most BATCH_TOKENS padded tokens (a longer message goes alone).
+    Results come back in input order. Padding never reaches a message's
+    real steps, so the batch a message lands in changes its scores only by
+    float rounding in the shared matmuls, not its tags.
+    """
+    token_lists: list[list[str] | None] = []
+    for raw in raws:
+        try:
+            token_lists.append(tokenize(raw))
+        except EmptyLog:
+            token_lists.append(None)
+    order = sorted(
+        (i for i, tokens in enumerate(token_lists) if tokens is not None),
+        key=lambda i: len(token_lists[i]),
+    )
+    out: list[AnnotatedLog | None] = [None] * len(raws)
+    lo = 0
+    while lo < len(order):
+        hi = lo + 1
+        while hi < len(order) and (hi + 1 - lo) * len(token_lists[order[hi]]) <= BATCH_TOKENS:
+            hi += 1
+        stubs = [_untagged(token_lists[i]) for i in order[lo:hi]]
+        tags = _decode_batch(model, [model.encode(stub) for stub in stubs])
+        for i, stub, log_tags in zip(order[lo:hi], stubs, tags):
+            out[i] = AnnotatedLog(stub.tokens, tuple(log_tags))
+        lo = hi
+    return out

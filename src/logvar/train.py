@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,15 @@ from .corpus import AnnotatedLog
 from .embed import CharVocab, WordVocab
 from .errors import ChecksumError, DivergenceError, FormatError, VersionError
 from .evaluate import general_accuracy, variable_aware_accuracy
-from .tagger import Hyperparams, TaggerModel, _iob_masks, decode, loss_and_gradients
-from .taxonomy import MULTICLASS, Tag, tag_vocabulary
+from .tagger import (
+    Hyperparams,
+    TaggerModel,
+    _iob_masks,
+    decode,
+    loss_and_gradients,
+    param_shapes,
+)
+from .taxonomy import BINARY, MULTICLASS, Tag, tag_vocabulary
 
 MAGIC = b"VALB"
 FORMAT_VERSION = 1
@@ -209,8 +216,69 @@ def save_model(model: TaggerModel, path: str | Path) -> None:
     tmp.replace(path)
 
 
+def _is_str_list(value: object, max_len: int | None = None) -> bool:
+    """A list of distinct non-empty strings (each at most ``max_len`` long)."""
+    return (
+        isinstance(value, list)
+        and all(isinstance(v, str) and v and (max_len is None or len(v) <= max_len)
+                for v in value)
+        and len(set(value)) == len(value)
+    )
+
+
+def _read_metadata(meta: object, path: str | Path) -> tuple[Hyperparams, str, WordVocab, CharVocab]:
+    """Hyperparameters, mode and vocabularies from checked model metadata."""
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: metadata is not a JSON object")
+    missing = sorted({"format", "mode", "n_tags", "hyperparams", "tag_order",
+                      "word_vocab", "char_vocab"} - set(meta))
+    if missing:
+        raise FormatError(f"{path}: metadata lacks {', '.join(missing)}")
+    if meta["format"] != FORMAT_VERSION:
+        raise FormatError(f"{path}: metadata format {meta['format']!r} != {FORMAT_VERSION}")
+    raw_hp = meta["hyperparams"]
+    kinds = {f.name: type(f.default) for f in fields(Hyperparams)}
+    if not isinstance(raw_hp, dict) or set(raw_hp) != set(kinds):
+        raise FormatError(f"{path}: hyperparams must have exactly {', '.join(kinds)}")
+    for name, kind in kinds.items():
+        value = raw_hp[name]
+        ok = isinstance(value, kind) if kind is not float else isinstance(value, (int, float))
+        if not ok or (kind is not bool and isinstance(value, bool)):
+            raise FormatError(f"{path}: hyperparameter {name} = {value!r} is not a {kind.__name__}")
+    try:
+        hp = Hyperparams(**raw_hp)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    mode = meta["mode"]
+    if mode not in (MULTICLASS, BINARY):
+        raise FormatError(f"{path}: unknown mode {mode!r}")
+    tags = tag_vocabulary(mode)
+    if meta["tag_order"] != [str(t) for t in tags]:
+        raise FormatError(
+            f"{path}: stored tag ordering does not match the alphabet for mode {mode!r}"
+        )
+    if meta["n_tags"] != len(tags):
+        raise FormatError(f"{path}: n_tags {meta['n_tags']!r} != {len(tags)} for mode {mode!r}")
+    wv_meta, cv_meta = meta["word_vocab"], meta["char_vocab"]
+    if not (isinstance(wv_meta, dict) and set(wv_meta) == {"words", "min_freq"}
+            and _is_str_list(wv_meta["words"])
+            and isinstance(wv_meta["min_freq"], int) and wv_meta["min_freq"] >= 1):
+        raise FormatError(f"{path}: word_vocab must hold distinct words and a min_freq >= 1")
+    if not (isinstance(cv_meta, dict) and set(cv_meta) == {"chars"}
+            and _is_str_list(cv_meta["chars"], max_len=1)):
+        raise FormatError(f"{path}: char_vocab must hold distinct single characters")
+    wv = WordVocab({w: i + 2 for i, w in enumerate(wv_meta["words"])}, wv_meta["min_freq"])
+    cv = CharVocab({c: i + 2 for i, c in enumerate(cv_meta["chars"])})
+    return hp, mode, wv, cv
+
+
 def load_model(path: str | Path) -> TaggerModel:
-    """Read a model file; verifies magic, version, checksum, and tag order."""
+    """Read a model file.
+
+    Verifies magic, version and checksum, then every metadata key and every
+    tensor's name and shape against the stored hyperparameters, vocabulary
+    sizes and tag alphabet; any mismatch raises ``FormatError``.
+    """
     import hashlib
 
     blob = Path(path).read_bytes()
@@ -225,39 +293,46 @@ def load_model(path: str | Path) -> TaggerModel:
     off += 4
     if version != FORMAT_VERSION:
         raise VersionError(f"{path}: unknown format version {version}")
-    (meta_len,) = struct.unpack_from("<I", body, off)
-    off += 4
-    meta = json.loads(bytes(body[off : off + meta_len]).decode("utf-8"))
-    off += meta_len
-    (n_tensors,) = struct.unpack_from("<I", body, off)
-    off += 4
     params: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack_from("<H", body, off)
-        off += 2
-        name = bytes(body[off : off + name_len]).decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", body, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", body, off)
-        off += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(body, dtype="<f4", count=count, offset=off).reshape(shape)
-        off += 4 * count
-        params[name] = arr.copy()
+    try:
+        (meta_len,) = struct.unpack_from("<I", body, off)
+        off += 4
+        meta = json.loads(bytes(body[off : off + meta_len]).decode("utf-8"))
+        off += meta_len
+        (n_tensors,) = struct.unpack_from("<I", body, off)
+        off += 4
+        for _ in range(n_tensors):
+            (name_len,) = struct.unpack_from("<H", body, off)
+            off += 2
+            name = bytes(body[off : off + name_len]).decode("utf-8")
+            off += name_len
+            (ndim,) = struct.unpack_from("<B", body, off)
+            off += 1
+            shape = struct.unpack_from(f"<{ndim}I", body, off)
+            off += 4 * ndim
+            count = int(np.prod(shape)) if ndim else 1
+            arr = np.frombuffer(body, dtype="<f4", count=count, offset=off).reshape(shape)
+            off += 4 * count
+            if name in params:
+                raise FormatError(f"{path}: tensor {name} stored twice")
+            params[name] = arr.copy()
+    except (struct.error, ValueError) as exc:  # includes JSON and UTF-8 errors
+        raise FormatError(f"{path}: malformed model body: {exc}") from exc
     if off != len(body):
         raise FormatError(f"{path}: trailing bytes after tensor section")
 
-    hp = Hyperparams(**meta["hyperparams"])
-    mode = meta["mode"]
+    hp, mode, wv, cv = _read_metadata(meta, path)
     tags = tag_vocabulary(mode)
-    if [str(t) for t in tags] != meta["tag_order"]:
+    expected = param_shapes(hp, len(wv), len(cv), len(tags))
+    if set(params) != set(expected):
         raise FormatError(
-            f"{path}: stored tag ordering does not match the alphabet for mode {mode!r}"
+            f"{path}: tensors {sorted(params)} != expected {sorted(expected)}"
         )
-    words = meta["word_vocab"]["words"]
-    wv = WordVocab({w: i + 2 for i, w in enumerate(words)},
-                   meta["word_vocab"]["min_freq"])
-    cv = CharVocab({c: i + 2 for i, c in enumerate(meta["char_vocab"]["chars"])})
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise FormatError(
+                f"{path}: tensor {name} has shape {params[name].shape}, but the "
+                f"hyperparameters and vocabularies give {shape}"
+            )
     frozen_trans, frozen_start = _iob_masks(tags)
     return TaggerModel(hp, mode, wv, cv, tags, params, frozen_trans, frozen_start)

@@ -143,6 +143,24 @@ def test_viterbi_tie_break_lower_index():
     assert viterbi_decode(E, np.zeros((4, 4)), z, z) == [0, 0, 0]
 
 
+def test_batched_viterbi_mixed_lengths_matches_brute_force():
+    # a right-padded batch decodes each sequence as if it were alone; the
+    # padded steps hold large random scores that would steer any path they
+    # leaked into
+    rng = np.random.default_rng(11)
+    K = 4
+    lengths = [1, 5, 3, 5, 2]
+    for _ in range(10):
+        trans, s, e = rng.standard_normal((K, K)), rng.standard_normal(K), rng.standard_normal(K)
+        E = 50.0 * rng.standard_normal((len(lengths), max(lengths), K))
+        for b, n in enumerate(lengths):
+            E[b, :n] = rng.standard_normal((n, K))
+        paths = viterbi_decode(E, trans, s, e, np.array(lengths))
+        assert paths == [brute_argmax(E[b, :n], trans, s, e) for b, n in enumerate(lengths)]
+    ties = viterbi_decode(np.zeros((2, 3, K)), np.zeros((K, K)), np.zeros(K), np.zeros(K), [3, 1])
+    assert ties == [[0, 0, 0], [0]]
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     E, trans, s, e = random_instance(rng, T=4, K=4)

@@ -1,5 +1,6 @@
 import pytest
 
+import logvar.tagger as tagger
 from logvar.corpus import AnnotatedLog
 from logvar.embed import build_vocabs
 from logvar.parse import (
@@ -67,6 +68,21 @@ class TestExtractTemplate:
         for log in (SPARK, mklog("used 126 MB total", "O B-CRS I-CRS O")):
             assert reconstruct(extract_template(log)) == log.text
 
+    def test_reconstruction_with_literal_wildcard_token(self):
+        for log in (mklog("<*> got 5 <*>", "O O B-OBA O"),
+                    mklog("x <*> 7 8", "O O B-OBA I-OBA"),
+                    mklog("<*> <*>", "O O")):
+            for preserve in (set(), {VariableCategory.OBJECT_AMOUNT}):
+                assert reconstruct(extract_template(log, preserve)) == log.text
+
+    def test_template_id_independent_of_wildcard(self):
+        base = extract_template(SPARK)
+        for wildcard in ("*", "{}", "<VAR>"):
+            other = extract_template(SPARK, wildcard=wildcard)
+            assert other.canonical_template == base.canonical_template
+            assert other.template_id == base.template_id
+            assert other.template != base.template
+
 
 class TestTemplateStore:
     def test_interning_counts(self):
@@ -118,10 +134,19 @@ class TestParseCorpus:
         with pytest.raises(ValueError):
             parse_corpus(binary, ["a b"])
 
-    def test_thread_count_does_not_change_output(self, model, monkeypatch):
-        raws = [f"alpha beta {i}" for i in range(20)]
-        base, base_store = parse_corpus(model, raws)
-        monkeypatch.setenv("VALB_THREADS", "4")
-        threaded, threaded_store = parse_corpus(model, raws)
-        assert base == threaded
-        assert base_store.summary() == threaded_store.summary()
+    def test_batch_composition_does_not_change_output(self, model, monkeypatch):
+        # a budget of one padded token tags every line alone
+        line = "alpha beta 17 gamma delta-4"
+        shorter = [f"a{i} {i}" for i in range(40)]
+        longer = [f"x {i} " * 6 + f"y{i}" for i in range(40)]
+        alone = parse_corpus(model, [line])[0][0]
+        reference = None
+        for budget in (1, 16, tagger.BATCH_TOKENS, 10_000):
+            monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
+            for others in (shorter, longer):
+                results, _ = parse_corpus(model, others[:5] + [line] + others[5:])
+                assert results[5] == alone
+            results, store = parse_corpus(model, shorter + [line] + longer)
+            reference = reference or (results, store.summary())
+            assert results == reference[0]
+            assert store.summary() == reference[1]

@@ -1,20 +1,48 @@
 import numpy as np
 import pytest
 
+import logvar.tagger as tagger
 from logvar.corpus import AnnotatedLog
 from logvar.embed import PAD, build_vocabs, encode_log
 from logvar.synth import generate_synthetic
 from logvar.tagger import (
     FROZEN_SCORE,
     Hyperparams,
+    _char_forward,
+    _decode_batch,
+    _forward,
     char_representation,
     decode,
     forward_emissions,
     init_model,
     loss_and_gradients,
+    param_shapes,
     tag_log,
 )
 from logvar.taxonomy import BINARY, Tag, is_valid_transition
+
+# float32 tolerance for kernels whose summation order differs from the
+# reference: a few ulps of the O(1) activations
+F32_RTOL, F32_ATOL = 1e-5, 1e-6
+
+
+def direct_char_conv(char_ids, model):
+    """Reference char-CNN: the convolution as shifted matmuls over embeddings."""
+    p, hp = model.params, model.hp
+    kern = hp.char_kernel
+    half = kern // 2
+    t, length = char_ids.shape
+    mask = char_ids != PAD
+    x = p["char_emb"][char_ids] * mask[..., None]
+    xp = np.pad(x, ((0, 0), (half, kern - 1 - half), (0, 0)))
+    pre = np.tile(p["char_b"], (t, length, 1))
+    for k in range(kern):
+        pre += xp[:, k : k + length, :] @ p["char_W"][k]
+    rep = np.where(mask[..., None], pre, -np.inf).max(axis=1)
+    empty = ~mask.any(axis=1)
+    rep[empty] = p["char_b"]
+    return rep
+
 
 TINY_HP = Hyperparams(
     word_dim=7, char_emb_dim=5, char_filters=4, char_kernel=3,
@@ -64,6 +92,13 @@ class TestInit:
         assert m.params["proj_W"].shape == (2 * hp.lstm_hidden, 21)
         assert m.params["trans"].shape == (21, 21)
 
+    def test_param_shapes_describe_init(self, vocabs):
+        wv, cv = vocabs
+        for mode in ("multiclass", BINARY):
+            m = init_model(TINY_HP, wv, cv, seed=0, mode=mode)
+            shapes = {name: arr.shape for name, arr in m.params.items()}
+            assert shapes == param_shapes(TINY_HP, len(wv), len(cv), m.n_tags)
+
     def test_binary_mode_three_tags(self, vocabs):
         wv, cv = vocabs
         m = init_model(TINY_HP, wv, cv, seed=0, mode=BINARY)
@@ -105,6 +140,65 @@ class TestCharRepresentation:
         a = char_representation(short, tiny_model)
         b = char_representation(np.array([2, 3, PAD, PAD, PAD, PAD, PAD, PAD]), tiny_model)
         np.testing.assert_array_equal(a, b)
+
+
+class TestCharTable:
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4])
+    def test_matches_direct_convolution(self, vocabs, kernel):
+        wv, cv = vocabs
+        hp = Hyperparams(**{**TINY_HP.to_dict(), "char_kernel": kernel})
+        rng = np.random.default_rng(kernel)
+        ids = rng.integers(1, len(cv), size=(12, 8))
+        for row, n in enumerate([0, 1, 2, 3, 5, 8, 8, 4, 1, 7, 6, 2]):
+            ids[row, n:] = PAD
+        for dtype, rtol, atol in ((np.float32, F32_RTOL, F32_ATOL), (np.float64, 1e-12, 1e-12)):
+            m = init_model(hp, wv, cv, seed=kernel, dtype=dtype)
+            rep, _ = _char_forward(ids, m)
+            assert rep.dtype == dtype
+            np.testing.assert_allclose(rep, direct_char_conv(ids, m), rtol=rtol, atol=atol)
+
+    def test_nonzero_pad_embedding_is_ignored(self, tiny_model):
+        # PAD positions contribute zero vectors whatever the stored PAD row holds
+        m = init_model(TINY_HP, tiny_model.word_vocab, tiny_model.char_vocab, seed=3)
+        ids = np.array([[2, 3, PAD, PAD], [4, PAD, PAD, PAD]])
+        before, _ = _char_forward(ids, m)
+        m.params["char_emb"][PAD] = 7.0
+        after, _ = _char_forward(ids, m)
+        np.testing.assert_array_equal(before, after)
+
+
+class TestBatchedForward:
+    def test_batch_matches_batch_of_one(self, tiny_model, corpus):
+        m = tiny_model
+        logs = sorted(corpus[:12], key=lambda log: len(log.tokens) % 5)  # mixed lengths
+        encs = [m.encode(log) for log in logs]
+        assert len({enc.token_count for enc in encs}) > 3
+        emissions, cache = _forward(encs, m, train_mode=False, dropout_seed=0)
+        assert emissions.shape == (len(encs), max(e.token_count for e in encs), m.n_tags)
+        assert cache["lengths"].tolist() == [e.token_count for e in encs]
+        for b, enc in enumerate(encs):
+            np.testing.assert_allclose(
+                emissions[b, : enc.token_count], forward_emissions(enc, m),
+                rtol=F32_RTOL, atol=F32_ATOL,
+            )
+        assert _decode_batch(m, encs) == [decode(m, enc) for enc in encs]
+
+    def test_char_cnn_runs_once_per_distinct_trimmed_row(self, tiny_model, monkeypatch):
+        seen = []
+        real = tagger._char_forward
+
+        def spy(char_ids, model):
+            seen.append(char_ids)
+            return real(char_ids, model)
+
+        monkeypatch.setattr(tagger, "_char_forward", spy)
+        m = tiny_model
+        a, b, c, d, e = m.char_vocab.chars()[:5]
+        words = [[a + b, c + d, a + b], [c + d, e], [a + b]]
+        encs = [m.encode(AnnotatedLog(tuple(w), tuple(Tag("O") for _ in w))) for w in words]
+        _forward(encs, m, train_mode=False, dropout_seed=0)
+        (rows,) = seen
+        assert rows.shape == (3, 2)  # three distinct words, two chars wide
 
 
 class TestForward:

@@ -1,3 +1,6 @@
+import copy
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,9 @@ from logvar.train import (
     save_model,
     train,
 )
+
+# the package re-exports train(), which shadows the module attribute
+train_module = importlib.import_module("logvar.train")
 
 SMALL_HP = Hyperparams(
     word_dim=16, char_emb_dim=12, char_filters=8, char_kernel=3,
@@ -167,6 +173,46 @@ class TestSerialization:
         blob += hashlib.blake2b(bytes(blob), digest_size=8).digest()
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionError):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["n_tags", "hyperparams", "word_vocab", "format"])
+    def test_missing_metadata_key(self, memorization_run, tmp_path, monkeypatch, key):
+        _, _, best, _, _, _ = memorization_run
+        full = train_module._metadata
+        monkeypatch.setattr(train_module, "_metadata",
+                            lambda m: {k: v for k, v in full(m).items() if k != key})
+        path = tmp_path / "model.valb"
+        save_model(best, path)
+        with pytest.raises(FormatError, match=key):
+            load_model(path)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("char_W", (3, 6, 7)),  # char_filters says 8 and char_emb_dim 12
+        ("lstm_f_Wh", (11, 48)),
+        ("proj_W", (24, 20)),
+    ])
+    def test_tensor_shape_contradicting_hyperparams(self, memorization_run, tmp_path, name, shape):
+        _, _, best, _, _, _ = memorization_run
+        bad = copy.deepcopy(best)
+        bad.params[name] = np.zeros(shape, dtype=np.float32)
+        path = tmp_path / "model.valb"
+        save_model(bad, path)
+        with pytest.raises(FormatError, match=name):
+            load_model(path)
+
+    def test_edited_hyperparameter_rejected(self, memorization_run, tmp_path, monkeypatch):
+        _, _, best, _, _, _ = memorization_run
+        full = train_module._metadata
+
+        def edited(m):
+            meta = full(m)
+            meta["hyperparams"] = {**meta["hyperparams"], "lstm_hidden": 13}
+            return meta
+
+        monkeypatch.setattr(train_module, "_metadata", edited)
+        path = tmp_path / "model.valb"
+        save_model(best, path)
+        with pytest.raises(FormatError, match="has shape"):
             load_model(path)
 
     def test_binary_mode_metadata(self, tmp_path):
