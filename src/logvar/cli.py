@@ -305,21 +305,25 @@ def _add_hp_flags(p: argparse.ArgumentParser) -> None:
                    help="char-ablated baseline (word embeddings only)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="logvar", description="variable-aware log abstraction toolkit"
     )
     parser.add_argument("--config", help="key = value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    p = sub.add_parser("split", help="split an annotation file into train/val/test")
+    p = commands["split"] = sub.add_parser(
+        "split", help="split an annotation file into train/val/test")
     p.add_argument("--input", required=True)
     p.add_argument("--ratios", default="0.2,0.2,0.6")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", help="train a tagger and save the best checkpoint")
+    p = commands["train"] = sub.add_parser(
+        "train", help="train a tagger and save the best checkpoint")
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--out", required=True)
@@ -330,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hp_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("finetune", help="fine-tune a saved model on a small sample")
+    p = commands["finetune"] = sub.add_parser(
+        "finetune", help="fine-tune a saved model on a small sample")
     p.add_argument("--model", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
@@ -339,13 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("tag", help="tag raw log lines with a saved model")
+    p = commands["tag"] = sub.add_parser(
+        "tag", help="tag raw log lines with a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="file of raw log lines")
     p.add_argument("--output", required=True, help="annotation-format output")
     p.set_defaults(func=cmd_tag)
 
-    p = sub.add_parser("parse", help="extract templates, preserving selected categories")
+    p = commands["parse"] = sub.add_parser(
+        "parse", help="extract templates, preserving selected categories")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--preserve", default="", help="comma-separated category abbreviations")
@@ -354,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--templates", help="templates summary file")
     p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("eval", help="score predictions against gold annotations")
+    p = commands["eval"] = sub.add_parser(
+        "eval", help="score predictions against gold annotations")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--report", required=True, help="JSON report output")
@@ -363,49 +371,52 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relabel all variable categories to VAR before scoring")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("derive-annotations",
-                       help="binary annotations from a structured content/template file")
+    p = commands["derive-annotations"] = sub.add_parser(
+        "derive-annotations", help="binary annotations from a structured content/template file")
     p.add_argument("--structured", required=True, help="CSV with content and template columns")
     p.add_argument("--content-col", default="Content")
     p.add_argument("--template-col", default="EventTemplate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_derive_annotations)
 
-    p = sub.add_parser("synth", help="generate a synthetic annotated corpus")
+    p = commands["synth"] = sub.add_parser(
+        "synth", help="generate a synthetic annotated corpus")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--templates", type=int, default=20)
     p.add_argument("--logs", type=int, default=2000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    return parser
+    return parser, commands
+
+
+def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
+    """Values from the ``--config`` file for the options of ``args.command``.
+
+    Keys the command has no option for are skipped, so one file can serve
+    several commands. A flag's value is true for 1/true/yes; other values
+    stay strings, which argparse converts with the option's type.
+    """
+    defaults: dict[str, object] = {}
+    for key, value in _read_config_file(args.config).items():
+        if key in ("command", "config", "func") or not hasattr(args, key):
+            continue
+        if isinstance(getattr(args, key), bool):
+            defaults[key] = value.lower() in ("1", "true", "yes")
+        else:
+            defaults[key] = value
+    return defaults
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # config file values become defaults, command-line flags override
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            cfg_path = argv[idx + 1]
-        except IndexError:
-            parser.error("--config needs a path")
-        defaults = _read_config_file(cfg_path)
-        for sp in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-            converted = {}
-            for a in sp._actions:
-                if a.dest not in defaults:
-                    continue
-                value: object = defaults[a.dest]
-                if a.type is not None:
-                    value = a.type(value)
-                elif isinstance(a.default, bool):
-                    value = str(value).lower() in ("1", "true", "yes")
-                converted[a.dest] = value
-            sp.set_defaults(**converted)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # config values become the command's defaults; flags override them
+            commands[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)

@@ -6,14 +6,24 @@ start scores s (K,) and end scores e (K,) scores
     s[y_0] + sum_t E[t, y_t] + sum_t trans[y_{t-1}, y_t] + e[y_{T-1}]
 
 All computations run in double precision log space regardless of the
-emission dtype; log-sum-exp is stabilized by max subtraction. Viterbi also
-decodes a right-padded batch of sequences in one pass.
+emission dtype; log-sum-exp is stabilized by max subtraction, so scores
+must be finite (the tagger pins forbidden transitions at a large negative
+score, not at -inf). The
+forward-backward gradients and Viterbi also take a right-padded batch of
+sequences: a (B, T, K) emission tensor with per-sequence lengths.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
+
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along ``axis``, shifted by the maximum; ``x`` is finite."""
+    m = x.max(axis=axis, keepdims=True)
+    out = np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
+    out += m
+    return out.squeeze(axis)
 
 
 def sequence_score(
@@ -38,8 +48,8 @@ def crf_log_partition(
     trans = np.asarray(trans, dtype=np.float64)
     alpha = s.astype(np.float64) + E[0]
     for t in range(1, E.shape[0]):
-        alpha = logsumexp(alpha[:, None] + trans, axis=0) + E[t]
-    return float(logsumexp(alpha + e))
+        alpha = _logsumexp(alpha[:, None] + trans, axis=0) + E[t]
+    return float(_logsumexp(alpha + e, axis=0))
 
 
 def nll_loss(
@@ -50,50 +60,72 @@ def nll_loss(
 
 
 def nll_gradients(
-    E: np.ndarray, trans: np.ndarray, s: np.ndarray, e: np.ndarray, gold: np.ndarray
+    E: np.ndarray,
+    trans: np.ndarray,
+    s: np.ndarray,
+    e: np.ndarray,
+    gold: np.ndarray,
+    lengths: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Loss and its exact gradients w.r.t. E, trans, s, e.
 
     Uses forward-backward: the gradient of log Z w.r.t. a score is the
     corresponding marginal probability, from which the gold indicator is
     subtracted.
+
+    ``E`` is (T, K) with ``gold`` (T,) for one sequence, or a right-padded
+    batch (B, T, K) with ``gold`` (B, T) and ``lengths`` (B,), default all
+    T. A batch returns the summed loss and the summed gradients of trans,
+    s and e; dE has E's shape and is zero on padded steps, whose emissions
+    and gold tags are never read. alpha is carried unchanged through padded
+    steps and beta is ``e`` from each sequence's last real step on.
     """
     E = np.asarray(E, dtype=np.float64)
+    single = E.ndim == 2
+    if single:
+        E, gold = E[None], np.asarray(gold)[None]
     trans = np.asarray(trans, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    gold = np.asarray(gold)
-    T, K = E.shape
+    B, T, K = E.shape
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    real = np.arange(T) < lengths[:, None]  # (B, T)
+    E = np.where(real[..., None], E, 0.0)
+    gold = np.where(real, gold, 0)
+    rows = np.arange(B)
 
-    alpha = np.empty((T, K))
-    alpha[0] = s + E[0]
+    alpha = np.empty((B, T, K))
+    alpha[:, 0] = s + E[:, 0]
     for t in range(1, T):
-        alpha[t] = logsumexp(alpha[t - 1][:, None] + trans, axis=0) + E[t]
-    log_z = float(logsumexp(alpha[-1] + e))
+        step = _logsumexp(alpha[:, t - 1, :, None] + trans, axis=1) + E[:, t]
+        alpha[:, t] = np.where(real[:, t, None], step, alpha[:, t - 1])
+    log_z = _logsumexp(alpha[:, -1] + e, axis=1)  # (B,)
 
-    beta = np.empty((T, K))
-    beta[-1] = e
+    beta = np.empty((B, T, K))
+    beta[:, -1] = e
+    inner = np.arange(T) < lengths[:, None] - 1  # steps with a real successor
     for t in range(T - 2, -1, -1):
-        beta[t] = logsumexp(trans + (beta[t + 1] + E[t + 1])[None, :], axis=1)
+        step = _logsumexp(trans + (beta[:, t + 1] + E[:, t + 1])[:, None, :], axis=2)
+        beta[:, t] = np.where(inner[:, t, None], step, e)
 
-    node_marg = np.exp(alpha + beta - log_z)  # (T, K)
+    # node marginals, zero on padded steps
+    node_marg = np.exp(alpha + beta - log_z[:, None, None]) * real[..., None]
+    # pairwise marginals of steps (t-1, t), t >= 1, zero where t is padded
+    pair_log = (alpha[:, :-1, :, None] + trans
+                + (E[:, 1:] + beta[:, 1:])[:, :, None, :] - log_z[:, None, None, None])
+    pair = np.exp(np.where(real[:, 1:, None, None], pair_log, -np.inf))
 
-    dE = node_marg.copy()
-    dE[np.arange(T), gold] -= 1.0
-    d_trans = np.zeros((K, K))
-    for t in range(1, T):
-        pair = np.exp(
-            alpha[t - 1][:, None] + trans + (E[t] + beta[t])[None, :] - log_z
-        )
-        d_trans += pair
-        d_trans[gold[t - 1], gold[t]] -= 1.0
-    ds = node_marg[0].copy()
-    ds[gold[0]] -= 1.0
-    de = node_marg[-1].copy()
-    de[gold[-1]] -= 1.0
-
-    loss = log_z - sequence_score(E, trans, s, e, gold)
-    return loss, dE, d_trans, ds, de
+    last = gold[rows, lengths - 1]
+    pairs = (gold[:, :-1] * K + gold[:, 1:])[real[:, 1:]]  # flat gold transitions
+    d_trans = pair.sum(axis=(0, 1)) - np.bincount(pairs, minlength=K * K).reshape(K, K)
+    ds = node_marg[:, 0].sum(axis=0) - np.bincount(gold[:, 0], minlength=K)
+    de = node_marg[rows, lengths - 1].sum(axis=0) - np.bincount(last, minlength=K)
+    dE = node_marg
+    dE[real, gold[real]] -= 1.0
+    gold_score = (s[gold[:, 0]].sum() + e[last].sum() + E[real, gold[real]].sum()
+                  + trans.ravel()[pairs].sum())
+    loss = float(log_z.sum() - gold_score)
+    return loss, (dE[0] if single else dE), d_trans, ds, de
 
 
 def viterbi_decode(

@@ -9,6 +9,7 @@ unseen symbols map to UNK.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,14 +122,14 @@ def load_word_vectors(
 
 
 def encode_log(
-    log: AnnotatedLog, wv: WordVocab, cv: CharVocab, max_word_len: int = 30
+    tokens: Sequence[str], wv: WordVocab, cv: CharVocab, max_word_len: int = 30
 ) -> EncodedLog:
-    """Word ids and right-padded/truncated char-id rows for one log."""
+    """Word ids and right-padded/truncated char-id rows for one log's tokens."""
     if max_word_len < 1:
         raise ValueError("max_word_len must be >= 1")
-    t = len(log.tokens)
-    word_ids = np.fromiter((wv.lookup(tok) for tok in log.tokens), dtype=np.int64, count=t)
-    kept = [tok[:max_word_len] for tok in log.tokens]
+    t = len(tokens)
+    word_ids = np.fromiter((wv.lookup(tok) for tok in tokens), dtype=np.int64, count=t)
+    kept = [tok[:max_word_len] for tok in tokens]
     filled = np.arange(max_word_len) < np.array([len(tok) for tok in kept])[:, None]
     char_ids = np.full((t, max_word_len), PAD, dtype=np.int64)
     lookup = cv.index.get  # CharVocab.lookup without a method call per character

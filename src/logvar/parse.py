@@ -3,9 +3,11 @@
 Contiguous B-X(+I-X) runs form one variable occurrence each. Occurrences
 whose category is in the preserve set keep their concrete (space-joined)
 value in the rendered template; all others become the wildcard token. The
-canonical template, which defines template identity, always abstracts every
-variable to DEFAULT_WILDCARD, so neither preservation nor the choice of
-wildcard changes template ids.
+canonical template always abstracts every variable to DEFAULT_WILDCARD, so
+neither preservation nor the choice of wildcard changes template ids. A
+template's identity is its canonical template and the positions of its
+slots, which differ from the positions of the DEFAULT_WILDCARD tokens only
+when a static token is literally the wildcard.
 """
 
 from __future__ import annotations
@@ -45,33 +47,49 @@ class ParseResult:
 
 @dataclass
 class TemplateStore:
-    """Canonical template -> (id, first-seen ordinal, occurrence count)."""
+    """Template id -> (canonical template, first-seen ordinal, occurrence count)."""
 
     entries: dict[str, dict] = field(default_factory=dict)
 
-    def intern(self, canonical: str) -> str:
-        entry = self.entries.get(canonical)
+    def intern(self, canonical: str, template_id: str | None = None) -> str:
+        """Count one occurrence of a template and return its id.
+
+        ``template_id`` defaults to the id of ``canonical`` with its
+        DEFAULT_WILDCARD tokens as the slots.
+        """
+        if template_id is None:
+            template_id = template_hash(canonical)
+        entry = self.entries.get(template_id)
         if entry is None:
-            entry = {
-                "template_id": template_hash(canonical),
-                "ordinal": len(self.entries),
-                "count": 0,
-            }
-            self.entries[canonical] = entry
+            entry = {"canonical_template": canonical, "ordinal": len(self.entries), "count": 0}
+            self.entries[template_id] = entry
         entry["count"] += 1
-        return entry["template_id"]
+        return template_id
 
     def summary(self) -> list[dict]:
         return [
-            {"template_id": e["template_id"], "ordinal": e["ordinal"],
-             "canonical_template": tpl, "count": e["count"]}
-            for tpl, e in sorted(self.entries.items(), key=lambda kv: kv[1]["ordinal"])
+            {"template_id": tid, "ordinal": e["ordinal"],
+             "canonical_template": e["canonical_template"], "count": e["count"]}
+            for tid, e in sorted(self.entries.items(), key=lambda kv: kv[1]["ordinal"])
         ]
 
 
-def template_hash(canonical: str) -> str:
-    """Stable 64-bit identifier of a canonical template string."""
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
+def template_hash(canonical: str, slots: list[int] | None = None) -> str:
+    """Stable 64-bit identifier of a template.
+
+    ``slots`` are the canonical-token indices of the variable slots; the
+    default is every DEFAULT_WILDCARD token. Slots are hashed with the
+    canonical string only when they differ from that default, so a template
+    without a literal wildcard token is identified by its canonical string.
+    Tokens hold no whitespace, so the newline separator is unambiguous.
+    """
+    payload = canonical
+    if slots is not None and canonical.count(DEFAULT_WILDCARD) > len(slots):
+        # some static token contains the wildcard text
+        tokens = canonical.split(" ")
+        if slots != [i for i, tok in enumerate(tokens) if tok == DEFAULT_WILDCARD]:
+            payload += "\n" + " ".join(map(str, slots))
+    return hashlib.blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
 
 
 def extract_template(
@@ -83,6 +101,7 @@ def extract_template(
     runs = spans(log.tags)
     out_tokens: list[str] = []
     canon_tokens: list[str] = []
+    slots: list[int] = []
     extractions: list[Extraction] = []
     pos = 0
     for cat, start, end in runs:
@@ -90,6 +109,7 @@ def extract_template(
         canon_tokens.extend(log.tokens[pos:start])
         value = " ".join(log.tokens[start:end])
         out_tokens.append(value if cat in preserve_abbrevs else wildcard)
+        slots.append(len(canon_tokens))
         canon_tokens.append(DEFAULT_WILDCARD)
         extractions.append(Extraction(cat, value, start, end))
         pos = end
@@ -99,7 +119,7 @@ def extract_template(
     return ParseResult(
         template=" ".join(out_tokens),
         canonical_template=canonical,
-        template_id=template_hash(canonical),
+        template_id=template_hash(canonical, slots),
         extractions=tuple(extractions),
     )
 
@@ -144,7 +164,7 @@ def parse_corpus(
             results.append(None)
             continue
         result = extract_template(annotated, preserve, wildcard)
-        store.intern(result.canonical_template)
+        store.intern(result.canonical_template, result.template_id)
         results.append(result)
     return results, store
 

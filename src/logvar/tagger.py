@@ -14,7 +14,10 @@ batch of logs as a right-padded (B, T) tensor: every log's padding comes
 after its last real step, in both LSTM directions (the backward direction
 reads each log through a per-log reversal index), so padded steps never
 reach a real step and the recurrences need no mask; Viterbi carries each
-score unchanged through padded steps. Training feeds one log at a time.
+score unchanged through padded steps. Training runs a minibatch the same
+way: one forward pass, one batched CRF forward-backward whose gradient is
+zero on padded steps, and one backward pass, in which those zero gradients
+keep padded steps out of every parameter gradient.
 
 The char-CNN runs once per distinct word of a batch, on char rows trimmed
 to the batch's longest word. Its convolution is linear in the character
@@ -98,7 +101,7 @@ class TaggerModel:
         self._tag_to_idx = {t: i for i, t in enumerate(self.tags)}
 
     def encode(self, log: AnnotatedLog) -> EncodedLog:
-        return encode_log(log, self.word_vocab, self.char_vocab, self.hp.max_word_len)
+        return encode_log(log.tokens, self.word_vocab, self.char_vocab, self.hp.max_word_len)
 
     def encode_tags(self, log: AnnotatedLog) -> np.ndarray:
         return np.asarray([self._tag_to_idx[t] for t in log.tags], dtype=np.int64)
@@ -354,17 +357,25 @@ def _lstm_backward(
 
 
 def _dropout_masks(
-    model: TaggerModel, shape: tuple[int, int], train_mode: bool, dropout_seed: int
+    model: TaggerModel, real: np.ndarray, train_mode: bool, dropout_seed: int
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Inverted-dropout masks of the LSTM inputs and outputs, (B, T, width).
+
+    Log b draws its masks over its real steps from ``dropout_seed + b``:
+    the masks it would get alone at that seed. Padded steps get zero.
+    """
     p = model.hp.dropout
     if not train_mode or p == 0.0:
         return None, None
-    rng = np.random.default_rng(dropout_seed)
     scale = 1.0 / (1.0 - p)
-    m1 = (rng.random((*shape, model.hp.input_dim)) >= p) * scale
-    m2 = (rng.random((*shape, 2 * model.hp.lstm_hidden)) >= p) * scale
     dtype = model.params["proj_W"].dtype
-    return m1.astype(dtype), m2.astype(dtype)
+    m1 = np.zeros((*real.shape, model.hp.input_dim), dtype=dtype)
+    m2 = np.zeros((*real.shape, 2 * model.hp.lstm_hidden), dtype=dtype)
+    for b, n in enumerate(real.sum(axis=1)):
+        rng = np.random.default_rng(dropout_seed + b)
+        m1[b, :n] = (rng.random((n, m1.shape[2])) >= p) * scale
+        m2[b, :n] = (rng.random((n, m2.shape[2])) >= p) * scale
+    return m1, m2
 
 
 def _forward(
@@ -398,7 +409,7 @@ def _forward(
         rep, char_cache = _char_forward(rows[first], model)
         char_cache["inverse"] = inverse
         u[real, hp.word_dim :] = rep[inverse]
-    m1, m2 = _dropout_masks(model, real.shape, train_mode, dropout_seed)
+    m1, m2 = _dropout_masks(model, real, train_mode, dropout_seed)
     u_d = u * m1 if m1 is not None else u
     # x[rev] reverses each log's real steps in place, so in the backward
     # direction too padding comes after the last real step; rev is its own
@@ -482,22 +493,23 @@ def loss_and_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean per-log CRF negative log-likelihood and exact gradients.
 
-    Each log goes through the network as a batch of one, at its true
-    length; frozen CRF entries (IOB constraints) receive zero gradient.
+    The batch runs as one right-padded forward pass, one CRF
+    forward-backward and one backward pass; log i draws its dropout masks
+    from ``dropout_seed + i``. Frozen CRF entries (IOB constraints) receive
+    zero gradient.
     """
     p = model.params
     grads = zero_grads(model)
-    total = 0.0
-    for i, (enc, gold) in enumerate(batch):
-        emissions, cache = _forward([enc], model, train_mode, dropout_seed + i)
-        loss, d_e, d_trans, d_s, d_e_end = crf.nll_gradients(
-            emissions[0], p["trans"], p["start"], p["end"], gold
-        )
-        total += loss
-        grads["trans"] += d_trans.astype(p["trans"].dtype)
-        grads["start"] += d_s.astype(p["start"].dtype)
-        grads["end"] += d_e_end.astype(p["end"].dtype)
-        _backward_net(d_e[None], model, cache, grads)
+    emissions, cache = _forward([enc for enc, _ in batch], model, train_mode, dropout_seed)
+    gold = np.zeros(emissions.shape[:2], dtype=np.int64)
+    gold[cache["real"]] = np.concatenate([tags for _, tags in batch])
+    loss, d_e, d_trans, d_s, d_e_end = crf.nll_gradients(
+        emissions, p["trans"], p["start"], p["end"], gold, cache["lengths"]
+    )
+    grads["trans"] += d_trans.astype(p["trans"].dtype)
+    grads["start"] += d_s.astype(p["start"].dtype)
+    grads["end"] += d_e_end.astype(p["end"].dtype)
+    _backward_net(d_e, model, cache, grads)
     scale = 1.0 / len(batch)
     for name in grads:
         grads[name] *= scale
@@ -505,7 +517,7 @@ def loss_and_gradients(
     grads["start"][model.frozen_start] = 0.0
     grads["word_emb"][PAD] = 0.0
     grads["char_emb"][PAD] = 0.0
-    return total * scale, grads
+    return loss * scale, grads
 
 
 def _decode_batch(model: TaggerModel, encs: list[EncodedLog]) -> list[list[Tag]]:
@@ -521,14 +533,17 @@ def decode(model: TaggerModel, enc: EncodedLog) -> list[Tag]:
     return _decode_batch(model, [enc])[0]
 
 
-def _untagged(tokens: list[str]) -> AnnotatedLog:
-    return AnnotatedLog(tuple(tokens), tuple(Tag("O") for _ in tokens))
+def _tag_tokens(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[AnnotatedLog]:
+    """Tag tokenized messages as one batch."""
+    encs = [encode_log(tokens, model.word_vocab, model.char_vocab, model.hp.max_word_len)
+            for tokens in token_lists]
+    return [AnnotatedLog(tokens, tuple(tags))
+            for tokens, tags in zip(token_lists, _decode_batch(model, encs))]
 
 
 def tag_log(model: TaggerModel, raw: str) -> AnnotatedLog:
     """Tokenize, encode, and tag one raw log message."""
-    stub = _untagged(tokenize(raw))
-    return AnnotatedLog(stub.tokens, tuple(decode(model, model.encode(stub))))
+    return _tag_tokens(model, [tuple(tokenize(raw))])[0]
 
 
 def tag_logs(model: TaggerModel, raws: list[str]) -> list[AnnotatedLog | None]:
@@ -540,10 +555,10 @@ def tag_logs(model: TaggerModel, raws: list[str]) -> list[AnnotatedLog | None]:
     real steps, so the batch a message lands in changes its scores only by
     float rounding in the shared matmuls, not its tags.
     """
-    token_lists: list[list[str] | None] = []
+    token_lists: list[tuple[str, ...] | None] = []
     for raw in raws:
         try:
-            token_lists.append(tokenize(raw))
+            token_lists.append(tuple(tokenize(raw)))
         except EmptyLog:
             token_lists.append(None)
     order = sorted(
@@ -556,9 +571,8 @@ def tag_logs(model: TaggerModel, raws: list[str]) -> list[AnnotatedLog | None]:
         hi = lo + 1
         while hi < len(order) and (hi + 1 - lo) * len(token_lists[order[hi]]) <= BATCH_TOKENS:
             hi += 1
-        stubs = [_untagged(token_lists[i]) for i in order[lo:hi]]
-        tags = _decode_batch(model, [model.encode(stub) for stub in stubs])
-        for i, stub, log_tags in zip(order[lo:hi], stubs, tags):
-            out[i] = AnnotatedLog(stub.tokens, tuple(log_tags))
+        tagged = _tag_tokens(model, [token_lists[i] for i in order[lo:hi]])
+        for i, log in zip(order[lo:hi], tagged):
+            out[i] = log
         lo = hi
     return out

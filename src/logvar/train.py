@@ -89,10 +89,24 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
+        # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        # param -= lr * (m/bc1) / (sqrt(v/bc2) + eps), so results are bitwise those
         for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            params[k] -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
+            m, v = self.m[k], self.v[k]
+            tmp = np.multiply(g, 1.0 - self.beta1)
+            m *= self.beta1
+            m += tmp
+            np.multiply(g, 1.0 - self.beta2, out=tmp)
+            tmp *= g
+            v *= self.beta2
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            step = m / bc1
+            step *= self.lr
+            step /= tmp
+            params[k] -= step
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:

@@ -253,3 +253,32 @@ class TestConfigFile:
                      "--out-dir", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a" / "train.tsv").read_bytes() == \
                (tmp_path / "b" / "train.tsv").read_bytes()
+
+    def test_flags_override_config_int_and_boolean(self, tmp_path, corpus_file):
+        # one file serves both commands: keys a command has no option for are skipped
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 9\ntoken_level = true\ncollapse_binary = false\n")
+
+        def echoed(out_dir):
+            lines = (out_dir / "run-config.txt").read_text().splitlines()
+            return dict(line.split(" = ", 1) for line in lines)
+
+        assert main(["--config", str(cfg), "split", "--input", str(corpus_file),
+                     "--seed", "3", "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(["split", "--input", str(corpus_file), "--seed", "3",
+                     "--out-dir", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "train.tsv").read_bytes() == \
+               (tmp_path / "b" / "train.tsv").read_bytes()
+        assert echoed(tmp_path / "a")["seed"] == "3"
+        assert "token_level" not in echoed(tmp_path / "a")
+
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("a\tO\n1\tB-OID\n")
+        report_dir = tmp_path / "eval"
+        report_dir.mkdir()
+        assert main(["--config", str(cfg), "eval", "--gold", str(gold), "--pred", str(gold),
+                     "--report", str(report_dir / "r.json"), "--collapse-binary"]) == 0
+        run = echoed(report_dir)
+        assert run["collapse_binary"] == "True"  # the flag beats the config's false
+        assert run["token_level"] == "True"  # from the config
+        assert "seed" not in run

@@ -161,6 +161,30 @@ def test_batched_viterbi_mixed_lengths_matches_brute_force():
     assert ties == [[0, 0, 0], [0]]
 
 
+def test_batched_nll_gradients_match_per_sequence():
+    # a right-padded batch returns the summed loss and CRF gradients of its
+    # sequences and each one's dE; large padded emissions and random padded
+    # gold tags must not leak into any of them
+    rng = np.random.default_rng(12)
+    K = 5
+    lengths = np.array([1, 6, 3, 6, 2])
+    B, T = len(lengths), int(lengths.max())
+    trans, s, e = rng.standard_normal((K, K)), rng.standard_normal(K), rng.standard_normal(K)
+    E = 50.0 * rng.standard_normal((B, T, K))
+    gold = rng.integers(0, K, size=(B, T))
+    for b, n in enumerate(lengths):
+        E[b, :n] = rng.standard_normal((n, K))
+    loss, dE, dT, ds, de = nll_gradients(E, trans, s, e, gold, lengths)
+    per = [nll_gradients(E[b, :n], trans, s, e, gold[b, :n]) for b, n in enumerate(lengths)]
+    assert loss == pytest.approx(sum(p[0] for p in per), abs=1e-12)
+    for k, total in ((2, dT), (3, ds), (4, de)):
+        np.testing.assert_allclose(total, sum(p[k] for p in per), rtol=0, atol=1e-12)
+    assert dE.shape == E.shape
+    for (b, n), p in zip(enumerate(lengths), per):
+        np.testing.assert_allclose(dE[b, :n], p[1], rtol=0, atol=1e-12)
+        assert (dE[b, n:] == 0).all()
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     E, trans, s, e = random_instance(rng, T=4, K=4)

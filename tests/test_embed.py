@@ -42,26 +42,26 @@ class TestEncode:
         self.wv, self.cv = build_vocabs(TRAIN)
 
     def test_char_row_padding(self):
-        enc = encode_log(log_of("a5"), self.wv, self.cv, max_word_len=6)
+        enc = encode_log(log_of("a5").tokens, self.wv, self.cv, max_word_len=6)
         row = enc.char_ids[0]
         assert row[0] == self.cv.lookup("a")
         assert row[1] == self.cv.lookup("5")
         assert all(row[2:] == PAD)
 
     def test_unseen_word_maps_to_unk_chars_still_meaningful(self):
-        enc = encode_log(log_of("idfoo"), self.wv, self.cv, max_word_len=8)
+        enc = encode_log(log_of("idfoo").tokens, self.wv, self.cv, max_word_len=8)
         assert enc.word_ids[0] == UNK
         assert enc.char_ids[0][0] == self.cv.lookup("i")
 
     def test_truncation(self):
-        enc = encode_log(log_of("abcdefgh"), self.wv, self.cv, max_word_len=3)
+        enc = encode_log(log_of("abcdefgh").tokens, self.wv, self.cv, max_word_len=3)
         assert enc.char_ids.shape == (1, 3)
         assert (enc.char_ids[0] != PAD).all()
 
     def test_encoding_total_and_deterministic(self):
         log = log_of("completely unseen Zz9")
-        a = encode_log(log, self.wv, self.cv)
-        b = encode_log(log, self.wv, self.cv)
+        a = encode_log(log.tokens, self.wv, self.cv)
+        b = encode_log(log.tokens, self.wv, self.cv)
         assert (a.word_ids == b.word_ids).all()
         assert (a.char_ids == b.char_ids).all()
 

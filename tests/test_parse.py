@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import logvar.tagger as tagger
@@ -75,6 +77,25 @@ class TestExtractTemplate:
             for preserve in (set(), {VariableCategory.OBJECT_AMOUNT}):
                 assert reconstruct(extract_template(log, preserve)) == log.text
 
+    def test_literal_wildcard_token_does_not_collide_with_a_slot(self):
+        static = extract_template(mklog("x <*>", "O O"))
+        slot = extract_template(mklog("x 5", "O B-OBA"))
+        assert static.canonical_template == slot.canonical_template == "x <*>"
+        assert static.template_id != slot.template_id
+        # a literal wildcard inside a variable is a slot like any other value
+        assert extract_template(mklog("x <*>", "O B-OBA")).template_id == slot.template_id
+        store = TemplateStore()
+        for result in (static, slot, static):
+            store.intern(result.canonical_template, result.template_id)
+        assert [(e["template_id"], e["count"]) for e in store.summary()] == [
+            (static.template_id, 2), (slot.template_id, 1)]
+
+    def test_template_id_is_the_canonical_hash_without_literal_wildcards(self):
+        result = extract_template(SPARK)
+        assert result.template_id == template_hash(result.canonical_template)
+        assert result.template_id == hashlib.blake2b(
+            b"Starting executor ID <*> on host <*>", digest_size=8).hexdigest()
+
     def test_template_id_independent_of_wildcard(self):
         base = extract_template(SPARK)
         for wildcard in ("*", "{}", "<VAR>"):
@@ -122,7 +143,7 @@ class TestParseCorpus:
         # messages must intern to one template id
         results, store = parse_corpus(model, ["alpha beta 1", "alpha beta 1"])
         assert results[0].template_id == results[1].template_id
-        entry = store.entries[results[0].canonical_template]
+        entry = store.entries[results[0].template_id]
         assert entry["count"] == 2
 
     def test_binary_model_rejected(self):

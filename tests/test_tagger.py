@@ -260,6 +260,26 @@ class TestGradients:
                 an = grads[name].ravel()[i]
                 assert an == pytest.approx(fd, abs=1e-6), f"{name}[{i}]"
 
+    @pytest.mark.parametrize("dtype, rtol, atol", [
+        (np.float64, 1e-12, 1e-12), (np.float32, F32_RTOL, F32_ATOL),
+    ])
+    def test_batch_equals_mean_of_per_log(self, vocabs, corpus, dtype, rtol, atol):
+        # log i of a batch draws dropout from seed + i, as a batch of one at
+        # that seed does, so only summation order separates the two
+        wv, cv = vocabs
+        m = init_model(TINY_HP, wv, cv, seed=5, dtype=dtype)
+        one = AnnotatedLog(("lone",), (Tag("O"),))
+        logs = [corpus[0], one, corpus[11], corpus[4], corpus[7]]  # 6, 1, 9, 7, 8 tokens
+        batch = [(m.encode(l), m.encode_tags(l)) for l in logs]
+        assert len({enc.token_count for enc, _ in batch}) > 3
+        loss, grads = loss_and_gradients(m, batch, train_mode=True, dropout_seed=21)
+        per = [loss_and_gradients(m, [item], train_mode=True, dropout_seed=21 + i)
+               for i, item in enumerate(batch)]
+        assert loss == pytest.approx(np.mean([l for l, _ in per]), rel=rtol, abs=atol)
+        for name, grad in grads.items():
+            mean = sum(g[name] for _, g in per) / len(per)
+            np.testing.assert_allclose(grad, mean, rtol=rtol, atol=atol, err_msg=name)
+
     def test_frozen_transition_gradient_zero(self, tiny_model, corpus):
         m = tiny_model
         batch = [(m.encode(l), m.encode_tags(l)) for l in corpus[:4]]

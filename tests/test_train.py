@@ -104,6 +104,27 @@ class TestOptimizer:
             opt.step(params, {"x": 2 * params["x"]})
         assert np.abs(params["x"]).max() < 1e-3
 
+    def test_adam_in_place_update_is_bitwise_the_reference_formula(self):
+        rng = np.random.default_rng(0)
+        shapes = {"w": (40, 30), "b": (30,)}
+        params = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(x) for k, x in ref.items()}
+        opt = Adam(params, lr=0.01)
+        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+        for t in range(1, 6):
+            grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+            opt.step(params, grads)
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                ref[k] -= 0.01 * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+            for k in shapes:
+                assert np.array_equal(params[k], ref[k])
+                assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k])
+
     def test_clip_global_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
         total = clip_global_norm(grads, 1.0)
