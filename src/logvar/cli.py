@@ -31,7 +31,7 @@ from .evaluate import evaluate, to_binary_annotations
 from .parse import parse_corpus, result_record
 from .tagger import Hyperparams, init_model, tag_logs
 from .taxonomy import BINARY, CATEGORY_ABBREVS, MULTICLASS, VariableCategory
-from .train import TrainConfig, finetune, load_model, save_model, train
+from .train import GENERAL, VARIABLE_AWARE, TrainConfig, finetune, load_model, save_model, train
 
 DEFAULT_SEED = 42
 
@@ -68,10 +68,7 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError("--ratios must be three comma-separated fractions")
-    try:
-        a, b, c = (float(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"bad ratio: {exc}") from exc
+    a, b, c = (float(p) for p in parts)
     return a, b, c
 
 
@@ -90,14 +87,13 @@ def _parse_preserve(text: str) -> set[VariableCategory]:
     return out
 
 
-def _train_config(args: argparse.Namespace, mode: str) -> TrainConfig:
+def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         gradient_clip_norm=args.clip_norm,
         seed=args.seed,
-        mode=mode,
         freeze_word_embeddings=args.freeze_word_embeddings,
         selection_metric=args.selection_metric,
     )
@@ -117,11 +113,7 @@ def _hyperparams(args: argparse.Namespace) -> Hyperparams:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    ratios = _parse_ratios(args.ratios)
-    try:
-        spec = SplitSpec(*ratios, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = SplitSpec(*_parse_ratios(args.ratios), seed=args.seed)
     logs = read_annotations(args.input)
     train_set, val_set, test_set = split_dataset(logs, spec)
     out = Path(args.out_dir)
@@ -135,7 +127,6 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    mode = args.mode
     train_set = read_annotations(args.train)
     val_set = read_annotations(args.val)
     wv, cv = build_vocabs(train_set, min_freq=args.min_freq)
@@ -144,9 +135,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.vectors:
         pretrained, coverage = load_word_vectors(args.vectors, wv, hp.word_dim, seed=args.seed)
         print(f"pretrained vector coverage: {coverage:.3f}", file=sys.stderr)
-    model = init_model(hp, wv, cv, pretrained=pretrained, seed=args.seed, mode=mode)
-    cfg = _train_config(args, mode)
-    best, history = train(model, train_set, val_set, cfg)
+    model = init_model(hp, wv, cv, pretrained=pretrained, seed=args.seed, mode=args.mode)
+    best, history = train(model, train_set, val_set, _train_config(args))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(best, out)
@@ -161,10 +151,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     train_set = read_annotations(args.train)
     val_set = read_annotations(args.val)
-    if not train_set:
-        raise UsageError("fine-tuning train file contains no logs")
-    cfg = _train_config(args, model.mode)
-    best, history = finetune(model, train_set, val_set, cfg)
+    best, history = finetune(model, train_set, val_set, _train_config(args))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(best, out)
@@ -283,23 +270,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--clip-norm", type=float, default=5.0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--clip-norm", type=float, default=TrainConfig.gradient_clip_norm)
     p.add_argument("--freeze-word-embeddings", action="store_true")
-    p.add_argument("--selection-metric", default="variable_aware_accuracy",
-                   choices=["variable_aware_accuracy", "general_accuracy"])
+    p.add_argument("--selection-metric", default=TrainConfig.selection_metric,
+                   choices=[VARIABLE_AWARE, GENERAL])
 
 
 def _add_hp_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--word-dim", type=int, default=100)
-    p.add_argument("--char-emb-dim", type=int, default=300)
-    p.add_argument("--char-filters", type=int, default=50)
-    p.add_argument("--char-kernel", type=int, default=3)
-    p.add_argument("--lstm-hidden", type=int, default=128)
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--max-word-len", type=int, default=30)
+    p.add_argument("--word-dim", type=int, default=Hyperparams.word_dim)
+    p.add_argument("--char-emb-dim", type=int, default=Hyperparams.char_emb_dim)
+    p.add_argument("--char-filters", type=int, default=Hyperparams.char_filters)
+    p.add_argument("--char-kernel", type=int, default=Hyperparams.char_kernel)
+    p.add_argument("--lstm-hidden", type=int, default=Hyperparams.lstm_hidden)
+    p.add_argument("--dropout", type=float, default=Hyperparams.dropout)
+    p.add_argument("--max-word-len", type=int, default=Hyperparams.max_word_len)
     p.add_argument("--min-freq", type=int, default=1)
     p.add_argument("--no-char-channel", action="store_true",
                    help="char-ablated baseline (word embeddings only)")
@@ -329,7 +317,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True)
     p.add_argument("--mode", default=MULTICLASS, choices=[MULTICLASS, BINARY])
     p.add_argument("--vectors", help="pretrained word vector file (text format)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_train_flags(p)
     _add_hp_flags(p)
     p.set_defaults(func=cmd_train)
@@ -340,7 +327,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_train_flags(p)
     p.set_defaults(func=cmd_finetune)
 
@@ -418,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
             commands[args.command].set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # ValueError: an argument out of range
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return 2
     except OSError as exc:

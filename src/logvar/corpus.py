@@ -124,54 +124,40 @@ def derive_binary_annotations(content: str, template: str) -> AnnotatedLog:
 
     Static template tokens must match content tokens exactly, in order;
     each wildcard ("<*>" or "*") absorbs a run of one or more content
-    tokens, tagged B-VAR then I-VAR. Alignment is greedy left-to-right:
-    a wildcard takes the fewest tokens compatible with the next static
-    anchor.
+    tokens, tagged B-VAR then I-VAR. Of the alignments that exist, the one
+    taken gives each wildcard, left to right, the fewest tokens.
     """
     ctoks = tokenize(content)
     ttoks = tokenize(template)
+    n, m = len(ctoks), len(ttoks)
+    # ok[i][j]: content tokens i.. align with template tokens j..
+    ok = [[False] * (m + 1) for _ in range(n + 1)]
+    ok[n][m] = True
+    for i in range(n - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
+            if ttoks[j] in WILDCARDS:
+                # the wildcard takes token i, then ends or takes more
+                ok[i][j] = ok[i + 1][j + 1] or ok[i + 1][j]
+            else:
+                ok[i][j] = ctoks[i] == ttoks[j] and ok[i + 1][j + 1]
+    if not ok[0][0]:
+        raise AlignmentError(
+            f"the {n} content tokens do not align with template {template!r}: each "
+            f"static token must match in order and each wildcard take one or more tokens"
+        )
     tags: list[Tag] = []
     i = 0
-    j = 0
-    while j < len(ttoks):
-        t = ttoks[j]
+    for j, t in enumerate(ttoks):
         if t in WILDCARDS:
-            anchor = ttoks[j + 1] if j + 1 < len(ttoks) else None
-            taken = 0
-            while i < len(ctoks):
-                if anchor is not None:
-                    # stop at the first anchor match once the wildcard
-                    # has absorbed at least one token
-                    if taken >= 1 and (anchor in WILDCARDS or ctoks[i] == anchor):
-                        break
-                elif taken >= 1:
-                    break
-                tags.append(Tag("B" if taken == 0 else "I", BINARY_CATEGORY))
-                taken += 1
-                i += 1
-            if anchor is None and taken >= 1:
-                # trailing wildcard absorbs everything that is left
-                while i < len(ctoks):
-                    tags.append(Tag("I", BINARY_CATEGORY))
-                    i += 1
-            if taken == 0:
-                raise AlignmentError(
-                    f"wildcard at template position {j} matched zero tokens"
-                )
+            k = 1
+            while not ok[i + k][j + 1]:
+                k += 1
+            tags.append(Tag("B", BINARY_CATEGORY))
+            tags.extend([Tag("I", BINARY_CATEGORY)] * (k - 1))
+            i += k
         else:
-            if i >= len(ctoks) or ctoks[i] != t:
-                got = ctoks[i] if i < len(ctoks) else "<end>"
-                raise AlignmentError(
-                    f"static template token {t!r} (position {j}) does not match "
-                    f"content token {got!r} (position {i})"
-                )
             tags.append(OUTSIDE)
             i += 1
-        j += 1
-    if i != len(ctoks):
-        raise AlignmentError(
-            f"{len(ctoks) - i} trailing content tokens not covered by the template"
-        )
     return AnnotatedLog(tuple(ctoks), tuple(tags))
 
 

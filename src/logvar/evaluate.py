@@ -33,6 +33,8 @@ def to_binary_annotations(log: AnnotatedLog) -> AnnotatedLog:
 def _check_pairs(preds: list[AnnotatedLog], golds: list[AnnotatedLog]) -> None:
     if len(preds) != len(golds):
         raise TokenMismatch(f"{len(preds)} predictions vs {len(golds)} gold logs")
+    if not golds:
+        raise ValueError("no logs to evaluate")
     for i, (p, g) in enumerate(zip(preds, golds)):
         if p.tokens != g.tokens:
             raise TokenMismatch(f"log {i}: token sequences differ")

@@ -9,15 +9,17 @@ IOB structure is enforced inside the CRF: transitions that would produce an
 ill-formed tag sequence are pinned at a large negative score and never
 updated, so decoded paths are well-formed by construction.
 
-One forward pass, ``_forward``, serves inference and training. It runs a
-batch of logs as a right-padded (B, T) tensor: every log's padding comes
-after its last real step, in both LSTM directions (the backward direction
-reads each log through a per-log reversal index), so padded steps never
-reach a real step and the recurrences need no mask; Viterbi carries each
-score unchanged through padded steps. Training runs a minibatch the same
-way: one forward pass, one batched CRF forward-backward whose gradient is
-zero on padded steps, and one backward pass, in which those zero gradients
-keep padded steps out of every parameter gradient.
+One forward pass, ``_forward``, serves inference and training, and one
+inference entry point, ``decode``, serves parsing, tagging and validation:
+it sorts tokenized messages by length and runs them in padded batches.
+``_forward`` runs a batch of logs as a right-padded (B, T) tensor: every
+log's padding comes after its last real step, in both LSTM directions (the
+backward direction reads each log through a per-log reversal index), so
+padded steps never reach a real step and the recurrences need no mask;
+Viterbi carries each score unchanged through padded steps. Training runs a
+minibatch the same way: one forward pass, one batched CRF forward-backward
+whose gradient is zero on padded steps, and one backward pass, in which
+those zero gradients keep padded steps out of every parameter gradient.
 
 The char-CNN runs once per distinct word of a batch, on char rows trimmed
 to the batch's longest word. Its convolution is linear in the character
@@ -65,18 +67,6 @@ class Hyperparams:
     @property
     def input_dim(self) -> int:
         return self.word_dim + self.char_filters
-
-    def to_dict(self) -> dict:
-        return {
-            "word_dim": self.word_dim,
-            "char_emb_dim": self.char_emb_dim,
-            "char_filters": self.char_filters,
-            "char_kernel": self.char_kernel,
-            "lstm_hidden": self.lstm_hidden,
-            "dropout": self.dropout,
-            "max_word_len": self.max_word_len,
-            "use_char_channel": self.use_char_channel,
-        }
 
 
 @dataclass
@@ -212,7 +202,7 @@ def init_model(
 # ---------------------------------------------------------------------------
 # forward pass
 
-# Padded tokens (logs x longest log) per batch in tag_logs. A batch keeps
+# Padded tokens (logs x longest log) per batch in decode. A batch keeps
 # about 10 KB per padded token alive (LSTM caches, char-CNN pre-activations),
 # so this bounds the extra peak memory of tagging at about 3 MB; larger
 # batches gained little throughput on the synthetic corpus.
@@ -520,59 +510,49 @@ def loss_and_gradients(
     return loss * scale, grads
 
 
-def _decode_batch(model: TaggerModel, encs: list[EncodedLog]) -> list[list[Tag]]:
+def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[Tag]]:
+    """Viterbi-decode tokenized messages; one tag list per message, in input order.
+
+    Messages are sorted by token count and run in right-padded batches of
+    at most BATCH_TOKENS padded tokens (a longer message goes alone); each
+    batch is encoded when it runs, so only one batch's encodings are alive
+    at a time. Padding never reaches a message's real steps, so the batch
+    a message lands in changes its scores only by float rounding in the
+    shared matmuls, not its tags.
+    """
     p = model.params
-    emissions = _forward(encs, model, train_mode=False, dropout_seed=0)[0]  # drops the cache
-    lengths = [enc.token_count for enc in encs]
-    paths = crf.viterbi_decode(emissions, p["trans"], p["start"], p["end"], lengths)
-    return [[model.tags[i] for i in path] for path in paths]
-
-
-def decode(model: TaggerModel, enc: EncodedLog) -> list[Tag]:
-    """Viterbi-decode one encoded log into tags (inference mode)."""
-    return _decode_batch(model, [enc])[0]
-
-
-def _tag_tokens(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[AnnotatedLog]:
-    """Tag tokenized messages as one batch."""
-    encs = [encode_log(tokens, model.word_vocab, model.char_vocab, model.hp.max_word_len)
-            for tokens in token_lists]
-    return [AnnotatedLog(tokens, tuple(tags))
-            for tokens, tags in zip(token_lists, _decode_batch(model, encs))]
+    order = sorted(range(len(token_lists)), key=lambda i: len(token_lists[i]))
+    out: list[list[Tag]] = [[] for _ in token_lists]
+    lo = 0
+    while lo < len(order):
+        hi = lo + 1
+        while hi < len(order) and (hi + 1 - lo) * len(token_lists[order[hi]]) <= BATCH_TOKENS:
+            hi += 1
+        encs = [encode_log(token_lists[i], model.word_vocab, model.char_vocab,
+                           model.hp.max_word_len) for i in order[lo:hi]]
+        emissions = _forward(encs, model, train_mode=False, dropout_seed=0)[0]  # drops the cache
+        lengths = [enc.token_count for enc in encs]
+        paths = crf.viterbi_decode(emissions, p["trans"], p["start"], p["end"], lengths)
+        for i, path in zip(order[lo:hi], paths):
+            out[i] = [model.tags[k] for k in path]
+        lo = hi
+    return out
 
 
 def tag_log(model: TaggerModel, raw: str) -> AnnotatedLog:
-    """Tokenize, encode, and tag one raw log message."""
-    return _tag_tokens(model, [tuple(tokenize(raw))])[0]
+    """Tokenize and tag one raw log message."""
+    tokens = tuple(tokenize(raw))
+    return AnnotatedLog(tokens, tuple(decode(model, [tokens])[0]))
 
 
 def tag_logs(model: TaggerModel, raws: list[str]) -> list[AnnotatedLog | None]:
-    """Tag many raw log messages; an empty message gives None.
-
-    Messages are sorted by token count and tagged in right-padded batches
-    of at most BATCH_TOKENS padded tokens (a longer message goes alone).
-    Results come back in input order. Padding never reaches a message's
-    real steps, so the batch a message lands in changes its scores only by
-    float rounding in the shared matmuls, not its tags.
-    """
+    """Tag many raw log messages with one ``decode``; an empty message gives None."""
     token_lists: list[tuple[str, ...] | None] = []
     for raw in raws:
         try:
             token_lists.append(tuple(tokenize(raw)))
         except EmptyLog:
             token_lists.append(None)
-    order = sorted(
-        (i for i, tokens in enumerate(token_lists) if tokens is not None),
-        key=lambda i: len(token_lists[i]),
-    )
-    out: list[AnnotatedLog | None] = [None] * len(raws)
-    lo = 0
-    while lo < len(order):
-        hi = lo + 1
-        while hi < len(order) and (hi + 1 - lo) * len(token_lists[order[hi]]) <= BATCH_TOKENS:
-            hi += 1
-        tagged = _tag_tokens(model, [token_lists[i] for i in order[lo:hi]])
-        for i, log in zip(order[lo:hi], tagged):
-            out[i] = log
-        lo = hi
-    return out
+    tagged = iter(decode(model, [tokens for tokens in token_lists if tokens is not None]))
+    return [None if tokens is None else AnnotatedLog(tokens, tuple(next(tagged)))
+            for tokens in token_lists]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     gradient_clip_norm: float = 5.0
     seed: int = 42
-    mode: str = MULTICLASS
     freeze_word_embeddings: bool = False
     selection_metric: str = VARIABLE_AWARE
 
@@ -119,10 +118,8 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 def _val_metric(model: TaggerModel, val: list[AnnotatedLog], metric: str) -> float:
-    preds = [
-        AnnotatedLog(log.tokens, tuple(decode(model, model.encode(log))))
-        for log in val
-    ]
+    tags = decode(model, [log.tokens for log in val])
+    preds = [AnnotatedLog(log.tokens, tuple(t)) for log, t in zip(val, tags)]
     fn = variable_aware_accuracy if metric == VARIABLE_AWARE else general_accuracy
     return fn(preds, val)
 
@@ -136,8 +133,6 @@ def train(
     """Train a copy of ``init``; return the best checkpoint and per-epoch history."""
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
-    if init.mode != cfg.mode:
-        raise ValueError(f"model mode {init.mode!r} != config mode {cfg.mode!r}")
     model = copy.deepcopy(init)
     encoded = [(model.encode(log), model.encode_tags(log)) for log in train_set]
 
@@ -182,8 +177,6 @@ def finetune(
     The pretrained vocabularies are reused; target tokens outside them go
     through UNK and the character channel.
     """
-    if not target_train:
-        raise ValueError("fine-tuning requires a non-empty target training set")
     return train(pretrained, target_train, target_val, cfg)
 
 
@@ -196,7 +189,7 @@ def _metadata(model: TaggerModel) -> dict:
         "format": FORMAT_VERSION,
         "mode": model.mode,
         "n_tags": model.n_tags,
-        "hyperparams": model.hp.to_dict(),
+        "hyperparams": asdict(model.hp),
         "tag_order": [str(t) for t in model.tags],
         "word_vocab": {"words": model.word_vocab.words(),
                        "min_freq": model.word_vocab.min_freq},

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from logvar.cli import main
+from logvar.cli import _hyperparams, _train_config, build_parser, main
 from logvar.corpus import read_annotations, write_annotations
 from logvar.synth import generate_synthetic
+from logvar.tagger import Hyperparams
+from logvar.train import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,37 @@ class TestTrain:
         from logvar.train import load_model
 
         assert load_model(d / "binary.valb").n_tags == 3
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--train", "{d}/train.tsv", "--val", "{empty}", "--out", "{tmp}/m.valb"],
+        ["train", "--train", "{empty}", "--val", "{d}/val.tsv", "--out", "{tmp}/m.valb"],
+        ["finetune", "--model", "{model}", "--train", "{d}/train.tsv", "--val", "{empty}",
+         "--out", "{tmp}/m.valb"],
+        ["train", "--train", "{d}/train.tsv", "--val", "{d}/val.tsv", "--out", "{tmp}/m.valb",
+         "--epochs", "0"],
+        ["train", "--train", "{d}/train.tsv", "--val", "{d}/val.tsv", "--out", "{tmp}/m.valb",
+         "--dropout", "1.5"],
+        ["eval", "--gold", "{empty}", "--pred", "{empty}", "--report", "{tmp}/r.json"],
+    ], ids=["train-empty-val", "train-empty-train", "finetune-empty-val", "zero-epochs",
+            "dropout-above-one", "eval-no-logs"])
+    def test_usage_error_not_traceback(self, trained_model, tmp_path, capsys, argv):
+        d, model_path = trained_model
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        fields = {"d": d, "model": model_path, "empty": empty, "tmp": tmp_path}
+        assert main([a.format(**fields) for a in argv]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
+        assert not (tmp_path / "m.valb").exists()
+
+
+class TestDefaults:
+    def test_train_defaults_are_the_dataclass_defaults(self):
+        parser, _ = build_parser()
+        args = parser.parse_args(["train", "--train", "t.tsv", "--val", "v.tsv", "--out", "m"])
+        assert _hyperparams(args) == Hyperparams()
+        assert _train_config(args) == TrainConfig()
 
 
 class TestTagParse:

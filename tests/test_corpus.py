@@ -120,6 +120,10 @@ class TestDeriveBinary:
         log = derive_binary_annotations("a x y z", "a <*>")
         assert [str(t) for t in log.tags] == ["O", "B-VAR", "I-VAR", "I-VAR"]
 
+    def test_wildcard_run_may_contain_the_next_static_token(self):
+        log = derive_binary_annotations("a x b y b c", "a <*> b c")
+        assert [str(t) for t in log.tags] == ["O", "B-VAR", "I-VAR", "I-VAR", "O", "O"]
+
     def test_static_mismatch_raises(self):
         with pytest.raises(AlignmentError):
             derive_binary_annotations("a b", "a c")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from logvar.tagger import (
     FROZEN_SCORE,
     Hyperparams,
     _char_forward,
-    _decode_batch,
     _forward,
     char_representation,
     decode,
@@ -146,7 +147,7 @@ class TestCharTable:
     @pytest.mark.parametrize("kernel", [1, 2, 3, 4])
     def test_matches_direct_convolution(self, vocabs, kernel):
         wv, cv = vocabs
-        hp = Hyperparams(**{**TINY_HP.to_dict(), "char_kernel": kernel})
+        hp = dataclasses.replace(TINY_HP, char_kernel=kernel)
         rng = np.random.default_rng(kernel)
         ids = rng.integers(1, len(cv), size=(12, 8))
         for row, n in enumerate([0, 1, 2, 3, 5, 8, 8, 4, 1, 7, 6, 2]):
@@ -181,7 +182,8 @@ class TestBatchedForward:
                 emissions[b, : enc.token_count], forward_emissions(enc, m),
                 rtol=F32_RTOL, atol=F32_ATOL,
             )
-        assert _decode_batch(m, encs) == [decode(m, enc) for enc in encs]
+        toks = [log.tokens for log in logs]
+        assert decode(m, toks) == [decode(m, [t])[0] for t in toks]
 
     def test_char_cnn_runs_once_per_distinct_trimmed_row(self, tiny_model, monkeypatch):
         seen = []
@@ -225,7 +227,7 @@ class TestForward:
         wv, cv = vocabs
         full = init_model(TINY_HP, wv, cv, seed=9)
         ablated = init_model(
-            Hyperparams(**{**TINY_HP.to_dict(), "use_char_channel": False}),
+            dataclasses.replace(TINY_HP, use_char_channel=False),
             wv, cv, seed=9,
         )
         enc = full.encode(corpus[1])
@@ -300,8 +302,7 @@ class TestDecode:
         wv, cv = vocabs
         for seed in range(5):
             m = init_model(TINY_HP, wv, cv, seed=seed)
-            for log in corpus[:10]:
-                tags = decode(m, m.encode(log))
+            for tags in decode(m, [log.tokens for log in corpus[:10]]):
                 prev = None
                 for t in tags:
                     assert is_valid_transition(prev, t)

@@ -8,7 +8,8 @@ from logvar.corpus import AnnotatedLog
 from logvar.embed import build_vocabs
 from logvar.errors import ChecksumError, FormatError, VersionError
 from logvar.synth import generate_synthetic
-from logvar.tagger import Hyperparams, decode, init_model, tag_log
+import logvar.tagger as tagger
+from logvar.tagger import Hyperparams, init_model, tag_log
 from logvar.taxonomy import BINARY, BINARY_CATEGORY, Tag
 from logvar.train import (
     Adam,
@@ -75,10 +76,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(model, [], val_set, cfg)
 
-    def test_mode_mismatch_rejected(self, memorization_run):
+    def test_history_does_not_depend_on_validation_batching(self, memorization_run, monkeypatch):
         train_set, val_set, _, _, _, model = memorization_run
-        with pytest.raises(ValueError):
-            train(model, train_set, val_set, TrainConfig(epochs=1, mode=BINARY))
+        cfg = TrainConfig(epochs=4, batch_size=4, learning_rate=0.02, seed=7)
+        _, batched = train(model, train_set, val_set, cfg)
+        monkeypatch.setattr(tagger, "BATCH_TOKENS", 1)  # every validation log decoded alone
+        _, alone = train(model, train_set, val_set, cfg)
+        assert alone == batched
 
 
 class TestFinetune:
