@@ -22,7 +22,6 @@ from .corpus import (
     derive_binary_annotations,
     read_annotations,
     split_dataset,
-    tokenize,
     write_annotations,
 )
 from .embed import build_vocabs, load_word_vectors

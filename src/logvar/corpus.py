@@ -7,6 +7,7 @@ separated by exactly one blank line, lines starting with "# " are comments.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +17,19 @@ from .errors import AlignmentError, EmptyLog, FormatError, IOBError, TagError
 from .taxonomy import BINARY_CATEGORY, Tag, OUTSIDE, check_iob
 
 WILDCARDS = ("<*>", "*")
+
+# Read with errors="surrogateescape", each byte that is not UTF-8 becomes
+# one of these lone surrogates, which decoding valid UTF-8 never yields.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def check_utf8(path: str | Path, lineno: int, line: str) -> None:
+    """Raise FormatError naming the file and line if ``line`` held non-UTF-8 bytes.
+
+    ``line`` must come from a file opened with errors="surrogateescape".
+    """
+    if _UNDECODED.search(line):
+        raise FormatError(f"{path}: line {lineno}: not UTF-8 text")
 
 
 def tokenize(raw: str) -> list[str]:
@@ -59,7 +73,8 @@ def read_annotations(path: str | Path, strict: bool = True) -> list[AnnotatedLog
 
     With ``strict`` (default), any malformed line, unknown tag, or
     IOB-ill-formed block raises; otherwise offending blocks are skipped
-    and the rest returned.
+    and the rest returned. Bytes that are not UTF-8 raise FormatError in
+    either mode.
     """
     logs: list[AnnotatedLog] = []
     tokens: list[str] = []
@@ -79,9 +94,10 @@ def read_annotations(path: str | Path, strict: bool = True) -> list[AnnotatedLog
             tags.clear()
         block_bad = False
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lineno = 0
         for lineno, line in enumerate(fh, start=1):
+            check_utf8(path, lineno, line)
             line = line.rstrip("\n")
             if line.startswith("# "):
                 continue

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import AnnotatedLog
+from .corpus import AnnotatedLog, check_utf8
 from .errors import DimensionMismatch, FormatError
 
 PAD = 0
@@ -93,14 +93,15 @@ def load_word_vectors(
     Rows for vocabulary words found in the file are copied; the rest
     (including UNK) are uniform in [-0.25, 0.25] and PAD is zeroed.
     Returns the (|vocab|, dim) matrix and the coverage ratio
-    found / (|vocab| - 2).
+    found / (|vocab| - 2). Bytes that are not UTF-8 raise FormatError.
     """
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-0.25, 0.25, size=(len(vocab), dim)).astype(np.float32)
     matrix[PAD] = 0.0
     found = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            check_utf8(path, lineno, line)
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:
                 raise FormatError(f"line {lineno}: not a word-vector line")

@@ -21,13 +21,23 @@ minibatch the same way: one forward pass, one batched CRF forward-backward
 whose gradient is zero on padded steps, and one backward pass, in which
 those zero gradients keep padded steps out of every parameter gradient.
 
-The char-CNN runs once per distinct word of a batch, on char rows trimmed
-to the batch's longest word. Its convolution is linear in the character
-embedding, so it is read from a per-character table, table[k] =
-char_emb @ char_W[k] of shape (kernel, n_chars, filters) with the PAD row
-zero: a word's pre-activation at position j is char_b plus the sum over k
-of table[k] at the character in window slot k. That is a gather and a sum
-instead of a matmul over the embedding width per character.
+A token's input row (word embedding and char-CNN output) is a function of
+the token alone, and so, without dropout, is each LSTM direction's input
+projection ``x @ Wx + b``; logs repeat their tokens heavily. So ``decode``
+encodes each distinct token of a call once, into a token table that every
+message indexes, and ``_forward`` deduplicates a batch's positions on
+(char row, word id): the char-CNN runs once per distinct char row, and each
+LSTM direction projects one row per distinct pair (plus a zero row that
+padded steps read) and picks each step's row by index. Under dropout every
+position is masked differently, so training projects one row per position.
+
+The char-CNN runs on char rows trimmed to the batch's longest word. Its
+convolution is linear in the character embedding, so it is read from a
+per-character table, table[k] = char_emb @ char_W[k] of shape (kernel,
+n_chars, filters) with the PAD row zero: a word's pre-activation at
+position j is char_b plus the sum over k of table[k] at the character in
+window slot k. That is a gather and a sum instead of a matmul over the
+embedding width per character.
 """
 
 from __future__ import annotations
@@ -279,22 +289,24 @@ def _gate_slices(h_dim: int) -> tuple[slice, slice, slice, slice]:
 
 
 def _lstm_forward(
-    inputs: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray
+    rows: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray, index: np.ndarray
 ) -> tuple[np.ndarray, dict]:
-    """One LSTM direction over a right-padded batch: (B, T, Din) -> (B, T, H).
+    """One LSTM direction over a right-padded batch of B sequences of T steps.
 
-    The input projection of every step is one matmul; each step then adds
-    one (B, H) @ (H, 4H) product. Padding follows every sequence's last real
+    ``rows`` holds input rows, (N, Din), and ``index``, (B, T), picks the
+    row each step reads; returns the outputs, (B, T, H). The input
+    projection ``rows @ Wx + b`` is one matmul over the rows, so a row that
+    many steps share is projected once; each step then adds one
+    (B, H) @ (H, 4H) product. Padding follows every sequence's last real
     step, so it never reaches a real step's output. Caches are time-major.
     """
-    b_len, t_len, d_in = inputs.shape
+    b_len, t_len = index.shape
     h_dim = Wh.shape[0]
     dtype = Wx.dtype
     i_, f_, g_, o_ = _gate_slices(h_dim)
-    # x @ Wx + b of every step in one matmul, time-major; each step adds its
-    # h @ Wh and overwrites the sum with the i, f, g, o gate activations
-    gates = inputs.transpose(1, 0, 2).reshape(-1, d_in) @ Wx + b
-    gates = gates.reshape(t_len, b_len, 4 * h_dim)
+    # x @ Wx + b of every step, time-major; each step adds its h @ Wh and
+    # overwrites the sum with the i, f, g, o gate activations
+    gates = (rows @ Wx + b)[index.T]  # (T, B, 4H)
     # sigmoid(z) = tanh(z / 2) / 2 + 1/2, so one tanh serves all four gates:
     # scale by 1/2 before and after it, except on the tanh-activated g gate
     scale = np.full(4 * h_dim, 0.5, dtype=dtype)
@@ -312,15 +324,18 @@ def _lstm_forward(
         act += shift
         cs[t + 1] = act[:, f_] * cs[t] + act[:, i_] * act[:, g_]
         np.multiply(act[:, o_], np.tanh(cs[t + 1]), out=hs[t + 1])
-    cache = {"inputs": inputs, "hs": hs, "cs": cs, "gates": gates}
+    cache = {"rows": rows, "index": index, "hs": hs, "cs": cs, "gates": gates}
     return hs[1:].transpose(1, 0, 2), cache
 
 
 def _lstm_backward(
     d_h: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, cache: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of one LSTM direction given d loss / d output, (B, T, H)."""
-    inputs, hs, cs, gates = cache["inputs"], cache["hs"], cache["cs"], cache["gates"]
+    """Gradients of one LSTM direction given d loss / d output, (B, T, H).
+
+    The input gradient is per step, (B, T, Din), not per row.
+    """
+    hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
     tanh_c = np.tanh(cs[1:])
     t_len, b_len, h_dim = tanh_c.shape
     i_, f_, g_, o_ = _gate_slices(h_dim)
@@ -339,7 +354,8 @@ def _lstm_backward(
         dc_next = dc * f_g
         dh_next = dz[t] @ Wh.T
     flat_dz = dz.reshape(-1, 4 * h_dim)
-    d_wx = inputs.transpose(1, 0, 2).reshape(-1, inputs.shape[2]).T @ flat_dz
+    inputs = cache["rows"][cache["index"].T]  # (T, B, Din), each step's input
+    d_wx = inputs.reshape(-1, inputs.shape[2]).T @ flat_dz
     d_wh = hs[:-1].reshape(-1, h_dim).T @ flat_dz
     d_b = flat_dz.sum(axis=0)
     d_inputs = (flat_dz @ Wx.T).reshape(t_len, b_len, -1).transpose(1, 0, 2)
@@ -374,39 +390,61 @@ def _forward(
     """Emission scores of a right-padded batch of logs, (B, T, n_tags).
 
     Log b occupies steps [0, lengths[b]); its padded steps score garbage
-    that no caller reads. The char-CNN runs once per distinct char row of
-    the batch, trimmed to the batch's longest token. Returns the emissions
-    and the cache the backward pass reads, which holds ``lengths``.
+    that no caller reads. A token's input row (word embedding and char-CNN
+    output) depends only on its char row and word id, so the batch's real
+    positions are deduplicated on that pair: the char-CNN runs once per
+    distinct char row, trimmed to the batch's longest token, and each
+    distinct pair gets one input row, plus a zero row that padded steps
+    read. Without dropout both LSTM directions project those distinct rows;
+    under dropout every position has its own masked row. Returns the
+    emissions and the cache the backward pass reads, which holds
+    ``lengths``.
     """
     p = model.params
     hp = model.hp
     lengths = np.array([enc.token_count for enc in encs])
-    t_max = int(lengths.max())
+    b_len, t_max = len(encs), int(lengths.max())
     steps = np.arange(t_max)
     real = steps < lengths[:, None]  # (B, T)
     word_ids = np.concatenate([enc.word_ids for enc in encs])
-    u = np.zeros((len(encs), t_max, hp.input_dim), dtype=p["proj_W"].dtype)
-    u[real, : hp.word_dim] = p["word_emb"][word_ids]
+    keys = word_ids[:, None]
+    if hp.use_char_channel:
+        chars = np.concatenate([enc.char_ids for enc in encs])
+        used = np.flatnonzero((chars != PAD).any(axis=0))
+        width = int(used[-1]) + 1 if used.size else 1  # the batch's longest word
+        keys = np.concatenate([chars[:, :width], keys], axis=1)
+    # distinct (char row, word id) keys, compared as raw bytes (faster than
+    # np.unique(axis=0)); the sort runs on the char row first, so the
+    # distinct char rows keep the order a char-only key gives them
+    raw = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    distinct = keys[first]
+    n_rows = len(distinct)
+    rows = np.zeros((n_rows + 1, hp.input_dim), dtype=p["proj_W"].dtype)  # last: padding
+    rows[:n_rows, : hp.word_dim] = p["word_emb"][distinct[:, -1]]
     char_cache = None
     if hp.use_char_channel:
-        rows = np.concatenate([enc.char_ids for enc in encs])
-        used = np.flatnonzero((rows != PAD).any(axis=0))
-        width = int(used[-1]) + 1 if used.size else 1  # the batch's longest word
-        rows = np.ascontiguousarray(rows[:, :width])
-        # distinct rows, compared as raw bytes (faster than np.unique(axis=0))
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        rep, char_cache = _char_forward(rows[first], model)
-        char_cache["inverse"] = inverse
-        u[real, hp.word_dim :] = rep[inverse]
+        # equal char rows are adjacent among the sorted keys
+        new_char = np.ones(n_rows, dtype=bool)
+        new_char[1:] = (distinct[1:, :-1] != distinct[:-1, :-1]).any(axis=1)
+        char_of = np.cumsum(new_char) - 1  # distinct key -> distinct char row
+        rep, char_cache = _char_forward(distinct[new_char, :-1], model)
+        char_cache["inverse"] = char_of[inverse]
+        rows[:n_rows, hp.word_dim :] = rep[char_of]
+    index = np.full((b_len, t_max), n_rows)
+    index[real] = inverse
     m1, m2 = _dropout_masks(model, real, train_mode, dropout_seed)
-    u_d = u * m1 if m1 is not None else u
-    # x[rev] reverses each log's real steps in place, so in the backward
+    if m1 is not None:
+        rows = (rows[index] * m1).reshape(-1, hp.input_dim)
+        index = np.arange(b_len * t_max).reshape(b_len, t_max)
+    # index[rev] reverses each log's real steps in place, so in the backward
     # direction too padding comes after the last real step; rev is its own
     # inverse
-    rev = (np.arange(len(encs))[:, None], np.where(real, lengths[:, None] - 1 - steps, steps))
-    h_f, cache_f = _lstm_forward(u_d, p["lstm_f_Wx"], p["lstm_f_Wh"], p["lstm_f_b"])
-    h_b_rev, cache_b = _lstm_forward(u_d[rev], p["lstm_b_Wx"], p["lstm_b_Wh"], p["lstm_b_b"])
+    rev = (np.arange(b_len)[:, None], np.where(real, lengths[:, None] - 1 - steps, steps))
+    h_f, cache_f = _lstm_forward(rows, p["lstm_f_Wx"], p["lstm_f_Wh"], p["lstm_f_b"], index)
+    h_b_rev, cache_b = _lstm_forward(
+        rows, p["lstm_b_Wx"], p["lstm_b_Wh"], p["lstm_b_b"], index[rev]
+    )
     h_cat = np.concatenate([h_f, h_b_rev[rev]], axis=2)  # (B, T, 2H)
     h_d = h_cat * m2 if m2 is not None else h_cat
     emissions = h_d.reshape(-1, h_d.shape[2]) @ p["proj_W"] + p["proj_b"]
@@ -415,7 +453,7 @@ def _forward(
         "char": char_cache, "m1": m1, "m2": m2,
         "lstm_f": cache_f, "lstm_b": cache_b, "h_d": h_d,
     }
-    return emissions.reshape(len(encs), t_max, -1), cache
+    return emissions.reshape(b_len, t_max, -1), cache
 
 
 def forward_emissions(
@@ -513,23 +551,28 @@ def loss_and_gradients(
 def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[Tag]]:
     """Viterbi-decode tokenized messages; one tag list per message, in input order.
 
-    Messages are sorted by token count and run in right-padded batches of
-    at most BATCH_TOKENS padded tokens (a longer message goes alone); each
-    batch is encoded when it runs, so only one batch's encodings are alive
-    at a time. Padding never reaches a message's real steps, so the batch
-    a message lands in changes its scores only by float rounding in the
-    shared matmuls, not its tags.
+    The call's distinct tokens form a token table, one row per distinct
+    token string in first-seen order, encoded by one ``encode_log`` call;
+    each message is an index array into that table. Messages are sorted by
+    token count and run in right-padded batches of at most BATCH_TOKENS
+    padded tokens (a longer message goes alone); a batch's encodings are
+    gathered from the table when it runs. Padding never reaches a
+    message's real steps, so the batch a message lands in changes its
+    scores only by float rounding in the shared matmuls, not its tags.
     """
     p = model.params
-    order = sorted(range(len(token_lists)), key=lambda i: len(token_lists[i]))
-    out: list[list[Tag]] = [[] for _ in token_lists]
+    table: dict[str, int] = {}
+    ids = [np.array([table.setdefault(tok, len(table)) for tok in tokens], dtype=np.intp)
+           for tokens in token_lists]
+    enc = encode_log(list(table), model.word_vocab, model.char_vocab, model.hp.max_word_len)
+    order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
+    out: list[list[Tag]] = [[] for _ in ids]
     lo = 0
     while lo < len(order):
         hi = lo + 1
-        while hi < len(order) and (hi + 1 - lo) * len(token_lists[order[hi]]) <= BATCH_TOKENS:
+        while hi < len(order) and (hi + 1 - lo) * len(ids[order[hi]]) <= BATCH_TOKENS:
             hi += 1
-        encs = [encode_log(token_lists[i], model.word_vocab, model.char_vocab,
-                           model.hp.max_word_len) for i in order[lo:hi]]
+        encs = [EncodedLog(enc.word_ids[ids[i]], enc.char_ids[ids[i]]) for i in order[lo:hi]]
         emissions = _forward(encs, model, train_mode=False, dropout_seed=0)[0]  # drops the cache
         lengths = [enc.token_count for enc in encs]
         paths = crf.viterbi_decode(emissions, p["trans"], p["start"], p["end"], lengths)

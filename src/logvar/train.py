@@ -35,7 +35,7 @@ from .tagger import (
     loss_and_gradients,
     param_shapes,
 )
-from .taxonomy import BINARY, MULTICLASS, Tag, tag_vocabulary
+from .taxonomy import BINARY, MULTICLASS, tag_vocabulary
 
 MAGIC = b"VALB"
 FORMAT_VERSION = 1

@@ -233,6 +233,18 @@ class TestEval:
         assert err["error"] == "TokenMismatch"
         assert "0" in err["message"]  # offending log index
 
+    def test_non_utf8_gold_is_a_format_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        pred = tmp_path / "pred.tsv"
+        gold.write_bytes(b"\xffa\tO\n")
+        pred.write_text("a\tO\n")
+        rc = main(["eval", "--gold", str(gold), "--pred", str(pred),
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "FormatError"
+        assert "gold.tsv: line 1" in err["message"]
+
 
 class TestDeriveAnnotations:
     def test_spark_style_row(self, tmp_path):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logvar.corpus import (
@@ -11,7 +11,14 @@ from logvar.corpus import (
     tokenize,
     write_annotations,
 )
-from logvar.errors import AlignmentError, EmptyLog, FormatError, IOBError, TagError
+from logvar.errors import (
+    AlignmentError,
+    EmptyLog,
+    FormatError,
+    IOBError,
+    LogvarError,
+    TagError,
+)
 from logvar.synth import generate_synthetic
 from logvar.taxonomy import OUTSIDE, Tag
 
@@ -95,6 +102,24 @@ class TestAnnotationIO:
         path = tmp_path / "ann.tsv"
         write_annotations(logs, path)
         assert read_annotations(path) == logs
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_non_utf8_bytes_name_file_and_line(self, tmp_path, strict):
+        path = tmp_path / "ann.tsv"
+        path.write_bytes("a\tO\n\nb\tO\n".encode() + b"\xffc\tO\n")
+        with pytest.raises(FormatError, match=r"ann\.tsv: line 4: not UTF-8"):
+            read_annotations(path, strict=strict)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.binary(max_size=200), strict=st.booleans())
+    def test_arbitrary_bytes_give_logs_or_a_logvar_error(self, tmp_path_factory, data, strict):
+        path = tmp_path_factory.mktemp("fuzz") / "ann.tsv"
+        path.write_bytes(data)
+        try:
+            logs = read_annotations(path, strict=strict)
+        except LogvarError:
+            return
+        assert all(isinstance(log, AnnotatedLog) for log in logs)
 
 
 class TestDeriveBinary:

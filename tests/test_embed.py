@@ -101,3 +101,10 @@ class TestLoadWordVectors:
         path = self.write_vectors(tmp_path, ["id 1 2 notafloat"])
         with pytest.raises(FormatError):
             load_word_vectors(path, wv, dim=3)
+
+    def test_non_utf8_bytes_name_file_and_line(self, tmp_path):
+        wv, _ = build_vocabs(TRAIN)
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"id 1 2 3\nfoo\xe9 1 2 3\n")
+        with pytest.raises(FormatError, match=r"vecs\.txt: line 2: not UTF-8"):
+            load_word_vectors(path, wv, dim=3)

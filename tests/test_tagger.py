@@ -45,6 +45,38 @@ def direct_char_conv(char_ids, model):
     return rep
 
 
+def reference_emissions(enc, model):
+    """Reference forward pass of one log; each position builds and projects its own input row."""
+    p, hp = model.params, model.hp
+    rows = [p["word_emb"][enc.word_ids]]
+    if hp.use_char_channel:
+        rows.append(direct_char_conv(enc.char_ids, model))
+    else:
+        rows.append(np.zeros((enc.token_count, hp.char_filters), dtype=p["word_emb"].dtype))
+    u = np.concatenate(rows, axis=1)  # (T, Din)
+
+    def sig(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    def direction(d, steps):
+        wx, wh, b = p[f"lstm_{d}_Wx"], p[f"lstm_{d}_Wh"], p[f"lstm_{d}_b"]
+        h_dim = wh.shape[0]
+        h = np.zeros(h_dim, dtype=wx.dtype)
+        c = np.zeros(h_dim, dtype=wx.dtype)
+        out = np.zeros((len(steps), h_dim), dtype=wx.dtype)
+        for t in steps:
+            z = u[t] @ wx + b + h @ wh
+            i, f, g, o = (z[k * h_dim : (k + 1) * h_dim] for k in range(4))
+            c = sig(f) * c + sig(i) * np.tanh(g)
+            h = sig(o) * np.tanh(c)
+            out[t] = h
+        return out
+
+    steps = range(enc.token_count)
+    h = np.concatenate([direction("f", steps), direction("b", steps[::-1])], axis=1)
+    return h @ p["proj_W"] + p["proj_b"]
+
+
 TINY_HP = Hyperparams(
     word_dim=7, char_emb_dim=5, char_filters=4, char_kernel=3,
     lstm_hidden=3, dropout=0.2, max_word_len=8,
@@ -201,6 +233,82 @@ class TestBatchedForward:
         _forward(encs, m, train_mode=False, dropout_seed=0)
         (rows,) = seen
         assert rows.shape == (3, 2)  # three distinct words, two chars wide
+
+
+class TestTokenTable:
+    # two vocabulary words longer than max_word_len = 30 that share their
+    # first 30 characters: one char row, two word ids
+    REFUSED, RESET = "connection_to_the_remote_host_refused", "connection_to_the_remote_host_reset"
+
+    @pytest.fixture(scope="class")
+    def model(self, corpus):
+        hp = dataclasses.replace(TINY_HP, max_word_len=30)
+        assert self.REFUSED[:30] == self.RESET[:30]
+        extra = (self.REFUSED, self.RESET, "Error", "worker")
+        extra_log = AnnotatedLog(extra, tuple(Tag("O") for _ in extra))
+        wv, cv = build_vocabs(corpus[:30] + [extra_log])
+        return init_model(hp, wv, cv, seed=7)
+
+    def messages(self, model):
+        refused, reset = self.REFUSED, self.RESET
+        assert model.word_vocab.lookup(refused) != model.word_vocab.lookup(reset)
+        assert model.word_vocab.lookup("Error") == model.word_vocab.lookup("error")
+        return [
+            ("worker", "5", "Error", "worker", "error"),  # repeats within a message
+            ("Error", refused, "worker"),  # shares tokens with the first
+            (reset, refused, reset),
+            ("error",),
+            ("worker", "7", "ERROR", "5", reset, "error", "Error", "unseen-token"),
+        ]
+
+    def test_decode_equals_per_message_decode(self, model):
+        msgs = self.messages(model)
+        assert decode(model, msgs) == [decode(model, [m])[0] for m in msgs]
+
+    def test_one_input_row_per_distinct_char_row_and_word_id(self, model, monkeypatch):
+        seen = {"char": [], "lstm": []}
+        char_forward, lstm_forward = tagger._char_forward, tagger._lstm_forward
+
+        def char_spy(char_ids, m):
+            seen["char"].append(char_ids)
+            return char_forward(char_ids, m)
+
+        def lstm_spy(rows, *args):
+            seen["lstm"].append(rows)
+            return lstm_forward(rows, *args)
+
+        monkeypatch.setattr(tagger, "_char_forward", char_spy)
+        monkeypatch.setattr(tagger, "_lstm_forward", lstm_spy)
+        msgs = self.messages(model)
+        encs = [encode_log(m, model.word_vocab, model.char_vocab, model.hp.max_word_len)
+                for m in msgs]
+        _forward(encs, model, train_mode=False, dropout_seed=0)
+        tokens = {tok for m in msgs for tok in m}
+        char_rows = {tok[: model.hp.max_word_len] for tok in tokens}
+        keys = {(tok[: model.hp.max_word_len], model.word_vocab.lookup(tok)) for tok in tokens}
+        assert len(char_rows) == len(tokens) - 1  # the two long words share a char row
+        assert len(keys) == len(tokens)  # case variants differ in chars, long words in id
+        (char_ids,) = seen["char"]
+        assert len(char_ids) == len(char_rows)
+        rows_f, rows_b = seen["lstm"]
+        assert rows_f is rows_b
+        assert len(rows_f) == len(keys) + 1  # one per distinct key, plus padding
+        assert not rows_f[-1].any()
+
+    @pytest.mark.parametrize("use_chars", [True, False])
+    def test_eval_emissions_match_per_position_reference(self, model, corpus, use_chars):
+        m = model if use_chars else init_model(
+            dataclasses.replace(model.hp, use_char_channel=False),
+            model.word_vocab, model.char_vocab, seed=2,
+        )
+        msgs = self.messages(m) + [log.tokens for log in corpus[:6]]
+        encs = [encode_log(msg, m.word_vocab, m.char_vocab, m.hp.max_word_len) for msg in msgs]
+        emissions, _ = _forward(encs, m, train_mode=False, dropout_seed=0)
+        for b, enc in enumerate(encs):
+            np.testing.assert_allclose(
+                emissions[b, : enc.token_count], reference_emissions(enc, m),
+                rtol=F32_RTOL, atol=F32_ATOL,
+            )
 
 
 class TestForward:
