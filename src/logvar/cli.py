@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from . import synth
 from .corpus import (
     AnnotatedLog,
     SplitSpec,
+    check_utf8,
     derive_binary_annotations,
     read_annotations,
     split_dataset,
@@ -39,9 +41,19 @@ class UsageError(Exception):
     pass
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    """A file's lines, split on "\n" alone (not on form feeds, "\u2028", ...),
+    less one trailing "\r" each; a byte that is not UTF-8 raises FormatError."""
+    text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+    lines = text.removesuffix("\n").split("\n") if text else []
+    for lineno, line in enumerate(lines, 1):
+        check_utf8(path, lineno, line)
+    return [line.removesuffix("\r") for line in lines]
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_lines(path), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -162,9 +174,8 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 def cmd_tag(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     blocks: list[str] = []
-    for i, annotated in enumerate(tag_logs(model, lines), start=1):
+    for i, annotated in enumerate(tag_logs(model, _read_lines(args.input)), start=1):
         if annotated is None:
             print(f"line {i}: empty log, skipped", file=sys.stderr)
             continue
@@ -183,8 +194,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
     if model.mode != MULTICLASS:
         raise UsageError("parsing requires a multiclass model")
     preserve = _parse_preserve(args.preserve)
-    raw = Path(args.input).read_text(encoding="utf-8").splitlines()
-    results, store = parse_corpus(model, raw, preserve, wildcard=args.wildcard)
+    results, store = parse_corpus(model, _read_lines(args.input), preserve,
+                                  wildcard=args.wildcard)
     records = []
     for i, result in enumerate(results, start=1):
         if result is None:
@@ -224,20 +235,20 @@ def cmd_derive_annotations(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     derived: list[AnnotatedLog] = []
     errors: list[str] = []
-    with open(args.structured, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or args.content_col not in reader.fieldnames \
-                or args.template_col not in reader.fieldnames:
-            raise UsageError(
-                f"columns {args.content_col!r}/{args.template_col!r} not in {args.structured}"
+    # newline="": the csv module splits rows itself (a quoted field may hold one)
+    reader = csv.DictReader(io.StringIO("\n".join(_read_lines(args.structured)), newline=""))
+    if reader.fieldnames is None or args.content_col not in reader.fieldnames \
+            or args.template_col not in reader.fieldnames:
+        raise UsageError(
+            f"columns {args.content_col!r}/{args.template_col!r} not in {args.structured}"
+        )
+    for i, row in enumerate(reader, start=2):  # header is line 1
+        try:
+            derived.append(
+                derive_binary_annotations(row[args.content_col], row[args.template_col])
             )
-        for i, row in enumerate(reader, start=2):  # header is line 1
-            try:
-                derived.append(
-                    derive_binary_annotations(row[args.content_col], row[args.template_col])
-                )
-            except (AlignmentError, EmptyLog) as exc:
-                errors.append(f"line {i}: {exc}")
+        except (AlignmentError, EmptyLog) as exc:
+            errors.append(f"line {i}: {exc}")
     write_annotations(derived, out)
     if errors:
         _atomic_write(out.with_suffix(out.suffix + ".errors"), "\n".join(errors) + "\n")

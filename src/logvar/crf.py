@@ -6,11 +6,12 @@ start scores s (K,) and end scores e (K,) scores
     s[y_0] + sum_t E[t, y_t] + sum_t trans[y_{t-1}, y_t] + e[y_{T-1}]
 
 All computations run in double precision log space regardless of the
-emission dtype; log-sum-exp is stabilized by max subtraction, so scores
-must be finite (the tagger pins forbidden transitions at a large negative
-score, not at -inf). The
-forward-backward gradients and Viterbi also take a right-padded batch of
-sequences: a (B, T, K) emission tensor with per-sequence lengths.
+emission dtype; log-sum-exp is stabilized by max subtraction, so its
+scores must be finite (training pins forbidden transitions at a large
+negative score), while Viterbi also takes -inf (decoding's forbidden
+transitions). The forward-backward gradients and Viterbi also take a
+right-padded batch of sequences: a (B, T, K) emission tensor with
+per-sequence lengths.
 """
 
 from __future__ import annotations

@@ -57,6 +57,7 @@ class CharVocab:
 class EncodedLog:
     word_ids: np.ndarray  # (T,) int
     char_ids: np.ndarray  # (T, max_word_len) int, PAD-filled
+    char_keys: np.ndarray  # (T,) int, the rank of the truncated spelling: one char row per key
 
     @property
     def token_count(self) -> int:
@@ -125,7 +126,7 @@ def load_word_vectors(
 def encode_log(
     tokens: Sequence[str], wv: WordVocab, cv: CharVocab, max_word_len: int = 30
 ) -> EncodedLog:
-    """Word ids and right-padded/truncated char-id rows for one log's tokens."""
+    """Word ids, right-padded/truncated char-id rows and char keys for a list of tokens."""
     if max_word_len < 1:
         raise ValueError("max_word_len must be >= 1")
     t = len(tokens)
@@ -135,4 +136,6 @@ def encode_log(
     char_ids = np.full((t, max_word_len), PAD, dtype=np.int64)
     lookup = cv.index.get  # CharVocab.lookup without a method call per character
     char_ids[filled] = [lookup(ch, UNK) for tok in kept for ch in tok]
-    return EncodedLog(word_ids, char_ids)
+    rank = {spelling: i for i, spelling in enumerate(sorted(set(kept)))}
+    char_keys = np.fromiter((rank[spelling] for spelling in kept), dtype=np.intp, count=t)
+    return EncodedLog(word_ids, char_ids, char_keys)

@@ -33,6 +33,10 @@ class DivergenceError(LogvarError):
     """Training loss became non-finite."""
 
 
+class NonFiniteScores(LogvarError):
+    """A model's scores overflowed to a non-finite value while tagging."""
+
+
 class VersionError(FormatError):
     """Model file has an unknown format version."""
 

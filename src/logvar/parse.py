@@ -82,6 +82,8 @@ def template_hash(canonical: str, slots: list[int] | None = None) -> str:
     canonical string only when they differ from that default, so a template
     without a literal wildcard token is identified by its canonical string.
     Tokens hold no whitespace, so the newline separator is unambiguous.
+    The string is hashed as UTF-8 with lone surrogates (from undecodable
+    input bytes) passed through, which is lossless.
     """
     payload = canonical
     if slots is not None and canonical.count(DEFAULT_WILDCARD) > len(slots):
@@ -89,7 +91,7 @@ def template_hash(canonical: str, slots: list[int] | None = None) -> str:
         tokens = canonical.split(" ")
         if slots != [i for i, tok in enumerate(tokens) if tok == DEFAULT_WILDCARD]:
             payload += "\n" + " ".join(map(str, slots))
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
+    return hashlib.blake2b(payload.encode("utf-8", "surrogatepass"), digest_size=8).hexdigest()
 
 
 def extract_template(

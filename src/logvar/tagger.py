@@ -7,7 +7,8 @@ model is immutable during tagging (training mutates it under one writer).
 
 IOB structure is enforced inside the CRF: transitions that would produce an
 ill-formed tag sequence are pinned at a large negative score and never
-updated, so decoded paths are well-formed by construction.
+updated, and ``decode`` scores them -inf, so decoded paths are well-formed
+by construction, whatever the emission scores.
 
 One forward pass, ``_forward``, serves inference and training, and one
 inference entry point, ``decode``, serves parsing, tagging and validation:
@@ -23,13 +24,14 @@ those zero gradients keep padded steps out of every parameter gradient.
 
 A token's input row (word embedding and char-CNN output) is a function of
 the token alone, and so, without dropout, is each LSTM direction's input
-projection ``x @ Wx + b``; logs repeat their tokens heavily. So ``decode``
-encodes each distinct token of a call once, into a token table that every
-message indexes, and ``_forward`` deduplicates a batch's positions on
-(char row, word id): the char-CNN runs once per distinct char row, and each
-LSTM direction projects one row per distinct pair (plus a zero row that
-padded steps read) and picks each step's row by index. Under dropout every
-position is masked differently, so training projects one row per position.
+projection ``x @ Wx + b``; logs repeat their tokens heavily. So a batch is
+a token table, an ``EncodedLog`` of distinct tokens that ``token_table``
+builds once per ``decode`` call or ``train`` run, and a (B, T) array of row
+ids into it (one log's ``EncodedLog`` is a table with ids 0..T-1). The
+char-CNN runs once per distinct char key among a batch's rows, and each
+LSTM direction projects one row per distinct id (plus a zero row that
+padded steps read). Under dropout every position is masked differently, so
+training projects one row per position.
 
 The char-CNN runs on char rows trimmed to the batch's longest word. Its
 convolution is linear in the character embedding, so it is read from a
@@ -49,7 +51,7 @@ import numpy as np
 from . import crf
 from .corpus import AnnotatedLog, tokenize
 from .embed import PAD, CharVocab, EncodedLog, WordVocab, encode_log
-from .errors import EmptyLog
+from .errors import EmptyLog, NonFiniteScores
 from .taxonomy import MULTICLASS, Tag, is_valid_transition, tag_vocabulary
 
 FROZEN_SCORE = -10000.0
@@ -99,12 +101,6 @@ class TaggerModel:
 
     def __post_init__(self) -> None:
         self._tag_to_idx = {t: i for i, t in enumerate(self.tags)}
-
-    def encode(self, log: AnnotatedLog) -> EncodedLog:
-        return encode_log(log.tokens, self.word_vocab, self.char_vocab, self.hp.max_word_len)
-
-    def encode_tags(self, log: AnnotatedLog) -> np.ndarray:
-        return np.asarray([self._tag_to_idx[t] for t in log.tags], dtype=np.int64)
 
 
 def _iob_masks(tags: list[Tag]) -> tuple[np.ndarray, np.ndarray]:
@@ -384,51 +380,62 @@ def _dropout_masks(
     return m1, m2
 
 
+def token_table(
+    model: TaggerModel, token_lists: list[tuple[str, ...]]
+) -> tuple[EncodedLog, np.ndarray, np.ndarray]:
+    """The ``encode_log`` of the messages' distinct tokens in first-seen order,
+    every position's row in it (message after message), and the token counts."""
+    rows: dict[str, int] = {}
+    ids = np.fromiter((rows.setdefault(tok, len(rows)) for tokens in token_lists for tok in tokens),
+                      dtype=np.intp)
+    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
+    table = encode_log(list(rows), model.word_vocab, model.char_vocab, model.hp.max_word_len)
+    return table, ids, lengths
+
+
+def _padded(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Right-padded (B, T) rows of a per-position array: row b holds
+    ``flat[starts[b] : starts[b] + lengths[b]]``, then zeros."""
+    steps = np.arange(lengths.max())
+    real = steps < lengths[:, None]
+    out = np.zeros(real.shape, dtype=flat.dtype)
+    out[real] = flat[(starts[:, None] + steps)[real]]
+    return out
+
+
 def _forward(
-    encs: list[EncodedLog], model: TaggerModel, train_mode: bool, dropout_seed: int
+    table: EncodedLog, model: TaggerModel, ids: np.ndarray, lengths: np.ndarray,
+    train_mode: bool = False, dropout_seed: int = 0,
 ) -> tuple[np.ndarray, dict]:
     """Emission scores of a right-padded batch of logs, (B, T, n_tags).
 
-    Log b occupies steps [0, lengths[b]); its padded steps score garbage
-    that no caller reads. A token's input row (word embedding and char-CNN
-    output) depends only on its char row and word id, so the batch's real
-    positions are deduplicated on that pair: the char-CNN runs once per
-    distinct char row, trimmed to the batch's longest token, and each
-    distinct pair gets one input row, plus a zero row that padded steps
-    read. Without dropout both LSTM directions project those distinct rows;
-    under dropout every position has its own masked row. Returns the
-    emissions and the cache the backward pass reads, which holds
-    ``lengths``.
+    Log b's steps [0, lengths[b]) read table rows ``ids[b, :lengths[b]]``;
+    its padded steps score garbage that no caller reads. The distinct ids
+    of the real steps give the batch's input rows: the char-CNN runs once
+    per distinct char key, trimmed to the batch's longest token, and each
+    distinct id gets one input row, plus a zero row that padded steps read.
+    Without dropout both LSTM directions project those distinct rows; under
+    dropout every position has its own masked row. Returns the emissions
+    and the cache the backward pass reads.
     """
     p = model.params
     hp = model.hp
-    lengths = np.array([enc.token_count for enc in encs])
-    b_len, t_max = len(encs), int(lengths.max())
+    b_len, t_max = ids.shape
     steps = np.arange(t_max)
     real = steps < lengths[:, None]  # (B, T)
-    word_ids = np.concatenate([enc.word_ids for enc in encs])
-    keys = word_ids[:, None]
-    if hp.use_char_channel:
-        chars = np.concatenate([enc.char_ids for enc in encs])
-        used = np.flatnonzero((chars != PAD).any(axis=0))
-        width = int(used[-1]) + 1 if used.size else 1  # the batch's longest word
-        keys = np.concatenate([chars[:, :width], keys], axis=1)
-    # distinct (char row, word id) keys, compared as raw bytes (faster than
-    # np.unique(axis=0)); the sort runs on the char row first, so the
-    # distinct char rows keep the order a char-only key gives them
-    raw = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    distinct = keys[first]
-    n_rows = len(distinct)
+    used, inverse = np.unique(ids[real], return_inverse=True)
+    n_rows = len(used)
     rows = np.zeros((n_rows + 1, hp.input_dim), dtype=p["proj_W"].dtype)  # last: padding
-    rows[:n_rows, : hp.word_dim] = p["word_emb"][distinct[:, -1]]
+    rows[:n_rows, : hp.word_dim] = p["word_emb"][table.word_ids[used]]
     char_cache = None
     if hp.use_char_channel:
-        # equal char rows are adjacent among the sorted keys
-        new_char = np.ones(n_rows, dtype=bool)
-        new_char[1:] = (distinct[1:, :-1] != distinct[:-1, :-1]).any(axis=1)
-        char_of = np.cumsum(new_char) - 1  # distinct key -> distinct char row
-        rep, char_cache = _char_forward(distinct[new_char, :-1], model)
+        chars = table.char_ids[used]
+        filled = np.flatnonzero((chars != PAD).any(axis=0))
+        width = int(filled[-1]) + 1 if filled.size else 1  # the batch's longest word
+        _, first, char_of = np.unique(
+            table.char_keys[used], return_index=True, return_inverse=True
+        )
+        rep, char_cache = _char_forward(chars[first, :width], model)
         char_cache["inverse"] = char_of[inverse]
         rows[:n_rows, hp.word_dim :] = rep[char_of]
     index = np.full((b_len, t_max), n_rows)
@@ -449,7 +456,7 @@ def _forward(
     h_d = h_cat * m2 if m2 is not None else h_cat
     emissions = h_d.reshape(-1, h_d.shape[2]) @ p["proj_W"] + p["proj_b"]
     cache = {
-        "lengths": lengths, "real": real, "rev": rev, "word_ids": word_ids,
+        "lengths": lengths, "real": real, "rev": rev, "word_ids": table.word_ids[ids[real]],
         "char": char_cache, "m1": m1, "m2": m2,
         "lstm_f": cache_f, "lstm_b": cache_b, "h_d": h_d,
     }
@@ -459,8 +466,9 @@ def _forward(
 def forward_emissions(
     enc: EncodedLog, model: TaggerModel, train_mode: bool = False, dropout_seed: int = 0
 ) -> np.ndarray:
-    """Per-token emission scores, (T, n_tags)."""
-    emissions, _ = _forward([enc], model, train_mode, dropout_seed)
+    """Per-token emission scores of one log, (T, n_tags)."""
+    t = enc.token_count
+    emissions, _ = _forward(enc, model, np.arange(t)[None], np.array([t]), train_mode, dropout_seed)
     return emissions[0]
 
 
@@ -509,36 +517,30 @@ def _backward_net(
     _char_backward(d_rep, model, cc, grads)
 
 
-def zero_grads(model: TaggerModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in model.params.items()}
-
-
 def loss_and_gradients(
-    model: TaggerModel,
-    batch: list[tuple[EncodedLog, np.ndarray]],
-    train_mode: bool = True,
-    dropout_seed: int = 0,
+    model: TaggerModel, table: EncodedLog, ids: np.ndarray, lengths: np.ndarray,
+    gold: np.ndarray, train_mode: bool = True, dropout_seed: int = 0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean per-log CRF negative log-likelihood and exact gradients.
 
-    The batch runs as one right-padded forward pass, one CRF
-    forward-backward and one backward pass; log i draws its dropout masks
-    from ``dropout_seed + i``. Frozen CRF entries (IOB constraints) receive
+    The batch is ``_forward``'s: a token table, the (B, T) row ids of B
+    right-padded logs and their lengths; ``gold`` holds the gold tag
+    indices in the same (B, T) layout. It runs as one forward pass, one CRF
+    forward-backward and one backward pass; log b draws its dropout masks
+    from ``dropout_seed + b``. Frozen CRF entries (IOB constraints) receive
     zero gradient.
     """
     p = model.params
-    grads = zero_grads(model)
-    emissions, cache = _forward([enc for enc, _ in batch], model, train_mode, dropout_seed)
-    gold = np.zeros(emissions.shape[:2], dtype=np.int64)
-    gold[cache["real"]] = np.concatenate([tags for _, tags in batch])
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    emissions, cache = _forward(table, model, ids, lengths, train_mode, dropout_seed)
     loss, d_e, d_trans, d_s, d_e_end = crf.nll_gradients(
-        emissions, p["trans"], p["start"], p["end"], gold, cache["lengths"]
+        emissions, p["trans"], p["start"], p["end"], gold, lengths
     )
     grads["trans"] += d_trans.astype(p["trans"].dtype)
     grads["start"] += d_s.astype(p["start"].dtype)
     grads["end"] += d_e_end.astype(p["end"].dtype)
     _backward_net(d_e, model, cache, grads)
-    scale = 1.0 / len(batch)
+    scale = 1.0 / len(lengths)
     for name in grads:
         grads[name] *= scale
     grads["trans"][model.frozen_trans] = 0.0
@@ -551,32 +553,33 @@ def loss_and_gradients(
 def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[Tag]]:
     """Viterbi-decode tokenized messages; one tag list per message, in input order.
 
-    The call's distinct tokens form a token table, one row per distinct
-    token string in first-seen order, encoded by one ``encode_log`` call;
-    each message is an index array into that table. Messages are sorted by
-    token count and run in right-padded batches of at most BATCH_TOKENS
-    padded tokens (a longer message goes alone); a batch's encodings are
-    gathered from the table when it runs. Padding never reaches a
-    message's real steps, so the batch a message lands in changes its
-    scores only by float rounding in the shared matmuls, not its tags.
+    One ``token_table`` covers the call. Messages are sorted by token count
+    and run in right-padded batches of at most BATCH_TOKENS padded tokens
+    (a longer message goes alone), each batch as its (B, T) row ids into
+    the table. Padding never reaches a message's real steps, so the batch
+    a message lands in changes its scores only by float rounding in the
+    shared matmuls, not its tags. Raises NonFiniteScores if a batch's
+    real-step emissions are not all finite (weights that overflow float32).
     """
     p = model.params
-    table: dict[str, int] = {}
-    ids = [np.array([table.setdefault(tok, len(table)) for tok in tokens], dtype=np.intp)
-           for tokens in token_lists]
-    enc = encode_log(list(table), model.word_vocab, model.char_vocab, model.hp.max_word_len)
-    order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
-    out: list[list[Tag]] = [[] for _ in ids]
+    trans = np.where(model.frozen_trans, -np.inf, p["trans"])
+    start = np.where(model.frozen_start, -np.inf, p["start"])
+    table, ids, lengths = token_table(model, token_lists)
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(lengths, kind="stable")
+    out: list[list[Tag]] = [[] for _ in token_lists]
     lo = 0
     while lo < len(order):
         hi = lo + 1
-        while hi < len(order) and (hi + 1 - lo) * len(ids[order[hi]]) <= BATCH_TOKENS:
+        while hi < len(order) and (hi + 1 - lo) * lengths[order[hi]] <= BATCH_TOKENS:
             hi += 1
-        encs = [EncodedLog(enc.word_ids[ids[i]], enc.char_ids[ids[i]]) for i in order[lo:hi]]
-        emissions = _forward(encs, model, train_mode=False, dropout_seed=0)[0]  # drops the cache
-        lengths = [enc.token_count for enc in encs]
-        paths = crf.viterbi_decode(emissions, p["trans"], p["start"], p["end"], lengths)
-        for i, path in zip(order[lo:hi], paths):
+        batch = order[lo:hi]
+        n = lengths[batch]
+        emissions = _forward(table, model, _padded(ids, starts[batch], n), n)[0]
+        if not np.isfinite(emissions[np.arange(emissions.shape[1]) < n[:, None]]).all():
+            raise NonFiniteScores("the model's emission scores are not finite")
+        paths = crf.viterbi_decode(emissions, trans, start, p["end"], n)
+        for i, path in zip(batch, paths):
             out[i] = [model.tags[k] for k in path]
         lo = hi
     return out

@@ -31,9 +31,11 @@ from .tagger import (
     Hyperparams,
     TaggerModel,
     _iob_masks,
+    _padded,
     decode,
     loss_and_gradients,
     param_shapes,
+    token_table,
 )
 from .taxonomy import BINARY, MULTICLASS, tag_vocabulary
 
@@ -134,7 +136,10 @@ def train(
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
     model = copy.deepcopy(init)
-    encoded = [(model.encode(log), model.encode_tags(log)) for log in train_set]
+    table, ids, lengths = token_table(model, [log.tokens for log in train_set])
+    gold = np.fromiter((model.tag_index(t) for log in train_set for t in log.tags),
+                       dtype=np.int64, count=len(ids))
+    starts = np.cumsum(lengths) - lengths
 
     opt = Adam(model.params, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
@@ -142,13 +147,15 @@ def train(
     best: Checkpoint | None = None
 
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(encoded))
+        order = rng.permutation(len(train_set))
         losses = []
         for b_idx, lo in enumerate(range(0, len(order), cfg.batch_size)):
-            batch = [encoded[k] for k in order[lo : lo + cfg.batch_size]]
+            batch = order[lo : lo + cfg.batch_size]
+            n = lengths[batch]
             dropout_seed = cfg.seed * 1_000_003 + epoch * 10_007 + b_idx * 131
             loss, grads = loss_and_gradients(
-                model, batch, train_mode=True, dropout_seed=dropout_seed
+                model, table, _padded(ids, starts[batch], n), n,
+                _padded(gold, starts[batch], n), train_mode=True, dropout_seed=dropout_seed,
             )
             if not np.isfinite(loss):
                 raise DivergenceError(
@@ -284,7 +291,8 @@ def load_model(path: str | Path) -> TaggerModel:
 
     Verifies magic, version and checksum, then every metadata key and every
     tensor's name and shape against the stored hyperparameters, vocabulary
-    sizes and tag alphabet; any mismatch raises ``FormatError``.
+    sizes and tag alphabet, and that every tensor value is finite; any
+    mismatch raises ``FormatError``.
     """
     import hashlib
 
@@ -341,5 +349,7 @@ def load_model(path: str | Path) -> TaggerModel:
                 f"{path}: tensor {name} has shape {params[name].shape}, but the "
                 f"hyperparameters and vocabularies give {shape}"
             )
+        if not np.isfinite(params[name]).all():
+            raise FormatError(f"{path}: tensor {name} holds a value that is not finite")
     frozen_trans, frozen_start = _iob_masks(tags)
     return TaggerModel(hp, mode, wv, cv, tags, params, frozen_trans, frozen_start)

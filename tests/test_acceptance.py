@@ -21,7 +21,14 @@ from logvar.embed import build_vocabs
 from logvar.evaluate import evaluate, general_accuracy, variable_aware_accuracy
 from logvar.parse import extract_template, reconstruct
 from logvar.synth import generate_synthetic
-from logvar.tagger import Hyperparams, init_model, loss_and_gradients, tag_log
+from logvar.tagger import (
+    Hyperparams,
+    _padded,
+    init_model,
+    loss_and_gradients,
+    tag_log,
+    token_table,
+)
 from logvar.taxonomy import (
     BINARY,
     Tag,
@@ -104,16 +111,20 @@ def test_criterion_2_gradient_finite_differences():
     h = 1e-4
     max_rel = 0.0
     for b in range(10):
-        batch = [(model.encode(l), model.encode_tags(l)) for l in base[b * 3 : b * 3 + 3]]
-        _, grads = loss_and_gradients(model, batch, train_mode=True, dropout_seed=b)
+        logs = base[b * 3 : b * 3 + 3]
+        table, ids, lengths = token_table(model, [l.tokens for l in logs])
+        starts = np.cumsum(lengths) - lengths
+        gold = np.array([model.tag_index(t) for l in logs for t in l.tags])
+        batch = (table, _padded(ids, starts, lengths), lengths, _padded(gold, starts, lengths))
+        _, grads = loss_and_gradients(model, *batch, train_mode=True, dropout_seed=b)
         for name, arr in model.params.items():
             flat, gflat = arr.ravel(), grads[name].ravel()
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up, _ = loss_and_gradients(model, batch, train_mode=True, dropout_seed=b)
+                up, _ = loss_and_gradients(model, *batch, train_mode=True, dropout_seed=b)
                 flat[i] = orig - h
-                dn, _ = loss_and_gradients(model, batch, train_mode=True, dropout_seed=b)
+                dn, _ = loss_and_gradients(model, *batch, train_mode=True, dropout_seed=b)
                 flat[i] = orig
                 fd = (up - dn) / (2 * h)
                 rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from logvar.cli import _hyperparams, _train_config, build_parser, main
+from logvar.cli import _hyperparams, _read_lines, _train_config, build_parser, main
 from logvar.corpus import read_annotations, write_annotations
 from logvar.synth import generate_synthetic
 from logvar.tagger import Hyperparams
@@ -182,6 +182,45 @@ class TestTagParse:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert "OID" in err["message"]  # lists valid abbreviations
+
+
+class TestRawLines:
+    def test_lines_split_on_newline_alone(self, tmp_path):
+        path = tmp_path / "raw.txt"
+        path.write_bytes("a\x0cb\r\nc\x85d\u2028e\x1c\n\nf\rg".encode())
+        assert _read_lines(path) == ["a\x0cb", "c\x85d\u2028e\x1c", "", "f\rg"]
+        path.write_bytes(b"")
+        assert _read_lines(path) == []
+
+    def test_form_feed_stays_inside_its_line(self, trained_model, tmp_path):
+        d, model_path = trained_model
+        raw = tmp_path / "raw.txt"
+        raw.write_text("alpha\x0cbeta 1\ngamma 2\n")
+        out = tmp_path / "parsed.jsonl"
+        assert main(["parse", "--model", str(model_path), "--input", str(raw),
+                     "--output", str(out)]) == 0
+        records = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [r["line_no"] for r in records] == [1, 2]
+
+    @pytest.mark.parametrize("command", ["parse", "tag", "config", "derive-annotations"])
+    def test_non_utf8_input_is_a_format_error(self, trained_model, tmp_path, capsys, command):
+        d, model_path = trained_model
+        bad = tmp_path / "input.txt"
+        if command == "config":
+            bad.write_bytes(b"seed = 9\n\xffratios = 0.2,0.2,0.6\n")
+            argv = ["--config", str(bad), "split", "--input", str(d / "train.tsv"),
+                    "--out-dir", str(tmp_path / "s")]
+        elif command == "derive-annotations":
+            bad.write_bytes(b"Content,EventTemplate\n\xff 1,x <*>\n")
+            argv = [command, "--structured", str(bad), "--out", str(tmp_path / "o.tsv")]
+        else:
+            bad.write_bytes(b"alpha 1\n\xffbeta 2\n")
+            argv = [command, "--model", str(model_path), "--input", str(bad),
+                    "--output", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "FormatError"
+        assert "input.txt: line 2" in err["message"]
 
 
 class TestEval:

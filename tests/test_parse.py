@@ -1,10 +1,14 @@
+import copy
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logvar.tagger as tagger
 from logvar.corpus import AnnotatedLog
 from logvar.embed import build_vocabs
+from logvar.errors import LogvarError
 from logvar.parse import (
     TemplateStore,
     extract_template,
@@ -13,8 +17,8 @@ from logvar.parse import (
     template_hash,
 )
 from logvar.synth import generate_synthetic
-from logvar.tagger import Hyperparams, init_model
-from logvar.taxonomy import BINARY, Tag, VariableCategory
+from logvar.tagger import Hyperparams, init_model, tag_logs
+from logvar.taxonomy import BINARY, OUTSIDE, Tag, VariableCategory, check_iob
 
 
 def mklog(text, tags):
@@ -171,3 +175,61 @@ class TestParseCorpus:
             reference = reference or (results, store.summary())
             assert results == reference[0]
             assert store.summary() == reference[1]
+
+
+def favouring_static(model, bias):
+    """A copy of ``model`` whose O emission score is raised by ``bias``.
+
+    The untrained fixture model tags every token as a variable; a bias of
+    0.03 makes it tag some tokens static, and 1.0 every token.
+    """
+    biased = copy.deepcopy(model)
+    biased.params["proj_b"][biased.tag_index(OUTSIDE)] += bias
+    return biased
+
+
+class TestLoneSurrogates:
+    # a raw byte that is not UTF-8, as reading with errors="surrogateescape" keeps it
+    LINE = "open /tmp/caf\udc80 failed 7"
+
+    def test_line_with_a_lone_surrogate_parses_and_reconstructs(self, model):
+        (result,), store = parse_corpus(favouring_static(model, 1.0), [self.LINE])
+        assert result.canonical_template == self.LINE  # every token static
+        assert reconstruct(result) == self.LINE
+        assert store.entries[result.template_id]["count"] == 1
+
+    def test_ids_of_valid_non_ascii_text_are_its_utf8_hash(self):
+        canonical = "naïve ☃ <*> 🙂"
+        expected = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
+        assert template_hash(canonical) == expected
+
+
+# whitespace that str.split() breaks on, control characters, the wildcard
+# and its pieces, non-ASCII letters, an emoji and an undecodable byte
+ODD_PIECES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000",
+              "\x00", "\x07", "\x1b", "<*>", "<", "*", ">", "a", "B", "7", "-", ".",
+              "/", "=", "é", "🙂", "\udc80"]
+
+
+@pytest.fixture(scope="module", params=[0.0, 0.03, 1.0], ids=["variables", "mixed", "static"])
+def fuzz_model(model, request):
+    return favouring_static(model, request.param)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=st.lists(st.lists(st.sampled_from(ODD_PIECES), max_size=12).map("".join),
+                      min_size=1, max_size=5))
+def test_fuzz_raw_lines_parse_or_raise_a_logvar_error(fuzz_model, lines):
+    try:
+        results, _ = parse_corpus(fuzz_model, lines)
+        tagged = tag_logs(fuzz_model, lines)
+    except LogvarError:
+        return
+    for line, result, annotated in zip(lines, results, tagged):
+        tokens = line.split()
+        if not tokens:
+            assert result is None and annotated is None
+            continue
+        assert annotated.tokens == tuple(tokens)
+        check_iob(list(annotated.tags))
+        assert reconstruct(result) == " ".join(tokens)

@@ -12,6 +12,7 @@ from logvar.tagger import (
     Hyperparams,
     _char_forward,
     _forward,
+    _padded,
     char_representation,
     decode,
     forward_emissions,
@@ -19,8 +20,9 @@ from logvar.tagger import (
     loss_and_gradients,
     param_shapes,
     tag_log,
+    token_table,
 )
-from logvar.taxonomy import BINARY, Tag, is_valid_transition
+from logvar.taxonomy import BINARY, Tag, check_iob, is_valid_transition
 
 # float32 tolerance for kernels whose summation order differs from the
 # reference: a few ulps of the O(1) activations
@@ -75,6 +77,23 @@ def reference_emissions(enc, model):
     steps = range(enc.token_count)
     h = np.concatenate([direction("f", steps), direction("b", steps[::-1])], axis=1)
     return h @ p["proj_W"] + p["proj_b"]
+
+
+def encode(model, log):
+    return encode_log(log.tokens, model.word_vocab, model.char_vocab, model.hp.max_word_len)
+
+
+def forward_batch(model, token_lists):
+    """``_forward``'s batch for tokenized messages: token table, padded ids, lengths."""
+    table, ids, lengths = token_table(model, token_lists)
+    return table, _padded(ids, np.cumsum(lengths) - lengths, lengths), lengths
+
+
+def train_batch(model, logs):
+    """``loss_and_gradients``' batch for annotated logs: table, ids, lengths, gold tags."""
+    table, ids, lengths = forward_batch(model, [log.tokens for log in logs])
+    flat_gold = np.array([model.tag_index(t) for log in logs for t in log.tags])
+    return table, ids, lengths, _padded(flat_gold, np.cumsum(lengths) - lengths, lengths)
 
 
 TINY_HP = Hyperparams(
@@ -204,9 +223,10 @@ class TestBatchedForward:
     def test_batch_matches_batch_of_one(self, tiny_model, corpus):
         m = tiny_model
         logs = sorted(corpus[:12], key=lambda log: len(log.tokens) % 5)  # mixed lengths
-        encs = [m.encode(log) for log in logs]
+        encs = [encode(m, log) for log in logs]
         assert len({enc.token_count for enc in encs}) > 3
-        emissions, cache = _forward(encs, m, train_mode=False, dropout_seed=0)
+        table, ids, lengths = forward_batch(m, [log.tokens for log in logs])
+        emissions, cache = _forward(table, m, ids, lengths, train_mode=False, dropout_seed=0)
         assert emissions.shape == (len(encs), max(e.token_count for e in encs), m.n_tags)
         assert cache["lengths"].tolist() == [e.token_count for e in encs]
         for b, enc in enumerate(encs):
@@ -229,8 +249,8 @@ class TestBatchedForward:
         m = tiny_model
         a, b, c, d, e = m.char_vocab.chars()[:5]
         words = [[a + b, c + d, a + b], [c + d, e], [a + b]]
-        encs = [m.encode(AnnotatedLog(tuple(w), tuple(Tag("O") for _ in w))) for w in words]
-        _forward(encs, m, train_mode=False, dropout_seed=0)
+        table, ids, lengths = forward_batch(m, [tuple(w) for w in words])
+        _forward(table, m, ids, lengths, train_mode=False, dropout_seed=0)
         (rows,) = seen
         assert rows.shape == (3, 2)  # three distinct words, two chars wide
 
@@ -280,9 +300,8 @@ class TestTokenTable:
         monkeypatch.setattr(tagger, "_char_forward", char_spy)
         monkeypatch.setattr(tagger, "_lstm_forward", lstm_spy)
         msgs = self.messages(model)
-        encs = [encode_log(m, model.word_vocab, model.char_vocab, model.hp.max_word_len)
-                for m in msgs]
-        _forward(encs, model, train_mode=False, dropout_seed=0)
+        table, ids, lengths = forward_batch(model, msgs)
+        _forward(table, model, ids, lengths, train_mode=False, dropout_seed=0)
         tokens = {tok for m in msgs for tok in m}
         char_rows = {tok[: model.hp.max_word_len] for tok in tokens}
         keys = {(tok[: model.hp.max_word_len], model.word_vocab.lookup(tok)) for tok in tokens}
@@ -303,7 +322,8 @@ class TestTokenTable:
         )
         msgs = self.messages(m) + [log.tokens for log in corpus[:6]]
         encs = [encode_log(msg, m.word_vocab, m.char_vocab, m.hp.max_word_len) for msg in msgs]
-        emissions, _ = _forward(encs, m, train_mode=False, dropout_seed=0)
+        table, ids, lengths = forward_batch(m, msgs)
+        emissions, _ = _forward(table, m, ids, lengths, train_mode=False, dropout_seed=0)
         for b, enc in enumerate(encs):
             np.testing.assert_allclose(
                 emissions[b, : enc.token_count], reference_emissions(enc, m),
@@ -314,7 +334,7 @@ class TestTokenTable:
 class TestForward:
     def test_emission_shape_and_determinism(self, tiny_model, corpus):
         m = tiny_model
-        enc = m.encode(corpus[0])
+        enc = encode(m, corpus[0])
         e1 = forward_emissions(enc, m, train_mode=False)
         e2 = forward_emissions(enc, m, train_mode=False)
         assert e1.shape == (enc.token_count, 21)
@@ -322,7 +342,7 @@ class TestForward:
 
     def test_dropout_seed_controls_train_mode(self, tiny_model, corpus):
         m = tiny_model
-        enc = m.encode(corpus[0])
+        enc = encode(m, corpus[0])
         a = forward_emissions(enc, m, train_mode=True, dropout_seed=1)
         b = forward_emissions(enc, m, train_mode=True, dropout_seed=1)
         c = forward_emissions(enc, m, train_mode=True, dropout_seed=2)
@@ -338,7 +358,7 @@ class TestForward:
             dataclasses.replace(TINY_HP, use_char_channel=False),
             wv, cv, seed=9,
         )
-        enc = full.encode(corpus[1])
+        enc = encode(full, corpus[1])
         zeroed = init_model(TINY_HP, wv, cv, seed=9)
         zeroed.params["char_emb"][:] = 0.0
         zeroed.params["char_b"][:] = 0.0
@@ -353,8 +373,8 @@ class TestGradients:
     def test_finite_differences_tiny_model(self, vocabs, corpus):
         wv, cv = vocabs
         m = init_model(TINY_HP, wv, cv, seed=4, dtype=np.float64)
-        batch = [(m.encode(l), m.encode_tags(l)) for l in corpus[:3]]
-        loss, grads = loss_and_gradients(m, batch, train_mode=True, dropout_seed=13)
+        batch = train_batch(m, corpus[:3])
+        loss, grads = loss_and_gradients(m, *batch, train_mode=True, dropout_seed=13)
         h = 1e-5
         rng = np.random.default_rng(0)
         for name, arr in m.params.items():
@@ -362,9 +382,9 @@ class TestGradients:
             for i in rng.choice(flat.size, size=min(5, flat.size), replace=False):
                 orig = flat[i]
                 flat[i] = orig + h
-                up, _ = loss_and_gradients(m, batch, train_mode=True, dropout_seed=13)
+                up, _ = loss_and_gradients(m, *batch, train_mode=True, dropout_seed=13)
                 flat[i] = orig - h
-                dn, _ = loss_and_gradients(m, batch, train_mode=True, dropout_seed=13)
+                dn, _ = loss_and_gradients(m, *batch, train_mode=True, dropout_seed=13)
                 flat[i] = orig
                 fd = (up - dn) / (2 * h)
                 an = grads[name].ravel()[i]
@@ -380,11 +400,11 @@ class TestGradients:
         m = init_model(TINY_HP, wv, cv, seed=5, dtype=dtype)
         one = AnnotatedLog(("lone",), (Tag("O"),))
         logs = [corpus[0], one, corpus[11], corpus[4], corpus[7]]  # 6, 1, 9, 7, 8 tokens
-        batch = [(m.encode(l), m.encode_tags(l)) for l in logs]
-        assert len({enc.token_count for enc, _ in batch}) > 3
-        loss, grads = loss_and_gradients(m, batch, train_mode=True, dropout_seed=21)
-        per = [loss_and_gradients(m, [item], train_mode=True, dropout_seed=21 + i)
-               for i, item in enumerate(batch)]
+        batch = train_batch(m, logs)
+        assert len({len(log.tokens) for log in logs}) > 3
+        loss, grads = loss_and_gradients(m, *batch, train_mode=True, dropout_seed=21)
+        per = [loss_and_gradients(m, *train_batch(m, [log]), train_mode=True, dropout_seed=21 + i)
+               for i, log in enumerate(logs)]
         assert loss == pytest.approx(np.mean([l for l, _ in per]), rel=rtol, abs=atol)
         for name, grad in grads.items():
             mean = sum(g[name] for _, g in per) / len(per)
@@ -392,15 +412,13 @@ class TestGradients:
 
     def test_frozen_transition_gradient_zero(self, tiny_model, corpus):
         m = tiny_model
-        batch = [(m.encode(l), m.encode_tags(l)) for l in corpus[:4]]
-        _, grads = loss_and_gradients(m, batch)
+        _, grads = loss_and_gradients(m, *train_batch(m, corpus[:4]))
         assert (grads["trans"][m.frozen_trans] == 0).all()
         assert (grads["start"][m.frozen_start] == 0).all()
 
     def test_pad_embedding_gradients_zero(self, tiny_model, corpus):
         m = tiny_model
-        batch = [(m.encode(l), m.encode_tags(l)) for l in corpus[:4]]
-        _, grads = loss_and_gradients(m, batch)
+        _, grads = loss_and_gradients(m, *train_batch(m, corpus[:4]))
         assert (grads["word_emb"][PAD] == 0).all()
         assert (grads["char_emb"][PAD] == 0).all()
 
@@ -415,6 +433,15 @@ class TestDecode:
                 for t in tags:
                     assert is_valid_transition(prev, t)
                     prev = t
+
+    def test_frozen_transitions_lose_against_any_finite_scores(self, vocabs):
+        # an emission gap far beyond -FROZEN_SCORE still cannot start on I-TID
+        wv, cv = vocabs
+        m = init_model(TINY_HP, wv, cv, seed=0)
+        m.params["proj_b"][m.tag_index(Tag.parse("I-TID"))] = 1e6
+        (tags,) = decode(m, [("alpha", "beta", "7")])
+        check_iob(tags)
+        assert Tag.parse("I-TID") in tags
 
     def test_tag_log_deterministic(self, tiny_model):
         raw = "Starting executor ID 5 on host meso-07"

@@ -1,16 +1,19 @@
 import copy
+import hashlib
 import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logvar.corpus import AnnotatedLog
 from logvar.embed import build_vocabs
-from logvar.errors import ChecksumError, FormatError, VersionError
+from logvar.errors import ChecksumError, FormatError, NonFiniteScores, VersionError
 from logvar.synth import generate_synthetic
 import logvar.tagger as tagger
-from logvar.tagger import Hyperparams, init_model, tag_log
-from logvar.taxonomy import BINARY, BINARY_CATEGORY, Tag
+from logvar.tagger import Hyperparams, init_model, tag_log, tag_logs
+from logvar.taxonomy import BINARY, BINARY_CATEGORY, Tag, check_iob
 from logvar.train import (
     Adam,
     TrainConfig,
@@ -256,3 +259,64 @@ class TestSerialization:
         loaded = load_model(path)
         assert loaded.mode == BINARY
         assert loaded.n_tags == 3
+
+
+class TestNonFiniteModels:
+    def test_non_finite_tensor_value_is_a_format_error(self, memorization_run, tmp_path):
+        _, _, best, _, _, _ = memorization_run
+        for value in (np.nan, np.inf, -np.inf):
+            bad = copy.deepcopy(best)
+            bad.params["lstm_f_Wh"][0, 0] = value
+            path = tmp_path / "model.valb"
+            save_model(bad, path)
+            with pytest.raises(FormatError, match="lstm_f_Wh"):
+                load_model(path)
+
+    def test_finite_weights_that_overflow_float32_raise(self, memorization_run, tmp_path):
+        train_set, _, best, _, _, _ = memorization_run
+        bad = copy.deepcopy(best)
+        bad.params["proj_W"].ravel()[:50] = 3e38
+        path = tmp_path / "model.valb"
+        save_model(bad, path)
+        loaded = load_model(path)  # every stored value is finite
+        with pytest.raises(NonFiniteScores), np.errstate(over="ignore", invalid="ignore"):
+            tag_log(loaded, train_set[0].text)
+
+
+FUZZ_LINES = ["Starting executor ID 5 on host meso-07", "a", "x <*> 7 y"]
+
+
+@pytest.fixture(scope="module")
+def model_body(tmp_path_factory):
+    """A tiny saved model's bytes before the checksum, and a folder to write into."""
+    logs, _ = generate_synthetic(seed=8, n_templates=5, n_logs=50)
+    wv, cv = build_vocabs(logs[:20])
+    hp = Hyperparams(word_dim=4, char_emb_dim=3, char_filters=3, char_kernel=3,
+                     lstm_hidden=3, max_word_len=6)
+    folder = tmp_path_factory.mktemp("fuzz")
+    save_model(init_model(hp, wv, cv, seed=0), folder / "model.valb")
+    return (folder / "model.valb").read_bytes()[:-8], folder
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzz_model_bytes_load_and_tag_or_raise(model_body, data):
+    body, folder = model_body
+    blob = bytearray(body)
+    edits = st.tuples(st.integers(0, len(body) - 1), st.integers(0, 255))
+    for pos, value in data.draw(st.lists(edits, min_size=1, max_size=4)):
+        blob[pos] = value
+    del blob[len(blob) - data.draw(st.integers(0, 8)):]
+    blob += hashlib.blake2b(bytes(blob), digest_size=8).digest()
+    path = folder / "mutated.valb"
+    path.write_bytes(bytes(blob))
+    try:
+        model = load_model(path)
+    except FormatError:
+        return
+    try:
+        tagged = tag_logs(model, FUZZ_LINES)
+    except NonFiniteScores:
+        return
+    for annotated in tagged:
+        check_iob(list(annotated.tags))
