@@ -12,6 +12,12 @@ negative score), while Viterbi also takes -inf (decoding's forbidden
 transitions). The forward-backward gradients and Viterbi also take a
 right-padded batch of sequences: a (B, T, K) emission tensor with
 per-sequence lengths.
+
+Viterbi's forward pass keeps only the best score per (step, tag), a max
+over the previous tag, and builds no back-pointer table. The backtrack
+recomputes a back-pointer only for the tag the path takes at each step,
+as the argmax of the same sums, so ties break toward the lower tag index
+exactly as a full argmax table would.
 """
 
 from __future__ import annotations
@@ -140,29 +146,38 @@ def viterbi_decode(
 
     ``E`` is (T, K) for one sequence, which returns one path, or a
     right-padded batch (B, T, K) with ``lengths`` (B,), default all T, which
-    returns one path per sequence. A sequence's score is carried unchanged
-    through its padded steps: its final score is read at its last real step,
-    and its padded steps get identity back-pointers.
+    returns one path per sequence.
+
+    The forward recursion keeps only the best score per (step, tag), as
+    ``scores`` (T, K, B): a max over the previous tag of the (K_prev,
+    K_next, B) candidate sums. No back-pointer table is built. The backtrack
+    recomputes each step's back-pointer for the one tag the path takes, as
+    the argmax over the previous tag of the same float64 sums
+    ``scores[t-1][:, b] + trans[:, next]``, so it picks the lowest index on
+    ties, as an argmax table would. A sequence's final score is read at its
+    last real step, and its path keeps that tag through its padded steps.
     """
-    E = np.asarray(E, dtype=np.float64)
+    E = np.asarray(E)
     single = E.ndim == 2
     if single:
         E = E[None]
     trans = np.asarray(trans, dtype=np.float64)
     B, T, K = E.shape
     lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
-    scores = np.empty((T, B, K))
-    scores[0] = np.asarray(s, dtype=np.float64) + E[:, 0]
-    back = np.empty((T, B, K), dtype=np.int64)
-    rows, cols = np.arange(B), np.arange(K)
+    scores = np.array(E.transpose(1, 2, 0), dtype=np.float64, order="C")  # (T, K, B), a copy
+    scores[0] += np.asarray(s, dtype=np.float64)[:, None]
+    trans_3d = np.repeat(trans[:, :, None], B, axis=2)  # contiguous adds beat a broadcast
+    cand = np.empty((K, K, B))
     for t in range(1, T):
-        cand = scores[t - 1][:, :, None] + trans  # (B, prev, next)
-        back[t] = np.argmax(cand, axis=1)  # argmax picks the lowest index on ties
-        scores[t] = cand[rows[:, None], back[t], cols] + E[:, t]
-    back[np.arange(T)[:, None] >= lengths] = cols
+        np.add(trans_3d, scores[t - 1][:, None, :], out=cand)  # (prev, next, B)
+        scores[t] += np.maximum.reduce(cand, axis=0)
+    rows = np.arange(B)
     path = np.empty((B, T), dtype=np.int64)
-    path[:, -1] = np.argmax(scores[lengths - 1, rows] + e, axis=1)
+    path[:, -1] = np.argmax(scores[lengths - 1, :, rows] + e, axis=1)
+    shortest = lengths.min() if B else T  # steps below it are real in every row
     for t in range(T - 1, 0, -1):
-        path[:, t - 1] = back[t, rows, path[:, t]]
+        nxt = path[:, t]
+        back = (scores[t - 1] + trans.take(nxt, axis=1)).argmax(axis=0)  # lowest on ties
+        path[:, t - 1] = back if t < shortest else np.where(t < lengths, back, nxt)
     paths = [path[b, :n].tolist() for b, n in enumerate(lengths)]
     return paths[0] if single else paths

@@ -39,7 +39,8 @@ per-character table, table[k] = char_emb @ char_W[k] of shape (kernel,
 n_chars, filters) with the PAD row zero: a word's pre-activation at
 position j is char_b plus the sum over k of table[k] at the character in
 window slot k. That is a gather and a sum instead of a matmul over the
-embedding width per character.
+embedding width per character. The centre slot's PAD row is -inf, so a PAD
+position's pre-activation is -inf and the max-pool skips it unmasked.
 """
 
 from __future__ import annotations
@@ -222,24 +223,26 @@ def _char_forward(char_ids: np.ndarray, model: TaggerModel) -> tuple[np.ndarray,
     the character embedding, so it is read from the per-character table
     ``table[k] = char_emb @ char_W[k]`` (PAD row zero): position j of a row
     scores ``char_b + sum_k table[k][ids[j + k - char_kernel // 2]]``. PAD
-    positions contribute zero vectors (same-padding at the edges) and are
-    masked out of the pool; an all-PAD row falls back to the bias vector.
+    positions contribute zero vectors (same-padding at the edges). The
+    centre slot's PAD row is -inf instead, so a PAD position scores -inf and
+    drops out of the pool with no separate mask; an all-PAD row pools to
+    -inf and falls back to the bias vector.
     """
     p = model.params
     kern = model.hp.char_kernel
     half = kern // 2
-    length = char_ids.shape[1]
+    n_rows, length = char_ids.shape
     emb = p["char_emb"].copy()
     emb[PAD] = 0.0
     table = emb @ p["char_W"]  # (kern, V, F)
-    ids_p = np.pad(char_ids, ((0, 0), (half, kern - 1 - half)), constant_values=PAD)
+    table[half, PAD] = -np.inf
+    ids_p = np.full((n_rows, length + kern - 1), PAD, dtype=char_ids.dtype)
+    ids_p[:, half : half + length] = char_ids
     pre = p["char_b"] + table[0][ids_p[:, :length]]  # (N, L, F)
     for k in range(1, kern):
         pre += table[k][ids_p[:, k : k + length]]
-    mask = char_ids != PAD
-    pre[~mask] = -np.inf
     rep = pre.max(axis=1)  # (N, F)
-    empty = ~mask.any(axis=1)
+    empty = rep[:, 0] == -np.inf
     if empty.any():
         rep[empty] = p["char_b"]
     return rep, {"ids_p": ids_p, "emb": emb, "pre": pre}
@@ -559,7 +562,9 @@ def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[
     the table. Padding never reaches a message's real steps, so the batch
     a message lands in changes its scores only by float rounding in the
     shared matmuls, not its tags. Raises NonFiniteScores if a batch's
-    real-step emissions are not all finite (weights that overflow float32).
+    real-step emissions are not all finite (weights that overflow float32);
+    the batch loop runs with numpy's overflow and invalid-value warnings
+    off, so that error is the only report.
     """
     p = model.params
     trans = np.where(model.frozen_trans, -np.inf, p["trans"])
@@ -569,19 +574,20 @@ def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[
     order = np.argsort(lengths, kind="stable")
     out: list[list[Tag]] = [[] for _ in token_lists]
     lo = 0
-    while lo < len(order):
-        hi = lo + 1
-        while hi < len(order) and (hi + 1 - lo) * lengths[order[hi]] <= BATCH_TOKENS:
-            hi += 1
-        batch = order[lo:hi]
-        n = lengths[batch]
-        emissions = _forward(table, model, _padded(ids, starts[batch], n), n)[0]
-        if not np.isfinite(emissions[np.arange(emissions.shape[1]) < n[:, None]]).all():
-            raise NonFiniteScores("the model's emission scores are not finite")
-        paths = crf.viterbi_decode(emissions, trans, start, p["end"], n)
-        for i, path in zip(batch, paths):
-            out[i] = [model.tags[k] for k in path]
-        lo = hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo < len(order):
+            hi = lo + 1
+            while hi < len(order) and (hi + 1 - lo) * lengths[order[hi]] <= BATCH_TOKENS:
+                hi += 1
+            batch = order[lo:hi]
+            n = lengths[batch]
+            emissions = _forward(table, model, _padded(ids, starts[batch], n), n)[0]
+            if not np.isfinite(emissions[np.arange(emissions.shape[1]) < n[:, None]]).all():
+                raise NonFiniteScores("the model's emission scores are not finite")
+            paths = crf.viterbi_decode(emissions, trans, start, p["end"], n)
+            for i, path in zip(batch, paths):
+                out[i] = [model.tags[k] for k in path]
+            lo = hi
     return out
 
 

@@ -28,6 +28,7 @@ from .embed import CharVocab, WordVocab
 from .errors import ChecksumError, DivergenceError, FormatError, VersionError
 from .evaluate import general_accuracy, variable_aware_accuracy
 from .tagger import (
+    FROZEN_SCORE,
     Hyperparams,
     TaggerModel,
     _iob_masks,
@@ -291,8 +292,9 @@ def load_model(path: str | Path) -> TaggerModel:
 
     Verifies magic, version and checksum, then every metadata key and every
     tensor's name and shape against the stored hyperparameters, vocabulary
-    sizes and tag alphabet, and that every tensor value is finite; any
-    mismatch raises ``FormatError``.
+    sizes and tag alphabet, that every tensor value is finite, and that the
+    IOB-forbidden entries of ``trans`` and ``start`` hold ``FROZEN_SCORE``;
+    any mismatch raises ``FormatError``.
     """
     import hashlib
 
@@ -352,4 +354,10 @@ def load_model(path: str | Path) -> TaggerModel:
         if not np.isfinite(params[name]).all():
             raise FormatError(f"{path}: tensor {name} holds a value that is not finite")
     frozen_trans, frozen_start = _iob_masks(tags)
+    for name, frozen in (("trans", frozen_trans), ("start", frozen_start)):
+        if (params[name][frozen] != FROZEN_SCORE).any():
+            raise FormatError(
+                f"{path}: tensor {name} holds an IOB-forbidden entry that is not "
+                f"{FROZEN_SCORE}"
+            )
     return TaggerModel(hp, mode, wv, cv, tags, params, frozen_trans, frozen_start)

@@ -211,3 +211,88 @@ def test_random_instances_against_oracle():
             brute_log_partition(E, trans, s, e), abs=1e-9
         )
         assert viterbi_decode(E, trans, s, e) == brute_argmax(E, trans, s, e)
+
+
+def reference_viterbi(E, trans, s, e, lengths=None):
+    """The Viterbi kernel before back-pointers were taken along the path only.
+
+    It builds the full (T, B, K) argmax table and gathers every step's
+    scores through it; kept as the oracle that the path-only backtrack must
+    match exactly.
+    """
+    E = np.asarray(E, dtype=np.float64)
+    single = E.ndim == 2
+    if single:
+        E = E[None]
+    trans = np.asarray(trans, dtype=np.float64)
+    B, T, K = E.shape
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    scores = np.empty((T, B, K))
+    scores[0] = np.asarray(s, dtype=np.float64) + E[:, 0]
+    back = np.empty((T, B, K), dtype=np.int64)
+    rows, cols = np.arange(B), np.arange(K)
+    for t in range(1, T):
+        cand = scores[t - 1][:, :, None] + trans  # (B, prev, next)
+        back[t] = np.argmax(cand, axis=1)
+        scores[t] = cand[rows[:, None], back[t], cols] + E[:, t]
+    back[np.arange(T)[:, None] >= lengths] = cols
+    path = np.empty((B, T), dtype=np.int64)
+    path[:, -1] = np.argmax(scores[lengths - 1, rows] + e, axis=1)
+    for t in range(T - 1, 0, -1):
+        path[:, t - 1] = back[t, rows, path[:, t]]
+    paths = [path[b, :n].tolist() for b, n in enumerate(lengths)]
+    return paths[0] if single else paths
+
+
+def random_decode_batch(seed):
+    """One seeded batch as ``decode`` passes it: float32 emissions, -inf frozen entries.
+
+    Seeds cycle through B = 1, T = 1, integer-rounded scores (ties) and
+    mixed lengths that include 1; about half the batches freeze some
+    transitions and starts at -inf.
+    """
+    rng = np.random.default_rng(seed)
+    B = 1 if seed % 5 == 0 else int(rng.integers(1, 12))
+    T = 1 if seed % 7 == 0 else int(rng.integers(1, 10))
+    K = 21 if seed % 11 == 0 else int(rng.integers(2, 8))
+    lengths = rng.integers(1, T + 1, size=B)
+    lengths[rng.integers(B)] = T  # decode pads to the batch's longest message
+    if B > 2:
+        lengths[rng.integers(B)] = 1
+    E = 3.0 * rng.standard_normal((B, T, K))
+    trans, s, e = rng.standard_normal((K, K)), rng.standard_normal(K), rng.standard_normal(K)
+    if seed % 3 != 2:  # ties: integer scores, often equal sums
+        E, trans, s, e = np.round(E), np.round(trans), np.round(s), np.round(e)
+    if seed % 2:
+        trans[rng.random((K, K)) < 0.3] = -np.inf
+        s[rng.random(K) < 0.3] = -np.inf
+    return E.astype(np.float32), trans, s, e, lengths
+
+
+def test_viterbi_equals_reference_kernel_exactly():
+    # tolerance: none; the path-only backtrack takes the same float64 sums
+    # and the same lowest-index argmax as the full back-pointer table
+    shapes = set()
+    for seed in range(400):
+        E, trans, s, e, lengths = random_decode_batch(seed)
+        before = E.copy()
+        assert viterbi_decode(E, trans, s, e, lengths) == reference_viterbi(E, trans, s, e, lengths)
+        np.testing.assert_array_equal(E, before)
+        shapes.add((E.shape[0] == 1, E.shape[1] == 1, 1 in lengths))
+    assert shapes >= {(True, False, False), (False, True, True), (False, False, True)}
+
+
+def test_single_sequence_equals_reference_and_leaves_input_alone():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        E, trans, s, e = random_instance(rng)
+        E = np.round(E)  # float64 input: the kernel must copy it, not write into it
+        before = E.copy()
+        assert viterbi_decode(E, trans, s, e) == reference_viterbi(E, trans, s, e)
+        np.testing.assert_array_equal(E, before)
+
+
+def test_viterbi_empty_batch():
+    K = 4
+    z = np.zeros(K)
+    assert viterbi_decode(np.zeros((0, 3, K)), np.zeros((K, K)), z, z, np.zeros(0, int)) == []

@@ -47,6 +47,33 @@ def direct_char_conv(char_ids, model):
     return rep
 
 
+def reference_char_forward(char_ids, model):
+    """The char-CNN kernel before the PAD mask moved into its table.
+
+    It pads the ids with ``np.pad`` and overwrites every PAD position with
+    -inf in a second, masked pass; kept as the oracle that ``_char_forward``
+    must match bitwise.
+    """
+    p = model.params
+    kern = model.hp.char_kernel
+    half = kern // 2
+    length = char_ids.shape[1]
+    emb = p["char_emb"].copy()
+    emb[PAD] = 0.0
+    table = emb @ p["char_W"]
+    ids_p = np.pad(char_ids, ((0, 0), (half, kern - 1 - half)), constant_values=PAD)
+    pre = p["char_b"] + table[0][ids_p[:, :length]]
+    for k in range(1, kern):
+        pre += table[k][ids_p[:, k : k + length]]
+    mask = char_ids != PAD
+    pre[~mask] = -np.inf
+    rep = pre.max(axis=1)
+    empty = ~mask.any(axis=1)
+    if empty.any():
+        rep[empty] = p["char_b"]
+    return rep, {"ids_p": ids_p, "emb": emb, "pre": pre}
+
+
 def reference_emissions(enc, model):
     """Reference forward pass of one log; each position builds and projects its own input row."""
     p, hp = model.params, model.hp
@@ -208,6 +235,30 @@ class TestCharTable:
             rep, _ = _char_forward(ids, m)
             assert rep.dtype == dtype
             np.testing.assert_allclose(rep, direct_char_conv(ids, m), rtol=rtol, atol=atol)
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    def test_equals_reference_kernel_bitwise(self, vocabs, kernel):
+        # tolerance: none; the -inf centre PAD row scores exactly the
+        # positions the reference masks, and every other sum is unchanged
+        wv, cv = vocabs
+        hp = dataclasses.replace(TINY_HP, char_kernel=kernel)
+        rng = np.random.default_rng(10 + kernel)
+        ids = rng.integers(1, len(cv), size=(9, 8))
+        for row, n in enumerate([0, 1, 2, 8, 5, 0, 3, 8, 7]):  # rows 0 and 5 all PAD
+            ids[row, n:] = PAD
+        ids[2, 0] = PAD  # a PAD inside a row as well as after it
+        for dtype in (np.float32, np.float64):
+            m = init_model(hp, wv, cv, seed=kernel, dtype=dtype)
+            m.params["char_emb"][PAD] = 5.0  # the stored PAD row is ignored
+            for chars in (ids, ids[:, :1], ids[:0]):
+                rep, cache = _char_forward(chars, m)
+                ref_rep, ref_cache = reference_char_forward(chars, m)
+                assert rep.dtype == ref_rep.dtype == dtype
+                np.testing.assert_array_equal(rep, ref_rep)
+                for key in ("pre", "ids_p", "emb"):
+                    np.testing.assert_array_equal(cache[key], ref_cache[key])
+            assert rep.shape == (0, hp.char_filters)  # the empty batch, last in the loop
+            assert (_char_forward(ids, m)[0][[0, 5]] == m.params["char_b"]).all()
 
     def test_nonzero_pad_embedding_is_ignored(self, tiny_model):
         # PAD positions contribute zero vectors whatever the stored PAD row holds

@@ -1,6 +1,12 @@
 import copy
 import hashlib
 import importlib
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +287,53 @@ class TestNonFiniteModels:
         loaded = load_model(path)  # every stored value is finite
         with pytest.raises(NonFiniteScores), np.errstate(over="ignore", invalid="ignore"):
             tag_log(loaded, train_set[0].text)
+
+    def test_overflow_raises_without_a_numpy_warning(self, memorization_run, tmp_path):
+        train_set, _, best, _, _, _ = memorization_run
+        bad = copy.deepcopy(best)
+        bad.params["proj_W"].ravel()[:50] = 3e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise here
+            with pytest.raises(NonFiniteScores):
+                tag_log(bad, train_set[0].text)
+        # the CLI in a fresh interpreter, where numpy's warnings reach stderr
+        model_path, raw = tmp_path / "model.valb", tmp_path / "raw.txt"
+        save_model(bad, model_path)
+        raw.write_text(train_set[0].text + "\n")
+        src = str(Path(tagger.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "logvar.cli", "parse", "--model", str(model_path),
+             "--input", str(raw), "--output", str(tmp_path / "out.jsonl")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "NonFiniteScores"
+
+
+class TestFrozenEntries:
+    @pytest.mark.parametrize("name", ["trans", "start"])
+    def test_unfrozen_forbidden_entry_is_a_format_error(self, memorization_run, tmp_path, name):
+        _, _, best, _, _, _ = memorization_run
+        bad = copy.deepcopy(best)
+        frozen = best.frozen_trans if name == "trans" else best.frozen_start
+        bad.params[name][tuple(np.argwhere(frozen)[0])] = 5.0
+        path = tmp_path / "model.valb"
+        save_model(bad, path)
+        with pytest.raises(FormatError, match=f"tensor {name} "):
+            load_model(path)
+
+    def test_pinned_and_trained_models_load(self, memorization_run, tmp_path):
+        _, _, best, _, _, model = memorization_run
+        load_model(Path(__file__).resolve().parents[1] / "benchmarks" / "model.bin")
+        logs, _ = generate_synthetic(seed=21, n_templates=5, n_logs=50)
+        tuned, _ = finetune(best, logs[:5], logs[5:10], TrainConfig(epochs=2, seed=3))
+        for fresh in (model, best, tuned):
+            path = tmp_path / "model.valb"
+            save_model(fresh, path)
+            load_model(path)
 
 
 FUZZ_LINES = ["Starting executor ID 5 on host meso-07", "a", "x <*> 7 y"]
