@@ -23,7 +23,6 @@ from .tagger import (
     Hyperparams,
     TaggerModel,
     decode,
-    forward_emissions,
     init_model,
     tag_log,
     tag_logs,
@@ -46,7 +45,7 @@ __all__ = [
     "TemplateStore", "TrainConfig", "VariableCategory", "WordVocab",
     "build_vocabs", "category_prf", "collapse_binary",
     "derive_binary_annotations", "encode_log", "evaluate", "extract_template",
-    "finetune", "forward_emissions", "general_accuracy", "generate_synthetic",
+    "finetune", "general_accuracy", "generate_synthetic",
     "init_model", "is_valid_transition", "load_model", "load_word_vectors",
     "parse_corpus", "read_annotations", "save_model", "split_dataset",
     "decode", "tag_log", "tag_logs", "tag_vocabulary", "tokenize", "train",

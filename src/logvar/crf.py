@@ -1,17 +1,21 @@
-"""Linear-chain CRF: scoring, forward algorithm, marginals, Viterbi.
+"""Linear-chain CRF over right-padded batches: loss gradients and Viterbi.
 
 A path y over T steps with emissions E (T x K), transitions trans (K x K),
 start scores s (K,) and end scores e (K,) scores
 
     s[y_0] + sum_t E[t, y_t] + sum_t trans[y_{t-1}, y_t] + e[y_{T-1}]
 
+Both kernels take a right-padded batch only: emissions (B, T, K) and the
+per-sequence ``lengths`` (B,), each at least 1 and at most T. Steps at or
+past a sequence's length are padding that neither kernel reads; one
+sequence is a batch of one. ``nll_gradients`` trains the tagger and
+``viterbi_decode`` decodes it.
+
 All computations run in double precision log space regardless of the
 emission dtype; log-sum-exp is stabilized by max subtraction, so its
 scores must be finite (training pins forbidden transitions at a large
 negative score), while Viterbi also takes -inf (decoding's forbidden
-transitions). The forward-backward gradients and Viterbi also take a
-right-padded batch of sequences: a (B, T, K) emission tensor with
-per-sequence lengths.
+transitions).
 
 Viterbi's forward pass keeps only the best score per (step, tag), a max
 over the previous tag, and builds no back-pointer table. The backtrack
@@ -33,69 +37,34 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return out.squeeze(axis)
 
 
-def sequence_score(
-    E: np.ndarray, trans: np.ndarray, s: np.ndarray, e: np.ndarray, tags: np.ndarray
-) -> float:
-    """Unnormalized score of one tag path."""
-    tags = np.asarray(tags)
-    T = E.shape[0]
-    if len(tags) != T:
-        raise ValueError(f"path length {len(tags)} != {T} emission rows")
-    score = float(s[tags[0]]) + float(e[tags[-1]])
-    score += float(E[np.arange(T), tags].sum())
-    score += float(trans[tags[:-1], tags[1:]].sum())
-    return score
-
-
-def crf_log_partition(
-    E: np.ndarray, trans: np.ndarray, s: np.ndarray, e: np.ndarray
-) -> float:
-    """log sum over all tag paths of exp(path score), by the forward algorithm."""
-    E = np.asarray(E, dtype=np.float64)
-    trans = np.asarray(trans, dtype=np.float64)
-    alpha = s.astype(np.float64) + E[0]
-    for t in range(1, E.shape[0]):
-        alpha = _logsumexp(alpha[:, None] + trans, axis=0) + E[t]
-    return float(_logsumexp(alpha + e, axis=0))
-
-
-def nll_loss(
-    E: np.ndarray, trans: np.ndarray, s: np.ndarray, e: np.ndarray, gold: np.ndarray
-) -> float:
-    """Negative log-likelihood of the gold path; always >= 0."""
-    return crf_log_partition(E, trans, s, e) - sequence_score(E, trans, s, e, gold)
-
-
 def nll_gradients(
     E: np.ndarray,
     trans: np.ndarray,
     s: np.ndarray,
     e: np.ndarray,
     gold: np.ndarray,
-    lengths: np.ndarray | None = None,
+    lengths: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss and its exact gradients w.r.t. E, trans, s, e.
+    """Summed negative log-likelihood of a batch's gold paths and its exact
+    gradients w.r.t. E, trans, s, e.
+
+    ``E`` is a right-padded batch (B, T, K), ``gold`` its gold tag indices
+    (B, T) and ``lengths`` (B,) its sequence lengths. Returns the loss
+    ``sum_b (log Z_b - score_b(gold_b))``, dE of E's shape, zero on padded
+    steps, and the summed gradients of trans, s and e. Padded emissions and
+    gold tags are never read.
 
     Uses forward-backward: the gradient of log Z w.r.t. a score is the
     corresponding marginal probability, from which the gold indicator is
-    subtracted.
-
-    ``E`` is (T, K) with ``gold`` (T,) for one sequence, or a right-padded
-    batch (B, T, K) with ``gold`` (B, T) and ``lengths`` (B,), default all
-    T. A batch returns the summed loss and the summed gradients of trans,
-    s and e; dE has E's shape and is zero on padded steps, whose emissions
-    and gold tags are never read. alpha is carried unchanged through padded
-    steps and beta is ``e`` from each sequence's last real step on.
+    subtracted. alpha is carried unchanged through padded steps and beta is
+    ``e`` from each sequence's last real step on.
     """
     E = np.asarray(E, dtype=np.float64)
-    single = E.ndim == 2
-    if single:
-        E, gold = E[None], np.asarray(gold)[None]
     trans = np.asarray(trans, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
     B, T, K = E.shape
-    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    lengths = np.asarray(lengths)
     real = np.arange(T) < lengths[:, None]  # (B, T)
     E = np.where(real[..., None], E, 0.0)
     gold = np.where(real, gold, 0)
@@ -132,7 +101,7 @@ def nll_gradients(
     gold_score = (s[gold[:, 0]].sum() + e[last].sum() + E[real, gold[real]].sum()
                   + trans.ravel()[pairs].sum())
     loss = float(log_z.sum() - gold_score)
-    return loss, (dE[0] if single else dE), d_trans, ds, de
+    return loss, dE, d_trans, ds, de
 
 
 def viterbi_decode(
@@ -140,13 +109,13 @@ def viterbi_decode(
     trans: np.ndarray,
     s: np.ndarray,
     e: np.ndarray,
-    lengths: np.ndarray | None = None,
-) -> list[int] | list[list[int]]:
-    """Highest-scoring tag path; ties break toward the lower tag index.
+    lengths: np.ndarray,
+) -> list[list[int]]:
+    """Highest-scoring tag path of each sequence of a right-padded batch;
+    ties break toward the lower tag index.
 
-    ``E`` is (T, K) for one sequence, which returns one path, or a
-    right-padded batch (B, T, K) with ``lengths`` (B,), default all T, which
-    returns one path per sequence.
+    ``E`` is (B, T, K) and ``lengths`` (B,); returns B paths, path b of
+    length ``lengths[b]``.
 
     The forward recursion keeps only the best score per (step, tag), as
     ``scores`` (T, K, B): a max over the previous tag of the (K_prev,
@@ -158,12 +127,9 @@ def viterbi_decode(
     last real step, and its path keeps that tag through its padded steps.
     """
     E = np.asarray(E)
-    single = E.ndim == 2
-    if single:
-        E = E[None]
     trans = np.asarray(trans, dtype=np.float64)
     B, T, K = E.shape
-    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    lengths = np.asarray(lengths)
     scores = np.array(E.transpose(1, 2, 0), dtype=np.float64, order="C")  # (T, K, B), a copy
     scores[0] += np.asarray(s, dtype=np.float64)[:, None]
     trans_3d = np.repeat(trans[:, :, None], B, axis=2)  # contiguous adds beat a broadcast
@@ -179,5 +145,4 @@ def viterbi_decode(
         nxt = path[:, t]
         back = (scores[t - 1] + trans.take(nxt, axis=1)).argmax(axis=0)  # lowest on ties
         path[:, t - 1] = back if t < shortest else np.where(t < lengths, back, nxt)
-    paths = [path[b, :n].tolist() for b, n in enumerate(lengths)]
-    return paths[0] if single else paths
+    return [path[b, :n].tolist() for b, n in enumerate(lengths)]

@@ -59,10 +59,6 @@ class EncodedLog:
     char_ids: np.ndarray  # (T, max_word_len) int, PAD-filled
     char_keys: np.ndarray  # (T,) int, the rank of the truncated spelling: one char row per key
 
-    @property
-    def token_count(self) -> int:
-        return len(self.word_ids)
-
 
 def build_vocabs(train: list[AnnotatedLog], min_freq: int = 1) -> tuple[WordVocab, CharVocab]:
     """Vocabularies from a training set.

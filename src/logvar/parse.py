@@ -51,14 +51,8 @@ class TemplateStore:
 
     entries: dict[str, dict] = field(default_factory=dict)
 
-    def intern(self, canonical: str, template_id: str | None = None) -> str:
-        """Count one occurrence of a template and return its id.
-
-        ``template_id`` defaults to the id of ``canonical`` with its
-        DEFAULT_WILDCARD tokens as the slots.
-        """
-        if template_id is None:
-            template_id = template_hash(canonical)
+    def intern(self, canonical: str, template_id: str) -> str:
+        """Count one occurrence of a template under its id and return the id."""
         entry = self.entries.get(template_id)
         if entry is None:
             entry = {"canonical_template": canonical, "ordinal": len(self.entries), "count": 0}
@@ -74,19 +68,19 @@ class TemplateStore:
         ]
 
 
-def template_hash(canonical: str, slots: list[int] | None = None) -> str:
+def template_hash(canonical: str, slots: list[int]) -> str:
     """Stable 64-bit identifier of a template.
 
-    ``slots`` are the canonical-token indices of the variable slots; the
-    default is every DEFAULT_WILDCARD token. Slots are hashed with the
-    canonical string only when they differ from that default, so a template
-    without a literal wildcard token is identified by its canonical string.
+    ``slots`` are the canonical-token indices of the variable slots. They
+    are hashed with the canonical string only when they differ from the
+    indices of its DEFAULT_WILDCARD tokens, so a template without a literal
+    wildcard token is identified by its canonical string.
     Tokens hold no whitespace, so the newline separator is unambiguous.
     The string is hashed as UTF-8 with lone surrogates (from undecodable
     input bytes) passed through, which is lossless.
     """
     payload = canonical
-    if slots is not None and canonical.count(DEFAULT_WILDCARD) > len(slots):
+    if canonical.count(DEFAULT_WILDCARD) > len(slots):
         # some static token contains the wildcard text
         tokens = canonical.split(" ")
         if slots != [i for i, tok in enumerate(tokens) if tok == DEFAULT_WILDCARD]:

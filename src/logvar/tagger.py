@@ -27,11 +27,10 @@ the token alone, and so, without dropout, is each LSTM direction's input
 projection ``x @ Wx + b``; logs repeat their tokens heavily. So a batch is
 a token table, an ``EncodedLog`` of distinct tokens that ``token_table``
 builds once per ``decode`` call or ``train`` run, and a (B, T) array of row
-ids into it (one log's ``EncodedLog`` is a table with ids 0..T-1). The
-char-CNN runs once per distinct char key among a batch's rows, and each
-LSTM direction projects one row per distinct id (plus a zero row that
-padded steps read). Under dropout every position is masked differently, so
-training projects one row per position.
+ids into it. The char-CNN runs once per distinct char key among a batch's
+rows, and each LSTM direction projects one row per distinct id (plus a
+zero row that padded steps read). Under dropout every position is masked
+differently, so training projects one row per position.
 
 The char-CNN runs on char rows trimmed to the batch's longest word. Its
 convolution is linear in the character embedding, so it is read from a
@@ -90,8 +89,9 @@ class TaggerModel:
     char_vocab: CharVocab
     tags: list[Tag]
     params: dict[str, np.ndarray]
-    frozen_trans: np.ndarray = field(repr=False)  # bool (K, K)
-    frozen_start: np.ndarray = field(repr=False)  # bool (K,)
+    # IOB-forbidden CRF entries, derived from ``tags``
+    frozen_trans: np.ndarray = field(init=False, repr=False)  # bool (K, K)
+    frozen_start: np.ndarray = field(init=False, repr=False)  # bool (K,)
 
     @property
     def n_tags(self) -> int:
@@ -102,17 +102,9 @@ class TaggerModel:
 
     def __post_init__(self) -> None:
         self._tag_to_idx = {t: i for i, t in enumerate(self.tags)}
-
-
-def _iob_masks(tags: list[Tag]) -> tuple[np.ndarray, np.ndarray]:
-    k = len(tags)
-    frozen_trans = np.zeros((k, k), dtype=bool)
-    for i, prev in enumerate(tags):
-        for j, nxt in enumerate(tags):
-            if not is_valid_transition(prev, nxt):
-                frozen_trans[i, j] = True
-    frozen_start = np.asarray([not is_valid_transition(None, t) for t in tags])
-    return frozen_trans, frozen_start
+        self.frozen_trans = np.array(
+            [[not is_valid_transition(prev, nxt) for nxt in self.tags] for prev in self.tags])
+        self.frozen_start = np.array([not is_valid_transition(None, t) for t in self.tags])
 
 
 def param_shapes(
@@ -193,17 +185,11 @@ def init_model(
     params["proj_W"] = uniform((2 * h, k), 2 * h)
     params["proj_b"] = np.zeros(k, dtype=dtype)
 
-    frozen_trans, frozen_start = _iob_masks(tags)
-    trans = np.zeros((k, k), dtype=dtype)
-    trans[frozen_trans] = FROZEN_SCORE
-    start = np.zeros(k, dtype=dtype)
-    start[frozen_start] = FROZEN_SCORE
-    params["trans"] = trans
-    params["start"] = start
+    model = TaggerModel(hp, mode, word_vocab, char_vocab, tags, params)
+    params["trans"] = np.where(model.frozen_trans, FROZEN_SCORE, 0.0).astype(dtype)
+    params["start"] = np.where(model.frozen_start, FROZEN_SCORE, 0.0).astype(dtype)
     params["end"] = np.zeros(k, dtype=dtype)
-
-    return TaggerModel(hp, mode, word_vocab, char_vocab, tags, params,
-                       frozen_trans, frozen_start)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +260,6 @@ def _char_backward(
         d_table[PAD] = 0.0
         grads["char_W"][k] += emb.T @ d_table
         grads["char_emb"] += d_table @ p["char_W"][k].T
-
-
-def char_representation(char_ids_row: np.ndarray, model: TaggerModel) -> np.ndarray:
-    """Char-CNN representation of a single word (length char_filters)."""
-    rep, _ = _char_forward(np.asarray(char_ids_row)[None, :], model)
-    return rep[0]
 
 
 def _gate_slices(h_dim: int) -> tuple[slice, slice, slice, slice]:
@@ -464,15 +444,6 @@ def _forward(
         "lstm_f": cache_f, "lstm_b": cache_b, "h_d": h_d,
     }
     return emissions.reshape(b_len, t_max, -1), cache
-
-
-def forward_emissions(
-    enc: EncodedLog, model: TaggerModel, train_mode: bool = False, dropout_seed: int = 0
-) -> np.ndarray:
-    """Per-token emission scores of one log, (T, n_tags)."""
-    t = enc.token_count
-    emissions, _ = _forward(enc, model, np.arange(t)[None], np.array([t]), train_mode, dropout_seed)
-    return emissions[0]
 
 
 def _backward_net(

@@ -31,7 +31,6 @@ from .tagger import (
     FROZEN_SCORE,
     Hyperparams,
     TaggerModel,
-    _iob_masks,
     _padded,
     decode,
     loss_and_gradients,
@@ -68,13 +67,6 @@ class TrainConfig:
 class EpochStats:
     epoch: int
     train_loss: float
-    val_metric: float
-
-
-@dataclass
-class Checkpoint:
-    model: TaggerModel
-    epoch: int
     val_metric: float
 
 
@@ -145,7 +137,8 @@ def train(
     opt = Adam(model.params, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
-    best: Checkpoint | None = None
+    best: TaggerModel | None = None
+    best_metric = -np.inf
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_set))
@@ -169,9 +162,9 @@ def train(
             losses.append(loss)
         metric = _val_metric(model, val_set, cfg.selection_metric)
         history.append(EpochStats(epoch, float(np.mean(losses)), metric))
-        if best is None or metric > best.val_metric:
-            best = Checkpoint(copy.deepcopy(model), epoch, metric)
-    return best.model, history
+        if best is None or metric > best_metric:
+            best, best_metric = copy.deepcopy(model), metric
+    return best, history
 
 
 def finetune(
@@ -353,11 +346,11 @@ def load_model(path: str | Path) -> TaggerModel:
             )
         if not np.isfinite(params[name]).all():
             raise FormatError(f"{path}: tensor {name} holds a value that is not finite")
-    frozen_trans, frozen_start = _iob_masks(tags)
-    for name, frozen in (("trans", frozen_trans), ("start", frozen_start)):
+    model = TaggerModel(hp, mode, wv, cv, tags, params)
+    for name, frozen in (("trans", model.frozen_trans), ("start", model.frozen_start)):
         if (params[name][frozen] != FROZEN_SCORE).any():
             raise FormatError(
                 f"{path}: tensor {name} holds an IOB-forbidden entry that is not "
                 f"{FROZEN_SCORE}"
             )
-    return TaggerModel(hp, mode, wv, cv, tags, params, frozen_trans, frozen_start)
+    return model

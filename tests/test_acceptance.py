@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from logvar.corpus import AnnotatedLog, SplitSpec, split_dataset
-from logvar.crf import crf_log_partition, viterbi_decode
+from logvar.crf import nll_gradients, viterbi_decode
 from logvar.embed import build_vocabs
 from logvar.evaluate import evaluate, general_accuracy, variable_aware_accuracy
 from logvar.parse import extract_template, reconstruct
@@ -48,23 +48,27 @@ def report(criterion: str, detail: str) -> None:
 
 
 def _brute_force(E, trans, s, e):
+    """log Z, the argmax path and every path's score, by enumeration."""
     T, K = E.shape
-    best_path, best, scores = None, -math.inf, []
+    best_path, best, scores = None, -math.inf, {}
     for path in itertools.product(range(K), repeat=T):
         sc = s[path[0]] + e[path[-1]]
         sc += sum(E[t, path[t]] for t in range(T))
         sc += sum(trans[path[t - 1], path[t]] for t in range(1, T))
-        scores.append(sc)
+        scores[path] = sc
         if sc > best:
             best_path, best = path, sc
-    m = max(scores)
-    log_z = m + math.log(sum(math.exp(sc - m) for sc in scores))
-    return log_z, list(best_path)
+    m = max(scores.values())
+    log_z = m + math.log(sum(math.exp(sc - m) for sc in scores.values()))
+    return log_z, list(best_path), scores
 
 
 def test_criterion_1_crf_oracle_equivalence():
+    # log Z is nll_gradients' loss on a random gold path plus that path's score
     rng = np.random.default_rng(12345)
+    gold_rng = np.random.default_rng(54321)  # apart, so the instances stay the same
     t0 = time.time()
+    by_k = {}
     for trial in range(500):
         T = int(rng.integers(1, 6))
         K = int(rng.integers(2, 7))
@@ -72,12 +76,30 @@ def test_criterion_1_crf_oracle_equivalence():
         trans = rng.standard_normal((K, K))
         s = rng.standard_normal(K)
         e = rng.standard_normal(K)
-        log_z, argmax_path = _brute_force(E, trans, s, e)
-        assert abs(crf_log_partition(E, trans, s, e) - log_z) < 1e-9, trial
-        assert viterbi_decode(E, trans, s, e) == argmax_path, trial
+        log_z, argmax_path, scores = _brute_force(E, trans, s, e)
+        gold = gold_rng.integers(0, K, size=T)
+        loss = nll_gradients(E[None], trans, s, e, gold[None], [T])[0]
+        assert abs(loss + scores[tuple(gold)] - log_z) < 1e-9, trial
+        assert viterbi_decode(E[None], trans, s, e, [T]) == [argmax_path], trial
+        by_k.setdefault(K, (trans, s, e, []))[3].append(E)
+    # one right-padded batch per K: that K's instances under the CRF scores of
+    # its first one, padded with large emissions that would steer any leak
+    for K, (trans, s, e, group) in sorted(by_k.items()):
+        lengths = np.array([len(E) for E in group])
+        batch = 50.0 * gold_rng.standard_normal((len(group), lengths.max(), K))
+        gold = gold_rng.integers(0, K, size=batch.shape[:2])
+        want_loss, want_paths = 0.0, []
+        for b, E in enumerate(group):
+            batch[b, : len(E)] = E
+            log_z, argmax_path, scores = _brute_force(E, trans, s, e)
+            want_loss += log_z - scores[tuple(gold[b, : len(E)])]
+            want_paths.append(argmax_path)
+        assert len(set(lengths)) > 1, K
+        assert abs(nll_gradients(batch, trans, s, e, gold, lengths)[0] - want_loss) < 1e-9, K
+        assert viterbi_decode(batch, trans, s, e, lengths) == want_paths, K
     elapsed = time.time() - t0
     assert elapsed < 10.0
-    report("1", f"500/500 instances, {elapsed:.1f}s")
+    report("1", f"500/500 instances, one padded batch per K, {elapsed:.1f}s")
 
 
 # -- criterion 2: gradient correctness ---------------------------------------

@@ -1,4 +1,8 @@
-"""CRF forward algorithm and Viterbi against brute-force path enumeration."""
+"""The batched CRF kernels against brute-force path enumeration.
+
+log Z is read off ``nll_gradients``: its loss on a gold path plus that
+path's brute-force score.
+"""
 
 import itertools
 import math
@@ -6,13 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from logvar.crf import (
-    crf_log_partition,
-    nll_gradients,
-    nll_loss,
-    sequence_score,
-    viterbi_decode,
-)
+from logvar.crf import nll_gradients, viterbi_decode
 
 
 def enumerate_scores(E, trans, s, e):
@@ -39,6 +37,29 @@ def brute_argmax(E, trans, s, e):
     return list(best_path)
 
 
+def nll(E, trans, s, e, gold):
+    """``nll_gradients``' loss of one sequence, run as a batch of one."""
+    return nll_gradients(E[None], trans, s, e, np.asarray(gold)[None], [len(E)])[0]
+
+
+def path_score(E, trans, s, e, path):
+    """Score of one path, looked up in the enumeration."""
+    return dict(enumerate_scores(E, trans, s, e))[tuple(path)]
+
+
+def log_partition(E, trans, s, e, gold=None):
+    """log Z of one sequence: the batched loss on ``gold`` (default all tag 0)
+    plus the gold path's enumerated score."""
+    gold = [0] * len(E) if gold is None else gold
+    return nll(E, trans, s, e, gold) + path_score(E, trans, s, e, gold)
+
+
+def viterbi(E, trans, s, e):
+    """``viterbi_decode``'s path of one sequence, run as a batch of one."""
+    (path,) = viterbi_decode(E[None], trans, s, e, [len(E)])
+    return path
+
+
 def random_instance(rng, T=None, K=None):
     T = T if T is not None else int(rng.integers(1, 6))
     K = K if K is not None else int(rng.integers(2, 7))
@@ -53,13 +74,13 @@ def random_instance(rng, T=None, K=None):
 def test_single_token_uniform_partition():
     E = np.zeros((1, 3))
     z = np.zeros(3)
-    assert crf_log_partition(E, np.zeros((3, 3)), z, z) == pytest.approx(math.log(3))
+    assert log_partition(E, np.zeros((3, 3)), z, z) == pytest.approx(math.log(3))
 
 
 def test_partition_matches_enumeration_4x5():
     rng = np.random.default_rng(0)
     E, trans, s, e = random_instance(rng, T=4, K=5)
-    assert crf_log_partition(E, trans, s, e) == pytest.approx(
+    assert log_partition(E, trans, s, e, [3, 0, 4, 1]) == pytest.approx(
         brute_log_partition(E, trans, s, e), abs=1e-9
     )
 
@@ -67,16 +88,19 @@ def test_partition_matches_enumeration_4x5():
 def test_partition_shift_invariance():
     rng = np.random.default_rng(1)
     E, trans, s, e = random_instance(rng, T=3, K=4)
-    base = crf_log_partition(E, trans, s, e)
+    base = log_partition(E, trans, s, e)
     shifted = E.copy()
     shifted[1] += 2.5
-    assert crf_log_partition(shifted, trans, s, e) == pytest.approx(base + 2.5)
+    assert log_partition(shifted, trans, s, e) == pytest.approx(base + 2.5)
 
 
 def test_sequence_score_zero_params():
-    E = np.zeros((3, 4))
-    z = np.zeros(4)
-    assert sequence_score(E, np.zeros((4, 4)), z, z, [1, 2, 3]) == 0.0
+    # every path scores exactly 0, so nll_gradients' loss is the same log Z
+    # whatever the gold path
+    E, trans, z = np.zeros((3, 4)), np.zeros((4, 4)), np.zeros(4)
+    losses = {nll(E, trans, z, z, gold) for gold in itertools.product(range(4), repeat=3)}
+    assert len(losses) == 1
+    assert losses.pop() == pytest.approx(brute_log_partition(E, trans, z, z))
 
 
 def test_sequence_score_hand_built():
@@ -86,13 +110,15 @@ def test_sequence_score_hand_built():
     e = np.array([0.3, 0.4])
     # path (1, 0): s[1] + E[0,1] + trans[1,0] + E[1,0] + e[0]
     expected = 0.2 + 2.0 + 0.25 + 3.0 + 0.3
-    assert sequence_score(E, trans, s, e, [1, 0]) == pytest.approx(expected)
+    assert path_score(E, trans, s, e, [1, 0]) == pytest.approx(expected)
+    gold_score = brute_log_partition(E, trans, s, e) - nll(E, trans, s, e, [1, 0])
+    assert gold_score == pytest.approx(expected)
 
 
 def test_any_path_score_below_log_partition():
     rng = np.random.default_rng(2)
     E, trans, s, e = random_instance(rng, T=3, K=3)
-    log_z = crf_log_partition(E, trans, s, e)
+    log_z = log_partition(E, trans, s, e)
     for path, sc in enumerate_scores(E, trans, s, e):
         assert sc <= log_z + 1e-12
 
@@ -101,9 +127,9 @@ def test_nll_matches_brute_force_path_probability():
     rng = np.random.default_rng(3)
     E, trans, s, e = random_instance(rng, T=3, K=4)
     gold = np.array([2, 0, 3])
-    brute = brute_log_partition(E, trans, s, e) - sequence_score(E, trans, s, e, gold)
-    assert nll_loss(E, trans, s, e, gold) == pytest.approx(brute, abs=1e-9)
-    assert nll_loss(E, trans, s, e, gold) >= 0
+    brute = brute_log_partition(E, trans, s, e) - path_score(E, trans, s, e, gold)
+    assert nll(E, trans, s, e, gold) == pytest.approx(brute, abs=1e-9)
+    assert nll(E, trans, s, e, gold) >= 0
 
 
 def test_nll_limit_zero_for_dominant_gold():
@@ -111,36 +137,36 @@ def test_nll_limit_zero_for_dominant_gold():
     gold = np.array([0, 1])
     E[0, 0] = E[1, 1] = 60.0
     z = np.zeros(3)
-    assert nll_loss(E, np.zeros((3, 3)), z, z, gold) == pytest.approx(0.0, abs=1e-12)
+    assert nll(E, np.zeros((3, 3)), z, z, gold) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nll_row_shift_invariance():
     rng = np.random.default_rng(4)
     E, trans, s, e = random_instance(rng, T=4, K=3)
     gold = np.array([0, 2, 1, 1])
-    base = nll_loss(E, trans, s, e, gold)
+    base = nll(E, trans, s, e, gold)
     shifted = E.copy()
     shifted[2] += 7.0
-    assert nll_loss(shifted, trans, s, e, gold) == pytest.approx(base, abs=1e-9)
+    assert nll(shifted, trans, s, e, gold) == pytest.approx(base, abs=1e-9)
 
 
 def test_viterbi_dominant_emissions():
     E = np.array([[10.0, 0.0], [0.0, 10.0]])
     z = np.zeros(2)
-    assert viterbi_decode(E, np.zeros((2, 2)), z, z) == [0, 1]
+    assert viterbi(E, np.zeros((2, 2)), z, z) == [0, 1]
 
 
 def test_viterbi_matches_brute_force_4x5():
     rng = np.random.default_rng(5)
     E, trans, s, e = random_instance(rng, T=4, K=5)
-    assert viterbi_decode(E, trans, s, e) == brute_argmax(E, trans, s, e)
+    assert viterbi(E, trans, s, e) == brute_argmax(E, trans, s, e)
 
 
 def test_viterbi_tie_break_lower_index():
     # all scores identical: expect the all-zeros path
     E = np.zeros((3, 4))
     z = np.zeros(4)
-    assert viterbi_decode(E, np.zeros((4, 4)), z, z) == [0, 0, 0]
+    assert viterbi(E, np.zeros((4, 4)), z, z) == [0, 0, 0]
 
 
 def test_batched_viterbi_mixed_lengths_matches_brute_force():
@@ -175,30 +201,32 @@ def test_batched_nll_gradients_match_per_sequence():
     for b, n in enumerate(lengths):
         E[b, :n] = rng.standard_normal((n, K))
     loss, dE, dT, ds, de = nll_gradients(E, trans, s, e, gold, lengths)
-    per = [nll_gradients(E[b, :n], trans, s, e, gold[b, :n]) for b, n in enumerate(lengths)]
+    per = [nll_gradients(E[b : b + 1, :n], trans, s, e, gold[b : b + 1, :n], [n])
+           for b, n in enumerate(lengths)]
     assert loss == pytest.approx(sum(p[0] for p in per), abs=1e-12)
     for k, total in ((2, dT), (3, ds), (4, de)):
         np.testing.assert_allclose(total, sum(p[k] for p in per), rtol=0, atol=1e-12)
     assert dE.shape == E.shape
     for (b, n), p in zip(enumerate(lengths), per):
-        np.testing.assert_allclose(dE[b, :n], p[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dE[b, :n], p[1][0], rtol=0, atol=1e-12)
         assert (dE[b, n:] == 0).all()
 
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     E, trans, s, e = random_instance(rng, T=4, K=4)
-    gold = np.array([1, 3, 0, 2])
-    loss, dE, dT, ds, de = nll_gradients(E, trans, s, e, gold)
+    E = E[None]  # a batch of one
+    gold, lengths = np.array([[1, 3, 0, 2]]), [4]
+    loss, dE, dT, ds, de = nll_gradients(E, trans, s, e, gold, lengths)
     h = 1e-6
     for arr, grad in ((E, dE), (trans, dT), (s, ds), (e, de)):
         flat, gflat = arr.ravel(), grad.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = nll_loss(E, trans, s, e, gold)
+            up = nll_gradients(E, trans, s, e, gold, lengths)[0]
             flat[i] = orig - h
-            dn = nll_loss(E, trans, s, e, gold)
+            dn = nll_gradients(E, trans, s, e, gold, lengths)[0]
             flat[i] = orig
             assert gflat[i] == pytest.approx((up - dn) / (2 * h), abs=1e-6)
 
@@ -207,13 +235,14 @@ def test_random_instances_against_oracle():
     rng = np.random.default_rng(7)
     for _ in range(50):
         E, trans, s, e = random_instance(rng)
-        assert crf_log_partition(E, trans, s, e) == pytest.approx(
+        gold = rng.integers(0, E.shape[1], size=len(E))
+        assert log_partition(E, trans, s, e, gold) == pytest.approx(
             brute_log_partition(E, trans, s, e), abs=1e-9
         )
-        assert viterbi_decode(E, trans, s, e) == brute_argmax(E, trans, s, e)
+        assert viterbi(E, trans, s, e) == brute_argmax(E, trans, s, e)
 
 
-def reference_viterbi(E, trans, s, e, lengths=None):
+def reference_viterbi(E, trans, s, e, lengths):
     """The Viterbi kernel before back-pointers were taken along the path only.
 
     It builds the full (T, B, K) argmax table and gathers every step's
@@ -221,12 +250,9 @@ def reference_viterbi(E, trans, s, e, lengths=None):
     match exactly.
     """
     E = np.asarray(E, dtype=np.float64)
-    single = E.ndim == 2
-    if single:
-        E = E[None]
     trans = np.asarray(trans, dtype=np.float64)
     B, T, K = E.shape
-    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    lengths = np.asarray(lengths)
     scores = np.empty((T, B, K))
     scores[0] = np.asarray(s, dtype=np.float64) + E[:, 0]
     back = np.empty((T, B, K), dtype=np.int64)
@@ -240,8 +266,7 @@ def reference_viterbi(E, trans, s, e, lengths=None):
     path[:, -1] = np.argmax(scores[lengths - 1, rows] + e, axis=1)
     for t in range(T - 1, 0, -1):
         path[:, t - 1] = back[t, rows, path[:, t]]
-    paths = [path[b, :n].tolist() for b, n in enumerate(lengths)]
-    return paths[0] if single else paths
+    return [path[b, :n].tolist() for b, n in enumerate(lengths)]
 
 
 def random_decode_batch(seed):
@@ -286,9 +311,10 @@ def test_single_sequence_equals_reference_and_leaves_input_alone():
     rng = np.random.default_rng(13)
     for _ in range(50):
         E, trans, s, e = random_instance(rng)
-        E = np.round(E)  # float64 input: the kernel must copy it, not write into it
+        E = np.round(E)[None]  # float64 input: the kernel must copy it, not write into it
         before = E.copy()
-        assert viterbi_decode(E, trans, s, e) == reference_viterbi(E, trans, s, e)
+        lengths = [E.shape[1]]
+        assert viterbi_decode(E, trans, s, e, lengths) == reference_viterbi(E, trans, s, e, lengths)
         np.testing.assert_array_equal(E, before)
 
 

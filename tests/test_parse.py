@@ -96,7 +96,7 @@ class TestExtractTemplate:
 
     def test_template_id_is_the_canonical_hash_without_literal_wildcards(self):
         result = extract_template(SPARK)
-        assert result.template_id == template_hash(result.canonical_template)
+        assert result.template_id == template_hash(result.canonical_template, [3, 6])
         assert result.template_id == hashlib.blake2b(
             b"Starting executor ID <*> on host <*>", digest_size=8).hexdigest()
 
@@ -112,9 +112,9 @@ class TestExtractTemplate:
 class TestTemplateStore:
     def test_interning_counts(self):
         store = TemplateStore()
-        id1 = store.intern("a <*> b")
-        id2 = store.intern("a <*> b")
-        id3 = store.intern("c <*>")
+        id1 = store.intern("a <*> b", template_hash("a <*> b", [1]))
+        id2 = store.intern("a <*> b", template_hash("a <*> b", [1]))
+        id3 = store.intern("c <*>", template_hash("c <*>", [1]))
         assert id1 == id2 != id3
         summary = store.summary()
         assert summary[0]["count"] == 2
@@ -122,8 +122,18 @@ class TestTemplateStore:
         assert summary[1]["ordinal"] == 1
 
     def test_hash_stable(self):
-        assert template_hash("a <*> b") == template_hash("a <*> b")
-        assert len(template_hash("x")) == 16  # 64-bit hex
+        assert template_hash("a <*> b", [1]) == template_hash("a <*> b", [1])
+        assert len(template_hash("x", [])) == 16  # 64-bit hex
+
+    def test_literal_wildcard_and_slot_are_two_entries(self):
+        # both canonicals are "a <*> <*>": slot 2 behind a static "<*>", then slots 1 and 2
+        store = TemplateStore()
+        for log in (mklog("a <*> 7", "O O B-OBA"), mklog("a 5 7", "O B-OBA B-OBA")):
+            result = extract_template(log)
+            store.intern(result.canonical_template, result.template_id)
+        assert [(e["template_id"], e["canonical_template"], e["count"])
+                for e in store.summary()] == [
+            ("1b9a47e353f98267", "a <*> <*>", 1), ("a3de0bceae1926fe", "a <*> <*>", 1)]
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +211,7 @@ class TestLoneSurrogates:
     def test_ids_of_valid_non_ascii_text_are_its_utf8_hash(self):
         canonical = "naïve ☃ <*> 🙂"
         expected = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
-        assert template_hash(canonical) == expected
+        assert template_hash(canonical, [2]) == expected
 
 
 # whitespace that str.split() breaks on, control characters, the wildcard

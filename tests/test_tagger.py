@@ -13,9 +13,7 @@ from logvar.tagger import (
     _char_forward,
     _forward,
     _padded,
-    char_representation,
     decode,
-    forward_emissions,
     init_model,
     loss_and_gradients,
     param_shapes,
@@ -81,7 +79,7 @@ def reference_emissions(enc, model):
     if hp.use_char_channel:
         rows.append(direct_char_conv(enc.char_ids, model))
     else:
-        rows.append(np.zeros((enc.token_count, hp.char_filters), dtype=p["word_emb"].dtype))
+        rows.append(np.zeros((len(enc.word_ids), hp.char_filters), dtype=p["word_emb"].dtype))
     u = np.concatenate(rows, axis=1)  # (T, Din)
 
     def sig(x):
@@ -101,19 +99,26 @@ def reference_emissions(enc, model):
             out[t] = h
         return out
 
-    steps = range(enc.token_count)
+    steps = range(len(enc.word_ids))
     h = np.concatenate([direction("f", steps), direction("b", steps[::-1])], axis=1)
     return h @ p["proj_W"] + p["proj_b"]
-
-
-def encode(model, log):
-    return encode_log(log.tokens, model.word_vocab, model.char_vocab, model.hp.max_word_len)
 
 
 def forward_batch(model, token_lists):
     """``_forward``'s batch for tokenized messages: token table, padded ids, lengths."""
     table, ids, lengths = token_table(model, token_lists)
     return table, _padded(ids, np.cumsum(lengths) - lengths, lengths), lengths
+
+
+def forward_one(model, tokens, train_mode=False, dropout_seed=0):
+    """``_forward``'s emissions of one message, a batch of one, (T, n_tags)."""
+    table, ids, lengths = forward_batch(model, [tokens])
+    return _forward(table, model, ids, lengths, train_mode, dropout_seed)[0][0]
+
+
+def char_rep(char_ids_row, model):
+    """``_char_forward``'s representation of one word, a batch of one row."""
+    return _char_forward(np.asarray(char_ids_row)[None], model)[0][0]
 
 
 def train_batch(model, logs):
@@ -188,7 +193,7 @@ class TestInit:
 class TestCharRepresentation:
     def test_output_length(self, tiny_model):
         row = np.array([2, 3, 2, PAD, PAD, PAD, PAD, PAD])
-        rep = char_representation(row, tiny_model)
+        rep = char_rep(row, tiny_model)
         assert rep.shape == (TINY_HP.char_filters,)
 
     def test_repeated_chars_interior_pooling(self, vocabs):
@@ -205,19 +210,19 @@ class TestCharRepresentation:
         interior = float(emb @ w[0,:,0] + emb @ w[1,:,0] + emb @ w[2,:,0] + b[0])
         edge_left = float(emb @ w[1,:,0] + emb @ w[2,:,0] + b[0])
         edge_right = float(emb @ w[0,:,0] + emb @ w[1,:,0] + b[0])
-        rep = char_representation(row, m)
+        rep = char_rep(row, m)
         assert rep[0] == pytest.approx(max(interior, edge_left, edge_right), rel=1e-5)
 
     def test_pad_only_row_gives_bias(self, tiny_model):
         row = np.full(8, PAD)
-        rep = char_representation(row, tiny_model)
+        rep = char_rep(row, tiny_model)
         np.testing.assert_array_equal(rep, tiny_model.params["char_b"])
 
     def test_pad_positions_inert(self, tiny_model):
         short = np.array([2, 3, PAD, PAD, PAD, PAD, PAD, PAD])
         # PAD contributes zero vectors, so extra trailing PADs change nothing
-        a = char_representation(short, tiny_model)
-        b = char_representation(np.array([2, 3, PAD, PAD, PAD, PAD, PAD, PAD]), tiny_model)
+        a = char_rep(short, tiny_model)
+        b = char_rep(np.array([2, 3, PAD, PAD, PAD, PAD, PAD, PAD]), tiny_model)
         np.testing.assert_array_equal(a, b)
 
 
@@ -274,18 +279,17 @@ class TestBatchedForward:
     def test_batch_matches_batch_of_one(self, tiny_model, corpus):
         m = tiny_model
         logs = sorted(corpus[:12], key=lambda log: len(log.tokens) % 5)  # mixed lengths
-        encs = [encode(m, log) for log in logs]
-        assert len({enc.token_count for enc in encs}) > 3
-        table, ids, lengths = forward_batch(m, [log.tokens for log in logs])
-        emissions, cache = _forward(table, m, ids, lengths, train_mode=False, dropout_seed=0)
-        assert emissions.shape == (len(encs), max(e.token_count for e in encs), m.n_tags)
-        assert cache["lengths"].tolist() == [e.token_count for e in encs]
-        for b, enc in enumerate(encs):
-            np.testing.assert_allclose(
-                emissions[b, : enc.token_count], forward_emissions(enc, m),
-                rtol=F32_RTOL, atol=F32_ATOL,
-            )
         toks = [log.tokens for log in logs]
+        counts = [len(t) for t in toks]
+        assert len(set(counts)) > 3
+        table, ids, lengths = forward_batch(m, toks)
+        emissions, cache = _forward(table, m, ids, lengths, train_mode=False, dropout_seed=0)
+        assert emissions.shape == (len(toks), max(counts), m.n_tags)
+        assert cache["lengths"].tolist() == counts
+        for b, t in enumerate(toks):
+            np.testing.assert_allclose(
+                emissions[b, : len(t)], forward_one(m, t), rtol=F32_RTOL, atol=F32_ATOL,
+            )
         assert decode(m, toks) == [decode(m, [t])[0] for t in toks]
 
     def test_char_cnn_runs_once_per_distinct_trimmed_row(self, tiny_model, monkeypatch):
@@ -377,7 +381,7 @@ class TestTokenTable:
         emissions, _ = _forward(table, m, ids, lengths, train_mode=False, dropout_seed=0)
         for b, enc in enumerate(encs):
             np.testing.assert_allclose(
-                emissions[b, : enc.token_count], reference_emissions(enc, m),
+                emissions[b, : len(enc.word_ids)], reference_emissions(enc, m),
                 rtol=F32_RTOL, atol=F32_ATOL,
             )
 
@@ -385,18 +389,18 @@ class TestTokenTable:
 class TestForward:
     def test_emission_shape_and_determinism(self, tiny_model, corpus):
         m = tiny_model
-        enc = encode(m, corpus[0])
-        e1 = forward_emissions(enc, m, train_mode=False)
-        e2 = forward_emissions(enc, m, train_mode=False)
-        assert e1.shape == (enc.token_count, 21)
+        tokens = corpus[0].tokens
+        e1 = forward_one(m, tokens, train_mode=False)
+        e2 = forward_one(m, tokens, train_mode=False)
+        assert e1.shape == (len(tokens), 21)
         np.testing.assert_array_equal(e1, e2)
 
     def test_dropout_seed_controls_train_mode(self, tiny_model, corpus):
         m = tiny_model
-        enc = encode(m, corpus[0])
-        a = forward_emissions(enc, m, train_mode=True, dropout_seed=1)
-        b = forward_emissions(enc, m, train_mode=True, dropout_seed=1)
-        c = forward_emissions(enc, m, train_mode=True, dropout_seed=2)
+        tokens = corpus[0].tokens
+        a = forward_one(m, tokens, train_mode=True, dropout_seed=1)
+        b = forward_one(m, tokens, train_mode=True, dropout_seed=1)
+        c = forward_one(m, tokens, train_mode=True, dropout_seed=2)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -404,18 +408,16 @@ class TestForward:
         # the baseline model ("no char channel") must produce exactly the
         # emissions of the full model when the char output is forced to zero
         wv, cv = vocabs
-        full = init_model(TINY_HP, wv, cv, seed=9)
         ablated = init_model(
             dataclasses.replace(TINY_HP, use_char_channel=False),
             wv, cv, seed=9,
         )
-        enc = encode(full, corpus[1])
         zeroed = init_model(TINY_HP, wv, cv, seed=9)
         zeroed.params["char_emb"][:] = 0.0
         zeroed.params["char_b"][:] = 0.0
         np.testing.assert_allclose(
-            forward_emissions(enc, ablated, train_mode=False),
-            forward_emissions(enc, zeroed, train_mode=False),
+            forward_one(ablated, corpus[1].tokens, train_mode=False),
+            forward_one(zeroed, corpus[1].tokens, train_mode=False),
             rtol=1e-6,
         )
 
