@@ -61,12 +61,17 @@ class GeneratorSpec:
         }
 
 
-def _word(rng: np.random.Generator, lo: int = 3, hi: int = 9) -> str:
-    return "".join(rng.choice(_LETTERS, size=rng.integers(lo, hi)))
+# A draw is ``pool[rng.integers(0, len(pool))]``, not ``rng.choice(pool)``:
+# both read the same stream and give the same element, and the index form
+# costs less than half as much per call.
 
 
 def _chars(rng: np.random.Generator, pool: np.ndarray, lo: int, hi: int) -> str:
-    return "".join(rng.choice(pool, size=rng.integers(lo, hi)))
+    return "".join(pool[rng.integers(0, len(pool), size=rng.integers(lo, hi))])
+
+
+def _word(rng: np.random.Generator, lo: int = 3, hi: int = 9) -> str:
+    return _chars(rng, _LETTERS, lo, hi)
 
 
 def _fill_slot(rng: np.random.Generator, cat: VariableCategory) -> list[str]:
@@ -79,7 +84,7 @@ def _fill_slot(rng: np.random.Generator, cat: VariableCategory) -> list[str]:
     if cat is c.LOCATION_INDICATOR:
         if rng.random() < 0.5:
             return [".".join(str(rng.integers(0, 256)) for _ in range(4))]
-        return [f"/{_word(rng)}/{_word(rng)}.{rng.choice(_EXTS)}"]
+        return [f"/{_word(rng)}/{_word(rng)}.{_EXTS[rng.integers(0, len(_EXTS))]}"]
     if cat is c.OBJECT_NAME:
         return [f"{_word(rng, 3, 7)}-{rng.integers(0, 100):02d}"]
     if cat is c.TYPE_INDICATOR:
@@ -92,7 +97,7 @@ def _fill_slot(rng: np.random.Generator, cat: VariableCategory) -> list[str]:
         return [str(rng.integers(1, 100000))]
     if cat is c.COMPUTING_RESOURCES:
         amount = str(rng.integers(1, 4096))
-        unit = str(rng.choice(_UNITS))
+        unit = _UNITS[rng.integers(0, len(_UNITS))]
         if rng.random() < 0.5:
             return [amount + unit]
         return [amount, unit]  # two-token value exercising I- tags
@@ -125,7 +130,7 @@ def _make_templates(
             order = rng.permutation(len(categories))
             cat_cycle.extend(categories[k] for k in order)
         slot_cats = [cat_cycle.pop(0) for _ in range(n_slots)]
-        statics = [str(rng.choice(pool)) for _ in range(n_static)]
+        statics = [pool[rng.integers(0, len(pool))] for _ in range(n_static)]
         elements: list[str | None] = list(statics)
         for _ in range(n_slots):
             pos = int(rng.integers(0, len(elements) + 1))

@@ -27,19 +27,24 @@ the token alone, and so, without dropout, is each LSTM direction's input
 projection ``x @ Wx + b``; logs repeat their tokens heavily. So a batch is
 a token table, an ``EncodedLog`` of distinct tokens that ``token_table``
 builds once per ``decode`` call or ``train`` run, and a (B, T) array of row
-ids into it. The char-CNN runs once per distinct char key among a batch's
-rows, and each LSTM direction projects one row per distinct id (plus a
-zero row that padded steps read). Under dropout every position is masked
-differently, so training projects one row per position.
+ids into it. ``decode`` computes the char-CNN output of the whole table
+once per call; training computes it per minibatch, over the minibatch's
+distinct rows, through the same ``_char_reps`` and its backward. Either
+way each distinct char key is convolved once. Each LSTM direction projects
+one row per distinct id of a batch (plus a zero row that padded steps
+read). Under dropout every position is masked differently, so training
+projects one row per position.
 
-The char-CNN runs on char rows trimmed to the batch's longest word. Its
-convolution is linear in the character embedding, so it is read from a
-per-character table, table[k] = char_emb @ char_W[k] of shape (kernel,
-n_chars, filters) with the PAD row zero: a word's pre-activation at
-position j is char_b plus the sum over k of table[k] at the character in
-window slot k. That is a gather and a sum instead of a matmul over the
-embedding width per character. The centre slot's PAD row is -inf, so a PAD
-position's pre-activation is -inf and the max-pool skips it unmasked.
+The char-CNN's convolution is linear in the character embedding, so it is
+read from a per-character table, table[k] = char_emb @ char_W[k] of shape
+(kernel, n_chars, filters) with the PAD row zero, built once per
+``_char_reps`` call: a word's pre-activation at position j is char_b plus
+the sum over k of table[k] at the character in window slot k. That is a
+gather and a sum instead of a matmul over the embedding width per
+character. The centre slot's PAD row is -inf, so a PAD position's
+pre-activation is -inf and the max-pool skips it unmasked. The distinct
+rows run sorted by length in groups, each trimmed to its longest word, so
+that little of the gather and sum is spent on PAD positions.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ class Hyperparams:
         return self.word_dim + self.char_filters
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: params is a dict of arrays
 class TaggerModel:
     hp: Hyperparams
     mode: str
@@ -196,65 +201,133 @@ def init_model(
 # forward pass
 
 # Padded tokens (logs x longest log) per batch in decode. A batch keeps
-# about 10 KB per padded token alive (LSTM caches, char-CNN pre-activations),
-# so this bounds the extra peak memory of tagging at about 3 MB; larger
-# batches gained little throughput on the synthetic corpus.
+# about 8 KB per padded token alive (the LSTM gates and states of both
+# directions), so this bounds the extra peak memory of tagging at about
+# 2 MB; larger batches gained little throughput on the synthetic corpus.
 BATCH_TOKENS = 288
 
+# Distinct char rows per char-CNN group. Rows run sorted by their count of
+# characters; a group takes at least CHAR_GROUP_MIN of them, then the rest
+# of the run of equal length it has reached, so that a one-line call is one
+# group. CHAR_GROUP_ROWS caps a group: its pre-activations, at most
+# rows x max_word_len x filters, are the char-CNN's peak memory, whatever the
+# size of the call (1.5 MB at 30 characters and 50 float32 filters).
+CHAR_GROUP_MIN = 32
+CHAR_GROUP_ROWS = 256
 
-def _char_forward(char_ids: np.ndarray, model: TaggerModel) -> tuple[np.ndarray, dict]:
-    """Convolution over character embeddings with masked max-pooling.
 
-    ``char_ids`` is (N, L), one row per word. The convolution is linear in
-    the character embedding, so it is read from the per-character table
-    ``table[k] = char_emb @ char_W[k]`` (PAD row zero): position j of a row
-    scores ``char_b + sum_k table[k][ids[j + k - char_kernel // 2]]``. PAD
-    positions contribute zero vectors (same-padding at the edges). The
-    centre slot's PAD row is -inf instead, so a PAD position scores -inf and
-    drops out of the pool with no separate mask; an all-PAD row pools to
-    -inf and falls back to the bias vector.
+def _char_table(model: TaggerModel) -> tuple[np.ndarray, np.ndarray]:
+    """The char embedding with its PAD row zero, and the per-character table.
+
+    The convolution is linear in the character embedding, so it is read
+    from ``table[k] = emb @ char_W[k]``, (kernel, n_chars, filters): PAD
+    contributes zero vectors (same-padding at the edges), except in the
+    centre slot, whose PAD row is -inf.
     """
     p = model.params
-    kern = model.hp.char_kernel
-    half = kern // 2
-    n_rows, length = char_ids.shape
     emb = p["char_emb"].copy()
     emb[PAD] = 0.0
-    table = emb @ p["char_W"]  # (kern, V, F)
-    table[half, PAD] = -np.inf
+    table = emb @ p["char_W"]
+    table[model.hp.char_kernel // 2, PAD] = -np.inf
+    return emb, table
+
+
+def _char_pre(
+    char_ids: np.ndarray, table: np.ndarray, bias: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-activations of (N, L) char rows, (N, L, F), and the ids they read.
+
+    Position j of a row scores ``bias + sum_k table[k][ids_p[j + k]]``, where
+    ``ids_p`` is the row with kernel // 2 PADs before it and the rest after.
+    A PAD position scores -inf through the centre slot's PAD row.
+    """
+    kern = table.shape[0]
+    half = kern // 2
+    n_rows, length = char_ids.shape
     ids_p = np.full((n_rows, length + kern - 1), PAD, dtype=char_ids.dtype)
     ids_p[:, half : half + length] = char_ids
-    pre = p["char_b"] + table[0][ids_p[:, :length]]  # (N, L, F)
+    pre = bias + table[0][ids_p[:, :length]]
     for k in range(1, kern):
         pre += table[k][ids_p[:, k : k + length]]
-    rep = pre.max(axis=1)  # (N, F)
+    return ids_p, pre
+
+
+def _char_forward(char_ids: np.ndarray, table: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Convolution over one group of (N, L) char rows with max-pooling, (N, F).
+
+    A gather and a sum per kernel slot from ``_char_table``'s table, in
+    place of a matmul over the embedding width per character. PAD positions
+    score -inf and drop out of the pool with no separate mask; an all-PAD
+    row pools to -inf and falls back to the bias vector.
+    """
+    rep = _char_pre(char_ids, table, bias)[1].max(axis=1)
     empty = rep[:, 0] == -np.inf
     if empty.any():
-        rep[empty] = p["char_b"]
-    return rep, {"ids_p": ids_p, "emb": emb, "pre": pre}
+        rep[empty] = bias
+    return rep
+
+
+def _char_reps(
+    char_ids: np.ndarray, char_keys: np.ndarray, model: TaggerModel
+) -> tuple[np.ndarray, dict]:
+    """Char-CNN representation of each of N right-padded char rows, (N, F).
+
+    Rows with one char key are equal, so each distinct key is convolved
+    once, with one char table for the call. The distinct rows run in groups
+    (see CHAR_GROUP_MIN), each trimmed to its longest word, so that few of
+    the positions a group gathers and sums are PAD. Returns the reps and the
+    cache ``_char_backward`` reads.
+    """
+    emb, table = _char_table(model)
+    _, first, inverse = np.unique(char_keys, return_index=True, return_inverse=True)
+    chars = char_ids[first]
+    n_chars = np.count_nonzero(chars != PAD, axis=1)
+    order = np.argsort(n_chars, kind="stable")
+    sorted_n = n_chars[order]
+    rep = np.empty((len(chars), table.shape[2]), dtype=table.dtype)
+    groups = []
+    lo = 0
+    while lo < len(order):
+        hi = int(np.searchsorted(
+            sorted_n, sorted_n[min(lo + CHAR_GROUP_MIN, len(order)) - 1], side="right"))
+        hi = min(hi, lo + CHAR_GROUP_ROWS)
+        rows, width = order[lo:hi], max(int(sorted_n[hi - 1]), 1)
+        rep[rows] = _char_forward(chars[rows, :width], table, model.params["char_b"])
+        groups.append((rows, width))
+        lo = hi
+    cache = {"emb": emb, "table": table, "chars": chars, "groups": groups, "inverse": inverse}
+    return rep[inverse], cache
 
 
 def _char_backward(
     d_rep: np.ndarray, model: TaggerModel, cache: dict, grads: dict[str, np.ndarray]
 ) -> None:
-    """Char-CNN gradients given d loss / d rep for the rows of one ``_char_forward``.
+    """Char-CNN gradients given d loss / d rep of each distinct char key of one ``_char_reps``.
 
-    A pooled value was read at one position, so its gradient goes to the
-    kern table entries summed there: scatter it into ``d_table[k]``, then
+    Each group's pre-activations are computed again here, not kept from
+    the forward pass, so that a decode call holds one group's at a time. A
+    pooled value was read at one position, so its gradient goes to the kern
+    table entries summed there: scatter it into ``d_table[k]``, then
     ``dW[k] = emb.T @ d_table[k]`` and ``d_emb = sum_k d_table[k] @ W[k].T``.
     An all-PAD row reads only the (constant zero) PAD entries.
     """
     p = model.params
     n_filters = model.hp.char_filters
-    emb, ids_p = cache["emb"], cache["ids_p"]
-    arg = cache["pre"].argmax(axis=1)  # (N, F) pooled position, the first on ties
-    rows = np.arange(len(arg))[:, None]
+    emb, table, chars = cache["emb"], cache["table"], cache["chars"]
+    kern = table.shape[0]
+    # per kernel slot, the char id that each pooled value read
+    read = np.empty((kern, len(chars), n_filters), dtype=chars.dtype)
+    for rows, width in cache["groups"]:
+        ids_p, pre = _char_pre(chars[rows, :width], table, p["char_b"])
+        arg = pre.argmax(axis=1)  # (N, F) pooled position, the first on ties
+        at = np.arange(len(rows))[:, None]
+        for k in range(kern):
+            read[k, rows] = ids_p[at, arg + k]
     grads["char_b"] += d_rep.sum(axis=0)
     cols = np.arange(n_filters)
-    for k in range(model.hp.char_kernel):
-        ids = ids_p[rows, arg + k]  # (N, F)
+    for k in range(kern):
         d_table = np.bincount(
-            (ids * n_filters + cols).ravel(), weights=d_rep.ravel(),
+            (read[k] * n_filters + cols).ravel(), weights=d_rep.ravel(),
             minlength=emb.shape[0] * n_filters,
         ).reshape(emb.shape[0], n_filters).astype(emb.dtype)
         d_table[PAD] = 0.0
@@ -386,43 +459,48 @@ def _padded(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.nda
     return out
 
 
+def _distinct_rows(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct table rows that a right-padded (B, T) batch's real steps
+    read, and every step's position among them; padded steps get
+    ``len(used)``, the zero row that ``_input_rows`` appends."""
+    real = np.arange(ids.shape[1]) < lengths[:, None]
+    used, inverse = np.unique(ids[real], return_inverse=True)
+    index = np.full(ids.shape, len(used))
+    index[real] = inverse
+    return used, index
+
+
+def _input_rows(
+    model: TaggerModel, word_ids: np.ndarray, char_rep: np.ndarray | None
+) -> np.ndarray:
+    """Input rows of N tokens, their word embedding then their char-CNN output
+    (zero without the char channel), plus a zero row last, (N + 1, Din)."""
+    p, hp = model.params, model.hp
+    rows = np.zeros((len(word_ids) + 1, hp.input_dim), dtype=p["proj_W"].dtype)
+    rows[:-1, : hp.word_dim] = p["word_emb"][word_ids]
+    if char_rep is not None:
+        rows[:-1, hp.word_dim :] = char_rep
+    return rows
+
+
 def _forward(
-    table: EncodedLog, model: TaggerModel, ids: np.ndarray, lengths: np.ndarray,
+    rows: np.ndarray, model: TaggerModel, index: np.ndarray, lengths: np.ndarray,
     train_mode: bool = False, dropout_seed: int = 0,
 ) -> tuple[np.ndarray, dict]:
     """Emission scores of a right-padded batch of logs, (B, T, n_tags).
 
-    Log b's steps [0, lengths[b]) read table rows ``ids[b, :lengths[b]]``;
-    its padded steps score garbage that no caller reads. The distinct ids
-    of the real steps give the batch's input rows: the char-CNN runs once
-    per distinct char key, trimmed to the batch's longest token, and each
-    distinct id gets one input row, plus a zero row that padded steps read.
-    Without dropout both LSTM directions project those distinct rows; under
+    ``rows`` are the batch's input rows from ``_input_rows``, and step t of
+    log b reads row ``index[b, t]`` (``_distinct_rows``). Log b's steps
+    [0, lengths[b]) are real; its padded steps score garbage that no caller
+    reads. Without dropout both LSTM directions project each row once; under
     dropout every position has its own masked row. Returns the emissions
     and the cache the backward pass reads.
     """
     p = model.params
     hp = model.hp
-    b_len, t_max = ids.shape
+    b_len, t_max = index.shape
     steps = np.arange(t_max)
     real = steps < lengths[:, None]  # (B, T)
-    used, inverse = np.unique(ids[real], return_inverse=True)
-    n_rows = len(used)
-    rows = np.zeros((n_rows + 1, hp.input_dim), dtype=p["proj_W"].dtype)  # last: padding
-    rows[:n_rows, : hp.word_dim] = p["word_emb"][table.word_ids[used]]
-    char_cache = None
-    if hp.use_char_channel:
-        chars = table.char_ids[used]
-        filled = np.flatnonzero((chars != PAD).any(axis=0))
-        width = int(filled[-1]) + 1 if filled.size else 1  # the batch's longest word
-        _, first, char_of = np.unique(
-            table.char_keys[used], return_index=True, return_inverse=True
-        )
-        rep, char_cache = _char_forward(chars[first, :width], model)
-        char_cache["inverse"] = char_of[inverse]
-        rows[:n_rows, hp.word_dim :] = rep[char_of]
-    index = np.full((b_len, t_max), n_rows)
-    index[real] = inverse
     m1, m2 = _dropout_masks(model, real, train_mode, dropout_seed)
     if m1 is not None:
         rows = (rows[index] * m1).reshape(-1, hp.input_dim)
@@ -439,8 +517,7 @@ def _forward(
     h_d = h_cat * m2 if m2 is not None else h_cat
     emissions = h_d.reshape(-1, h_d.shape[2]) @ p["proj_W"] + p["proj_b"]
     cache = {
-        "lengths": lengths, "real": real, "rev": rev, "word_ids": table.word_ids[ids[real]],
-        "char": char_cache, "m1": m1, "m2": m2,
+        "lengths": lengths, "real": real, "rev": rev, "m1": m1, "m2": m2,
         "lstm_f": cache_f, "lstm_b": cache_b, "h_d": h_d,
     }
     return emissions.reshape(b_len, t_max, -1), cache
@@ -448,14 +525,15 @@ def _forward(
 
 def _backward_net(
     d_emissions: np.ndarray, model: TaggerModel, cache: dict, grads: dict[str, np.ndarray]
-) -> None:
+) -> np.ndarray:
     """Accumulate network gradients given d loss / d emissions, (B, T, n_tags).
 
     Padded steps must carry zero gradient; they then contribute nothing.
+    Returns d loss / d input row of every real step, (tokens, Din), log
+    after log.
     """
     p = model.params
-    hp = model.hp
-    h_dim = hp.lstm_hidden
+    h_dim = model.hp.lstm_hidden
     d_emissions = d_emissions.astype(p["proj_W"].dtype)
     h_d = cache["h_d"]
     flat_de = d_emissions.reshape(-1, d_emissions.shape[2])
@@ -480,15 +558,7 @@ def _backward_net(
     d_u = d_inputs_f + d_inputs_b[rev]
     if cache["m1"] is not None:
         d_u = d_u * cache["m1"]
-    d_u = d_u[cache["real"]]  # (tokens, Din) in log order
-
-    np.add.at(grads["word_emb"], cache["word_ids"], d_u[:, : hp.word_dim])
-    if not hp.use_char_channel:
-        return
-    cc = cache["char"]
-    d_rep = np.zeros((len(cc["pre"]), hp.char_filters), dtype=d_u.dtype)
-    np.add.at(d_rep, cc["inverse"], d_u[:, hp.word_dim :])
-    _char_backward(d_rep, model, cc, grads)
+    return d_u[cache["real"]]
 
 
 def loss_and_gradients(
@@ -497,23 +567,37 @@ def loss_and_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean per-log CRF negative log-likelihood and exact gradients.
 
-    The batch is ``_forward``'s: a token table, the (B, T) row ids of B
-    right-padded logs and their lengths; ``gold`` holds the gold tag
-    indices in the same (B, T) layout. It runs as one forward pass, one CRF
-    forward-backward and one backward pass; log b draws its dropout masks
-    from ``dropout_seed + b``. Frozen CRF entries (IOB constraints) receive
-    zero gradient.
+    The batch is a token table, the (B, T) row ids of B right-padded logs
+    and their lengths; ``gold`` holds the gold tag indices in the same
+    (B, T) layout. The input layer runs over the batch's distinct rows (the
+    char-CNN as in ``decode``, each distinct char key once), then one
+    forward pass, one CRF forward-backward and one backward pass; log b
+    draws its dropout masks from ``dropout_seed + b``. Frozen CRF entries
+    (IOB constraints) receive zero gradient.
     """
-    p = model.params
+    p, hp = model.params, model.hp
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-    emissions, cache = _forward(table, model, ids, lengths, train_mode, dropout_seed)
+    used, index = _distinct_rows(ids, lengths)
+    char_rep = char_cache = None
+    if hp.use_char_channel:
+        char_rep, char_cache = _char_reps(table.char_ids[used], table.char_keys[used], model)
+    word_ids = table.word_ids[used]
+    emissions, cache = _forward(
+        _input_rows(model, word_ids, char_rep), model, index, lengths, train_mode, dropout_seed
+    )
     loss, d_e, d_trans, d_s, d_e_end = crf.nll_gradients(
         emissions, p["trans"], p["start"], p["end"], gold, lengths
     )
     grads["trans"] += d_trans.astype(p["trans"].dtype)
     grads["start"] += d_s.astype(p["start"].dtype)
     grads["end"] += d_e_end.astype(p["end"].dtype)
-    _backward_net(d_e, model, cache, grads)
+    d_u = _backward_net(d_e, model, cache, grads)
+    read = index[cache["real"]]  # the row each real step read, log after log
+    np.add.at(grads["word_emb"], word_ids[read], d_u[:, : hp.word_dim])
+    if char_cache is not None:
+        d_rep = np.zeros((len(char_cache["chars"]), hp.char_filters), dtype=d_u.dtype)
+        np.add.at(d_rep, char_cache["inverse"][read], d_u[:, hp.word_dim :])
+        _char_backward(d_rep, model, char_cache, grads)
     scale = 1.0 / len(lengths)
     for name in grads:
         grads[name] *= scale
@@ -527,15 +611,17 @@ def loss_and_gradients(
 def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[Tag]]:
     """Viterbi-decode tokenized messages; one tag list per message, in input order.
 
-    One ``token_table`` covers the call. Messages are sorted by token count
-    and run in right-padded batches of at most BATCH_TOKENS padded tokens
-    (a longer message goes alone), each batch as its (B, T) row ids into
-    the table. Padding never reaches a message's real steps, so the batch
-    a message lands in changes its scores only by float rounding in the
+    One ``token_table`` covers the call, and ``_char_reps`` computes the
+    char-CNN output of its rows once. Messages are sorted by token count and
+    run in right-padded batches of at most BATCH_TOKENS padded tokens (a
+    longer message goes alone), each batch as the input rows of its
+    distinct tokens and its (B, T) index into them; an empty message gets
+    ``[]``. Padding never reaches a message's real steps, so the batch a
+    message lands in changes its scores only by float rounding in the
     shared matmuls, not its tags. Raises NonFiniteScores if a batch's
     real-step emissions are not all finite (weights that overflow float32);
-    the batch loop runs with numpy's overflow and invalid-value warnings
-    off, so that error is the only report.
+    the call runs with numpy's overflow and invalid-value warnings off, so
+    that error is the only report.
     """
     p = model.params
     trans = np.where(model.frozen_trans, -np.inf, p["trans"])
@@ -544,15 +630,21 @@ def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[
     starts = np.cumsum(lengths) - lengths
     order = np.argsort(lengths, kind="stable")
     out: list[list[Tag]] = [[] for _ in token_lists]
-    lo = 0
+    lo = int(np.count_nonzero(lengths == 0))  # empty messages sort first and keep []
     with np.errstate(over="ignore", invalid="ignore"):
+        char_rep = None
+        if model.hp.use_char_channel:
+            char_rep = _char_reps(table.char_ids, table.char_keys, model)[0]
         while lo < len(order):
             hi = lo + 1
             while hi < len(order) and (hi + 1 - lo) * lengths[order[hi]] <= BATCH_TOKENS:
                 hi += 1
             batch = order[lo:hi]
             n = lengths[batch]
-            emissions = _forward(table, model, _padded(ids, starts[batch], n), n)[0]
+            used, index = _distinct_rows(_padded(ids, starts[batch], n), n)
+            rows = _input_rows(model, table.word_ids[used],
+                               None if char_rep is None else char_rep[used])
+            emissions = _forward(rows, model, index, n)[0]
             if not np.isfinite(emissions[np.arange(emissions.shape[1]) < n[:, None]]).all():
                 raise NonFiniteScores("the model's emission scores are not finite")
             paths = crf.viterbi_decode(emissions, trans, start, p["end"], n)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +216,24 @@ class TestSynthetic:
         b, sb = generate_synthetic(seed=6, n_templates=6, n_logs=80)
         assert a == b
         assert sa.to_dict() == sb.to_dict()
+
+    # BLAKE2b digests of whole corpora, recorded when draws were still made
+    # with ``rng.choice``: the generator's output is pinned byte for byte
+    DIGESTS = {
+        (1, 20, 4900): "3acd10ff6599d1c31c3266fd0aebcf24",
+        (6, 5, 50): "a04b5bbf3713bd61b547b581f8d945fb",
+        (101, 10, 200): "aee0226517c9c973267b493fc46f8d93",
+        (202, 12, 300): "aac242402be15d9cbf9e27f8b3bb3edf",
+    }
+
+    @pytest.mark.parametrize("args", list(DIGESTS))
+    def test_output_is_pinned(self, args):
+        logs, spec = generate_synthetic(*args)
+        h = hashlib.blake2b(digest_size=16)
+        h.update(json.dumps(spec.to_dict(), sort_keys=True).encode())
+        for log in logs:
+            h.update(("\t".join(log.tokens) + "\n" + " ".join(map(str, log.tags)) + "\n").encode())
+        assert h.hexdigest() == self.DIGESTS[args]
 
     def test_invariants_hold_by_construction(self):
         logs, _ = generate_synthetic(seed=7, n_templates=5, n_logs=60)

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,10 +10,17 @@ from logvar.corpus import AnnotatedLog
 from logvar.embed import PAD, build_vocabs, encode_log
 from logvar.synth import generate_synthetic
 from logvar.tagger import (
+    CHAR_GROUP_MIN,
+    CHAR_GROUP_ROWS,
     FROZEN_SCORE,
     Hyperparams,
     _char_forward,
+    _char_pre,
+    _char_reps,
+    _char_table,
+    _distinct_rows,
     _forward,
+    _input_rows,
     _padded,
     decode,
     init_model,
@@ -110,15 +119,41 @@ def forward_batch(model, token_lists):
     return table, _padded(ids, np.cumsum(lengths) - lengths, lengths), lengths
 
 
+def batch_emissions(model, token_lists, train_mode=False, dropout_seed=0):
+    """``_forward`` over tokenized messages as one batch, its input rows built
+    as ``loss_and_gradients`` builds them; returns the emissions and cache."""
+    table, ids, lengths = forward_batch(model, token_lists)
+    used, index = _distinct_rows(ids, lengths)
+    char_rep = None
+    if model.hp.use_char_channel:
+        char_rep = _char_reps(table.char_ids[used], table.char_keys[used], model)[0]
+    rows = _input_rows(model, table.word_ids[used], char_rep)
+    return _forward(rows, model, index, lengths, train_mode, dropout_seed)
+
+
 def forward_one(model, tokens, train_mode=False, dropout_seed=0):
     """``_forward``'s emissions of one message, a batch of one, (T, n_tags)."""
-    table, ids, lengths = forward_batch(model, [tokens])
-    return _forward(table, model, ids, lengths, train_mode, dropout_seed)[0][0]
+    return batch_emissions(model, [tokens], train_mode, dropout_seed)[0][0]
+
+
+def char_forward(char_ids, model):
+    """``_char_forward`` over (N, L) char rows with the model's char table."""
+    return _char_forward(np.asarray(char_ids), _char_table(model)[1], model.params["char_b"])
 
 
 def char_rep(char_ids_row, model):
     """``_char_forward``'s representation of one word, a batch of one row."""
-    return _char_forward(np.asarray(char_ids_row)[None], model)[0][0]
+    return char_forward(np.asarray(char_ids_row)[None], model)[0]
+
+
+def per_batch_char_reps(char_ids, char_keys, model):
+    """The char-CNN as one decode batch ran it before reps were computed once
+    per call: each distinct char key of the batch's rows, trimmed to their
+    longest word, through one ``reference_char_forward``; a rep per row."""
+    filled = np.flatnonzero((char_ids != PAD).any(axis=0))
+    width = int(filled[-1]) + 1 if filled.size else 1
+    _, first, char_of = np.unique(char_keys, return_index=True, return_inverse=True)
+    return reference_char_forward(char_ids[first, :width], model)[0][char_of]
 
 
 def train_batch(model, logs):
@@ -183,6 +218,11 @@ class TestInit:
             shapes = {name: arr.shape for name, arr in m.params.items()}
             assert shapes == param_shapes(TINY_HP, len(wv), len(cv), m.n_tags)
 
+    def test_equality_is_identity(self, tiny_model):
+        # params is a dict of arrays, which a field-wise == cannot compare
+        assert tiny_model == tiny_model
+        assert tiny_model != copy.deepcopy(tiny_model)
+
     def test_binary_mode_three_tags(self, vocabs):
         wv, cv = vocabs
         m = init_model(TINY_HP, wv, cv, seed=0, mode=BINARY)
@@ -237,7 +277,7 @@ class TestCharTable:
             ids[row, n:] = PAD
         for dtype, rtol, atol in ((np.float32, F32_RTOL, F32_ATOL), (np.float64, 1e-12, 1e-12)):
             m = init_model(hp, wv, cv, seed=kernel, dtype=dtype)
-            rep, _ = _char_forward(ids, m)
+            rep = char_forward(ids, m)
             assert rep.dtype == dtype
             np.testing.assert_allclose(rep, direct_char_conv(ids, m), rtol=rtol, atol=atol)
 
@@ -255,23 +295,26 @@ class TestCharTable:
         for dtype in (np.float32, np.float64):
             m = init_model(hp, wv, cv, seed=kernel, dtype=dtype)
             m.params["char_emb"][PAD] = 5.0  # the stored PAD row is ignored
+            emb, table = _char_table(m)
             for chars in (ids, ids[:, :1], ids[:0]):
-                rep, cache = _char_forward(chars, m)
+                rep = _char_forward(chars, table, m.params["char_b"])
+                ids_p, pre = _char_pre(chars, table, m.params["char_b"])
                 ref_rep, ref_cache = reference_char_forward(chars, m)
                 assert rep.dtype == ref_rep.dtype == dtype
                 np.testing.assert_array_equal(rep, ref_rep)
-                for key in ("pre", "ids_p", "emb"):
-                    np.testing.assert_array_equal(cache[key], ref_cache[key])
+                np.testing.assert_array_equal(pre, ref_cache["pre"])
+                np.testing.assert_array_equal(ids_p, ref_cache["ids_p"])
+                np.testing.assert_array_equal(emb, ref_cache["emb"])
             assert rep.shape == (0, hp.char_filters)  # the empty batch, last in the loop
-            assert (_char_forward(ids, m)[0][[0, 5]] == m.params["char_b"]).all()
+            assert (char_forward(ids, m)[[0, 5]] == m.params["char_b"]).all()
 
     def test_nonzero_pad_embedding_is_ignored(self, tiny_model):
         # PAD positions contribute zero vectors whatever the stored PAD row holds
         m = init_model(TINY_HP, tiny_model.word_vocab, tiny_model.char_vocab, seed=3)
         ids = np.array([[2, 3, PAD, PAD], [4, PAD, PAD, PAD]])
-        before, _ = _char_forward(ids, m)
+        before = char_forward(ids, m)
         m.params["char_emb"][PAD] = 7.0
-        after, _ = _char_forward(ids, m)
+        after = char_forward(ids, m)
         np.testing.assert_array_equal(before, after)
 
 
@@ -282,8 +325,7 @@ class TestBatchedForward:
         toks = [log.tokens for log in logs]
         counts = [len(t) for t in toks]
         assert len(set(counts)) > 3
-        table, ids, lengths = forward_batch(m, toks)
-        emissions, cache = _forward(table, m, ids, lengths, train_mode=False, dropout_seed=0)
+        emissions, cache = batch_emissions(m, toks)
         assert emissions.shape == (len(toks), max(counts), m.n_tags)
         assert cache["lengths"].tolist() == counts
         for b, t in enumerate(toks):
@@ -292,22 +334,26 @@ class TestBatchedForward:
             )
         assert decode(m, toks) == [decode(m, [t])[0] for t in toks]
 
-    def test_char_cnn_runs_once_per_distinct_trimmed_row(self, tiny_model, monkeypatch):
+    def test_char_cnn_runs_once_per_distinct_trimmed_row(self, tiny_model, corpus, monkeypatch):
         seen = []
         real = tagger._char_forward
 
-        def spy(char_ids, model):
+        def spy(char_ids, *args):
             seen.append(char_ids)
-            return real(char_ids, model)
+            return real(char_ids, *args)
 
         monkeypatch.setattr(tagger, "_char_forward", spy)
         m = tiny_model
         a, b, c, d, e = m.char_vocab.chars()[:5]
-        words = [[a + b, c + d, a + b], [c + d, e], [a + b]]
-        table, ids, lengths = forward_batch(m, [tuple(w) for w in words])
-        _forward(table, m, ids, lengths, train_mode=False, dropout_seed=0)
+        words = [(a + b, c + d, a + b), (c + d, e), (a + b,)]
+        decode(m, words)
         (rows,) = seen
         assert rows.shape == (3, 2)  # three distinct words, two chars wide
+        seen.clear()
+        tags = [(Tag("O"),) * len(w) for w in words]
+        loss_and_gradients(m, *train_batch(m, [AnnotatedLog(w, t) for w, t in zip(words, tags)]))
+        (rows,) = seen  # a training batch runs the same input layer
+        assert rows.shape == (3, 2)
 
 
 class TestTokenTable:
@@ -344,9 +390,9 @@ class TestTokenTable:
         seen = {"char": [], "lstm": []}
         char_forward, lstm_forward = tagger._char_forward, tagger._lstm_forward
 
-        def char_spy(char_ids, m):
+        def char_spy(char_ids, *args):
             seen["char"].append(char_ids)
-            return char_forward(char_ids, m)
+            return char_forward(char_ids, *args)
 
         def lstm_spy(rows, *args):
             seen["lstm"].append(rows)
@@ -355,14 +401,13 @@ class TestTokenTable:
         monkeypatch.setattr(tagger, "_char_forward", char_spy)
         monkeypatch.setattr(tagger, "_lstm_forward", lstm_spy)
         msgs = self.messages(model)
-        table, ids, lengths = forward_batch(model, msgs)
-        _forward(table, model, ids, lengths, train_mode=False, dropout_seed=0)
+        decode(model, msgs)  # one batch
         tokens = {tok for m in msgs for tok in m}
         char_rows = {tok[: model.hp.max_word_len] for tok in tokens}
         keys = {(tok[: model.hp.max_word_len], model.word_vocab.lookup(tok)) for tok in tokens}
         assert len(char_rows) == len(tokens) - 1  # the two long words share a char row
         assert len(keys) == len(tokens)  # case variants differ in chars, long words in id
-        (char_ids,) = seen["char"]
+        (char_ids,) = seen["char"]  # one group: fewer rows than CHAR_GROUP_MIN
         assert len(char_ids) == len(char_rows)
         rows_f, rows_b = seen["lstm"]
         assert rows_f is rows_b
@@ -377,13 +422,110 @@ class TestTokenTable:
         )
         msgs = self.messages(m) + [log.tokens for log in corpus[:6]]
         encs = [encode_log(msg, m.word_vocab, m.char_vocab, m.hp.max_word_len) for msg in msgs]
-        table, ids, lengths = forward_batch(m, msgs)
-        emissions, _ = _forward(table, m, ids, lengths, train_mode=False, dropout_seed=0)
+        emissions, _ = batch_emissions(m, msgs)
         for b, enc in enumerate(encs):
             np.testing.assert_allclose(
                 emissions[b, : len(enc.word_ids)], reference_emissions(enc, m),
                 rtol=F32_RTOL, atol=F32_ATOL,
             )
+
+
+class TestCharRepsPerCall:
+    REFUSED, RESET = TestTokenTable.REFUSED, TestTokenTable.RESET
+
+    @pytest.fixture(scope="class")
+    def vocabs30(self, corpus):
+        extra = (self.REFUSED, self.RESET)
+        return build_vocabs(corpus[:30] + [AnnotatedLog(extra, (Tag("O"), Tag("O")))])
+
+    @staticmethod
+    def spy_char_forward(monkeypatch):
+        seen = []
+        real = tagger._char_forward
+
+        def spy(char_ids, table, bias):
+            seen.append((char_ids, table))
+            return real(char_ids, table, bias)
+
+        monkeypatch.setattr(tagger, "_char_forward", spy)
+        return seen
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    def test_grouped_reps_equal_per_batch_path_bitwise(self, vocabs30, kernel):
+        # tolerance: none; every real position sums the same table entries in
+        # the same order whatever group, width or batch its row runs in
+        wv, cv = vocabs30
+        hp = dataclasses.replace(TINY_HP, char_kernel=kernel, max_word_len=30)
+        rng = np.random.default_rng(kernel)
+        alphabet = cv.chars() + ["\u03a9", "\u20ac"]  # and two characters outside it (UNK)
+        tokens = ["".join(rng.choice(alphabet, size=rng.integers(1, 34))) for _ in range(400)]
+        tokens = list(dict.fromkeys(tokens + [self.REFUSED, self.RESET]))  # token_table's rows
+        for dtype in (np.float32, np.float64):
+            m = init_model(hp, wv, cv, seed=kernel, dtype=dtype)
+            table = token_table(m, [tuple(tokens)])[0]
+            refused, reset = table.char_keys[[tokens.index(self.REFUSED), tokens.index(self.RESET)]]
+            assert refused == reset
+            rep, cache = _char_reps(table.char_ids, table.char_keys, m)
+            assert rep.dtype == dtype
+            assert len(cache["groups"]) > 3
+            for batch in np.array_split(rng.permutation(len(tokens)), 3):  # as decode batches
+                oracle = per_batch_char_reps(table.char_ids[batch], table.char_keys[batch], m)
+                np.testing.assert_array_equal(rep[batch], oracle)
+
+    def test_decode_builds_one_char_table_and_convolves_each_key_once(
+        self, tiny_model, corpus, monkeypatch
+    ):
+        seen = self.spy_char_forward(monkeypatch)
+        calls = {"table": 0, "forward": 0}
+        real_table, real_forward = tagger._char_table, tagger._forward
+
+        def table_spy(model):
+            calls["table"] += 1
+            return real_table(model)
+
+        def forward_spy(*args):
+            calls["forward"] += 1
+            return real_forward(*args)
+
+        monkeypatch.setattr(tagger, "_char_table", table_spy)
+        monkeypatch.setattr(tagger, "_forward", forward_spy)
+        msgs = [log.tokens for log in corpus] * 2
+        decode(tiny_model, msgs)
+        assert calls["forward"] >= 3  # batches
+        assert calls["table"] == 1
+        assert all(table is seen[0][1] for _, table in seen)
+        table = token_table(tiny_model, msgs)[0]
+        rows = [tuple(row[row != PAD]) for chars, _ in seen for row in chars]
+        assert len(rows) == len(np.unique(table.char_keys))
+        assert set(rows) == {tuple(row[row != PAD]) for row in table.char_ids}
+
+    def test_groups_end_where_a_length_run_ends(self, tiny_model, monkeypatch):
+        seen = self.spy_char_forward(monkeypatch)
+        m = tiny_model
+        letters = m.char_vocab.chars()[:10]
+        two, three = (["".join(t) for t in itertools.product(letters, repeat=r)] for r in (2, 3))
+        # 20 + 20 rows: the first CHAR_GROUP_MIN reach the 3-char run, which
+        # the group then finishes; with CHAR_GROUP_MIN + 1 two-char rows the
+        # first group ends with the 2-char run
+        cases = ((20, [(40, 3)]), (CHAR_GROUP_MIN + 1, [(CHAR_GROUP_MIN + 1, 2), (20, 3)]))
+        for n_two, shapes in cases:
+            seen.clear()
+            table = token_table(m, [tuple(two[:n_two] + three[:20])])[0]
+            _char_reps(table.char_ids, table.char_keys, m)
+            assert [chars.shape for chars, _ in seen] == shapes
+
+    def test_more_spellings_than_the_group_cap_split_with_reps_unchanged(
+        self, tiny_model, monkeypatch
+    ):
+        seen = self.spy_char_forward(monkeypatch)
+        m = tiny_model
+        letters = m.char_vocab.chars()[:10]
+        words = ["".join(t) for t in itertools.product(letters, repeat=3)]
+        words = words[: 2 * CHAR_GROUP_ROWS + 88]  # all three characters long
+        table = token_table(m, [tuple(words)])[0]
+        rep, _ = _char_reps(table.char_ids, table.char_keys, m)
+        assert [len(chars) for chars, _ in seen] == [CHAR_GROUP_ROWS, CHAR_GROUP_ROWS, 88]
+        np.testing.assert_array_equal(rep, per_batch_char_reps(table.char_ids, table.char_keys, m))
 
 
 class TestForward:
@@ -495,6 +637,14 @@ class TestDecode:
         (tags,) = decode(m, [("alpha", "beta", "7")])
         check_iob(tags)
         assert Tag.parse("I-TID") in tags
+
+    def test_empty_messages_get_empty_tag_lists(self, tiny_model):
+        m = tiny_model
+        assert decode(m, []) == []
+        assert decode(m, [()]) == [[]]
+        assert decode(m, [(), ()]) == [[], []]
+        alpha, beta = decode(m, [("alpha",), ("beta", "7")])
+        assert decode(m, [("alpha",), (), ("beta", "7"), ()]) == [alpha, [], beta, []]
 
     def test_tag_log_deterministic(self, tiny_model):
         raw = "Starting executor ID 5 on host meso-07"
