@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -20,19 +19,22 @@ from . import synth
 from .corpus import (
     AnnotatedLog,
     SplitSpec,
-    check_utf8,
     derive_binary_annotations,
     read_annotations,
+    read_lines,
     split_dataset,
     write_annotations,
+    write_atomic,
 )
 from .embed import build_vocabs, load_word_vectors
-from .errors import AlignmentError, EmptyLog, LogvarError
+from .errors import AlignmentError, EmptyLog, FormatError, LogvarError
 from .evaluate import evaluate, to_binary_annotations
-from .parse import parse_corpus, result_record
-from .tagger import Hyperparams, init_model, tag_logs
+from .parse import DEFAULT_WILDCARD, parse_corpus, result_record
+from .tagger import Hyperparams, TaggerModel, init_model, tag_logs
 from .taxonomy import BINARY, CATEGORY_ABBREVS, MULTICLASS, VariableCategory
-from .train import GENERAL, VARIABLE_AWARE, TrainConfig, finetune, load_model, save_model, train
+from .train import (
+    GENERAL, VARIABLE_AWARE, EpochStats, TrainConfig, finetune, load_model, save_model, train,
+)
 
 DEFAULT_SEED = 42
 
@@ -41,38 +43,9 @@ class UsageError(Exception):
     pass
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    """A file's lines, split on "\n" alone (not on form feeds, "\u2028", ...),
-    less one trailing "\r" each; a byte that is not UTF-8 raises FormatError."""
-    text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
-    lines = text.removesuffix("\n").split("\n") if text else []
-    for lineno, line in enumerate(lines, 1):
-        check_utf8(path, lineno, line)
-    return [line.removesuffix("\r") for line in lines]
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(_read_lines(path), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
-
-def _echo_run_config(out_path: Path, args: argparse.Namespace) -> None:
+def _echo_run_config(out_path: str | Path, args: argparse.Namespace) -> None:
     lines = [f"{k} = {v}" for k, v in sorted(vars(args).items()) if k != "func"]
-    _atomic_write(out_path.parent / "run-config.txt", "\n".join(lines) + "\n")
+    write_atomic(Path(out_path).parent / "run-config.txt", "\n".join(lines) + "\n")
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
@@ -128,7 +101,6 @@ def cmd_split(args: argparse.Namespace) -> int:
     logs = read_annotations(args.input)
     train_set, val_set, test_set = split_dataset(logs, spec)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_annotations(train_set, out / "train.tsv")
     write_annotations(val_set, out / "val.tsv")
     write_annotations(test_set, out / "test.tsv")
@@ -148,14 +120,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"pretrained vector coverage: {coverage:.3f}", file=sys.stderr)
     model = init_model(hp, wv, cv, pretrained=pretrained, seed=args.seed, mode=args.mode)
     best, history = train(model, train_set, val_set, _train_config(args))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(best, out)
-    _echo_run_config(out, args)
-    for h in history:
-        print(f"epoch {h.epoch:3d}  loss {h.train_loss:.4f}  val {h.val_metric:.4f}")
-    print(f"saved best checkpoint to {out}")
-    return 0
+    return _save_trained(best, history, args)
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
@@ -163,29 +128,30 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     train_set = read_annotations(args.train)
     val_set = read_annotations(args.val)
     best, history = finetune(model, train_set, val_set, _train_config(args))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(best, out)
-    _echo_run_config(out, args)
+    return _save_trained(best, history, args)
+
+
+def _save_trained(best: TaggerModel, history: list[EpochStats], args: argparse.Namespace) -> int:
+    """The tail of ``train`` and ``finetune``: save the best checkpoint,
+    echo the run configuration and print the history."""
+    save_model(best, args.out)
+    _echo_run_config(args.out, args)
     for h in history:
         print(f"epoch {h.epoch:3d}  loss {h.train_loss:.4f}  val {h.val_metric:.4f}")
+    print(f"saved best checkpoint to {args.out}")
     return 0
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    blocks: list[str] = []
-    for i, annotated in enumerate(tag_logs(model, _read_lines(args.input)), start=1):
+    tagged: list[AnnotatedLog] = []
+    for i, annotated in enumerate(tag_logs(model, list(read_lines(args.input))), start=1):
         if annotated is None:
             print(f"line {i}: empty log, skipped", file=sys.stderr)
             continue
-        blocks.append(
-            "\n".join(f"{tok}\t{tag}" for tok, tag in zip(annotated.tokens, annotated.tags))
-        )
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out, "\n\n".join(blocks) + "\n")
-    _echo_run_config(out, args)
+        tagged.append(annotated)
+    write_annotations(tagged, args.output)
+    _echo_run_config(args.output, args)
     return 0
 
 
@@ -194,7 +160,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     if model.mode != MULTICLASS:
         raise UsageError("parsing requires a multiclass model")
     preserve = _parse_preserve(args.preserve)
-    results, store = parse_corpus(model, _read_lines(args.input), preserve,
+    results, store = parse_corpus(model, list(read_lines(args.input)), preserve,
                                   wildcard=args.wildcard)
     records = []
     for i, result in enumerate(results, start=1):
@@ -202,15 +168,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
             print(f"line {i}: empty log, skipped", file=sys.stderr)
             continue
         records.append(result_record(i, result))
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out, "\n".join(records) + "\n")
+    write_atomic(args.output, "\n".join(records) + "\n")
     if args.templates:
-        _atomic_write(
-            Path(args.templates),
+        write_atomic(
+            args.templates,
             "\n".join(json.dumps(e, ensure_ascii=False) for e in store.summary()) + "\n",
         )
-    _echo_run_config(out, args)
+    _echo_run_config(args.output, args)
     print(f"parsed {len(records)} logs into {len(store.entries)} templates")
     return 0
 
@@ -222,38 +186,40 @@ def cmd_eval(args: argparse.Namespace) -> int:
         golds = [to_binary_annotations(l) for l in golds]
         preds = [to_binary_annotations(l) for l in preds]
     report = evaluate(preds, golds, token_level=args.token_level)
-    out = Path(args.report)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out, report.to_json() + "\n")
+    write_atomic(args.report, report.to_json() + "\n")
     print(report.to_text())
-    _echo_run_config(out, args)
+    _echo_run_config(args.report, args)
     return 0
 
 
 def cmd_derive_annotations(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     derived: list[AnnotatedLog] = []
     errors: list[str] = []
-    # newline="": the csv module splits rows itself (a quoted field may hold one)
-    reader = csv.DictReader(io.StringIO("\n".join(_read_lines(args.structured)), newline=""))
-    if reader.fieldnames is None or args.content_col not in reader.fieldnames \
-            or args.template_col not in reader.fieldnames:
-        raise UsageError(
-            f"columns {args.content_col!r}/{args.template_col!r} not in {args.structured}"
-        )
-    for i, row in enumerate(reader, start=2):  # header is line 1
-        try:
-            derived.append(
-                derive_binary_annotations(row[args.content_col], row[args.template_col])
+    # the csv module ends rows itself (a quoted field may hold a "\n"), so each
+    # line gets back the "\n" that read_lines takes off; a short row's missing
+    # fields read as empty, an empty log
+    reader = csv.DictReader((line + "\n" for line in read_lines(args.structured)), restval="")
+    try:
+        if reader.fieldnames is None or args.content_col not in reader.fieldnames \
+                or args.template_col not in reader.fieldnames:
+            raise UsageError(
+                f"columns {args.content_col!r}/{args.template_col!r} not in {args.structured}"
             )
-        except (AlignmentError, EmptyLog) as exc:
-            errors.append(f"line {i}: {exc}")
+        for i, row in enumerate(reader, start=2):  # header is line 1
+            try:
+                derived.append(
+                    derive_binary_annotations(row[args.content_col], row[args.template_col])
+                )
+            except (AlignmentError, EmptyLog) as exc:
+                errors.append(f"line {i}: {exc}")
+    except csv.Error as exc:  # e.g. a lone "\r" outside a quoted field
+        raise FormatError(f"{args.structured}: line {reader.reader.line_num}: {exc}") from exc
     write_annotations(derived, out)
     if errors:
-        _atomic_write(out.with_suffix(out.suffix + ".errors"), "\n".join(errors) + "\n")
-        print(f"{len(errors)} rows could not be aligned "
-              f"(see {out.with_suffix(out.suffix + '.errors')})", file=sys.stderr)
+        sidecar = out.with_suffix(out.suffix + ".errors")
+        write_atomic(sidecar, "\n".join(errors) + "\n")
+        print(f"{len(errors)} rows could not be aligned (see {sidecar})", file=sys.stderr)
     _echo_run_config(out, args)
     print(f"derived {len(derived)} binary-annotated logs")
     return 0
@@ -262,9 +228,8 @@ def cmd_derive_annotations(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     logs, spec = synth.generate_synthetic(args.seed, args.templates, args.logs)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_annotations(logs, out)
-    _atomic_write(
+    write_atomic(
         out.with_suffix(out.suffix + ".spec.json"), json.dumps(spec.to_dict(), indent=2) + "\n"
     )
     counts: dict[str, int] = {c: 0 for c in CATEGORY_ABBREVS}
@@ -352,7 +317,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--preserve", default="", help="comma-separated category abbreviations")
-    p.add_argument("--wildcard", default="<*>")
+    p.add_argument("--wildcard", default=DEFAULT_WILDCARD)
     p.add_argument("--output", required=True, help="line-delimited JSON records")
     p.add_argument("--templates", help="templates summary file")
     p.set_defaults(func=cmd_parse)
@@ -389,12 +354,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
     """Values from the ``--config`` file for the options of ``args.command``.
 
-    Keys the command has no option for are skipped, so one file can serve
-    several commands. A flag's value is true for 1/true/yes; other values
-    stay strings, which argparse converts with the option's type.
+    Each line is ``key = value``; ``#`` starts a comment. Keys the command
+    has no option for are skipped, so one file can serve several commands.
+    A flag's value is true for 1/true/yes; other values stay strings, which
+    argparse converts with the option's type.
     """
     defaults: dict[str, object] = {}
-    for key, value in _read_config_file(args.config).items():
+    for lineno, line in enumerate(read_lines(args.config), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{args.config}: line {lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
         if key in ("command", "config", "func") or not hasattr(args, key):
             continue
         if isinstance(getattr(args, key), bool):

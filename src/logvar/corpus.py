@@ -1,4 +1,13 @@
-"""Tokenization, annotation file I/O, template-alignment annotation, splits.
+"""Tokenization, file I/O, template-alignment annotation, splits.
+
+Every text file the toolkit reads (annotation, word-vector, config and
+structured CSV files, raw log lines) goes through ``read_lines``: UTF-8,
+split on "\n" alone with one trailing "\r" stripped per line, so a lone
+"\r", a form feed or a Unicode line separator stays inside its line. A
+byte that is not UTF-8, and every error a reader finds, raises naming the
+file and line ("{path}: line N: ..."). Every file the toolkit writes goes
+through ``write_atomic``, which creates the parent directory and renames a
+finished temporary file over the target, so no reader sees half a file.
 
 Annotation file format: UTF-8 text, one "token<TAB>tag" per line, logs
 separated by exactly one blank line, lines starting with "# " are comments.
@@ -8,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,13 +33,24 @@ WILDCARDS = ("<*>", "*")
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def check_utf8(path: str | Path, lineno: int, line: str) -> None:
-    """Raise FormatError naming the file and line if ``line`` held non-UTF-8 bytes.
+def read_lines(path: str | Path) -> Iterator[str]:
+    """Stream a text file's lines, split on "\n" alone, less one trailing
+    "\r" each; a byte that is not UTF-8 raises FormatError."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if _UNDECODED.search(line):
+                raise FormatError(f"{path}: line {lineno}: not UTF-8 text")
+            yield line.removesuffix("\n").removesuffix("\r")
 
-    ``line`` must come from a file opened with errors="surrogateescape".
-    """
-    if _UNDECODED.search(line):
-        raise FormatError(f"{path}: line {lineno}: not UTF-8 text")
+
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write ``data`` (a str as UTF-8) to ``path``: create the parent
+    directory, write ``<path>.tmp``, then rename it over ``path``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    tmp.replace(path)
 
 
 def tokenize(raw: str) -> list[str]:
@@ -68,71 +89,50 @@ class AnnotatedLog:
         return " ".join(self.tokens)
 
 
-def read_annotations(path: str | Path, strict: bool = True) -> list[AnnotatedLog]:
+def read_annotations(path: str | Path) -> list[AnnotatedLog]:
     """Read annotated logs from a CoNLL-style file.
 
-    With ``strict`` (default), any malformed line, unknown tag, or
-    IOB-ill-formed block raises; otherwise offending blocks are skipped
-    and the rest returned. Bytes that are not UTF-8 raise FormatError in
-    either mode.
+    A malformed line, an unknown tag or an IOB-ill-formed block raises,
+    naming the file and line.
     """
     logs: list[AnnotatedLog] = []
     tokens: list[str] = []
     tags: list[Tag] = []
-    block_bad = False
 
     def flush(lineno: int) -> None:
-        nonlocal block_bad
         if tokens:
-            if not block_bad:
-                try:
-                    logs.append(AnnotatedLog(tuple(tokens), tuple(tags)))
-                except (ValueError, IOBError) as exc:
-                    if strict:
-                        raise IOBError(f"line {lineno}: {exc}") from exc
+            try:
+                logs.append(AnnotatedLog(tuple(tokens), tuple(tags)))
+            except (ValueError, IOBError) as exc:
+                raise IOBError(f"{path}: line {lineno}: {exc}") from exc
             tokens.clear()
             tags.clear()
-        block_bad = False
 
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        lineno = 0
-        for lineno, line in enumerate(fh, start=1):
-            check_utf8(path, lineno, line)
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                continue
-            if not line.strip():
-                flush(lineno)
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                if strict:
-                    raise FormatError(f"line {lineno}: expected 'token<TAB>tag', got {line!r}")
-                block_bad = True
-                continue
-            try:
-                tag = Tag.parse(parts[1])
-            except TagError as exc:
-                if strict:
-                    raise TagError(f"line {lineno}: {exc}") from exc
-                block_bad = True
-                continue
-            tokens.append(parts[0])
-            tags.append(tag)
-        flush(lineno)
+    lineno = 0
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if line.startswith("# "):
+            continue
+        if not line.strip():
+            flush(lineno)
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise FormatError(f"{path}: line {lineno}: expected 'token<TAB>tag', got {line!r}")
+        try:
+            tag = Tag.parse(parts[1])
+        except TagError as exc:
+            raise TagError(f"{path}: line {lineno}: {exc}") from exc
+        tokens.append(parts[0])
+        tags.append(tag)
+    flush(lineno)
     return logs
 
 
 def write_annotations(logs: list[AnnotatedLog], path: str | Path) -> None:
     """Write annotated logs in the format read_annotations consumes."""
-    tmp = Path(path).with_suffix(Path(path).suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for i, log in enumerate(logs):
-            if i:
-                fh.write("\n")
-            for tok, tag in zip(log.tokens, log.tags):
-                fh.write(f"{tok}\t{tag}\n")
-    tmp.replace(path)
+    write_atomic(path, "\n".join(
+        "".join(f"{tok}\t{tag}\n" for tok, tag in zip(log.tokens, log.tags)) for log in logs
+    ))
 
 
 def derive_binary_annotations(content: str, template: str) -> AnnotatedLog:

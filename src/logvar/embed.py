@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import AnnotatedLog, check_utf8
+from .corpus import AnnotatedLog, read_lines
 from .errors import DimensionMismatch, FormatError
 
 PAD = 0
@@ -90,31 +90,30 @@ def load_word_vectors(
     Rows for vocabulary words found in the file are copied; the rest
     (including UNK) are uniform in [-0.25, 0.25] and PAD is zeroed.
     Returns the (|vocab|, dim) matrix and the coverage ratio
-    found / (|vocab| - 2). Bytes that are not UTF-8 raise FormatError.
+    found / (|vocab| - 2). The file is streamed; errors name its path and
+    line.
     """
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-0.25, 0.25, size=(len(vocab), dim)).astype(np.float32)
     matrix[PAD] = 0.0
     found = 0
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            check_utf8(path, lineno, line)
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                raise FormatError(f"line {lineno}: not a word-vector line")
-            word, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise DimensionMismatch(
-                    f"line {lineno}: vector has {len(values)} entries, expected {dim}"
-                )
-            idx = vocab.index.get(word.lower())
-            if idx is None:
-                continue
-            try:
-                matrix[idx] = np.asarray([float(v) for v in values], dtype=np.float32)
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
-            found += 1
+    for lineno, line in enumerate(read_lines(path), start=1):
+        parts = line.split(" ")
+        if len(parts) < 2:
+            raise FormatError(f"{path}: line {lineno}: not a word-vector line")
+        word, values = parts[0], parts[1:]
+        if len(values) != dim:
+            raise DimensionMismatch(
+                f"{path}: line {lineno}: vector has {len(values)} entries, expected {dim}"
+            )
+        idx = vocab.index.get(word.lower())
+        if idx is None:
+            continue
+        try:
+            matrix[idx] = np.asarray([float(v) for v in values], dtype=np.float32)
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        found += 1
     coverage = found / max(len(vocab) - len(_RESERVED), 1)
     return matrix, coverage
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import AnnotatedLog
+from .parse import DEFAULT_WILDCARD
 from .taxonomy import OUTSIDE, Tag, VariableCategory
 
 _LETTERS = np.array(list("abcdefghijklmnopqrstuvwxyz"))
@@ -36,7 +37,7 @@ class TemplateSpec:
 
     @property
     def canonical(self) -> str:
-        return " ".join("<*>" if e is None else e for e in self.elements)
+        return " ".join(DEFAULT_WILDCARD if e is None else e for e in self.elements)
 
 
 @dataclass(frozen=True)

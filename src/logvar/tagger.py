@@ -415,15 +415,16 @@ def _lstm_backward(
 
 
 def _dropout_masks(
-    model: TaggerModel, real: np.ndarray, train_mode: bool, dropout_seed: int
+    model: TaggerModel, real: np.ndarray, dropout_seed: int | None
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Inverted-dropout masks of the LSTM inputs and outputs, (B, T, width).
+    """Inverted-dropout masks of the LSTM inputs and outputs, (B, T, width),
+    or None for both without dropout (``dropout_seed`` None or rate 0).
 
     Log b draws its masks over its real steps from ``dropout_seed + b``:
     the masks it would get alone at that seed. Padded steps get zero.
     """
     p = model.hp.dropout
-    if not train_mode or p == 0.0:
+    if dropout_seed is None or p == 0.0:
         return None, None
     scale = 1.0 / (1.0 - p)
     dtype = model.params["proj_W"].dtype
@@ -485,15 +486,16 @@ def _input_rows(
 
 def _forward(
     rows: np.ndarray, model: TaggerModel, index: np.ndarray, lengths: np.ndarray,
-    train_mode: bool = False, dropout_seed: int = 0,
+    dropout_seed: int | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Emission scores of a right-padded batch of logs, (B, T, n_tags).
 
     ``rows`` are the batch's input rows from ``_input_rows``, and step t of
     log b reads row ``index[b, t]`` (``_distinct_rows``). Log b's steps
     [0, lengths[b]) are real; its padded steps score garbage that no caller
-    reads. Without dropout both LSTM directions project each row once; under
-    dropout every position has its own masked row. Returns the emissions
+    reads. ``dropout_seed`` None means no dropout: both LSTM directions then
+    project each row once; under dropout (masks from ``_dropout_masks``)
+    every position has its own masked row. Returns the emissions
     and the cache the backward pass reads.
     """
     p = model.params
@@ -501,7 +503,7 @@ def _forward(
     b_len, t_max = index.shape
     steps = np.arange(t_max)
     real = steps < lengths[:, None]  # (B, T)
-    m1, m2 = _dropout_masks(model, real, train_mode, dropout_seed)
+    m1, m2 = _dropout_masks(model, real, dropout_seed)
     if m1 is not None:
         rows = (rows[index] * m1).reshape(-1, hp.input_dim)
         index = np.arange(b_len * t_max).reshape(b_len, t_max)
@@ -563,7 +565,7 @@ def _backward_net(
 
 def loss_and_gradients(
     model: TaggerModel, table: EncodedLog, ids: np.ndarray, lengths: np.ndarray,
-    gold: np.ndarray, train_mode: bool = True, dropout_seed: int = 0,
+    gold: np.ndarray, dropout_seed: int = 0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean per-log CRF negative log-likelihood and exact gradients.
 
@@ -583,7 +585,7 @@ def loss_and_gradients(
         char_rep, char_cache = _char_reps(table.char_ids[used], table.char_keys[used], model)
     word_ids = table.word_ids[used]
     emissions, cache = _forward(
-        _input_rows(model, word_ids, char_rep), model, index, lengths, train_mode, dropout_seed
+        _input_rows(model, word_ids, char_rep), model, index, lengths, dropout_seed
     )
     loss, d_e, d_trans, d_s, d_e_end = crf.nll_gradients(
         emissions, p["trans"], p["start"], p["end"], gold, lengths

@@ -16,6 +16,7 @@ all preceding bytes.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import AnnotatedLog
+from .corpus import AnnotatedLog, write_atomic
 from .embed import CharVocab, WordVocab
 from .errors import ChecksumError, DivergenceError, FormatError, VersionError
 from .evaluate import general_accuracy, variable_aware_accuracy
@@ -41,6 +42,8 @@ from .taxonomy import BINARY, MULTICLASS, tag_vocabulary
 
 MAGIC = b"VALB"
 FORMAT_VERSION = 1
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator term
 
 VARIABLE_AWARE = "variable_aware_accuracy"
 GENERAL = "general_accuracy"
@@ -71,32 +74,30 @@ class EpochStats:
 
 
 class Adam:
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
         # param -= lr * (m/bc1) / (sqrt(v/bc2) + eps), so results are bitwise those
         for k, g in grads.items():
             m, v = self.m[k], self.v[k]
-            tmp = np.multiply(g, 1.0 - self.beta1)
-            m *= self.beta1
+            tmp = np.multiply(g, 1.0 - BETA1)
+            m *= BETA1
             m += tmp
-            np.multiply(g, 1.0 - self.beta2, out=tmp)
+            np.multiply(g, 1.0 - BETA2, out=tmp)
             tmp *= g
-            v *= self.beta2
+            v *= BETA2
             v += tmp
             np.divide(v, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += self.eps
+            tmp += EPS
             step = m / bc1
             step *= self.lr
             step /= tmp
@@ -149,7 +150,7 @@ def train(
             dropout_seed = cfg.seed * 1_000_003 + epoch * 10_007 + b_idx * 131
             loss, grads = loss_and_gradients(
                 model, table, _padded(ids, starts[batch], n), n,
-                _padded(gold, starts[batch], n), train_mode=True, dropout_seed=dropout_seed,
+                _padded(gold, starts[batch], n), dropout_seed,
             )
             if not np.isfinite(loss):
                 raise DivergenceError(
@@ -199,7 +200,7 @@ def _metadata(model: TaggerModel) -> dict:
 
 
 def save_model(model: TaggerModel, path: str | Path) -> None:
-    """Write the model file atomically (temp file + rename)."""
+    """Write the model file with ``write_atomic``."""
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", FORMAT_VERSION)
@@ -215,13 +216,8 @@ def save_model(model: TaggerModel, path: str | Path) -> None:
         blob += struct.pack("<B", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.tobytes()
-    import hashlib
-
     blob += hashlib.blake2b(bytes(blob), digest_size=8).digest()
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(bytes(blob))
-    tmp.replace(path)
+    write_atomic(path, bytes(blob))
 
 
 def _is_str_list(value: object, max_len: int | None = None) -> bool:
@@ -289,8 +285,6 @@ def load_model(path: str | Path) -> TaggerModel:
     IOB-forbidden entries of ``trans`` and ``start`` hold ``FROZEN_SCORE``;
     any mismatch raises ``FormatError``.
     """
-    import hashlib
-
     blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise FormatError(f"{path}: not a model file (bad magic)")

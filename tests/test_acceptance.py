@@ -138,15 +138,15 @@ def test_criterion_2_gradient_finite_differences():
         starts = np.cumsum(lengths) - lengths
         gold = np.array([model.tag_index(t) for l in logs for t in l.tags])
         batch = (table, _padded(ids, starts, lengths), lengths, _padded(gold, starts, lengths))
-        _, grads = loss_and_gradients(model, *batch, train_mode=True, dropout_seed=b)
+        _, grads = loss_and_gradients(model, *batch, dropout_seed=b)
         for name, arr in model.params.items():
             flat, gflat = arr.ravel(), grads[name].ravel()
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up, _ = loss_and_gradients(model, *batch, train_mode=True, dropout_seed=b)
+                up, _ = loss_and_gradients(model, *batch, dropout_seed=b)
                 flat[i] = orig - h
-                dn, _ = loss_and_gradients(model, *batch, train_mode=True, dropout_seed=b)
+                dn, _ = loss_and_gradients(model, *batch, dropout_seed=b)
                 flat[i] = orig
                 fd = (up - dn) / (2 * h)
                 rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6)

@@ -1,11 +1,15 @@
 import json
+import re
 
 import pytest
 
-from logvar.cli import _hyperparams, _read_lines, _train_config, build_parser, main
-from logvar.corpus import read_annotations, write_annotations
+from logvar.cli import _config_defaults, _hyperparams, _train_config, build_parser, main
+from logvar.corpus import AnnotatedLog, read_annotations, read_lines, write_annotations
+from logvar.embed import build_vocabs, load_word_vectors
+from logvar.errors import FormatError
 from logvar.synth import generate_synthetic
 from logvar.tagger import Hyperparams
+from logvar.taxonomy import OUTSIDE
 from logvar.train import TrainConfig
 
 
@@ -121,6 +125,17 @@ class TestBadInput:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
         assert not (tmp_path / "m.valb").exists()
 
+    def test_malformed_val_file_is_named(self, trained_model, tmp_path, capsys):
+        d, _ = trained_model
+        bad = tmp_path / "bad-val.tsv"
+        bad.write_text("a\tO\nno tab here\n")
+        assert main(["train", "--train", str(d / "train.tsv"), "--val", str(bad),
+                     "--out", str(tmp_path / "m.valb"), "--epochs", "1"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "FormatError"
+        assert err["message"].startswith(f"{bad}: line 2: ")
+        assert not (tmp_path / "m.valb").exists()
+
 
 class TestDefaults:
     def test_train_defaults_are_the_dataclass_defaults(self):
@@ -188,9 +203,9 @@ class TestRawLines:
     def test_lines_split_on_newline_alone(self, tmp_path):
         path = tmp_path / "raw.txt"
         path.write_bytes("a\x0cb\r\nc\x85d\u2028e\x1c\n\nf\rg".encode())
-        assert _read_lines(path) == ["a\x0cb", "c\x85d\u2028e\x1c", "", "f\rg"]
+        assert list(read_lines(path)) == ["a\x0cb", "c\x85d\u2028e\x1c", "", "f\rg"]
         path.write_bytes(b"")
-        assert _read_lines(path) == []
+        assert list(read_lines(path)) == []
 
     def test_form_feed_stays_inside_its_line(self, trained_model, tmp_path):
         d, model_path = trained_model
@@ -221,6 +236,82 @@ class TestRawLines:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "FormatError"
         assert "input.txt: line 2" in err["message"]
+
+
+def _run(argv):
+    """Run a command as ``main`` does, but let its errors propagate."""
+    args = build_parser()[0].parse_args(argv)
+    return args.func(args)
+
+
+def _annotation_tokens(path, tmp_path, model_path):
+    return [log.tokens for log in read_annotations(path)]
+
+
+def _vector_rows(path, tmp_path, model_path):
+    wv, _ = build_vocabs([AnnotatedLog(("a", "b", "c"), (OUTSIDE,) * 3)])
+    matrix, _ = load_word_vectors(path, wv, dim=2)
+    return matrix[[wv.lookup(w) for w in "abc"]].tolist()
+
+
+def _config_values(path, tmp_path, model_path):
+    parser, _ = build_parser()
+    return _config_defaults(parser.parse_args(
+        ["--config", str(path), "split", "--input", "in.tsv", "--out-dir", str(tmp_path)]))
+
+
+def _parsed_line_numbers(path, tmp_path, model_path):
+    out = tmp_path / "parsed.jsonl"
+    _run(["parse", "--model", str(model_path), "--input", str(path), "--output", str(out)])
+    return [json.loads(line)["line_no"] for line in out.read_text().splitlines()]
+
+
+def _derived_tokens(path, tmp_path, model_path):
+    out = tmp_path / "derived.tsv"
+    _run(["derive-annotations", "--structured", str(path), "--out", str(out)])
+    return [log.tokens for log in read_annotations(out)]
+
+
+# Each text input, three lines of it and what reading them gives. Line 2
+# holds a lone "\r" and a form feed; if either broke the line, the reading
+# would differ (a comment's tail would become a line of its own).
+TEXT_INPUTS = {
+    "annotations": (_annotation_tokens, ("a\tO", "# note\rb\tO\x0c", "c\tO"), [("a", "c")]),
+    "vectors": (_vector_rows, ("a 1 2", "b 3\r 4\x0c", "c 5 6"), [[1, 2], [3, 4], [5, 6]]),
+    "config": (_config_values, ("seed = 9", "# note\rseed = 5\x0c", "ratios = 0.2,0.2,0.6"),
+               {"seed": "9", "ratios": "0.2,0.2,0.6"}),
+    "parse": (_parsed_line_numbers, ("alpha 1", "beta\r2\x0cgamma", "delta 3"), [1, 2, 3]),
+    "derive-annotations": (
+        _derived_tokens,
+        ("Content,EventTemplate", '"took\r5\x0cs",took <*> s', "took 7 s,took <*> s"),
+        [("took", "5", "s"), ("took", "7", "s")],
+    ),
+}
+
+
+class TestOneLinePolicy:
+    """Every text input splits lines the same way and names the file and line."""
+
+    @pytest.mark.parametrize("name", list(TEXT_INPUTS))
+    def test_same_split_and_error_for_every_text_input(self, trained_model, tmp_path, name):
+        _, model_path = trained_model
+        read, lines, expected = TEXT_INPUTS[name]
+        first, second, third = (line.encode() for line in lines)
+        good = tmp_path / "good.txt"
+        good.write_bytes(first + b"\r\n" + second + b"\r\n" + third + b"\r\n")
+        assert read(good, tmp_path, model_path) == expected
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(first + b"\r\n" + second + b"\r\n\xff" + third + b"\r\n")
+        with pytest.raises(FormatError) as info:
+            read(bad, tmp_path, model_path)
+        assert str(info.value).startswith(f"{bad}: line 3: ")
+
+    def test_lone_carriage_return_outside_quotes_is_a_csv_format_error(self, tmp_path):
+        path = tmp_path / "structured.csv"
+        path.write_bytes(b"Content,EventTemplate\ntook\r5 s,took <*> s\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 2: "):
+            _run(["derive-annotations", "--structured", str(path),
+                  "--out", str(tmp_path / "o.tsv")])
 
 
 class TestEval:
@@ -312,6 +403,16 @@ class TestDeriveAnnotations:
         sidecar = out.with_suffix(out.suffix + ".errors")
         assert sidecar.exists()
         assert "line 2" in sidecar.read_text()
+
+
+    def test_short_row_goes_to_errors_sidecar(self, tmp_path):
+        csv_path = tmp_path / "structured.csv"
+        csv_path.write_text("Content,EventTemplate\nonly content\nx 1,x <*>\n")
+        out = tmp_path / "derived.tsv"
+        assert main(["derive-annotations", "--structured", str(csv_path),
+                     "--out", str(out)]) == 0
+        assert [log.tokens for log in read_annotations(out)] == [("x", "1")]
+        assert out.with_suffix(out.suffix + ".errors").read_text().startswith("line 2: ")
 
 
 class TestSynth:

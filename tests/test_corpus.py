@@ -13,6 +13,7 @@ from logvar.corpus import (
     split_dataset,
     tokenize,
     write_annotations,
+    write_atomic,
 )
 from logvar.errors import (
     AlignmentError,
@@ -93,36 +94,38 @@ class TestAnnotationIO:
         with pytest.raises(FormatError, match="line 2"):
             read_annotations(path)
 
-    def test_non_strict_skips_bad_blocks(self, tmp_path):
-        path = tmp_path / "ann.tsv"
-        path.write_text("a\tO\nb\tB-XYZ\n\nc\tO\n")
-        logs = read_annotations(path, strict=False)
-        assert len(logs) == 1
-        assert logs[0].tokens == ("c",)
-
     def test_round_trip(self, tmp_path):
         logs, _ = generate_synthetic(seed=9, n_templates=5, n_logs=50)
         path = tmp_path / "ann.tsv"
         write_annotations(logs, path)
         assert read_annotations(path) == logs
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_non_utf8_bytes_name_file_and_line(self, tmp_path, strict):
+    def test_non_utf8_bytes_name_file_and_line(self, tmp_path):
         path = tmp_path / "ann.tsv"
         path.write_bytes("a\tO\n\nb\tO\n".encode() + b"\xffc\tO\n")
         with pytest.raises(FormatError, match=r"ann\.tsv: line 4: not UTF-8"):
-            read_annotations(path, strict=strict)
+            read_annotations(path)
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.binary(max_size=200), strict=st.booleans())
-    def test_arbitrary_bytes_give_logs_or_a_logvar_error(self, tmp_path_factory, data, strict):
+    @given(data=st.binary(max_size=200))
+    def test_arbitrary_bytes_give_logs_or_a_logvar_error(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("fuzz") / "ann.tsv"
         path.write_bytes(data)
         try:
-            logs = read_annotations(path, strict=strict)
+            logs = read_annotations(path)
         except LogvarError:
             return
         assert all(isinstance(log, AnnotatedLog) for log in logs)
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("data", ["text \u00e9\n", b"\x00\xffbytes"], ids=["str", "bytes"])
+    def test_creates_missing_directories_and_leaves_no_temp_file(self, tmp_path, data):
+        path = tmp_path / "a" / "b" / "out.txt"
+        write_atomic(path, "old")
+        write_atomic(path, data)
+        assert path.read_bytes() == (data.encode() if isinstance(data, str) else data)
+        assert list(path.parent.iterdir()) == [path]
 
 
 class TestDeriveBinary:

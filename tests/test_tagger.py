@@ -119,7 +119,7 @@ def forward_batch(model, token_lists):
     return table, _padded(ids, np.cumsum(lengths) - lengths, lengths), lengths
 
 
-def batch_emissions(model, token_lists, train_mode=False, dropout_seed=0):
+def batch_emissions(model, token_lists, dropout_seed=None):
     """``_forward`` over tokenized messages as one batch, its input rows built
     as ``loss_and_gradients`` builds them; returns the emissions and cache."""
     table, ids, lengths = forward_batch(model, token_lists)
@@ -128,12 +128,12 @@ def batch_emissions(model, token_lists, train_mode=False, dropout_seed=0):
     if model.hp.use_char_channel:
         char_rep = _char_reps(table.char_ids[used], table.char_keys[used], model)[0]
     rows = _input_rows(model, table.word_ids[used], char_rep)
-    return _forward(rows, model, index, lengths, train_mode, dropout_seed)
+    return _forward(rows, model, index, lengths, dropout_seed)
 
 
-def forward_one(model, tokens, train_mode=False, dropout_seed=0):
+def forward_one(model, tokens, dropout_seed=None):
     """``_forward``'s emissions of one message, a batch of one, (T, n_tags)."""
-    return batch_emissions(model, [tokens], train_mode, dropout_seed)[0][0]
+    return batch_emissions(model, [tokens], dropout_seed)[0][0]
 
 
 def char_forward(char_ids, model):
@@ -532,17 +532,17 @@ class TestForward:
     def test_emission_shape_and_determinism(self, tiny_model, corpus):
         m = tiny_model
         tokens = corpus[0].tokens
-        e1 = forward_one(m, tokens, train_mode=False)
-        e2 = forward_one(m, tokens, train_mode=False)
+        e1 = forward_one(m, tokens)
+        e2 = forward_one(m, tokens)
         assert e1.shape == (len(tokens), 21)
         np.testing.assert_array_equal(e1, e2)
 
     def test_dropout_seed_controls_train_mode(self, tiny_model, corpus):
         m = tiny_model
         tokens = corpus[0].tokens
-        a = forward_one(m, tokens, train_mode=True, dropout_seed=1)
-        b = forward_one(m, tokens, train_mode=True, dropout_seed=1)
-        c = forward_one(m, tokens, train_mode=True, dropout_seed=2)
+        a = forward_one(m, tokens, dropout_seed=1)
+        b = forward_one(m, tokens, dropout_seed=1)
+        c = forward_one(m, tokens, dropout_seed=2)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -558,8 +558,8 @@ class TestForward:
         zeroed.params["char_emb"][:] = 0.0
         zeroed.params["char_b"][:] = 0.0
         np.testing.assert_allclose(
-            forward_one(ablated, corpus[1].tokens, train_mode=False),
-            forward_one(zeroed, corpus[1].tokens, train_mode=False),
+            forward_one(ablated, corpus[1].tokens),
+            forward_one(zeroed, corpus[1].tokens),
             rtol=1e-6,
         )
 
@@ -569,7 +569,7 @@ class TestGradients:
         wv, cv = vocabs
         m = init_model(TINY_HP, wv, cv, seed=4, dtype=np.float64)
         batch = train_batch(m, corpus[:3])
-        loss, grads = loss_and_gradients(m, *batch, train_mode=True, dropout_seed=13)
+        loss, grads = loss_and_gradients(m, *batch, dropout_seed=13)
         h = 1e-5
         rng = np.random.default_rng(0)
         for name, arr in m.params.items():
@@ -577,9 +577,9 @@ class TestGradients:
             for i in rng.choice(flat.size, size=min(5, flat.size), replace=False):
                 orig = flat[i]
                 flat[i] = orig + h
-                up, _ = loss_and_gradients(m, *batch, train_mode=True, dropout_seed=13)
+                up, _ = loss_and_gradients(m, *batch, dropout_seed=13)
                 flat[i] = orig - h
-                dn, _ = loss_and_gradients(m, *batch, train_mode=True, dropout_seed=13)
+                dn, _ = loss_and_gradients(m, *batch, dropout_seed=13)
                 flat[i] = orig
                 fd = (up - dn) / (2 * h)
                 an = grads[name].ravel()[i]
@@ -597,8 +597,8 @@ class TestGradients:
         logs = [corpus[0], one, corpus[11], corpus[4], corpus[7]]  # 6, 1, 9, 7, 8 tokens
         batch = train_batch(m, logs)
         assert len({len(log.tokens) for log in logs}) > 3
-        loss, grads = loss_and_gradients(m, *batch, train_mode=True, dropout_seed=21)
-        per = [loss_and_gradients(m, *train_batch(m, [log]), train_mode=True, dropout_seed=21 + i)
+        loss, grads = loss_and_gradients(m, *batch, dropout_seed=21)
+        per = [loss_and_gradients(m, *train_batch(m, [log]), dropout_seed=21 + i)
                for i, log in enumerate(logs)]
         assert loss == pytest.approx(np.mean([l for l, _ in per]), rel=rtol, abs=atol)
         for name, grad in grads.items():

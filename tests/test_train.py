@@ -21,6 +21,9 @@ import logvar.tagger as tagger
 from logvar.tagger import Hyperparams, init_model, tag_log, tag_logs
 from logvar.taxonomy import BINARY, BINARY_CATEGORY, Tag, check_iob
 from logvar.train import (
+    BETA1,
+    BETA2,
+    EPS,
     Adam,
     TrainConfig,
     clip_global_norm,
@@ -125,7 +128,7 @@ class TestOptimizer:
         m = {k: np.zeros_like(v) for k, v in ref.items()}
         v = {k: np.zeros_like(x) for k, x in ref.items()}
         opt = Adam(params, lr=0.01)
-        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+        b1, b2, eps = BETA1, BETA2, EPS
         for t in range(1, 6):
             grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
             opt.step(params, grads)
@@ -161,6 +164,15 @@ class TestSerialization:
         assert loaded.tags == best.tags
         assert loaded.word_vocab == best.word_vocab
         assert loaded.char_vocab == best.char_vocab
+
+    def test_save_creates_missing_directories_and_leaves_no_temp_file(
+            self, memorization_run, tmp_path):
+        _, _, best, _, _, _ = memorization_run
+        path = tmp_path / "new" / "sub" / "model.valb"
+        save_model(best, path)
+        assert [p.name for p in path.parent.iterdir()] == ["model.valb"]
+        save_model(best, tmp_path / "flat.valb")
+        assert path.read_bytes() == (tmp_path / "flat.valb").read_bytes()
 
     def test_round_trip_same_tags(self, memorization_run, tmp_path):
         train_set, _, best, _, _, _ = memorization_run
