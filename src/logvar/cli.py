@@ -206,13 +206,17 @@ def cmd_derive_annotations(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"columns {args.content_col!r}/{args.template_col!r} not in {args.structured}"
             )
-        for i, row in enumerate(reader, start=2):  # header is line 1
+        for row in reader:
+            # the row ends on line reader.line_num and spans one more line per
+            # newline held in its fields (blank lines before it are skipped)
+            fields = [v for v in row.values() if isinstance(v, str)] + row.get(None, [])
+            first = reader.line_num - sum(v.count("\n") for v in fields)
             try:
                 derived.append(
                     derive_binary_annotations(row[args.content_col], row[args.template_col])
                 )
             except (AlignmentError, EmptyLog) as exc:
-                errors.append(f"line {i}: {exc}")
+                errors.append(f"line {first}: {exc}")
     except csv.Error as exc:  # e.g. a lone "\r" outside a quoted field
         raise FormatError(f"{args.structured}: line {reader.reader.line_num}: {exc}") from exc
     write_annotations(derived, out)

@@ -30,7 +30,7 @@ class DimensionMismatch(LogvarError):
 
 
 class DivergenceError(LogvarError):
-    """Training loss became non-finite."""
+    """Training loss or gradient became non-finite."""
 
 
 class NonFiniteScores(LogvarError):

@@ -4,7 +4,9 @@ The optimizer is Adam (bias-corrected moments, beta1=0.9, beta2=0.999,
 eps=1e-8) on mean batch loss with global-norm gradient clipping. After each
 epoch the selection metric is computed on the validation set; the returned
 model is the checkpoint with the best validation metric, earlier epoch on
-ties. Runs are deterministic for a fixed seed.
+ties. Runs are deterministic for a fixed seed. A minibatch whose loss or
+gradient norm is not finite raises ``DivergenceError`` naming its epoch and
+batch, before the optimizer step, so the parameters never take a NaN.
 
 Model file layout: magic "VALB", u32 format version, u32-length-prefixed
 UTF-8 JSON metadata (hyperparams, mode, tag ordering, vocabularies), then
@@ -105,8 +107,11 @@ class Adam:
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale ``grads`` in place to a global L2 norm of at most ``max_norm``
+    (no clipping when it is 0) and return the norm before clipping; a
+    gradient that is not finite is left as it is."""
     total = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values())))
-    if max_norm > 0 and total > max_norm:
+    if 0 < max_norm < total < np.inf:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
@@ -158,7 +163,10 @@ def train(
                 )
             if cfg.freeze_word_embeddings:
                 grads["word_emb"][:] = 0.0
-            clip_global_norm(grads, cfg.gradient_clip_norm)
+            if not np.isfinite(clip_global_norm(grads, cfg.gradient_clip_norm)):
+                raise DivergenceError(
+                    f"non-finite gradient at epoch {epoch}, batch {b_idx}"
+                )
             opt.step(model.params, grads)
             losses.append(loss)
         metric = _val_metric(model, val_set, cfg.selection_metric)

@@ -414,6 +414,25 @@ class TestDeriveAnnotations:
         assert [log.tokens for log in read_annotations(out)] == [("x", "1")]
         assert out.with_suffix(out.suffix + ".errors").read_text().startswith("line 2: ")
 
+    @pytest.mark.parametrize("text, line", [
+        # a quoted field over lines 2-3, then an unalignable row on line 4
+        ('Content,EventTemplate\n"a\nb 1","a b <*>"\nx y,x z\n', 4),
+        # a row over lines 2-4 (a newline in each field), a blank line 5
+        ('Content,EventTemplate\n"a\nb","a\nb"\n\nx y,x z\n', 6),
+        # a quoted field that holds an empty line
+        ('Content,EventTemplate\n"a\n\nb 1","a b <*>"\nx 1,x <*>\nx y,x z\n', 6),
+        # an extra field holding a newline
+        ('Content,EventTemplate\nx 1,x <*>,"extra\nfield"\nx y,x z\n', 4),
+    ])
+    def test_errors_name_the_first_line_of_a_multiline_row(self, tmp_path, text, line):
+        csv_path = tmp_path / "structured.csv"
+        csv_path.write_text(text)
+        out = tmp_path / "derived.tsv"
+        assert main(["derive-annotations", "--structured", str(csv_path),
+                     "--out", str(out)]) == 0
+        errors = out.with_suffix(out.suffix + ".errors").read_text().splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"line {line}: "), errors
+
 
 class TestSynth:
     def test_deterministic_with_spec_sidecar(self, tmp_path, capsys):

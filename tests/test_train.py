@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from logvar.corpus import AnnotatedLog
 from logvar.embed import build_vocabs
-from logvar.errors import ChecksumError, FormatError, NonFiniteScores, VersionError
+from logvar.errors import (
+    ChecksumError,
+    DivergenceError,
+    FormatError,
+    NonFiniteScores,
+    VersionError,
+)
 from logvar.synth import generate_synthetic
 import logvar.tagger as tagger
 from logvar.tagger import Hyperparams, init_model, tag_log, tag_logs
@@ -323,6 +329,46 @@ class TestNonFiniteModels:
         assert proc.returncode == 1
         (line,) = proc.stderr.splitlines()
         assert json.loads(line)["error"] == "NonFiniteScores"
+
+
+class TestDivergence:
+    def test_emissions_outside_the_crf_domain_raise(self, memorization_run):
+        # B-X scored 1000 nats down and I-X 1000 up: after a first step that
+        # leaves B-X no probability a double can hold, the second step's best
+        # tag is out of reach, the CRF loss is NaN and training stops there
+        train_set, val_set, _, _, cfg, model = memorization_run
+        bad = copy.deepcopy(model)
+        bad.params["proj_b"][bad.tags.index(Tag("B", "OID"))] = -1000.0
+        bad.params["proj_b"][bad.tags.index(Tag("I", "OID"))] = 1000.0
+        with pytest.raises(DivergenceError, match="non-finite loss at epoch 0, batch 0"):
+            train(bad, train_set, val_set, cfg)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_gradient_raises_before_the_step(self, memorization_run, monkeypatch,
+                                                        value):
+        train_set, val_set, _, _, cfg, model = memorization_run
+        real = train_module.loss_and_gradients
+        models, before = [], {}
+
+        def second_batch_goes_bad(model, *args):
+            loss, grads = real(model, *args)
+            models.append(model)
+            if len(models) == 2:
+                before.update(copy.deepcopy(model.params))
+                grads["proj_b"][0] = value
+            return loss, grads
+
+        monkeypatch.setattr(train_module, "loss_and_gradients", second_batch_goes_bad)
+        with pytest.raises(DivergenceError, match="non-finite gradient at epoch 0, batch 1"):
+            train(model, train_set, val_set, cfg)
+        assert len(models) == 2 and set(models[1].params) == set(before)
+        for name, arr in before.items():
+            np.testing.assert_array_equal(models[1].params[name], arr)
+
+    def test_clip_leaves_a_non_finite_gradient_alone(self):
+        grads = {"a": np.array([np.inf, 1.0]), "b": np.array([4.0])}
+        assert clip_global_norm(grads, 1.0) == np.inf
+        np.testing.assert_array_equal(grads["a"], [np.inf, 1.0])
 
 
 class TestFrozenEntries:
