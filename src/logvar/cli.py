@@ -157,8 +157,6 @@ def cmd_tag(args: argparse.Namespace) -> int:
 
 def cmd_parse(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    if model.mode != MULTICLASS:
-        raise UsageError("parsing requires a multiclass model")
     preserve = _parse_preserve(args.preserve)
     results, store = parse_corpus(model, list(read_lines(args.input)), preserve,
                                   wildcard=args.wildcard)

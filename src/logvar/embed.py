@@ -57,7 +57,6 @@ class CharVocab:
 class EncodedLog:
     word_ids: np.ndarray  # (T,) int
     char_ids: np.ndarray  # (T, max_word_len) int, PAD-filled
-    char_keys: np.ndarray  # (T,) int, the rank of the truncated spelling: one char row per key
 
 
 def build_vocabs(train: list[AnnotatedLog], min_freq: int = 1) -> tuple[WordVocab, CharVocab]:
@@ -87,18 +86,27 @@ def load_word_vectors(
 ) -> tuple[np.ndarray, float]:
     """Embedding matrix initialized from a text vector file.
 
-    Rows for vocabulary words found in the file are copied; the rest
-    (including UNK) are uniform in [-0.25, 0.25] and PAD is zeroed.
-    Returns the (|vocab|, dim) matrix and the coverage ratio
-    found / (|vocab| - 2). The file is streamed; errors name its path and
-    line.
+    Each line is a word and its ``dim`` values, separated by single spaces;
+    trailing whitespace is ignored. A first line of exactly two integers is
+    the ``<count> <dim>`` header of word2vec and fastText ``.vec`` files,
+    and its dim must be ``dim``. Rows for vocabulary words found in the
+    file are copied; the rest (including UNK) are uniform in [-0.25, 0.25]
+    and PAD is zeroed. Returns the (|vocab|, dim) matrix and the coverage
+    ratio found / (|vocab| - 2). The file is streamed; errors name its path
+    and line.
     """
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-0.25, 0.25, size=(len(vocab), dim)).astype(np.float32)
     matrix[PAD] = 0.0
     found = 0
     for lineno, line in enumerate(read_lines(path), start=1):
-        parts = line.split(" ")
+        parts = line.rstrip().split(" ")  # fastText ends each line with a space
+        if lineno == 1 and len(parts) == 2 and all(part.isdecimal() for part in parts):
+            if int(parts[1]) != dim:
+                raise DimensionMismatch(
+                    f"{path}: line 1: header gives dim {int(parts[1])}, expected {dim}"
+                )
+            continue
         if len(parts) < 2:
             raise FormatError(f"{path}: line {lineno}: not a word-vector line")
         word, values = parts[0], parts[1:]
@@ -121,7 +129,7 @@ def load_word_vectors(
 def encode_log(
     tokens: Sequence[str], wv: WordVocab, cv: CharVocab, max_word_len: int = 30
 ) -> EncodedLog:
-    """Word ids, right-padded/truncated char-id rows and char keys for a list of tokens."""
+    """Word ids and right-padded/truncated char-id rows for a list of tokens."""
     if max_word_len < 1:
         raise ValueError("max_word_len must be >= 1")
     t = len(tokens)
@@ -131,6 +139,4 @@ def encode_log(
     char_ids = np.full((t, max_word_len), PAD, dtype=np.int64)
     lookup = cv.index.get  # CharVocab.lookup without a method call per character
     char_ids[filled] = [lookup(ch, UNK) for tok in kept for ch in tok]
-    rank = {spelling: i for i, spelling in enumerate(sorted(set(kept)))}
-    char_keys = np.fromiter((rank[spelling] for spelling in kept), dtype=np.intp, count=t)
-    return EncodedLog(word_ids, char_ids, char_keys)
+    return EncodedLog(word_ids, char_ids)

@@ -20,7 +20,7 @@ from .corpus import AnnotatedLog
 from .evaluate import spans
 # tag_log stays importable here: the benchmark's layer trace hooks logvar.parse.tag_log
 from .tagger import TaggerModel, tag_log, tag_logs  # noqa: F401
-from .taxonomy import VariableCategory
+from .taxonomy import MULTICLASS, VariableCategory
 
 DEFAULT_WILDCARD = "<*>"
 
@@ -151,7 +151,7 @@ def parse_corpus(
     (``tag_logs``); template ids and ordinals are assigned in a single
     ordered pass afterwards, so neither depends on how lines were batched.
     """
-    if model.mode != "multiclass":
+    if model.mode != MULTICLASS:
         raise ValueError("parse_corpus requires a multiclass model")
     store = TemplateStore()
     results: list[ParseResult | None] = []

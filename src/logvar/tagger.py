@@ -29,11 +29,12 @@ a token table, an ``EncodedLog`` of distinct tokens that ``token_table``
 builds once per ``decode`` call or ``train`` run, and a (B, T) array of row
 ids into it. ``decode`` computes the char-CNN output of the whole table
 once per call; training computes it per minibatch, over the minibatch's
-distinct rows, through the same ``_char_reps`` and its backward. Either
-way each distinct char key is convolved once. Each LSTM direction projects
-one row per distinct id of a batch (plus a zero row that padded steps
-read). Under dropout every position is masked differently, so training
-projects one row per position.
+distinct rows, through the same ``_char_reps`` and its backward. The token
+table is the only dedup: each of its rows is convolved once, and two
+tokens that share their first max_word_len characters are convolved once
+each. Each LSTM direction projects one row per distinct id of a batch
+(plus a zero row that padded steps read). Under dropout every position is
+masked differently, so training projects one row per position.
 
 The char-CNN's convolution is linear in the character embedding, so it is
 read from a per-character table, table[k] = char_emb @ char_W[k] of shape
@@ -42,9 +43,9 @@ read from a per-character table, table[k] = char_emb @ char_W[k] of shape
 the sum over k of table[k] at the character in window slot k. That is a
 gather and a sum instead of a matmul over the embedding width per
 character. The centre slot's PAD row is -inf, so a PAD position's
-pre-activation is -inf and the max-pool skips it unmasked. The distinct
-rows run sorted by length in groups, each trimmed to its longest word, so
-that little of the gather and sum is spent on PAD positions.
+pre-activation is -inf and the max-pool skips it unmasked. The rows run
+sorted by length in groups of CHAR_GROUP_ROWS, each trimmed to its longest
+word, so that little of the gather and sum is spent on PAD positions.
 """
 
 from __future__ import annotations
@@ -206,30 +207,27 @@ def init_model(
 # 2 MB; larger batches gained little throughput on the synthetic corpus.
 BATCH_TOKENS = 288
 
-# Distinct char rows per char-CNN group. Rows run sorted by their count of
-# characters; a group takes at least CHAR_GROUP_MIN of them, then the rest
-# of the run of equal length it has reached, so that a one-line call is one
-# group. CHAR_GROUP_ROWS caps a group: its pre-activations, at most
-# rows x max_word_len x filters, are the char-CNN's peak memory, whatever the
-# size of the call (1.5 MB at 30 characters and 50 float32 filters).
-CHAR_GROUP_MIN = 32
+# Char rows per char-CNN group. Rows run sorted by their count of
+# characters, in consecutive groups of CHAR_GROUP_ROWS. A group's
+# pre-activations, at most rows x max_word_len x filters, are the char-CNN's
+# peak memory, whatever the size of the call (1.5 MB at 30 characters and 50
+# float32 filters).
 CHAR_GROUP_ROWS = 256
 
 
-def _char_table(model: TaggerModel) -> tuple[np.ndarray, np.ndarray]:
-    """The char embedding with its PAD row zero, and the per-character table.
+def _char_table(model: TaggerModel) -> np.ndarray:
+    """The per-character table of the convolution, (kernel, n_chars, filters).
 
     The convolution is linear in the character embedding, so it is read
-    from ``table[k] = emb @ char_W[k]``, (kernel, n_chars, filters): PAD
-    contributes zero vectors (same-padding at the edges), except in the
-    centre slot, whose PAD row is -inf.
+    from ``table[k] = char_emb @ char_W[k]``. PAD contributes zero vectors
+    (same-padding at the edges), whatever the stored PAD embedding holds,
+    except in the centre slot, whose PAD row is -inf.
     """
     p = model.params
-    emb = p["char_emb"].copy()
-    emb[PAD] = 0.0
-    table = emb @ p["char_W"]
+    table = p["char_emb"] @ p["char_W"]
+    table[:, PAD] = 0.0
     table[model.hp.char_kernel // 2, PAD] = -np.inf
-    return emb, table
+    return table
 
 
 def _char_pre(
@@ -267,53 +265,43 @@ def _char_forward(char_ids: np.ndarray, table: np.ndarray, bias: np.ndarray) -> 
     return rep
 
 
-def _char_reps(
-    char_ids: np.ndarray, char_keys: np.ndarray, model: TaggerModel
-) -> tuple[np.ndarray, dict]:
+def _char_reps(char_ids: np.ndarray, model: TaggerModel) -> tuple[np.ndarray, dict]:
     """Char-CNN representation of each of N right-padded char rows, (N, F).
 
-    Rows with one char key are equal, so each distinct key is convolved
-    once, with one char table for the call. The distinct rows run in groups
-    (see CHAR_GROUP_MIN), each trimmed to its longest word, so that few of
-    the positions a group gathers and sums are PAD. Returns the reps and the
-    cache ``_char_backward`` reads.
+    Every row is convolved once, with one char table for the call. The rows
+    run sorted by length in groups of CHAR_GROUP_ROWS, each trimmed to its
+    longest word, so that few of the positions a group gathers and sums are
+    PAD. Returns the reps and the cache ``_char_backward`` reads.
     """
-    emb, table = _char_table(model)
-    _, first, inverse = np.unique(char_keys, return_index=True, return_inverse=True)
-    chars = char_ids[first]
-    n_chars = np.count_nonzero(chars != PAD, axis=1)
+    table = _char_table(model)
+    n_chars = np.count_nonzero(char_ids != PAD, axis=1)
     order = np.argsort(n_chars, kind="stable")
-    sorted_n = n_chars[order]
-    rep = np.empty((len(chars), table.shape[2]), dtype=table.dtype)
+    rep = np.empty((len(char_ids), table.shape[2]), dtype=table.dtype)
     groups = []
-    lo = 0
-    while lo < len(order):
-        hi = int(np.searchsorted(
-            sorted_n, sorted_n[min(lo + CHAR_GROUP_MIN, len(order)) - 1], side="right"))
-        hi = min(hi, lo + CHAR_GROUP_ROWS)
-        rows, width = order[lo:hi], max(int(sorted_n[hi - 1]), 1)
-        rep[rows] = _char_forward(chars[rows, :width], table, model.params["char_b"])
+    for lo in range(0, len(order), CHAR_GROUP_ROWS):
+        rows = order[lo : lo + CHAR_GROUP_ROWS]
+        width = max(int(n_chars[rows[-1]]), 1)
+        rep[rows] = _char_forward(char_ids[rows, :width], table, model.params["char_b"])
         groups.append((rows, width))
-        lo = hi
-    cache = {"emb": emb, "table": table, "chars": chars, "groups": groups, "inverse": inverse}
-    return rep[inverse], cache
+    return rep, {"table": table, "chars": char_ids, "groups": groups}
 
 
 def _char_backward(
     d_rep: np.ndarray, model: TaggerModel, cache: dict, grads: dict[str, np.ndarray]
 ) -> None:
-    """Char-CNN gradients given d loss / d rep of each distinct char key of one ``_char_reps``.
+    """Char-CNN gradients given d loss / d rep of each row of one ``_char_reps``.
 
     Each group's pre-activations are computed again here, not kept from
     the forward pass, so that a decode call holds one group's at a time. A
     pooled value was read at one position, so its gradient goes to the kern
     table entries summed there: scatter it into ``d_table[k]``, then
     ``dW[k] = emb.T @ d_table[k]`` and ``d_emb = sum_k d_table[k] @ W[k].T``.
-    An all-PAD row reads only the (constant zero) PAD entries.
+    The PAD entries are constant, so ``d_table[k]``'s PAD row is zero and
+    the stored PAD embedding adds nothing to ``dW``.
     """
     p = model.params
     n_filters = model.hp.char_filters
-    emb, table, chars = cache["emb"], cache["table"], cache["chars"]
+    emb, table, chars = p["char_emb"], cache["table"], cache["chars"]
     kern = table.shape[0]
     # per kernel slot, the char id that each pooled value read
     read = np.empty((kern, len(chars), n_filters), dtype=chars.dtype)
@@ -572,17 +560,17 @@ def loss_and_gradients(
     The batch is a token table, the (B, T) row ids of B right-padded logs
     and their lengths; ``gold`` holds the gold tag indices in the same
     (B, T) layout. The input layer runs over the batch's distinct rows (the
-    char-CNN as in ``decode``, each distinct char key once), then one
-    forward pass, one CRF forward-backward and one backward pass; log b
-    draws its dropout masks from ``dropout_seed + b``. Frozen CRF entries
-    (IOB constraints) receive zero gradient.
+    char-CNN as in ``decode``, each row once), then one forward pass, one
+    CRF forward-backward and one backward pass; log b draws its dropout
+    masks from ``dropout_seed + b``. Frozen CRF entries (IOB constraints)
+    receive zero gradient.
     """
     p, hp = model.params, model.hp
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
     used, index = _distinct_rows(ids, lengths)
     char_rep = char_cache = None
     if hp.use_char_channel:
-        char_rep, char_cache = _char_reps(table.char_ids[used], table.char_keys[used], model)
+        char_rep, char_cache = _char_reps(table.char_ids[used], model)
     word_ids = table.word_ids[used]
     emissions, cache = _forward(
         _input_rows(model, word_ids, char_rep), model, index, lengths, dropout_seed
@@ -597,8 +585,8 @@ def loss_and_gradients(
     read = index[cache["real"]]  # the row each real step read, log after log
     np.add.at(grads["word_emb"], word_ids[read], d_u[:, : hp.word_dim])
     if char_cache is not None:
-        d_rep = np.zeros((len(char_cache["chars"]), hp.char_filters), dtype=d_u.dtype)
-        np.add.at(d_rep, char_cache["inverse"][read], d_u[:, hp.word_dim :])
+        d_rep = np.zeros((len(used), hp.char_filters), dtype=d_u.dtype)
+        np.add.at(d_rep, read, d_u[:, hp.word_dim :])
         _char_backward(d_rep, model, char_cache, grads)
     scale = 1.0 / len(lengths)
     for name in grads:
@@ -636,7 +624,7 @@ def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[
     with np.errstate(over="ignore", invalid="ignore"):
         char_rep = None
         if model.hp.use_char_channel:
-            char_rep = _char_reps(table.char_ids, table.char_keys, model)[0]
+            char_rep = _char_reps(table.char_ids, model)[0]
         while lo < len(order):
             hi = lo + 1
             while hi < len(order) and (hi + 1 - lo) * lengths[order[hi]] <= BATCH_TOKENS:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -8,9 +9,9 @@ from logvar.corpus import AnnotatedLog, read_annotations, read_lines, write_anno
 from logvar.embed import build_vocabs, load_word_vectors
 from logvar.errors import FormatError
 from logvar.synth import generate_synthetic
-from logvar.tagger import Hyperparams
-from logvar.taxonomy import OUTSIDE
-from logvar.train import TrainConfig
+from logvar.tagger import Hyperparams, init_model
+from logvar.taxonomy import BINARY, OUTSIDE
+from logvar.train import TrainConfig, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,24 @@ class TestTrain:
         _, model_path = trained_model
         assert model_path.exists()
 
+    def test_freeze_word_embeddings_reaches_run_config_and_training(
+        self, trained_model, tmp_path
+    ):
+        d, _ = trained_model
+        out = tmp_path / "frozen.valb"
+        assert main([
+            "train", "--train", str(d / "train.tsv"), "--val", str(d / "val.tsv"),
+            "--out", str(out), "--epochs", "1", "--seed", "1", "--freeze-word-embeddings",
+            "--word-dim", "8", "--char-emb-dim", "6", "--char-filters", "4",
+            "--lstm-hidden", "6", "--max-word-len", "12",
+        ]) == 0
+        lines = (tmp_path / "run-config.txt").read_text().splitlines()
+        assert "freeze_word_embeddings = True" in lines
+        saved = load_model(out)
+        init = init_model(saved.hp, saved.word_vocab, saved.char_vocab, seed=1)
+        assert (saved.params["word_emb"] == init.params["word_emb"]).all()
+        assert not (saved.params["char_emb"] == init.params["char_emb"]).all()
+
     def test_missing_val_file_fails(self, trained_model, tmp_path):
         d, _ = trained_model
         rc = main(["train", "--train", str(d / "train.tsv"),
@@ -98,8 +117,6 @@ class TestTrain:
             "--lstm-hidden", "4",
         ])
         assert rc == 0
-        from logvar.train import load_model
-
         assert load_model(d / "binary.valb").n_tags == 3
 
 
@@ -145,6 +162,46 @@ class TestDefaults:
         assert _train_config(args) == TrainConfig()
 
 
+class TestOptionCensus:
+    """Every option string and configuration field, pinned: a new knob (or a
+    removed one) shows up as an edit of these lists."""
+
+    TOP_LEVEL = ["--config"]
+    TRAIN_FLAGS = ["--seed", "--epochs", "--batch-size", "--learning-rate", "--clip-norm",
+                   "--freeze-word-embeddings", "--selection-metric"]
+    HP_FLAGS = ["--word-dim", "--char-emb-dim", "--char-filters", "--char-kernel",
+                "--lstm-hidden", "--dropout", "--max-word-len", "--min-freq",
+                "--no-char-channel"]
+    COMMANDS = {
+        "split": ["--input", "--ratios", "--seed", "--out-dir"],
+        "train": ["--train", "--val", "--out", "--mode", "--vectors", *TRAIN_FLAGS, *HP_FLAGS],
+        "finetune": ["--model", "--train", "--val", "--out", *TRAIN_FLAGS],
+        "tag": ["--model", "--input", "--output"],
+        "parse": ["--model", "--input", "--preserve", "--wildcard", "--output", "--templates"],
+        "eval": ["--gold", "--pred", "--report", "--token-level", "--collapse-binary"],
+        "derive-annotations": ["--structured", "--content-col", "--template-col", "--out"],
+        "synth": ["--seed", "--templates", "--logs", "--out"],
+    }
+    HYPERPARAMS = ["word_dim", "char_emb_dim", "char_filters", "char_kernel", "lstm_hidden",
+                   "dropout", "max_word_len", "use_char_channel"]
+    TRAIN_CONFIG = ["epochs", "batch_size", "learning_rate", "gradient_clip_norm", "seed",
+                    "freeze_word_embeddings", "selection_metric"]
+
+    @staticmethod
+    def options(parser):
+        return [opt for action in parser._actions for opt in action.option_strings
+                if opt not in ("-h", "--help")]
+
+    def test_subcommand_options(self):
+        parser, commands = build_parser()
+        assert self.options(parser) == self.TOP_LEVEL
+        assert {name: self.options(p) for name, p in commands.items()} == self.COMMANDS
+
+    def test_configuration_fields(self):
+        assert [f.name for f in dataclasses.fields(Hyperparams)] == self.HYPERPARAMS
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == self.TRAIN_CONFIG
+
+
 class TestTagParse:
     def test_tag_blocks(self, trained_model, tmp_path):
         d, model_path = trained_model
@@ -187,6 +244,22 @@ class TestTagParse:
         records = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(records) == 2
         assert {"line_no", "template_id", "template", "extractions"} <= set(records[0])
+
+    def test_parse_with_a_binary_model_is_a_usage_error(self, tmp_path, capsys):
+        logs = [AnnotatedLog(("alpha", "1"), (OUTSIDE, OUTSIDE))]
+        hp = Hyperparams(word_dim=4, char_emb_dim=3, char_filters=2, lstm_hidden=2)
+        model_path = tmp_path / "binary.valb"
+        save_model(init_model(hp, *build_vocabs(logs), mode=BINARY), model_path)
+        raw = tmp_path / "raw.txt"
+        raw.write_text("alpha 1\n")
+        out = tmp_path / "p.jsonl"
+        assert main(["parse", "--model", str(model_path), "--input", str(raw),
+                     "--output", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage"
+        assert "multiclass" in err["message"]
+        assert not out.exists()
+        assert not (tmp_path / "run-config.txt").exists()
 
     def test_parse_unknown_preserve_category(self, trained_model, tmp_path, capsys):
         d, model_path = trained_model

@@ -96,6 +96,28 @@ class TestLoadWordVectors:
         with pytest.raises(DimensionMismatch):
             load_word_vectors(path, wv, dim=3)
 
+    def test_fasttext_vec_file_with_header_and_trailing_spaces(self, tmp_path):
+        wv, _ = build_vocabs(TRAIN)
+        path = self.write_vectors(tmp_path, ["3 3", "id 1.0 2.0 3.0 ", "zzz 9 9 9 ", "foo 4 5 6 "])
+        matrix, coverage = load_word_vectors(path, wv, dim=3)
+        np.testing.assert_array_equal(matrix[wv.lookup("id")], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(matrix[wv.lookup("foo")], [4.0, 5.0, 6.0])
+        assert coverage == pytest.approx(2 / (len(wv) - 2))
+        # without the header, and with a CRLF line end
+        path.write_text("id 1.0 2.0 3.0 \r\nfoo 4 5 6\n")
+        again, _ = load_word_vectors(path, wv, dim=3)
+        np.testing.assert_array_equal(again, matrix)
+
+    def test_header_dim_mismatch_names_line_1(self, tmp_path):
+        wv, _ = build_vocabs(TRAIN)
+        path = self.write_vectors(tmp_path, ["3 4", "id 1 2 3 4 "])
+        with pytest.raises(DimensionMismatch, match=r"vecs\.txt: line 1: .*dim 4, expected 3"):
+            load_word_vectors(path, wv, dim=3)
+        # two integers after line 1 are a word and its one value
+        path = self.write_vectors(tmp_path, ["id 1 2 3", "3 4"])
+        with pytest.raises(DimensionMismatch, match="line 2: vector has 1 entries"):
+            load_word_vectors(path, wv, dim=3)
+
     def test_malformed_line(self, tmp_path):
         wv, _ = build_vocabs(TRAIN)
         path = self.write_vectors(tmp_path, ["id 1 2 notafloat"])

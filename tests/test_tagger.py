@@ -10,7 +10,6 @@ from logvar.corpus import AnnotatedLog
 from logvar.embed import PAD, build_vocabs, encode_log
 from logvar.synth import generate_synthetic
 from logvar.tagger import (
-    CHAR_GROUP_MIN,
     CHAR_GROUP_ROWS,
     FROZEN_SCORE,
     Hyperparams,
@@ -78,7 +77,7 @@ def reference_char_forward(char_ids, model):
     empty = ~mask.any(axis=1)
     if empty.any():
         rep[empty] = p["char_b"]
-    return rep, {"ids_p": ids_p, "emb": emb, "pre": pre}
+    return rep, {"ids_p": ids_p, "table": table, "pre": pre}
 
 
 def reference_emissions(enc, model):
@@ -126,7 +125,7 @@ def batch_emissions(model, token_lists, dropout_seed=None):
     used, index = _distinct_rows(ids, lengths)
     char_rep = None
     if model.hp.use_char_channel:
-        char_rep = _char_reps(table.char_ids[used], table.char_keys[used], model)[0]
+        char_rep = _char_reps(table.char_ids[used], model)[0]
     rows = _input_rows(model, table.word_ids[used], char_rep)
     return _forward(rows, model, index, lengths, dropout_seed)
 
@@ -138,7 +137,7 @@ def forward_one(model, tokens, dropout_seed=None):
 
 def char_forward(char_ids, model):
     """``_char_forward`` over (N, L) char rows with the model's char table."""
-    return _char_forward(np.asarray(char_ids), _char_table(model)[1], model.params["char_b"])
+    return _char_forward(np.asarray(char_ids), _char_table(model), model.params["char_b"])
 
 
 def char_rep(char_ids_row, model):
@@ -146,14 +145,13 @@ def char_rep(char_ids_row, model):
     return char_forward(np.asarray(char_ids_row)[None], model)[0]
 
 
-def per_batch_char_reps(char_ids, char_keys, model):
+def per_batch_char_reps(char_ids, model):
     """The char-CNN as one decode batch ran it before reps were computed once
-    per call: each distinct char key of the batch's rows, trimmed to their
-    longest word, through one ``reference_char_forward``; a rep per row."""
+    per call: the batch's rows, trimmed to their longest word, through one
+    ``reference_char_forward``; a rep per row."""
     filled = np.flatnonzero((char_ids != PAD).any(axis=0))
     width = int(filled[-1]) + 1 if filled.size else 1
-    _, first, char_of = np.unique(char_keys, return_index=True, return_inverse=True)
-    return reference_char_forward(char_ids[first, :width], model)[0][char_of]
+    return reference_char_forward(char_ids[:, :width], model)[0]
 
 
 def train_batch(model, logs):
@@ -295,7 +293,8 @@ class TestCharTable:
         for dtype in (np.float32, np.float64):
             m = init_model(hp, wv, cv, seed=kernel, dtype=dtype)
             m.params["char_emb"][PAD] = 5.0  # the stored PAD row is ignored
-            emb, table = _char_table(m)
+            table = _char_table(m)
+            assert (table[kernel // 2, PAD] == -np.inf).all()
             for chars in (ids, ids[:, :1], ids[:0]):
                 rep = _char_forward(chars, table, m.params["char_b"])
                 ids_p, pre = _char_pre(chars, table, m.params["char_b"])
@@ -304,7 +303,9 @@ class TestCharTable:
                 np.testing.assert_array_equal(rep, ref_rep)
                 np.testing.assert_array_equal(pre, ref_cache["pre"])
                 np.testing.assert_array_equal(ids_p, ref_cache["ids_p"])
-                np.testing.assert_array_equal(emb, ref_cache["emb"])
+                ref_table = ref_cache["table"].copy()
+                ref_table[kernel // 2, PAD] = -np.inf
+                np.testing.assert_array_equal(table, ref_table)
             assert rep.shape == (0, hp.char_filters)  # the empty batch, last in the loop
             assert (char_forward(ids, m)[[0, 5]] == m.params["char_b"]).all()
 
@@ -358,7 +359,7 @@ class TestBatchedForward:
 
 class TestTokenTable:
     # two vocabulary words longer than max_word_len = 30 that share their
-    # first 30 characters: one char row, two word ids
+    # first 30 characters: equal char rows, two word ids
     REFUSED, RESET = "connection_to_the_remote_host_refused", "connection_to_the_remote_host_reset"
 
     @pytest.fixture(scope="class")
@@ -403,12 +404,10 @@ class TestTokenTable:
         msgs = self.messages(model)
         decode(model, msgs)  # one batch
         tokens = {tok for m in msgs for tok in m}
-        char_rows = {tok[: model.hp.max_word_len] for tok in tokens}
         keys = {(tok[: model.hp.max_word_len], model.word_vocab.lookup(tok)) for tok in tokens}
-        assert len(char_rows) == len(tokens) - 1  # the two long words share a char row
         assert len(keys) == len(tokens)  # case variants differ in chars, long words in id
-        (char_ids,) = seen["char"]  # one group: fewer rows than CHAR_GROUP_MIN
-        assert len(char_ids) == len(char_rows)
+        (char_ids,) = seen["char"]  # one group: fewer rows than CHAR_GROUP_ROWS
+        assert len(char_ids) == len(tokens)  # one char row per distinct token
         rows_f, rows_b = seen["lstm"]
         assert rows_f is rows_b
         assert len(rows_f) == len(keys) + 1  # one per distinct key, plus padding
@@ -463,16 +462,29 @@ class TestCharRepsPerCall:
         for dtype in (np.float32, np.float64):
             m = init_model(hp, wv, cv, seed=kernel, dtype=dtype)
             table = token_table(m, [tuple(tokens)])[0]
-            refused, reset = table.char_keys[[tokens.index(self.REFUSED), tokens.index(self.RESET)]]
-            assert refused == reset
-            rep, cache = _char_reps(table.char_ids, table.char_keys, m)
+            rep, cache = _char_reps(table.char_ids, m)
             assert rep.dtype == dtype
-            assert len(cache["groups"]) > 3
+            assert len(tokens) > CHAR_GROUP_ROWS and len(cache["groups"]) == 2
             for batch in np.array_split(rng.permutation(len(tokens)), 3):  # as decode batches
-                oracle = per_batch_char_reps(table.char_ids[batch], table.char_keys[batch], m)
+                oracle = per_batch_char_reps(table.char_ids[batch], m)
                 np.testing.assert_array_equal(rep[batch], oracle)
 
-    def test_decode_builds_one_char_table_and_convolves_each_key_once(
+    def test_long_words_sharing_a_prefix_get_equal_reps(self, vocabs30, monkeypatch):
+        # two tokens that share their first max_word_len characters are two
+        # table rows, convolved once each, to bitwise equal reps
+        seen = self.spy_char_forward(monkeypatch)
+        wv, cv = vocabs30
+        m = init_model(dataclasses.replace(TINY_HP, max_word_len=30), wv, cv, seed=4)
+        assert self.REFUSED[:30] == self.RESET[:30]
+        msgs = [("worker", self.REFUSED), (self.RESET, "5", self.REFUSED), (self.RESET,)]
+        table = token_table(m, msgs)[0]
+        rep = _char_reps(table.char_ids, m)[0]
+        assert [len(chars) for chars, _ in seen] == [4]
+        np.testing.assert_array_equal(rep[1], rep[2])  # first seen: worker, refused, reset, 5
+        assert not np.array_equal(rep[0], rep[1])
+        assert decode(m, msgs) == [decode(m, [msg])[0] for msg in msgs]
+
+    def test_decode_builds_one_char_table_and_convolves_each_token_once(
         self, tiny_model, corpus, monkeypatch
     ):
         seen = self.spy_char_forward(monkeypatch)
@@ -496,23 +508,21 @@ class TestCharRepsPerCall:
         assert all(table is seen[0][1] for _, table in seen)
         table = token_table(tiny_model, msgs)[0]
         rows = [tuple(row[row != PAD]) for chars, _ in seen for row in chars]
-        assert len(rows) == len(np.unique(table.char_keys))
-        assert set(rows) == {tuple(row[row != PAD]) for row in table.char_ids}
+        assert len(rows) == len(table.char_ids)
+        assert sorted(rows) == sorted(tuple(row[row != PAD]) for row in table.char_ids)
 
-    def test_groups_end_where_a_length_run_ends(self, tiny_model, monkeypatch):
+    def test_groups_are_fixed_slices_of_the_length_sorted_rows(self, tiny_model, monkeypatch):
         seen = self.spy_char_forward(monkeypatch)
         m = tiny_model
-        letters = m.char_vocab.chars()[:10]
+        letters = m.char_vocab.chars()[:20]
+        assert len(letters) == 20
         two, three = (["".join(t) for t in itertools.product(letters, repeat=r)] for r in (2, 3))
-        # 20 + 20 rows: the first CHAR_GROUP_MIN reach the 3-char run, which
-        # the group then finishes; with CHAR_GROUP_MIN + 1 two-char rows the
-        # first group ends with the 2-char run
-        cases = ((20, [(40, 3)]), (CHAR_GROUP_MIN + 1, [(CHAR_GROUP_MIN + 1, 2), (20, 3)]))
-        for n_two, shapes in cases:
-            seen.clear()
-            table = token_table(m, [tuple(two[:n_two] + three[:20])])[0]
-            _char_reps(table.char_ids, table.char_keys, m)
-            assert [chars.shape for chars, _ in seen] == shapes
+        # 20 three-char rows, then 300 two-char rows: sorted by length, the
+        # first group is CHAR_GROUP_ROWS two-char rows, and the second the
+        # other 44 with the 20 three-char rows, trimmed to three characters
+        table = token_table(m, [tuple(three[:20] + two[:300])])[0]
+        _char_reps(table.char_ids, m)
+        assert [chars.shape for chars, _ in seen] == [(CHAR_GROUP_ROWS, 2), (64, 3)]
 
     def test_more_spellings_than_the_group_cap_split_with_reps_unchanged(
         self, tiny_model, monkeypatch
@@ -523,9 +533,9 @@ class TestCharRepsPerCall:
         words = ["".join(t) for t in itertools.product(letters, repeat=3)]
         words = words[: 2 * CHAR_GROUP_ROWS + 88]  # all three characters long
         table = token_table(m, [tuple(words)])[0]
-        rep, _ = _char_reps(table.char_ids, table.char_keys, m)
+        rep, _ = _char_reps(table.char_ids, m)
         assert [len(chars) for chars, _ in seen] == [CHAR_GROUP_ROWS, CHAR_GROUP_ROWS, 88]
-        np.testing.assert_array_equal(rep, per_batch_char_reps(table.char_ids, table.char_keys, m))
+        np.testing.assert_array_equal(rep, per_batch_char_reps(table.char_ids, m))
 
 
 class TestForward:

@@ -30,6 +30,7 @@ from logvar.train import (
     BETA1,
     BETA2,
     EPS,
+    GENERAL,
     Adam,
     TrainConfig,
     clip_global_norm,
@@ -101,6 +102,48 @@ class TestTrain:
         monkeypatch.setattr(tagger, "BATCH_TOKENS", 1)  # every validation log decoded alone
         _, alone = train(model, train_set, val_set, cfg)
         assert alone == batched
+
+
+class TestTrainingOptions:
+    def test_frozen_word_embeddings_stay_bitwise_the_initial_ones(self, memorization_run):
+        train_set, val_set, best, _, _, model = memorization_run
+        assert not np.array_equal(best.params["word_emb"], model.params["word_emb"])
+        cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.02, seed=7,
+                          freeze_word_embeddings=True)
+        frozen, _ = train(model, train_set, val_set, cfg)
+        for name, arr in model.params.items():
+            assert np.array_equal(frozen.params[name], arr) == (name == "word_emb"), name
+
+    def test_general_accuracy_scores_and_selects_the_checkpoint(
+        self, memorization_run, monkeypatch
+    ):
+        train_set, val_set, _, _, _, model = memorization_run
+        scores, snapshots = [], []
+        real_general, real_decode = train_module.general_accuracy, train_module.decode
+
+        def general_spy(preds, golds):
+            scores.append(real_general(preds, golds))
+            return scores[-1]
+
+        def variable_aware_spy(preds, golds):
+            raise AssertionError("selection under general_accuracy read variable_aware_accuracy")
+
+        def decode_spy(m, token_lists):
+            snapshots.append({name: arr.copy() for name, arr in m.params.items()})
+            return real_decode(m, token_lists)
+
+        monkeypatch.setattr(train_module, "general_accuracy", general_spy)
+        monkeypatch.setattr(train_module, "variable_aware_accuracy", variable_aware_spy)
+        monkeypatch.setattr(train_module, "decode", decode_spy)
+        cfg = TrainConfig(epochs=14, batch_size=4, learning_rate=0.02, seed=7,
+                          selection_metric=GENERAL)
+        best, history = train(model, train_set, val_set, cfg)
+        assert [h.val_metric for h in history] == scores
+        assert len(snapshots) == cfg.epochs
+        epoch = scores.index(max(scores))  # the first epoch at the best score
+        assert scores[epoch] > scores[-1]  # not the last epoch's model
+        for name, arr in best.params.items():
+            np.testing.assert_array_equal(arr, snapshots[epoch][name], err_msg=name)
 
 
 class TestFinetune:
