@@ -26,7 +26,8 @@ import numpy as np
 from .errors import AlignmentError, EmptyLog, FormatError, IOBError, TagError
 from .taxonomy import BINARY_CATEGORY, Tag, OUTSIDE, check_iob
 
-WILDCARDS = ("<*>", "*")
+DEFAULT_WILDCARD = "<*>"
+WILDCARDS = (DEFAULT_WILDCARD, "*")
 
 # Read with errors="surrogateescape", each byte that is not UTF-8 becomes
 # one of these lone surrogates, which decoding valid UTF-8 never yields.

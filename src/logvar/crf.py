@@ -77,16 +77,17 @@ def forward(
     s: np.ndarray,
     e: np.ndarray,
     lengths: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scaled forward recursion of a right-padded batch.
 
     ``E`` is (B, T, K) and ``lengths`` (B,). Returns ``alpha`` (T, B, K),
     time-major: ``alpha[t, b]`` is the distribution over step t's tag given
     the scores of steps 0..t of sequence b, zero on padded steps;
     ``log_norm`` (T, B), each step's log normaliser with its shifts, zero on
-    padded steps; and ``log_z`` (B,), the sum of ``log_norm`` over the
-    steps. Outside the domain (see the module docstring) a sequence's
-    ``log_z`` is NaN or too small.
+    padded steps; ``log_z`` (B,), the sum of ``log_norm`` over the steps;
+    and the scores it ran on, ``_scores(E, s, e, lengths)`` (T, B, K).
+    Outside the domain (see the module docstring) a sequence's ``log_z`` is
+    NaN or too small.
     """
     E = np.asarray(E)
     lengths = np.asarray(lengths)
@@ -114,7 +115,7 @@ def forward(
     log_norm[~real] = 0.0
     log_z = log_norm.sum(axis=0)
     log_z[~(c >= TINY).all(axis=0)] = np.nan  # also catches NaN normalisers
-    return alpha, log_norm, log_z
+    return alpha, log_norm, log_z, X
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -154,16 +155,15 @@ def nll_gradients(
     lengths = np.asarray(lengths)
     B, T, K = E.shape
     rows = np.arange(B)
-    alpha, log_norm, log_z = forward(E, trans, s, e, lengths)
+    alpha, log_norm, log_z, X = forward(E, trans, s, e, lengths)
     real = np.arange(T)[:, None] < lengths  # (T, B)
     top = trans.max()
     A_t = np.exp(trans.T - top)  # A.T
 
-    # r_t = P_t / c_t = exp(X_t - log_norm_t + max trans) for t >= 1; the
-    # scores X are recomputed rather than returned by forward
+    # r_t = P_t / c_t = exp(X_t - log_norm_t + max trans) for t >= 1, from
+    # the scores: forward's P_t and c_t may have dropped mass
     r = np.zeros((T, B, K))
-    X = _scores(E, s, e, lengths)[1:]
-    np.exp(X - log_norm[1:, :, None] + top, out=r[1:], where=real[1:, :, None])
+    np.exp(X[1:] - log_norm[1:, :, None] + top, out=r[1:], where=real[1:, :, None])
     beta = np.zeros((T, B, K))
     beta[lengths - 1, rows] = 1.0
     shortest = lengths.min() if B else T  # steps below it are real in every row

@@ -89,16 +89,17 @@ def load_word_vectors(
     Each line is a word and its ``dim`` values, separated by single spaces;
     trailing whitespace is ignored. A first line of exactly two integers is
     the ``<count> <dim>`` header of word2vec and fastText ``.vec`` files,
-    and its dim must be ``dim``. Rows for vocabulary words found in the
-    file are copied; the rest (including UNK) are uniform in [-0.25, 0.25]
-    and PAD is zeroed. Returns the (|vocab|, dim) matrix and the coverage
-    ratio found / (|vocab| - 2). The file is streamed; errors name its path
-    and line.
+    and its dim must be ``dim``. A line whose lowercased word is in the
+    vocabulary is copied to its row (the last such line wins) and must hold
+    finite float32 values; the other rows (including UNK) are uniform in
+    [-0.25, 0.25] and PAD is zeroed. Returns the (|vocab|, dim) matrix and
+    the coverage ratio, distinct rows copied / (|vocab| - 2). The file is
+    streamed; errors name its path and line.
     """
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-0.25, 0.25, size=(len(vocab), dim)).astype(np.float32)
     matrix[PAD] = 0.0
-    found = 0
+    found: set[int] = set()
     for lineno, line in enumerate(read_lines(path), start=1):
         parts = line.rstrip().split(" ")  # fastText ends each line with a space
         if lineno == 1 and len(parts) == 2 and all(part.isdecimal() for part in parts):
@@ -118,11 +119,15 @@ def load_word_vectors(
         if idx is None:
             continue
         try:
-            matrix[idx] = np.asarray([float(v) for v in values], dtype=np.float32)
+            with np.errstate(over="ignore"):
+                row = np.asarray([float(v) for v in values], dtype=np.float32)
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-        found += 1
-    coverage = found / max(len(vocab) - len(_RESERVED), 1)
+        if not np.isfinite(row).all():
+            raise FormatError(f"{path}: line {lineno}: a value is not a finite float32")
+        matrix[idx] = row
+        found.add(idx)
+    coverage = len(found) / max(len(vocab) - len(_RESERVED), 1)
     return matrix, coverage
 
 

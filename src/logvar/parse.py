@@ -16,13 +16,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .corpus import AnnotatedLog
+from .corpus import DEFAULT_WILDCARD, AnnotatedLog
 from .evaluate import spans
 # tag_log stays importable here: the benchmark's layer trace hooks logvar.parse.tag_log
 from .tagger import TaggerModel, tag_log, tag_logs  # noqa: F401
 from .taxonomy import MULTICLASS, VariableCategory
-
-DEFAULT_WILDCARD = "<*>"
 
 
 @dataclass(frozen=True, slots=True)

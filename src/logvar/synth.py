@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import AnnotatedLog
-from .parse import DEFAULT_WILDCARD
+from .corpus import DEFAULT_WILDCARD, AnnotatedLog
 from .taxonomy import OUTSIDE, Tag, VariableCategory
 
 _LETTERS = np.array(list("abcdefghijklmnopqrstuvwxyz"))
@@ -25,19 +24,12 @@ _EXTS = ["log", "dat", "tmp", "cfg"]
 
 
 @dataclass(frozen=True)
-class SlotSpec:
-    position: int  # index among template elements
-    category: VariableCategory
-
-
-@dataclass(frozen=True)
 class TemplateSpec:
-    elements: tuple[str | None, ...]  # static word, or None for a slot
-    slots: tuple[SlotSpec, ...]
+    elements: tuple[str | VariableCategory, ...]  # static word, or the category of a slot
 
     @property
     def canonical(self) -> str:
-        return " ".join(DEFAULT_WILDCARD if e is None else e for e in self.elements)
+        return " ".join(e if isinstance(e, str) else DEFAULT_WILDCARD for e in self.elements)
 
 
 @dataclass(frozen=True)
@@ -55,7 +47,7 @@ class GeneratorSpec:
             "templates": [
                 {
                     "canonical": t.canonical,
-                    "categories": [s.category.abbrev for s in t.slots],
+                    "categories": [e.abbrev for e in t.elements if not isinstance(e, str)],
                 }
                 for t in self.templates
             ],
@@ -134,14 +126,9 @@ def _make_templates(
         statics = [pool[rng.integers(0, len(pool))] for _ in range(n_static)]
         elements: list[str | None] = list(statics)
         for _ in range(n_slots):
-            pos = int(rng.integers(0, len(elements) + 1))
-            elements.insert(pos, None)
-        slots = tuple(
-            SlotSpec(i, slot_cats.pop(0))
-            for i, e in enumerate(elements)
-            if e is None
-        )
-        tpl = TemplateSpec(tuple(elements), slots)
+            elements.insert(int(rng.integers(0, len(elements) + 1)), None)
+        # the slots take their categories left to right
+        tpl = TemplateSpec(tuple(slot_cats.pop(0) if e is None else e for e in elements))
         if tpl.canonical in seen:
             continue  # identical wildcard skeletons would merge downstream
         seen.add(tpl.canonical)
@@ -164,18 +151,16 @@ def generate_synthetic(
     logs: list[AnnotatedLog] = []
     for _ in range(n_logs):
         tpl = templates[int(rng.integers(0, n_templates))]
-        slot_by_pos = {s.position: s.category for s in tpl.slots}
         tokens: list[str] = []
         tags: list[Tag] = []
-        for pos, elem in enumerate(tpl.elements):
-            if elem is not None:
+        for elem in tpl.elements:
+            if isinstance(elem, str):
                 tokens.append(elem)
                 tags.append(OUTSIDE)
             else:
-                cat = slot_by_pos[pos]
-                value = _fill_slot(rng, cat)
+                value = _fill_slot(rng, elem)
                 tokens.extend(value)
-                tags.append(Tag("B", cat.abbrev))
-                tags.extend(Tag("I", cat.abbrev) for _ in value[1:])
+                tags.append(Tag("B", elem.abbrev))
+                tags.extend(Tag("I", elem.abbrev) for _ in value[1:])
         logs.append(AnnotatedLog(tuple(tokens), tuple(tags)))
     return logs, spec

@@ -116,24 +116,26 @@ class TaggerModel:
 def param_shapes(
     hp: Hyperparams, n_words: int, n_chars: int, n_tags: int
 ) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every model tensor, as ``init_model`` creates them."""
+    """Name -> shape of every model tensor, in the order of ``init_model``'s params."""
     din, h = hp.input_dim, hp.lstm_hidden
     shapes = {
         "char_emb": (n_chars, hp.char_emb_dim),
         "char_W": (hp.char_kernel, hp.char_emb_dim, hp.char_filters),
         "char_b": (hp.char_filters,),
         "word_emb": (n_words, hp.word_dim),
-        "proj_W": (2 * h, n_tags),
-        "proj_b": (n_tags,),
-        "trans": (n_tags, n_tags),
-        "start": (n_tags,),
-        "end": (n_tags,),
     }
     for d in ("f", "b"):
         shapes[f"lstm_{d}_Wx"] = (din, 4 * h)
         shapes[f"lstm_{d}_Wh"] = (h, 4 * h)
         shapes[f"lstm_{d}_b"] = (4 * h,)
+    shapes.update(proj_W=(2 * h, n_tags), proj_b=(n_tags,), trans=(n_tags, n_tags),
+                  start=(n_tags,), end=(n_tags,))
     return shapes
+
+
+# the tensors ``init_model`` draws, in the order it draws them
+_DRAWN = ("char_emb", "char_W", "word_emb", "lstm_f_Wx", "lstm_f_Wh", "lstm_b_Wx", "lstm_b_Wh",
+          "proj_W")
 
 
 def init_model(
@@ -147,54 +149,34 @@ def init_model(
 ) -> TaggerModel:
     """Fresh model with seeded initialization.
 
-    LSTM and projection weights are uniform in +-sqrt(1/fan_in); embeddings
-    are uniform in [-0.25, 0.25] (PAD rows zero) unless a pretrained word
-    matrix is supplied; CRF scores start at zero except IOB-violating
-    transitions, which are pinned at FROZEN_SCORE and never trained.
+    Every tensor of ``param_shapes`` starts at zero. One generator seeded
+    with ``seed`` then draws the ``_DRAWN`` tensors in order (char_emb,
+    char_W, word_emb, lstm_f_Wx, lstm_f_Wh, lstm_b_Wx, lstm_b_Wh, proj_W):
+    embeddings uniform in [-0.25, 0.25], the rest uniform in
+    +-sqrt(1/fan_in), fan_in the product of all dims but the last. A
+    ``pretrained`` word matrix replaces the word_emb draw, which is not
+    made. Then PAD rows are zeroed, forget-gate biases set to 1, and the
+    IOB-violating CRF scores pinned at FROZEN_SCORE, never to be trained.
     """
-    rng = np.random.default_rng(seed)
     tags = tag_vocabulary(mode)
-    k = len(tags)
-    din, h = hp.input_dim, hp.lstm_hidden
-
-    def uniform(shape, fan_in):
-        bound = np.sqrt(1.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-    params: dict[str, np.ndarray] = {}
-    params["char_emb"] = rng.uniform(
-        -0.25, 0.25, size=(len(char_vocab), hp.char_emb_dim)
-    ).astype(dtype)
+    shapes = param_shapes(hp, len(word_vocab), len(char_vocab), len(tags))
+    if pretrained is not None and pretrained.shape != shapes["word_emb"]:
+        raise ValueError(f"pretrained matrix shape {pretrained.shape} != {shapes['word_emb']}")
+    rng = np.random.default_rng(seed)
+    params = {name: np.zeros(shape, dtype=dtype) for name, shape in shapes.items()}
+    for name in _DRAWN:
+        if name == "word_emb" and pretrained is not None:
+            params[name][...] = pretrained
+        else:
+            bound = 0.25 if name.endswith("_emb") else np.sqrt(1.0 / np.prod(shapes[name][:-1]))
+            params[name][...] = rng.uniform(-bound, bound, size=shapes[name])
     params["char_emb"][PAD] = 0.0
-    params["char_W"] = uniform(
-        (hp.char_kernel, hp.char_emb_dim, hp.char_filters), hp.char_kernel * hp.char_emb_dim
-    )
-    params["char_b"] = np.zeros(hp.char_filters, dtype=dtype)
-    if pretrained is not None:
-        if pretrained.shape != (len(word_vocab), hp.word_dim):
-            raise ValueError(
-                f"pretrained matrix shape {pretrained.shape} != "
-                f"({len(word_vocab)}, {hp.word_dim})"
-            )
-        params["word_emb"] = pretrained.astype(dtype).copy()
-    else:
-        params["word_emb"] = rng.uniform(
-            -0.25, 0.25, size=(len(word_vocab), hp.word_dim)
-        ).astype(dtype)
     params["word_emb"][PAD] = 0.0
-    for d in ("f", "b"):
-        params[f"lstm_{d}_Wx"] = uniform((din, 4 * h), din)
-        params[f"lstm_{d}_Wh"] = uniform((h, 4 * h), h)
-        bias = np.zeros(4 * h, dtype=dtype)
-        bias[h : 2 * h] = 1.0  # forget-gate bias
-        params[f"lstm_{d}_b"] = bias
-    params["proj_W"] = uniform((2 * h, k), 2 * h)
-    params["proj_b"] = np.zeros(k, dtype=dtype)
-
+    forget = _gate_slices(hp.lstm_hidden)[1]
+    params["lstm_f_b"][forget] = params["lstm_b_b"][forget] = 1.0
     model = TaggerModel(hp, mode, word_vocab, char_vocab, tags, params)
-    params["trans"] = np.where(model.frozen_trans, FROZEN_SCORE, 0.0).astype(dtype)
-    params["start"] = np.where(model.frozen_start, FROZEN_SCORE, 0.0).astype(dtype)
-    params["end"] = np.zeros(k, dtype=dtype)
+    params["trans"][model.frozen_trans] = FROZEN_SCORE
+    params["start"][model.frozen_start] = FROZEN_SCORE
     return model
 
 

@@ -62,8 +62,10 @@ class TrainConfig:
     selection_metric: str = VARIABLE_AWARE
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
+        if self.epochs < 1 or self.batch_size < 1 or not 0 < self.learning_rate < np.inf:
             raise ValueError("invalid training configuration")
+        if not 0 <= self.gradient_clip_norm < np.inf:  # 0 means no clipping
+            raise ValueError("gradient_clip_norm must be finite and >= 0")
         if self.selection_metric not in (VARIABLE_AWARE, GENERAL):
             raise ValueError(f"unknown selection metric: {self.selection_metric!r}")
 

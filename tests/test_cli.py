@@ -130,9 +130,13 @@ class TestBadInput:
          "--epochs", "0"],
         ["train", "--train", "{d}/train.tsv", "--val", "{d}/val.tsv", "--out", "{tmp}/m.valb",
          "--dropout", "1.5"],
+        ["train", "--train", "{d}/train.tsv", "--val", "{d}/val.tsv", "--out", "{tmp}/m.valb",
+         "--learning-rate", "nan"],
+        ["train", "--train", "{d}/train.tsv", "--val", "{d}/val.tsv", "--out", "{tmp}/m.valb",
+         "--clip-norm", "-1"],
         ["eval", "--gold", "{empty}", "--pred", "{empty}", "--report", "{tmp}/r.json"],
     ], ids=["train-empty-val", "train-empty-train", "finetune-empty-val", "zero-epochs",
-            "dropout-above-one", "eval-no-logs"])
+            "dropout-above-one", "nan-learning-rate", "negative-clip-norm", "eval-no-logs"])
     def test_usage_error_not_traceback(self, trained_model, tmp_path, capsys, argv):
         d, model_path = trained_model
         empty = tmp_path / "empty.tsv"

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from logvar import crf
 from logvar.crf import forward, nll_gradients, viterbi_decode
 from logvar.embed import build_vocabs
 from logvar.synth import generate_synthetic
@@ -475,8 +476,9 @@ def test_forward_matches_enumeration_on_a_padded_batch():
     E = 50.0 * rng.standard_normal((B, T, K))  # padded steps: large scores that must not leak
     for b, n in enumerate(lengths):
         E[b, :n] = rng.standard_normal((n, K))
-    alpha, log_norm, log_z = forward(E, trans, s, e, lengths)
+    alpha, log_norm, log_z, X = forward(E, trans, s, e, lengths)
     assert alpha.shape == (T, B, K) and log_norm.shape == (T, B)
+    np.testing.assert_array_equal(X, crf._scores(E, s, e, lengths))
     np.testing.assert_allclose(log_norm.sum(axis=0), log_z, rtol=0, atol=1e-12)
     for b, n in enumerate(lengths):
         seq = E[b, :n]
@@ -485,6 +487,19 @@ def test_forward_matches_enumeration_on_a_padded_batch():
             np.testing.assert_allclose(alpha[t, b], prefix_distribution(seq, trans, s, e, t),
                                        rtol=0, atol=1e-12)
         assert (alpha[n:, b] == 0).all() and (log_norm[n:, b] == 0).all()
+
+
+def test_nll_gradients_builds_the_scores_once(monkeypatch):
+    # the backward pass reads the scores that forward built
+    calls = []
+    scores = crf._scores
+    monkeypatch.setattr(crf, "_scores", lambda *args: calls.append(1) or scores(*args))
+    rng = np.random.default_rng(16)
+    K, lengths = 3, np.array([2, 4])
+    E = rng.standard_normal((len(lengths), 4, K))
+    gold = rng.integers(0, K, size=E.shape[:2])
+    nll_gradients(E, rng.standard_normal((K, K)), np.zeros(K), np.zeros(K), gold, lengths)
+    assert len(calls) == 1
 
 
 def test_transition_far_above_the_rest_matches_reference(pinned):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,22 @@ class TestLoadWordVectors:
         path = self.write_vectors(tmp_path, ["id 1 2 notafloat"])
         with pytest.raises(FormatError):
             load_word_vectors(path, wv, dim=3)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_value_not_a_finite_float32_names_file_and_line(self, tmp_path, value):
+        wv, _ = build_vocabs(TRAIN)
+        path = self.write_vectors(tmp_path, ["id 1 2 3", f"foo 1 {value} 3"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=r"vecs\.txt: line 2: .*not a finite float32"):
+                load_word_vectors(path, wv, dim=3)
+
+    def test_coverage_counts_distinct_words_and_the_last_line_wins(self, tmp_path):
+        wv, _ = build_vocabs([log_of("the cat")])
+        path = self.write_vectors(tmp_path, ["the 1 1 1", "The 2 2 2", "the 3 3 3"])
+        matrix, coverage = load_word_vectors(path, wv, dim=3)
+        assert coverage == 0.5
+        np.testing.assert_array_equal(matrix[wv.lookup("the")], [3.0, 3.0, 3.0])
 
     def test_non_utf8_bytes_name_file_and_line(self, tmp_path):
         wv, _ = build_vocabs(TRAIN)
