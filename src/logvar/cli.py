@@ -2,8 +2,8 @@
 
 Subcommands: split, train, finetune, tag, parse, eval, derive-annotations,
 synth. Flags may also come from a config file of `key = value` lines
-(`--config`); command-line flags win. Every command echoes its resolved
-configuration to `run-config.txt` next to its primary output, writes outputs
+(`--config`); command-line flags win. Every command echoes the options
+that are set to `run-config.txt` next to its primary output, writes outputs
 atomically, and is byte-reproducible for fixed inputs and seed.
 """
 
@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import synth
@@ -44,7 +46,7 @@ class UsageError(Exception):
 
 
 def _echo_run_config(out_path: str | Path, args: argparse.Namespace) -> None:
-    lines = [f"{k} = {v}" for k, v in sorted(vars(args).items()) if k != "func"]
+    lines = [f"{k} = {v}" for k, v in sorted(vars(args).items()) if k != "func" and v is not None]
     write_atomic(Path(out_path).parent / "run-config.txt", "\n".join(lines) + "\n")
 
 
@@ -71,29 +73,18 @@ def _parse_preserve(text: str) -> set[VariableCategory]:
     return out
 
 
+def _from_args(cls: type, args: argparse.Namespace, **renamed: object):
+    """A ``cls`` with each field from the option of its name, but those in ``renamed``."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                  if f.name not in renamed}, **renamed)
+
+
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        gradient_clip_norm=args.clip_norm,
-        seed=args.seed,
-        freeze_word_embeddings=args.freeze_word_embeddings,
-        selection_metric=args.selection_metric,
-    )
+    return _from_args(TrainConfig, args, gradient_clip_norm=args.clip_norm)
 
 
 def _hyperparams(args: argparse.Namespace) -> Hyperparams:
-    return Hyperparams(
-        word_dim=args.word_dim,
-        char_emb_dim=args.char_emb_dim,
-        char_filters=args.char_filters,
-        char_kernel=args.char_kernel,
-        lstm_hidden=args.lstm_hidden,
-        dropout=args.dropout,
-        max_word_len=args.max_word_len,
-        use_char_channel=not args.no_char_channel,
-    )
+    return _from_args(Hyperparams, args, use_char_channel=not args.no_char_channel)
 
 
 def cmd_split(args: argparse.Namespace) -> int:
@@ -142,14 +133,18 @@ def _save_trained(best: TaggerModel, history: list[EpochStats], args: argparse.N
     return 0
 
 
+def _nonempty(results: Iterable[object]) -> Iterator[tuple[int, object]]:
+    """(line number, result) of each result that is not None; a None is an empty line, reported."""
+    for i, result in enumerate(results, start=1):
+        if result is None:
+            print(f"line {i}: empty log, skipped", file=sys.stderr)
+        else:
+            yield i, result
+
+
 def cmd_tag(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    tagged: list[AnnotatedLog] = []
-    for i, annotated in enumerate(tag_logs(model, list(read_lines(args.input))), start=1):
-        if annotated is None:
-            print(f"line {i}: empty log, skipped", file=sys.stderr)
-            continue
-        tagged.append(annotated)
+    tagged = [log for _, log in _nonempty(tag_logs(model, list(read_lines(args.input))))]
     write_annotations(tagged, args.output)
     _echo_run_config(args.output, args)
     return 0
@@ -160,18 +155,11 @@ def cmd_parse(args: argparse.Namespace) -> int:
     preserve = _parse_preserve(args.preserve)
     results, store = parse_corpus(model, list(read_lines(args.input)), preserve,
                                   wildcard=args.wildcard)
-    records = []
-    for i, result in enumerate(results, start=1):
-        if result is None:
-            print(f"line {i}: empty log, skipped", file=sys.stderr)
-            continue
-        records.append(result_record(i, result))
-    write_atomic(args.output, "\n".join(records) + "\n")
+    records = [result_record(i, result) for i, result in _nonempty(results)]
+    write_atomic(args.output, "".join(r + "\n" for r in records))
     if args.templates:
-        write_atomic(
-            args.templates,
-            "\n".join(json.dumps(e, ensure_ascii=False) for e in store.summary()) + "\n",
-        )
+        write_atomic(args.templates, "".join(json.dumps(e, ensure_ascii=False) + "\n"
+                                             for e in store.summary()))
     _echo_run_config(args.output, args)
     print(f"parsed {len(records)} logs into {len(store.entries)} templates")
     return 0
@@ -356,11 +344,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
     """Values from the ``--config`` file for the options of ``args.command``.
 
-    Each line is ``key = value``; ``#`` starts a comment. Keys the command
-    has no option for are skipped, so one file can serve several commands.
-    A flag's value is true for 1/true/yes; other values stay strings, which
-    argparse converts with the option's type.
+    Each line is ``key = value``, the key an option's dest; ``#`` starts a
+    comment. Keys of other commands' options are skipped, so one file can
+    serve several commands; a key no command has raises UsageError. A flag's
+    value is true for 1/true/yes; other values stay strings, which argparse
+    converts with the option's type.
     """
+    parser, commands = build_parser()
+    known = {action.dest for p in (parser, *commands.values()) for action in p._actions
+             if action.default is not argparse.SUPPRESS}  # not --help
     defaults: dict[str, object] = {}
     for lineno, line in enumerate(read_lines(args.config), 1):
         line = line.split("#", 1)[0].strip()
@@ -369,7 +361,9 @@ def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
         if "=" not in line:
             raise UsageError(f"{args.config}: line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in ("command", "config", "func") or not hasattr(args, key):
+        if key not in known:
+            raise UsageError(f"{args.config}: line {lineno}: no command has an option {key!r}")
+        if key in ("command", "config") or not hasattr(args, key):
             continue
         if isinstance(getattr(args, key), bool):
             defaults[key] = value.lower() in ("1", "true", "yes")

@@ -53,6 +53,11 @@ class CharVocab:
         return sorted(self.index, key=self.index.get)
 
 
+def vocab_index(symbols: Sequence[str]) -> dict[str, int]:
+    """Symbol -> id, numbered in order after the reserved PAD and UNK ids."""
+    return {s: i + len(_RESERVED) for i, s in enumerate(symbols)}
+
+
 @dataclass(frozen=True)
 class EncodedLog:
     word_ids: np.ndarray  # (T,) int
@@ -76,9 +81,7 @@ def build_vocabs(train: list[AnnotatedLog], min_freq: int = 1) -> tuple[WordVoca
             word_counts[tok.lower()] += 1
             chars.update(tok)
     words = sorted(w for w, n in word_counts.items() if n >= min_freq)
-    word_index = {w: i + len(_RESERVED) for i, w in enumerate(words)}
-    char_index = {c: i + len(_RESERVED) for i, c in enumerate(sorted(chars))}
-    return WordVocab(word_index, min_freq), CharVocab(char_index)
+    return WordVocab(vocab_index(words), min_freq), CharVocab(vocab_index(sorted(chars)))
 
 
 def load_word_vectors(

@@ -45,7 +45,7 @@ class ParseResult:
 
 @dataclass
 class TemplateStore:
-    """Template id -> (canonical template, first-seen ordinal, occurrence count)."""
+    """Template id -> canonical template and occurrence count; ordinals are first-seen order."""
 
     entries: dict[str, dict] = field(default_factory=dict)
 
@@ -53,16 +53,15 @@ class TemplateStore:
         """Count one occurrence of a template under its id and return the id."""
         entry = self.entries.get(template_id)
         if entry is None:
-            entry = {"canonical_template": canonical, "ordinal": len(self.entries), "count": 0}
-            self.entries[template_id] = entry
+            entry = self.entries[template_id] = {"canonical_template": canonical, "count": 0}
         entry["count"] += 1
         return template_id
 
     def summary(self) -> list[dict]:
         return [
-            {"template_id": tid, "ordinal": e["ordinal"],
+            {"template_id": tid, "ordinal": ordinal,
              "canonical_template": e["canonical_template"], "count": e["count"]}
-            for tid, e in sorted(self.entries.items(), key=lambda kv: kv[1]["ordinal"])
+            for ordinal, (tid, e) in enumerate(self.entries.items())
         ]
 
 
@@ -151,15 +150,12 @@ def parse_corpus(
     """
     if model.mode != MULTICLASS:
         raise ValueError("parse_corpus requires a multiclass model")
+    results = [None if annotated is None else extract_template(annotated, preserve, wildcard)
+               for annotated in tag_logs(model, raw_logs)]
     store = TemplateStore()
-    results: list[ParseResult | None] = []
-    for annotated in tag_logs(model, raw_logs):
-        if annotated is None:
-            results.append(None)
-            continue
-        result = extract_template(annotated, preserve, wildcard)
-        store.intern(result.canonical_template, result.template_id)
-        results.append(result)
+    for result in results:
+        if result is not None:
+            store.intern(result.canonical_template, result.template_id)
     return results, store
 
 

@@ -50,7 +50,7 @@ word, so that little of the gather and sum is spent on PAD positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,6 +61,16 @@ from .errors import EmptyLog, NonFiniteScores
 from .taxonomy import MULTICLASS, Tag, is_valid_transition, tag_vocabulary
 
 FROZEN_SCORE = -10000.0
+
+
+def check_field_types(config: object) -> None:
+    """Raise ValueError naming the first field of the dataclass ``config`` not of its
+    default's type; only a bool field takes a bool, and a float field takes an int."""
+    for f in fields(config):
+        kind, value = type(f.default), getattr(config, f.name)
+        if (isinstance(value, bool) != (kind is bool)
+                or not isinstance(value, (int, float) if kind is float else kind)):
+            raise ValueError(f"{f.name} = {value!r} is not a {kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -75,10 +85,10 @@ class Hyperparams:
     use_char_channel: bool = True  # False gives the char-ablated baseline
 
     def __post_init__(self) -> None:
-        for name in ("word_dim", "char_emb_dim", "char_filters", "char_kernel",
-                     "lstm_hidden", "max_word_len"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_field_types(self)
+        for f in fields(self):
+            if type(f.default) is int and getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
@@ -89,13 +99,14 @@ class Hyperparams:
 
 @dataclass(eq=False)  # == is identity: params is a dict of arrays
 class TaggerModel:
+    """A tagger; its tag alphabet, and from it the IOB-forbidden CRF entries, derive from mode."""
+
     hp: Hyperparams
     mode: str
     word_vocab: WordVocab
     char_vocab: CharVocab
-    tags: list[Tag]
     params: dict[str, np.ndarray]
-    # IOB-forbidden CRF entries, derived from ``tags``
+    tags: list[Tag] = field(init=False)
     frozen_trans: np.ndarray = field(init=False, repr=False)  # bool (K, K)
     frozen_start: np.ndarray = field(init=False, repr=False)  # bool (K,)
 
@@ -107,6 +118,7 @@ class TaggerModel:
         return self._tag_to_idx[tag]
 
     def __post_init__(self) -> None:
+        self.tags = tag_vocabulary(self.mode)
         self._tag_to_idx = {t: i for i, t in enumerate(self.tags)}
         self.frozen_trans = np.array(
             [[not is_valid_transition(prev, nxt) for nxt in self.tags] for prev in self.tags])
@@ -150,20 +162,20 @@ def init_model(
     """Fresh model with seeded initialization.
 
     Every tensor of ``param_shapes`` starts at zero. One generator seeded
-    with ``seed`` then draws the ``_DRAWN`` tensors in order (char_emb,
-    char_W, word_emb, lstm_f_Wx, lstm_f_Wh, lstm_b_Wx, lstm_b_Wh, proj_W):
-    embeddings uniform in [-0.25, 0.25], the rest uniform in
-    +-sqrt(1/fan_in), fan_in the product of all dims but the last. A
-    ``pretrained`` word matrix replaces the word_emb draw, which is not
-    made. Then PAD rows are zeroed, forget-gate biases set to 1, and the
-    IOB-violating CRF scores pinned at FROZEN_SCORE, never to be trained.
+    with ``seed`` then draws the ``_DRAWN`` tensors in order: embeddings
+    uniform in [-0.25, 0.25], the rest uniform in +-sqrt(1/fan_in), fan_in
+    the product of all dims but the last. A ``pretrained`` word matrix
+    replaces the word_emb draw, which is not made. Then PAD rows are
+    zeroed, forget-gate biases set to 1, and the IOB-violating CRF scores
+    pinned at FROZEN_SCORE, never to be trained.
     """
-    tags = tag_vocabulary(mode)
-    shapes = param_shapes(hp, len(word_vocab), len(char_vocab), len(tags))
+    params: dict[str, np.ndarray] = {}
+    model = TaggerModel(hp, mode, word_vocab, char_vocab, params)
+    shapes = param_shapes(hp, len(word_vocab), len(char_vocab), model.n_tags)
     if pretrained is not None and pretrained.shape != shapes["word_emb"]:
         raise ValueError(f"pretrained matrix shape {pretrained.shape} != {shapes['word_emb']}")
     rng = np.random.default_rng(seed)
-    params = {name: np.zeros(shape, dtype=dtype) for name, shape in shapes.items()}
+    params.update((name, np.zeros(shape, dtype=dtype)) for name, shape in shapes.items())
     for name in _DRAWN:
         if name == "word_emb" and pretrained is not None:
             params[name][...] = pretrained
@@ -174,7 +186,6 @@ def init_model(
     params["word_emb"][PAD] = 0.0
     forget = _gate_slices(hp.lstm_hidden)[1]
     params["lstm_f_b"][forget] = params["lstm_b_b"][forget] = 1.0
-    model = TaggerModel(hp, mode, word_vocab, char_vocab, tags, params)
     params["trans"][model.frozen_trans] = FROZEN_SCORE
     params["start"][model.frozen_start] = FROZEN_SCORE
     return model
@@ -633,13 +644,13 @@ def tag_log(model: TaggerModel, raw: str) -> AnnotatedLog:
 
 
 def tag_logs(model: TaggerModel, raws: list[str]) -> list[AnnotatedLog | None]:
-    """Tag many raw log messages with one ``decode``; an empty message gives None."""
-    token_lists: list[tuple[str, ...] | None] = []
+    """Tag many raw log messages with one ``decode``; an empty message goes to
+    ``decode`` as no tokens, which tags it ``[]``, and gives None."""
+    token_lists: list[tuple[str, ...]] = []
     for raw in raws:
         try:
             token_lists.append(tuple(tokenize(raw)))
         except EmptyLog:
-            token_lists.append(None)
-    tagged = iter(decode(model, [tokens for tokens in token_lists if tokens is not None]))
-    return [None if tokens is None else AnnotatedLog(tokens, tuple(next(tagged)))
-            for tokens in token_lists]
+            token_lists.append(())
+    return [AnnotatedLog(tokens, tuple(tags)) if tags else None
+            for tokens, tags in zip(token_lists, decode(model, token_lists))]

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import AnnotatedLog, write_atomic
-from .embed import CharVocab, WordVocab
+from .embed import CharVocab, WordVocab, vocab_index
 from .errors import ChecksumError, DivergenceError, FormatError, VersionError
 from .evaluate import general_accuracy, variable_aware_accuracy
 from .tagger import (
@@ -35,12 +35,13 @@ from .tagger import (
     Hyperparams,
     TaggerModel,
     _padded,
+    check_field_types,
     decode,
     loss_and_gradients,
     param_shapes,
     token_table,
 )
-from .taxonomy import BINARY, MULTICLASS, tag_vocabulary
+from .taxonomy import tag_vocabulary
 
 MAGIC = b"VALB"
 FORMAT_VERSION = 1
@@ -62,6 +63,7 @@ class TrainConfig:
     selection_metric: str = VARIABLE_AWARE
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.epochs < 1 or self.batch_size < 1 or not 0 < self.learning_rate < np.inf:
             raise ValueError("invalid training configuration")
         if not 0 <= self.gradient_clip_norm < np.inf:  # 0 means no clipping
@@ -251,22 +253,15 @@ def _read_metadata(meta: object, path: str | Path) -> tuple[Hyperparams, str, Wo
     if meta["format"] != FORMAT_VERSION:
         raise FormatError(f"{path}: metadata format {meta['format']!r} != {FORMAT_VERSION}")
     raw_hp = meta["hyperparams"]
-    kinds = {f.name: type(f.default) for f in fields(Hyperparams)}
-    if not isinstance(raw_hp, dict) or set(raw_hp) != set(kinds):
-        raise FormatError(f"{path}: hyperparams must have exactly {', '.join(kinds)}")
-    for name, kind in kinds.items():
-        value = raw_hp[name]
-        ok = isinstance(value, kind) if kind is not float else isinstance(value, (int, float))
-        if not ok or (kind is not bool and isinstance(value, bool)):
-            raise FormatError(f"{path}: hyperparameter {name} = {value!r} is not a {kind.__name__}")
+    names = [f.name for f in fields(Hyperparams)]
+    if not isinstance(raw_hp, dict) or set(raw_hp) != set(names):
+        raise FormatError(f"{path}: hyperparams must have exactly {', '.join(names)}")
+    mode = meta["mode"]
     try:
         hp = Hyperparams(**raw_hp)
+        tags = tag_vocabulary(mode)  # raises ValueError for an unknown mode
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    mode = meta["mode"]
-    if mode not in (MULTICLASS, BINARY):
-        raise FormatError(f"{path}: unknown mode {mode!r}")
-    tags = tag_vocabulary(mode)
     if meta["tag_order"] != [str(t) for t in tags]:
         raise FormatError(
             f"{path}: stored tag ordering does not match the alphabet for mode {mode!r}"
@@ -281,8 +276,8 @@ def _read_metadata(meta: object, path: str | Path) -> tuple[Hyperparams, str, Wo
     if not (isinstance(cv_meta, dict) and set(cv_meta) == {"chars"}
             and _is_str_list(cv_meta["chars"], max_len=1)):
         raise FormatError(f"{path}: char_vocab must hold distinct single characters")
-    wv = WordVocab({w: i + 2 for i, w in enumerate(wv_meta["words"])}, wv_meta["min_freq"])
-    cv = CharVocab({c: i + 2 for i, c in enumerate(cv_meta["chars"])})
+    wv = WordVocab(vocab_index(wv_meta["words"]), wv_meta["min_freq"])
+    cv = CharVocab(vocab_index(cv_meta["chars"]))
     return hp, mode, wv, cv
 
 
@@ -335,9 +330,8 @@ def load_model(path: str | Path) -> TaggerModel:
     if off != len(body):
         raise FormatError(f"{path}: trailing bytes after tensor section")
 
-    hp, mode, wv, cv = _read_metadata(meta, path)
-    tags = tag_vocabulary(mode)
-    expected = param_shapes(hp, len(wv), len(cv), len(tags))
+    model = TaggerModel(*_read_metadata(meta, path), params)
+    expected = param_shapes(model.hp, len(model.word_vocab), len(model.char_vocab), model.n_tags)
     if set(params) != set(expected):
         raise FormatError(
             f"{path}: tensors {sorted(params)} != expected {sorted(expected)}"
@@ -350,7 +344,6 @@ def load_model(path: str | Path) -> TaggerModel:
             )
         if not np.isfinite(params[name]).all():
             raise FormatError(f"{path}: tensor {name} holds a value that is not finite")
-    model = TaggerModel(hp, mode, wv, cv, tags, params)
     for name, frozen in (("trans", model.frozen_trans), ("start", model.frozen_start)):
         if (params[name][frozen] != FROZEN_SCORE).any():
             raise FormatError(

@@ -249,6 +249,18 @@ class TestTagParse:
         assert len(records) == 2
         assert {"line_no", "template_id", "template", "extractions"} <= set(records[0])
 
+    def test_input_of_empty_lines_gives_empty_outputs(self, trained_model, tmp_path, capsys):
+        _, model_path = trained_model
+        raw = tmp_path / "raw.txt"
+        raw.write_text("\n \n\t\n")
+        out, tpl, tagged = tmp_path / "p.jsonl", tmp_path / "t.jsonl", tmp_path / "tagged.tsv"
+        assert main(["parse", "--model", str(model_path), "--input", str(raw),
+                     "--output", str(out), "--templates", str(tpl)]) == 0
+        assert main(["tag", "--model", str(model_path), "--input", str(raw),
+                     "--output", str(tagged)]) == 0
+        assert out.read_bytes() == tpl.read_bytes() == tagged.read_bytes() == b""
+        assert capsys.readouterr().err.count("empty log, skipped") == 6
+
     def test_parse_with_a_binary_model_is_a_usage_error(self, tmp_path, capsys):
         logs = [AnnotatedLog(("alpha", "1"), (OUTSIDE, OUTSIDE))]
         hp = Hyperparams(word_dim=4, char_emb_dim=3, char_filters=2, lstm_hidden=2)
@@ -525,6 +537,47 @@ class TestSynth:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("text, line, key", [
+        ("seed = 3\nbatch-size = 4\n", 2, "batch-size"),
+        ("epoch = 3\nseed = 3\n", 1, "epoch"),
+    ], ids=["dashes", "typo"])
+    def test_key_of_no_command_is_a_usage_error(self, corpus_file, tmp_path, capsys,
+                                                 text, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "split", "--input", str(corpus_file),
+                     "--out-dir", str(tmp_path / "a")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage"
+        assert err["message"] == f"{cfg}: line {line}: no command has an option {key!r}"
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("command", ["parse", "train"])
+    def test_run_config_fed_back_gives_the_same_run(self, trained_model, tmp_path, capsys,
+                                                    monkeypatch, command):
+        d, model_path = trained_model
+        monkeypatch.chdir(tmp_path)  # a value "None" read as a path would land here
+        raw = tmp_path / "raw.txt"
+        raw.write_text("alpha beta 1\n\ngamma 2\n")
+        required, options, out_flag = {
+            "parse": (["parse", "--model", str(model_path), "--input", str(raw)],
+                      ["--preserve", "OID"], "--output"),
+            "train": (["train", "--train", str(d / "train.tsv"), "--val", str(d / "val.tsv")],
+                      ["--epochs", "2", "--word-dim", "6", "--char-emb-dim", "4",
+                       "--char-filters", "3", "--lstm-hidden", "4"], "--out"),
+        }[command]
+        first, again = tmp_path / "first" / "out", tmp_path / "again" / "out"
+        assert main([*required, *options, out_flag, str(first)]) == 0
+        shown = capsys.readouterr()
+        assert "None" not in (first.parent / "run-config.txt").read_text()
+        assert main(["--config", str(first.parent / "run-config.txt"), *required,
+                     out_flag, str(again)]) == 0
+        rerun = capsys.readouterr()
+        assert rerun.out.replace(str(again), str(first)) == shown.out
+        assert rerun.err == shown.err
+        assert again.read_bytes() == first.read_bytes()
+        assert not list(tmp_path.rglob("None"))
+
     def test_config_defaults_with_flag_override(self, tmp_path, corpus_file):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# defaults\nseed = 9\nratios = 0.2,0.2,0.6\n")

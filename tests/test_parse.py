@@ -121,6 +121,15 @@ class TestTemplateStore:
         assert summary[0]["ordinal"] == 0
         assert summary[1]["ordinal"] == 1
 
+    def test_ordinals_follow_first_seen_order(self):
+        store = TemplateStore()
+        for canonical in ("c <*>", "a <*>", "c <*>", "b", "a <*>", "c <*>"):
+            store.intern(canonical, template_hash(canonical, []))
+        assert [(e["ordinal"], e["canonical_template"], e["count"]) for e in store.summary()] \
+            == [(0, "c <*>", 3), (1, "a <*>", 2), (2, "b", 1)]
+        assert list(store.summary()[0]) == ["template_id", "ordinal", "canonical_template",
+                                            "count"]
+
     def test_hash_stable(self):
         assert template_hash("a <*> b", [1]) == template_hash("a <*> b", [1])
         assert len(template_hash("x", [])) == 16  # 64-bit hex

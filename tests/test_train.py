@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -198,6 +199,28 @@ class TestOptimizer:
         assert clipped == pytest.approx(1.0)
 
 
+class TestConfigurationTypes:
+    """Each field of Hyperparams and TrainConfig takes the type of its default."""
+
+    @pytest.mark.parametrize("cls, field, value", [
+        (Hyperparams, "use_char_channel", "false"),
+        (Hyperparams, "word_dim", 2.5),
+        (Hyperparams, "lstm_hidden", True),
+        (Hyperparams, "dropout", "0.2"),
+        (TrainConfig, "epochs", 2.5),
+        (TrainConfig, "batch_size", True),
+        (TrainConfig, "seed", 1.5),
+        (TrainConfig, "freeze_word_embeddings", "no"),
+    ])
+    def test_value_of_another_type_is_rejected(self, cls, field, value):
+        with pytest.raises(ValueError, match=f"^{field} = "):
+            cls(**{field: value})
+
+    def test_int_is_a_float(self):
+        assert Hyperparams(dropout=0).dropout == 0
+        assert TrainConfig(learning_rate=1).learning_rate == 1
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, memorization_run, tmp_path):
         _, _, best, _, _, _ = memorization_run
@@ -293,6 +316,25 @@ class TestSerialization:
         path = tmp_path / "model.valb"
         save_model(bad, path)
         with pytest.raises(FormatError, match=name):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [("lstm_hidden", True),
+                                              ("use_char_channel", "false")])
+    def test_hyperparameter_of_another_type_names_the_field(
+        self, memorization_run, tmp_path, monkeypatch, field, value
+    ):
+        _, _, best, _, _, _ = memorization_run
+        full = train_module._metadata
+
+        def edited(m):
+            meta = full(m)
+            meta["hyperparams"] = {**meta["hyperparams"], field: value}
+            return meta
+
+        monkeypatch.setattr(train_module, "_metadata", edited)
+        path = tmp_path / "model.valb"
+        save_model(best, path)
+        with pytest.raises(FormatError, match=re.escape(f"{field} = {value!r} is not a ")):
             load_model(path)
 
     def test_edited_hyperparameter_rejected(self, memorization_run, tmp_path, monkeypatch):
