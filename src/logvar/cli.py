@@ -344,19 +344,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
     """Values from the ``--config`` file for the options of ``args.command``.
 
-    Each line is ``key = value``, the key an option's dest; ``#`` starts a
-    comment. Keys of other commands' options are skipped, so one file can
-    serve several commands; a key no command has raises UsageError. A flag's
-    value is true for 1/true/yes; other values stay strings, which argparse
-    converts with the option's type.
+    Each line is ``key = value``, the key an option's dest; a line whose
+    first non-blank character is ``#`` is a comment, and a ``#`` elsewhere is
+    part of the value. Keys of other commands' options are skipped, so one
+    file can serve several commands; a key no command has raises UsageError.
+    A flag's value is 1/true/yes or 0/false/no in any case, else UsageError;
+    other values stay strings, which argparse converts with the option's type.
     """
     parser, commands = build_parser()
     known = {action.dest for p in (parser, *commands.values()) for action in p._actions
              if action.default is not argparse.SUPPRESS}  # not --help
     defaults: dict[str, object] = {}
     for lineno, line in enumerate(read_lines(args.config), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"{args.config}: line {lineno}: expected 'key = value'")
@@ -366,9 +367,11 @@ def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
         if key in ("command", "config") or not hasattr(args, key):
             continue
         if isinstance(getattr(args, key), bool):
-            defaults[key] = value.lower() in ("1", "true", "yes")
-        else:
-            defaults[key] = value
+            if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                raise UsageError(f"{args.config}: line {lineno}: {key} = {value!r} is not "
+                                 "1/true/yes or 0/false/no")
+            value = value.lower() in ("1", "true", "yes")
+        defaults[key] = value
     return defaults
 
 

@@ -166,14 +166,10 @@ def nll_gradients(
     np.exp(X[1:] - log_norm[1:, :, None] + top, out=r[1:], where=real[1:, :, None])
     beta = np.zeros((T, B, K))
     beta[lengths - 1, rows] = 1.0
-    shortest = lengths.min() if B else T  # steps below it are real in every row
     step = np.empty((B, K))
     for t in range(T - 1, 0, -1):
         r[t] *= beta[t]
-        if t < shortest:  # beta[t - 1] is still zero
-            np.matmul(r[t], A_t, out=beta[t - 1])
-        else:
-            beta[t - 1] += np.matmul(r[t], A_t, out=step)
+        beta[t - 1] += np.matmul(r[t], A_t, out=step)
     node = alpha * beta  # (T, B, K), zero on padded steps
     # every real step's node marginals sum to 1 unless the forward pass
     # dropped mass that the backward pass kept (or a marginal is not finite)

@@ -61,7 +61,7 @@ def vocab_index(symbols: Sequence[str]) -> dict[str, int]:
 @dataclass(frozen=True)
 class EncodedLog:
     word_ids: np.ndarray  # (T,) int
-    char_ids: np.ndarray  # (T, max_word_len) int, PAD-filled
+    char_ids: np.ndarray  # (T, longest kept token) int, PAD-filled
 
 
 def build_vocabs(train: list[AnnotatedLog], min_freq: int = 1) -> tuple[WordVocab, CharVocab]:
@@ -137,14 +137,16 @@ def load_word_vectors(
 def encode_log(
     tokens: Sequence[str], wv: WordVocab, cv: CharVocab, max_word_len: int = 30
 ) -> EncodedLog:
-    """Word ids and right-padded/truncated char-id rows for a list of tokens."""
+    """Word ids and char-id rows for a list of tokens, each truncated to
+    ``max_word_len`` characters and right-padded to the longest (one column at least)."""
     if max_word_len < 1:
         raise ValueError("max_word_len must be >= 1")
     t = len(tokens)
     word_ids = np.fromiter((wv.lookup(tok) for tok in tokens), dtype=np.int64, count=t)
     kept = [tok[:max_word_len] for tok in tokens]
-    filled = np.arange(max_word_len) < np.array([len(tok) for tok in kept])[:, None]
-    char_ids = np.full((t, max_word_len), PAD, dtype=np.int64)
+    lengths = np.fromiter(map(len, kept), dtype=np.intp, count=t)
+    filled = np.arange(lengths.max(initial=1)) < lengths[:, None]
+    char_ids = np.full(filled.shape, PAD, dtype=np.int64)
     lookup = cv.index.get  # CharVocab.lookup without a method call per character
     char_ids[filled] = [lookup(ch, UNK) for tok in kept for ch in tok]
     return EncodedLog(word_ids, char_ids)

@@ -21,6 +21,7 @@ Viterbi carries each score unchanged through padded steps. Training runs a
 minibatch the same way: one forward pass, one batched CRF forward-backward
 whose gradient is zero on padded steps, and one backward pass, in which
 those zero gradients keep padded steps out of every parameter gradient.
+So a padded step may read any input row, and nothing else handles padding.
 
 A token's input row (word embedding and char-CNN output) is a function of
 the token alone, and so, without dropout, is each LSTM direction's input
@@ -32,9 +33,9 @@ once per call; training computes it per minibatch, over the minibatch's
 distinct rows, through the same ``_char_reps`` and its backward. The token
 table is the only dedup: each of its rows is convolved once, and two
 tokens that share their first max_word_len characters are convolved once
-each. Each LSTM direction projects one row per distinct id of a batch
-(plus a zero row that padded steps read). Under dropout every position is
-masked differently, so training projects one row per position.
+each. Each LSTM direction projects one row per distinct id of a batch.
+Under dropout every position is masked differently, so training projects
+one row per position.
 
 The char-CNN's convolution is linear in the character embedding, so it is
 read from a per-character table, table[k] = char_emb @ char_W[k] of shape
@@ -443,11 +444,10 @@ def _padded(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.nda
 
 def _distinct_rows(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct table rows that a right-padded (B, T) batch's real steps
-    read, and every step's position among them; padded steps get
-    ``len(used)``, the zero row that ``_input_rows`` appends."""
+    read, and every step's position among them; padded steps get 0."""
     real = np.arange(ids.shape[1]) < lengths[:, None]
     used, inverse = np.unique(ids[real], return_inverse=True)
-    index = np.full(ids.shape, len(used))
+    index = np.zeros(ids.shape, dtype=inverse.dtype)
     index[real] = inverse
     return used, index
 
@@ -456,13 +456,11 @@ def _input_rows(
     model: TaggerModel, word_ids: np.ndarray, char_rep: np.ndarray | None
 ) -> np.ndarray:
     """Input rows of N tokens, their word embedding then their char-CNN output
-    (zero without the char channel), plus a zero row last, (N + 1, Din)."""
-    p, hp = model.params, model.hp
-    rows = np.zeros((len(word_ids) + 1, hp.input_dim), dtype=p["proj_W"].dtype)
-    rows[:-1, : hp.word_dim] = p["word_emb"][word_ids]
-    if char_rep is not None:
-        rows[:-1, hp.word_dim :] = char_rep
-    return rows
+    (zero without the char channel), (N, Din)."""
+    words = model.params["word_emb"][word_ids]
+    if char_rep is None:
+        char_rep = np.zeros((len(word_ids), model.hp.char_filters), dtype=words.dtype)
+    return np.concatenate([words, char_rep], axis=1)
 
 
 def _forward(
@@ -473,11 +471,11 @@ def _forward(
 
     ``rows`` are the batch's input rows from ``_input_rows``, and step t of
     log b reads row ``index[b, t]`` (``_distinct_rows``). Log b's steps
-    [0, lengths[b]) are real; its padded steps score garbage that no caller
-    reads. ``dropout_seed`` None means no dropout: both LSTM directions then
-    project each row once; under dropout (masks from ``_dropout_masks``)
-    every position has its own masked row. Returns the emissions
-    and the cache the backward pass reads.
+    [0, lengths[b]) are real; its padded steps may read any row and score
+    garbage that no caller reads. ``dropout_seed`` None means no dropout:
+    both LSTM directions then project each row once; under dropout (masks
+    from ``_dropout_masks``) every position has its own masked row. Returns
+    the emissions and the cache the backward pass reads.
     """
     p = model.params
     hp = model.hp
@@ -492,17 +490,14 @@ def _forward(
     # direction too padding comes after the last real step; rev is its own
     # inverse
     rev = (np.arange(b_len)[:, None], np.where(real, lengths[:, None] - 1 - steps, steps))
-    h_f, cache_f = _lstm_forward(rows, p["lstm_f_Wx"], p["lstm_f_Wh"], p["lstm_f_b"], index)
-    h_b_rev, cache_b = _lstm_forward(
-        rows, p["lstm_b_Wx"], p["lstm_b_Wh"], p["lstm_b_b"], index[rev]
-    )
-    h_cat = np.concatenate([h_f, h_b_rev[rev]], axis=2)  # (B, T, 2H)
-    h_d = h_cat * m2 if m2 is not None else h_cat
+    h, cache = [], {"lengths": lengths, "real": real, "rev": rev, "m1": m1, "m2": m2}
+    for d, d_index in (("f", index), ("b", index[rev])):
+        h_dir, cache[f"lstm_{d}"] = _lstm_forward(
+            rows, p[f"lstm_{d}_Wx"], p[f"lstm_{d}_Wh"], p[f"lstm_{d}_b"], d_index)
+        h.append(h_dir)
+    h_cat = np.concatenate([h[0], h[1][rev]], axis=2)  # (B, T, 2H)
+    h_d = cache["h_d"] = h_cat * m2 if m2 is not None else h_cat
     emissions = h_d.reshape(-1, h_d.shape[2]) @ p["proj_W"] + p["proj_b"]
-    cache = {
-        "lengths": lengths, "real": real, "rev": rev, "m1": m1, "m2": m2,
-        "lstm_f": cache_f, "lstm_b": cache_b, "h_d": h_d,
-    }
     return emissions.reshape(b_len, t_max, -1), cache
 
 
@@ -526,19 +521,13 @@ def _backward_net(
     if cache["m2"] is not None:
         d_hd = d_hd * cache["m2"]
     rev = cache["rev"]
-    d_inputs_f, d_wx, d_wh, d_b = _lstm_backward(
-        d_hd[..., :h_dim], p["lstm_f_Wx"], p["lstm_f_Wh"], cache["lstm_f"]
-    )
-    grads["lstm_f_Wx"] += d_wx
-    grads["lstm_f_Wh"] += d_wh
-    grads["lstm_f_b"] += d_b
-    d_inputs_b, d_wx, d_wh, d_b = _lstm_backward(
-        d_hd[..., h_dim:][rev], p["lstm_b_Wx"], p["lstm_b_Wh"], cache["lstm_b"]
-    )
-    grads["lstm_b_Wx"] += d_wx
-    grads["lstm_b_Wh"] += d_wh
-    grads["lstm_b_b"] += d_b
-    d_u = d_inputs_f + d_inputs_b[rev]
+    d_inputs = []
+    for d, d_h in (("f", d_hd[..., :h_dim]), ("b", d_hd[..., h_dim:][rev])):
+        d_in, *d_w = _lstm_backward(d_h, p[f"lstm_{d}_Wx"], p[f"lstm_{d}_Wh"], cache[f"lstm_{d}"])
+        for name, grad in zip(("Wx", "Wh", "b"), d_w):
+            grads[f"lstm_{d}_{name}"] += grad
+        d_inputs.append(d_in)
+    d_u = d_inputs[0] + d_inputs[1][rev]
     if cache["m1"] is not None:
         d_u = d_u * cache["m1"]
     return d_u[cache["real"]]
@@ -556,7 +545,8 @@ def loss_and_gradients(
     char-CNN as in ``decode``, each row once), then one forward pass, one
     CRF forward-backward and one backward pass; log b draws its dropout
     masks from ``dropout_seed + b``. Frozen CRF entries (IOB constraints)
-    receive zero gradient.
+    receive zero gradient, and so do the PAD embeddings, which no token
+    reads.
     """
     p, hp = model.params, model.hp
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
@@ -586,8 +576,6 @@ def loss_and_gradients(
         grads[name] *= scale
     grads["trans"][model.frozen_trans] = 0.0
     grads["start"][model.frozen_start] = 0.0
-    grads["word_emb"][PAD] = 0.0
-    grads["char_emb"][PAD] = 0.0
     return loss * scale, grads
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import AnnotatedLog, write_atomic
 from .embed import CharVocab, WordVocab, vocab_index
-from .errors import ChecksumError, DivergenceError, FormatError, VersionError
+from .errors import ChecksumError, DivergenceError, FormatError, TagError, VersionError
 from .evaluate import general_accuracy, variable_aware_accuracy
 from .tagger import (
     FROZEN_SCORE,
@@ -135,9 +135,16 @@ def train(
     val_set: list[AnnotatedLog],
     cfg: TrainConfig,
 ) -> tuple[TaggerModel, list[EpochStats]]:
-    """Train a copy of ``init``; return the best checkpoint and per-epoch history."""
+    """Train a copy of ``init``; return the best checkpoint and per-epoch history.
+    Raises TagError, before training, if either set holds a tag outside the model's alphabet."""
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
+    alphabet = set(init.tags)
+    for name, logs in (("training", train_set), ("validation", val_set)):
+        foreign = next((t for log in logs for t in log.tags if t not in alphabet), None)
+        if foreign is not None:
+            raise TagError(f"the {name} set holds the tag {foreign}, which is not in "
+                           f"the alphabet of a {init.mode} model")
     model = copy.deepcopy(init)
     table, ids, lengths = token_table(model, [log.tokens for log in train_set])
     gold = np.fromiter((model.tag_index(t) for log in train_set for t in log.tags),

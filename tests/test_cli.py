@@ -8,6 +8,7 @@ from logvar.cli import _config_defaults, _hyperparams, _train_config, build_pars
 from logvar.corpus import AnnotatedLog, read_annotations, read_lines, write_annotations
 from logvar.embed import build_vocabs, load_word_vectors
 from logvar.errors import FormatError
+from logvar.evaluate import to_binary_annotations
 from logvar.synth import generate_synthetic
 from logvar.tagger import Hyperparams, init_model
 from logvar.taxonomy import BINARY, OUTSIDE
@@ -155,6 +156,25 @@ class TestBadInput:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "FormatError"
         assert err["message"].startswith(f"{bad}: line 2: ")
+        assert not (tmp_path / "m.valb").exists()
+
+
+    @pytest.mark.parametrize("command", ["finetune", "train"])
+    def test_tag_outside_the_model_alphabet_is_a_tag_error(self, trained_model, tmp_path,
+                                                           capsys, command):
+        d, model_path = trained_model
+        binary = tmp_path / "binary.tsv"
+        write_annotations([to_binary_annotations(log)
+                           for log in read_annotations(d / "train.tsv")], binary)
+        model_and_train = {
+            "finetune": ["--model", str(model_path), "--train", str(binary)],
+            "train": ["--mode", "binary", "--train", str(d / "train.tsv")],
+        }[command]
+        assert main([command, *model_and_train, "--val", str(binary),
+                     "--out", str(tmp_path / "m.valb")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "TagError"
+        assert err["message"].startswith("the training set holds the tag B-")
         assert not (tmp_path / "m.valb").exists()
 
 
@@ -552,7 +572,7 @@ class TestConfigFile:
         assert err["message"] == f"{cfg}: line {line}: no command has an option {key!r}"
         assert not (tmp_path / "a").exists()
 
-    @pytest.mark.parametrize("command", ["parse", "train"])
+    @pytest.mark.parametrize("command", ["parse", "parse-hash-wildcard", "train"])
     def test_run_config_fed_back_gives_the_same_run(self, trained_model, tmp_path, capsys,
                                                     monkeypatch, command):
         d, model_path = trained_model
@@ -562,6 +582,8 @@ class TestConfigFile:
         required, options, out_flag = {
             "parse": (["parse", "--model", str(model_path), "--input", str(raw)],
                       ["--preserve", "OID"], "--output"),
+            "parse-hash-wildcard": (["parse", "--model", str(model_path), "--input", str(raw)],
+                                    ["--wildcard", "#"], "--output"),
             "train": (["train", "--train", str(d / "train.tsv"), "--val", str(d / "val.tsv")],
                       ["--epochs", "2", "--word-dim", "6", "--char-emb-dim", "4",
                        "--char-filters", "3", "--lstm-hidden", "4"], "--out"),
@@ -577,6 +599,37 @@ class TestConfigFile:
         assert rerun.err == shown.err
         assert again.read_bytes() == first.read_bytes()
         assert not list(tmp_path.rglob("None"))
+
+    @pytest.mark.parametrize("value", ["ture", "", "on"])
+    def test_boolean_of_another_spelling_is_a_usage_error(self, trained_model, tmp_path,
+                                                          capsys, value):
+        d, _ = trained_model
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"epochs = 1\nfreeze_word_embeddings = {value}\n")
+        assert main(["--config", str(cfg), "train", "--train", str(d / "train.tsv"),
+                     "--val", str(d / "val.tsv"), "--out", str(tmp_path / "m.valb")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage"
+        assert err["message"].startswith(f"{cfg}: line 2: freeze_word_embeddings = {value!r} ")
+        assert not (tmp_path / "m.valb").exists()
+
+    @pytest.mark.parametrize("value, flag", [
+        ("1", True), ("true", True), ("YES", True), ("True", True),
+        ("0", False), ("false", False), ("No", False), ("False", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, value, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"token_level = {value}\n")
+        args = build_parser()[0].parse_args(
+            ["--config", str(cfg), "eval", "--gold", "g", "--pred", "p", "--report", "r"])
+        assert _config_defaults(args) == {"token_level": flag}
+
+    def test_only_a_line_starting_with_a_hash_is_a_comment(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("  # a comment\nwildcard = <#> # kept\n")
+        args = build_parser()[0].parse_args(
+            ["--config", str(cfg), "parse", "--model", "m", "--input", "i", "--output", "o"])
+        assert _config_defaults(args) == {"wildcard": "<#> # kept"}
 
     def test_config_defaults_with_flag_override(self, tmp_path, corpus_file):
         cfg = tmp_path / "run.cfg"

@@ -60,6 +60,12 @@ class TestEncode:
         assert enc.char_ids.shape == (1, 3)
         assert (enc.char_ids[0] != PAD).all()
 
+    def test_char_rows_are_as_wide_as_the_longest_kept_token(self):
+        tokens = log_of("ab abcdefgh").tokens
+        assert encode_log(tokens, self.wv, self.cv, max_word_len=10**6).char_ids.shape == (2, 8)
+        assert encode_log(tokens, self.wv, self.cv, max_word_len=5).char_ids.shape == (2, 5)
+        assert encode_log((), self.wv, self.cv).char_ids.shape == (0, 1)
+
     def test_encoding_total_and_deterministic(self):
         log = log_of("completely unseen Zz9")
         a = encode_log(log.tokens, self.wv, self.cv)

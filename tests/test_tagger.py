@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from logvar.tagger import (
     CHAR_GROUP_ROWS,
     FROZEN_SCORE,
     Hyperparams,
+    TaggerModel,
     _char_forward,
     _char_pre,
     _char_reps,
@@ -410,8 +412,7 @@ class TestTokenTable:
         assert len(char_ids) == len(tokens)  # one char row per distinct token
         rows_f, rows_b = seen["lstm"]
         assert rows_f is rows_b
-        assert len(rows_f) == len(keys) + 1  # one per distinct key, plus padding
-        assert not rows_f[-1].any()
+        assert len(rows_f) == len(keys)  # one per distinct key
 
     @pytest.mark.parametrize("use_chars", [True, False])
     def test_eval_emissions_match_per_position_reference(self, model, corpus, use_chars):
@@ -626,6 +627,71 @@ class TestGradients:
         _, grads = loss_and_gradients(m, *train_batch(m, corpus[:4]))
         assert (grads["word_emb"][PAD] == 0).all()
         assert (grads["char_emb"][PAD] == 0).all()
+
+
+class TestPadding:
+    """A padded step never reaches a real step, so it may read any input row."""
+
+    LOGS = (0, 11, 4, 7)  # corpus logs of 6, 9, 7 and 8 tokens
+
+    @staticmethod
+    def padded_at(row):
+        """``_distinct_rows`` with every padded step pointed at ``row``."""
+        def distinct_rows(ids, lengths):
+            used, index = _distinct_rows(ids, lengths)
+            index[np.arange(index.shape[1]) >= lengths[:, None]] = row % len(used)
+            return used, index
+        return distinct_rows
+
+    @pytest.mark.parametrize("dropout_seed", [None, 3])
+    def test_real_step_emissions_do_not_depend_on_the_padded_row(
+        self, vocabs, corpus, dropout_seed
+    ):
+        wv, cv = vocabs
+        m = init_model(TINY_HP, wv, cv, seed=6)
+        table, ids, lengths = forward_batch(m, [corpus[i].tokens for i in self.LOGS])
+        used, index = _distinct_rows(ids, lengths)
+        rows = _input_rows(m, table.word_ids[used], _char_reps(table.char_ids[used], m)[0])
+        assert not np.array_equal(rows[0], rows[-1])
+        real = np.arange(ids.shape[1]) < lengths[:, None]
+        emissions = []
+        for row in (0, len(used) - 1):
+            index[~real] = row
+            emissions.append(_forward(rows, m, index, lengths, dropout_seed)[0][real])
+        np.testing.assert_array_equal(*emissions)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_loss_and_gradients_do_not_depend_on_the_padded_row(
+        self, vocabs, corpus, monkeypatch, dropout
+    ):
+        wv, cv = vocabs
+        m = init_model(dataclasses.replace(TINY_HP, dropout=dropout), wv, cv, seed=6)
+        batch = train_batch(m, [corpus[i] for i in self.LOGS])
+        runs = []
+        for row in (0, -1):
+            monkeypatch.setattr(tagger, "_distinct_rows", self.padded_at(row))
+            runs.append(loss_and_gradients(m, *batch, dropout_seed=8))
+        (loss_a, grads_a), (loss_b, grads_b) = runs
+        assert loss_a == loss_b
+        for name, grad in grads_a.items():
+            np.testing.assert_array_equal(grad, grads_b[name], err_msg=name)
+
+    def test_decode_allocates_nothing_sized_by_max_word_len(self, vocabs):
+        # char rows are as wide as the longest token given, not max_word_len
+        wv, cv = vocabs
+        m = init_model(dataclasses.replace(TINY_HP, max_word_len=30), wv, cv, seed=2)
+        twin = TaggerModel(dataclasses.replace(m.hp, max_word_len=10**6), m.mode,
+                           m.word_vocab, m.char_vocab, m.params)
+        line = ("Starting", "executor", "ID", "5")
+        decode(twin, [line])
+        tracemalloc.start()
+        try:
+            (tags,) = decode(twin, [line])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert tags == decode(m, [line])[0]
 
 
 class TestDecode:

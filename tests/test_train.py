@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -21,12 +22,14 @@ from logvar.errors import (
     DivergenceError,
     FormatError,
     NonFiniteScores,
+    TagError,
     VersionError,
 )
+from logvar.evaluate import to_binary_annotations
 from logvar.synth import generate_synthetic
 import logvar.tagger as tagger
-from logvar.tagger import Hyperparams, init_model, tag_log, tag_logs
-from logvar.taxonomy import BINARY, BINARY_CATEGORY, Tag, check_iob
+from logvar.tagger import Hyperparams, TaggerModel, init_model, tag_log, tag_logs
+from logvar.taxonomy import BINARY, BINARY_CATEGORY, MULTICLASS, Tag, check_iob
 from logvar.train import (
     BETA1,
     BETA2,
@@ -103,6 +106,23 @@ class TestTrain:
         monkeypatch.setattr(tagger, "BATCH_TOKENS", 1)  # every validation log decoded alone
         _, alone = train(model, train_set, val_set, cfg)
         assert alone == batched
+
+
+class TestForeignTags:
+    @pytest.mark.parametrize("which", ["training", "validation"])
+    @pytest.mark.parametrize("mode", [MULTICLASS, BINARY])
+    def test_tag_outside_the_alphabet_names_the_set_the_tag_and_the_mode(
+        self, memorization_run, mode, which
+    ):
+        multiclass = memorization_run[0]
+        binary = [to_binary_annotations(log) for log in multiclass]
+        own, foreign, tag = ((multiclass, binary, "B-VAR") if mode == MULTICLASS
+                             else (binary, multiclass, r"B-\w+"))
+        model = init_model(SMALL_HP, *build_vocabs(multiclass), seed=1, mode=mode)
+        sets = (foreign, own) if which == "training" else (own, foreign)
+        with pytest.raises(TagError, match=rf"^the {which} set holds the tag {tag}, which is "
+                                           rf"not in the alphabet of a {mode} model$"):
+            train(model, *sets, TrainConfig(epochs=1))
 
 
 class TestTrainingOptions:
@@ -351,6 +371,18 @@ class TestSerialization:
         save_model(best, path)
         with pytest.raises(FormatError, match="has shape"):
             load_model(path)
+
+    def test_model_whose_max_word_len_exceeds_memory_loads_and_tags(
+        self, memorization_run, tmp_path
+    ):
+        _, _, best, _, _, _ = memorization_run
+        wide = TaggerModel(dataclasses.replace(best.hp, max_word_len=10**6), best.mode,
+                           best.word_vocab, best.char_vocab, best.params)
+        save_model(wide, tmp_path / "wide.valb")
+        loaded = load_model(tmp_path / "wide.valb")
+        assert loaded.hp.max_word_len == 10**6
+        raw = "Starting executor ID 5 on host meso-07"
+        assert tag_log(loaded, raw) == tag_log(best, raw)
 
     def test_binary_mode_metadata(self, tmp_path):
         logs, _ = generate_synthetic(seed=13, n_templates=5, n_logs=50)
