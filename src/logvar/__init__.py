@@ -27,23 +27,16 @@ from .tagger import (
     tag_log,
     tag_logs,
 )
-from .taxonomy import (
-    BinaryTag,
-    Tag,
-    VariableCategory,
-    collapse_binary,
-    is_valid_transition,
-    tag_vocabulary,
-)
+from .taxonomy import Tag, VariableCategory, is_valid_transition, tag_vocabulary
 from .train import TrainConfig, finetune, load_model, save_model, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnotatedLog", "BinaryTag", "CharVocab", "EncodedLog", "Hyperparams",
+    "AnnotatedLog", "CharVocab", "EncodedLog", "Hyperparams",
     "MetricsReport", "ParseResult", "SplitSpec", "Tag", "TaggerModel",
     "TemplateStore", "TrainConfig", "VariableCategory", "WordVocab",
-    "build_vocabs", "category_prf", "collapse_binary",
+    "build_vocabs", "category_prf",
     "derive_binary_annotations", "encode_log", "evaluate", "extract_template",
     "finetune", "general_accuracy", "generate_synthetic",
     "init_model", "is_valid_transition", "load_model", "load_word_vectors",

@@ -45,6 +45,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError; its subparsers share its class."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _echo_run_config(out_path: str | Path, args: argparse.Namespace) -> None:
     lines = [f"{k} = {v}" for k, v in sorted(vars(args).items()) if k != "func" and v is not None]
     write_atomic(Path(out_path).parent / "run-config.txt", "\n".join(lines) + "\n")
@@ -260,9 +267,7 @@ def _add_hp_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each subcommand's parser by name."""
-    parser = argparse.ArgumentParser(
-        prog="logvar", description="variable-aware log abstraction toolkit"
-    )
+    parser = _Parser(prog="logvar", description="variable-aware log abstraction toolkit")
     parser.add_argument("--config", help="key = value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
@@ -341,36 +346,47 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
-def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
+def _config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                     commands: dict[str, argparse.ArgumentParser]) -> dict[str, object]:
     """Values from the ``--config`` file for the options of ``args.command``.
 
     Each line is ``key = value``, the key an option's dest; a line whose
     first non-blank character is ``#`` is a comment, and a ``#`` elsewhere is
     part of the value. Keys of other commands' options are skipped, so one
     file can serve several commands; a key no command has raises UsageError.
-    A flag's value is 1/true/yes or 0/false/no in any case, else UsageError;
-    other values stay strings, which argparse converts with the option's type.
+    A flag's value is 1/true/yes or 0/false/no in any case; any other value
+    is converted with its option's type and must be one of its choices. A
+    value that is not raises UsageError naming the file, the line and the key.
     """
-    parser, commands = build_parser()
     known = {action.dest for p in (parser, *commands.values()) for action in p._actions
              if action.default is not argparse.SUPPRESS}  # not --help
+    actions = {action.dest: action for action in commands[args.command]._actions}
     defaults: dict[str, object] = {}
     for lineno, line in enumerate(read_lines(args.config), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{args.config}: line {lineno}"
         if "=" not in line:
-            raise UsageError(f"{args.config}: line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+            raise UsageError(f"{where}: expected 'key = value'")
+        key, text = (part.strip() for part in line.split("=", 1))
         if key not in known:
-            raise UsageError(f"{args.config}: line {lineno}: no command has an option {key!r}")
-        if key in ("command", "config") or not hasattr(args, key):
+            raise UsageError(f"{where}: no command has an option {key!r}")
+        action = actions.get(key)
+        if action is None:  # another command's option, or --config itself
             continue
-        if isinstance(getattr(args, key), bool):
-            if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
-                raise UsageError(f"{args.config}: line {lineno}: {key} = {value!r} is not "
-                                 "1/true/yes or 0/false/no")
-            value = value.lower() in ("1", "true", "yes")
+        if isinstance(action.default, bool):
+            if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                raise UsageError(f"{where}: {key} = {text!r} is not 1/true/yes or 0/false/no")
+            defaults[key] = text.lower() in ("1", "true", "yes")
+            continue
+        try:
+            value = action.type(text) if action.type else text
+        except ValueError:
+            raise UsageError(f"{where}: {key} = {text!r} is not a valid "
+                             f"{action.type.__name__}") from None
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"{where}: {key} = {text!r} is not one of {action.choices}")
         defaults[key] = value
     return defaults
 
@@ -382,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             # config values become the command's defaults; flags override them
-            commands[args.command].set_defaults(**_config_defaults(args))
+            commands[args.command].set_defaults(**_config_defaults(args, parser, commands))
             args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError) as exc:  # ValueError: an argument out of range

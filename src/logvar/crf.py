@@ -18,8 +18,7 @@ Models*, Proc. IEEE 1989, section V.A). ``s`` is added to the first
 step's emissions and ``e`` to each sequence's last, and every step is
 shifted by its best score: ``P_t = exp(E_t - max_k E_t)``. Transitions
 are shifted once by their maximum: ``A = exp(trans - max trans)``, so an
-entry far below the maximum, such as an IOB-frozen one at
-``FROZEN_SCORE``, is an exact zero. A step is one ``(B, K) @ (K, K)``
+entry far below the maximum is an exact zero. A step is one ``(B, K) @ (K, K)``
 matmul, ``a_t = (alpha_{t-1} @ A) * P_t``, and its normaliser
 ``c_t = sum_k a_t`` gives ``alpha_t = a_t / c_t``, a distribution over
 the tags. log Z is the sum over the real steps of ``log c_t + max_k E_t``
@@ -45,8 +44,11 @@ loss is then NaN rather than a wrong number, with no numpy warning, and
 replaced stayed finite there, at the cost of an exp, a sum and a log over
 a (B, K, K) array per step.
 
-Viterbi takes finite scores or -inf (decoding's forbidden transitions).
-Its forward pass keeps only the best score per (step, tag), a max over
+Every kernel takes finite scores or -inf, as the tagger's IOB-forbidden
+transitions and starts are in training and decoding: no path through one
+counts, and their marginals and gradients are exact zeros.
+
+Viterbi's forward pass keeps only the best score per (step, tag), a max over
 the previous tag, and builds no back-pointer table. The backtrack
 recomputes a back-pointer only for the tag the path takes at each step,
 as the argmax of the same sums, so ties break toward the lower tag index

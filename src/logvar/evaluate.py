@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .corpus import AnnotatedLog
 from .errors import TokenMismatch
-from .taxonomy import BINARY_CATEGORY, Tag, collapse_binary
+from .taxonomy import BINARY_CATEGORY, Tag
 
 
 def to_binary_annotations(log: AnnotatedLog) -> AnnotatedLog:
@@ -41,10 +41,11 @@ def _check_pairs(preds: list[AnnotatedLog], golds: list[AnnotatedLog]) -> None:
 
 
 def general_accuracy(preds: list[AnnotatedLog], golds: list[AnnotatedLog]) -> float:
-    """Fraction of logs whose static-vs-variable collapse matches exactly."""
+    """Fraction of logs whose static-vs-variable split matches exactly: the same
+    tokens are outside a variable, whatever the categories and spans of the rest."""
     _check_pairs(preds, golds)
     correct = sum(
-        collapse_binary(list(p.tags)) == collapse_binary(list(g.tags))
+        [t.is_outside for t in p.tags] == [t.is_outside for t in g.tags]
         for p, g in zip(preds, golds)
     )
     return correct / len(golds)

@@ -5,10 +5,10 @@ implemented directly on numpy arrays. A model owns its vocabularies,
 hyperparameters, and fixed tag ordering; inference is deterministic and a
 model is immutable during tagging (training mutates it under one writer).
 
-IOB structure is enforced inside the CRF: transitions that would produce an
-ill-formed tag sequence are pinned at a large negative score and never
-updated, and ``decode`` scores them -inf, so decoded paths are well-formed
-by construction, whatever the emission scores.
+IOB structure is enforced inside the CRF by one rule, ``_crf_scores``: the
+transitions and starts that would make a tag sequence ill-formed score -inf,
+in decoding and in training alike. So every decoded path is well-formed,
+and log Z and its gradients count well-formed paths only.
 
 One forward pass, ``_forward``, serves inference and training, and one
 inference entry point, ``decode``, serves parsing, tagging and validation:
@@ -61,7 +61,7 @@ from .embed import PAD, CharVocab, EncodedLog, WordVocab, encode_log
 from .errors import EmptyLog, NonFiniteScores
 from .taxonomy import MULTICLASS, Tag, is_valid_transition, tag_vocabulary
 
-FROZEN_SCORE = -10000.0
+FROZEN_SCORE = -10000.0  # stored at the IOB-forbidden CRF entries; ``_crf_scores`` reads -inf
 
 
 def check_field_types(config: object) -> None:
@@ -168,7 +168,7 @@ def init_model(
     the product of all dims but the last. A ``pretrained`` word matrix
     replaces the word_emb draw, which is not made. Then PAD rows are
     zeroed, forget-gate biases set to 1, and the IOB-violating CRF scores
-    pinned at FROZEN_SCORE, never to be trained.
+    stored at FROZEN_SCORE, which ``_crf_scores`` reads as -inf.
     """
     params: dict[str, np.ndarray] = {}
     model = TaggerModel(hp, mode, word_vocab, char_vocab, params)
@@ -259,14 +259,17 @@ def _char_forward(char_ids: np.ndarray, table: np.ndarray, bias: np.ndarray) -> 
     return rep
 
 
-def _char_reps(char_ids: np.ndarray, model: TaggerModel) -> tuple[np.ndarray, dict]:
+def _char_reps(char_ids: np.ndarray, model: TaggerModel) -> tuple[np.ndarray, dict | None]:
     """Char-CNN representation of each of N right-padded char rows, (N, F).
 
     Every row is convolved once, with one char table for the call. The rows
     run sorted by length in groups of CHAR_GROUP_ROWS, each trimmed to its
     longest word, so that few of the positions a group gathers and sums are
-    PAD. Returns the reps and the cache ``_char_backward`` reads.
+    PAD. Returns the reps and the cache ``_char_backward`` reads. Without
+    the char channel every rep is zero and the cache is None.
     """
+    if not model.hp.use_char_channel:
+        return np.zeros((len(char_ids), model.hp.char_filters), model.params["char_b"].dtype), None
     table = _char_table(model)
     n_chars = np.count_nonzero(char_ids != PAD, axis=1)
     order = np.argsort(n_chars, kind="stable")
@@ -281,7 +284,7 @@ def _char_reps(char_ids: np.ndarray, model: TaggerModel) -> tuple[np.ndarray, di
 
 
 def _char_backward(
-    d_rep: np.ndarray, model: TaggerModel, cache: dict, grads: dict[str, np.ndarray]
+    d_rep: np.ndarray, model: TaggerModel, cache: dict | None, grads: dict[str, np.ndarray]
 ) -> None:
     """Char-CNN gradients given d loss / d rep of each row of one ``_char_reps``.
 
@@ -293,6 +296,8 @@ def _char_backward(
     The PAD entries are constant, so ``d_table[k]``'s PAD row is zero and
     the stored PAD embedding adds nothing to ``dW``.
     """
+    if cache is None:  # no char channel: the reps are constant zeros
+        return
     p = model.params
     n_filters = model.hp.char_filters
     emb, table, chars = p["char_emb"], cache["table"], cache["chars"]
@@ -452,15 +457,17 @@ def _distinct_rows(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np
     return used, index
 
 
-def _input_rows(
-    model: TaggerModel, word_ids: np.ndarray, char_rep: np.ndarray | None
-) -> np.ndarray:
-    """Input rows of N tokens, their word embedding then their char-CNN output
-    (zero without the char channel), (N, Din)."""
-    words = model.params["word_emb"][word_ids]
-    if char_rep is None:
-        char_rep = np.zeros((len(word_ids), model.hp.char_filters), dtype=words.dtype)
-    return np.concatenate([words, char_rep], axis=1)
+def _input_rows(model: TaggerModel, word_ids: np.ndarray, char_rep: np.ndarray) -> np.ndarray:
+    """Input rows of N tokens, their word embedding then their ``_char_reps``, (N, Din)."""
+    return np.concatenate([model.params["word_emb"][word_ids], char_rep], axis=1)
+
+
+def _crf_scores(model: TaggerModel) -> tuple[np.ndarray, np.ndarray]:
+    """The CRF's ``trans`` and ``start`` as decoding and training read them:
+    the IOB-forbidden entries at -inf, so that no path through one counts."""
+    p = model.params
+    return (np.where(model.frozen_trans, -np.inf, p["trans"]),
+            np.where(model.frozen_start, -np.inf, p["start"]))
 
 
 def _forward(
@@ -544,38 +551,32 @@ def loss_and_gradients(
     (B, T) layout. The input layer runs over the batch's distinct rows (the
     char-CNN as in ``decode``, each row once), then one forward pass, one
     CRF forward-backward and one backward pass; log b draws its dropout
-    masks from ``dropout_seed + b``. Frozen CRF entries (IOB constraints)
-    receive zero gradient, and so do the PAD embeddings, which no token
-    reads.
+    masks from ``dropout_seed + b``. The CRF reads ``_crf_scores``, so the
+    IOB-forbidden entries' gradients are exact zeros whenever the loss is
+    finite, as are the PAD embeddings', which no token reads.
     """
     p, hp = model.params, model.hp
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
     used, index = _distinct_rows(ids, lengths)
-    char_rep = char_cache = None
-    if hp.use_char_channel:
-        char_rep, char_cache = _char_reps(table.char_ids[used], model)
+    char_rep, char_cache = _char_reps(table.char_ids[used], model)
     word_ids = table.word_ids[used]
     emissions, cache = _forward(
         _input_rows(model, word_ids, char_rep), model, index, lengths, dropout_seed
     )
     loss, d_e, d_trans, d_s, d_e_end = crf.nll_gradients(
-        emissions, p["trans"], p["start"], p["end"], gold, lengths
+        emissions, *_crf_scores(model), p["end"], gold, lengths
     )
-    grads["trans"] += d_trans.astype(p["trans"].dtype)
-    grads["start"] += d_s.astype(p["start"].dtype)
-    grads["end"] += d_e_end.astype(p["end"].dtype)
+    for name, grad in (("trans", d_trans), ("start", d_s), ("end", d_e_end)):
+        grads[name] += grad.astype(p[name].dtype)
     d_u = _backward_net(d_e, model, cache, grads)
     read = index[cache["real"]]  # the row each real step read, log after log
     np.add.at(grads["word_emb"], word_ids[read], d_u[:, : hp.word_dim])
-    if char_cache is not None:
-        d_rep = np.zeros((len(used), hp.char_filters), dtype=d_u.dtype)
-        np.add.at(d_rep, read, d_u[:, hp.word_dim :])
-        _char_backward(d_rep, model, char_cache, grads)
+    d_rep = np.zeros((len(used), hp.char_filters), dtype=d_u.dtype)
+    np.add.at(d_rep, read, d_u[:, hp.word_dim :])
+    _char_backward(d_rep, model, char_cache, grads)
     scale = 1.0 / len(lengths)
     for name in grads:
         grads[name] *= scale
-    grads["trans"][model.frozen_trans] = 0.0
-    grads["start"][model.frozen_start] = 0.0
     return loss * scale, grads
 
 
@@ -594,18 +595,14 @@ def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[
     the call runs with numpy's overflow and invalid-value warnings off, so
     that error is the only report.
     """
-    p = model.params
-    trans = np.where(model.frozen_trans, -np.inf, p["trans"])
-    start = np.where(model.frozen_start, -np.inf, p["start"])
+    trans, start = _crf_scores(model)
     table, ids, lengths = token_table(model, token_lists)
     starts = np.cumsum(lengths) - lengths
     order = np.argsort(lengths, kind="stable")
     out: list[list[Tag]] = [[] for _ in token_lists]
     lo = int(np.count_nonzero(lengths == 0))  # empty messages sort first and keep []
     with np.errstate(over="ignore", invalid="ignore"):
-        char_rep = None
-        if model.hp.use_char_channel:
-            char_rep = _char_reps(table.char_ids, model)[0]
+        char_rep = _char_reps(table.char_ids, model)[0]
         while lo < len(order):
             hi = lo + 1
             while hi < len(order) and (hi + 1 - lo) * lengths[order[hi]] <= BATCH_TOKENS:
@@ -613,12 +610,11 @@ def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[
             batch = order[lo:hi]
             n = lengths[batch]
             used, index = _distinct_rows(_padded(ids, starts[batch], n), n)
-            rows = _input_rows(model, table.word_ids[used],
-                               None if char_rep is None else char_rep[used])
+            rows = _input_rows(model, table.word_ids[used], char_rep[used])
             emissions = _forward(rows, model, index, n)[0]
             if not np.isfinite(emissions[np.arange(emissions.shape[1]) < n[:, None]]).all():
                 raise NonFiniteScores("the model's emission scores are not finite")
-            paths = crf.viterbi_decode(emissions, trans, start, p["end"], n)
+            paths = crf.viterbi_decode(emissions, trans, start, model.params["end"], n)
             for i, path in zip(batch, paths):
                 out[i] = [model.tags[k] for k in path]
             lo = hi

@@ -49,11 +49,6 @@ CATEGORY_ABBREVS: tuple[str, ...] = tuple(c.value for c in VariableCategory)
 _VALID_CATEGORY_STRINGS = frozenset(CATEGORY_ABBREVS) | {BINARY_CATEGORY}
 
 
-class BinaryTag(enum.Enum):
-    STATIC = "Static"
-    VARIABLE = "Variable"
-
-
 @dataclass(frozen=True, order=True)
 class Tag:
     """One IOB tag: prefix "O", "B", or "I"; category abbreviation for B/I.
@@ -138,8 +133,3 @@ def check_iob(tags: list[Tag]) -> None:
         if not is_valid_transition(prev, tag):
             raise IOBError(f"invalid tag transition at position {i}: {prev} -> {tag}")
         prev = tag
-
-
-def collapse_binary(tags: list[Tag]) -> list[BinaryTag]:
-    """Collapse IOB tags to the static/variable distinction, element-wise."""
-    return [BinaryTag.STATIC if t.is_outside else BinaryTag.VARIABLE for t in tags]

@@ -177,6 +177,30 @@ class TestBadInput:
         assert err["message"].startswith("the training set holds the tag B-")
         assert not (tmp_path / "m.valb").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["split", "--input", "{corpus}", "--seed", "x", "--out-dir", "{tmp}/a"],
+         "logvar split: argument --seed: invalid int value: 'x'"),
+        (["split", "--input", "{corpus}"],
+         "logvar split: the following arguments are required: --out-dir"),
+        (["splat", "--input", "{corpus}"], "logvar: argument command: invalid choice: 'splat'"),
+    ], ids=["bad-int", "missing-required", "unknown-command"])
+    def test_argparse_error_is_one_json_usage_line(self, corpus_file, tmp_path, capsys,
+                                                    argv, message):
+        fields = {"corpus": corpus_file, "tmp": tmp_path}
+        assert main([a.format(**fields) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        err = json.loads(err)
+        assert err["error"] == "usage"
+        assert err["message"].startswith(message)
+        assert not (tmp_path / "a").exists()
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["split", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: logvar split")
+
 
 class TestDefaults:
     def test_train_defaults_are_the_dataclass_defaults(self):
@@ -364,9 +388,10 @@ def _vector_rows(path, tmp_path, model_path):
 
 
 def _config_values(path, tmp_path, model_path):
-    parser, _ = build_parser()
-    return _config_defaults(parser.parse_args(
-        ["--config", str(path), "split", "--input", "in.tsv", "--out-dir", str(tmp_path)]))
+    parser, commands = build_parser()
+    args = parser.parse_args(
+        ["--config", str(path), "split", "--input", "in.tsv", "--out-dir", str(tmp_path)])
+    return _config_defaults(args, parser, commands)
 
 
 def _parsed_line_numbers(path, tmp_path, model_path):
@@ -388,7 +413,7 @@ TEXT_INPUTS = {
     "annotations": (_annotation_tokens, ("a\tO", "# note\rb\tO\x0c", "c\tO"), [("a", "c")]),
     "vectors": (_vector_rows, ("a 1 2", "b 3\r 4\x0c", "c 5 6"), [[1, 2], [3, 4], [5, 6]]),
     "config": (_config_values, ("seed = 9", "# note\rseed = 5\x0c", "ratios = 0.2,0.2,0.6"),
-               {"seed": "9", "ratios": "0.2,0.2,0.6"}),
+               {"seed": 9, "ratios": "0.2,0.2,0.6"}),
     "parse": (_parsed_line_numbers, ("alpha 1", "beta\r2\x0cgamma", "delta 3"), [1, 2, 3]),
     "derive-annotations": (
         _derived_tokens,
@@ -613,6 +638,27 @@ class TestConfigFile:
         assert err["message"].startswith(f"{cfg}: line 2: freeze_word_embeddings = {value!r} ")
         assert not (tmp_path / "m.valb").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("seed = x", "seed = 'x' is not a valid int"),
+        ("ratios = 0.2,0.2,0.6\nseed = x", "seed = 'x' is not a valid int"),
+        ("selection_metric = loss", "selection_metric = 'loss' is not one of "),
+    ], ids=["type", "type-on-line-2", "choices"])
+    def test_value_its_option_rejects_is_a_usage_error(self, trained_model, tmp_path, capsys,
+                                                       line, message):
+        d, _ = trained_model
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        command = (["split", "--input", str(d / "train.tsv"), "--out-dir", str(tmp_path / "a")]
+                   if line.startswith(("seed", "ratios")) else
+                   ["train", "--train", str(d / "train.tsv"), "--val", str(d / "val.tsv"),
+                    "--out", str(tmp_path / "a" / "m.valb")])
+        assert main(["--config", str(cfg), *command]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage"
+        lineno = line.count("\n") + 1
+        assert err["message"].startswith(f"{cfg}: line {lineno}: {message}")
+        assert not (tmp_path / "a").exists()
+
     @pytest.mark.parametrize("value, flag", [
         ("1", True), ("true", True), ("YES", True), ("True", True),
         ("0", False), ("false", False), ("No", False), ("False", False),
@@ -620,16 +666,18 @@ class TestConfigFile:
     def test_boolean_spellings(self, tmp_path, value, flag):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"token_level = {value}\n")
-        args = build_parser()[0].parse_args(
+        parser, commands = build_parser()
+        args = parser.parse_args(
             ["--config", str(cfg), "eval", "--gold", "g", "--pred", "p", "--report", "r"])
-        assert _config_defaults(args) == {"token_level": flag}
+        assert _config_defaults(args, parser, commands) == {"token_level": flag}
 
     def test_only_a_line_starting_with_a_hash_is_a_comment(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("  # a comment\nwildcard = <#> # kept\n")
-        args = build_parser()[0].parse_args(
+        parser, commands = build_parser()
+        args = parser.parse_args(
             ["--config", str(cfg), "parse", "--model", "m", "--input", "i", "--output", "o"])
-        assert _config_defaults(args) == {"wildcard": "<#> # kept"}
+        assert _config_defaults(args, parser, commands) == {"wildcard": "<#> # kept"}
 
     def test_config_defaults_with_flag_override(self, tmp_path, corpus_file):
         cfg = tmp_path / "run.cfg"

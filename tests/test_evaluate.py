@@ -12,7 +12,7 @@ from logvar.evaluate import (
     spans,
     variable_aware_accuracy,
 )
-from logvar.taxonomy import Tag, check_iob, tag_vocabulary
+from logvar.taxonomy import Tag, check_iob, is_valid_transition, tag_vocabulary
 
 
 def mklog(text, tags):
@@ -55,6 +55,12 @@ class TestAccuracies:
     def test_length_mismatch(self):
         with pytest.raises(TokenMismatch):
             variable_aware_accuracy(PREDS[:2], GOLDS)
+
+    def test_general_compares_the_outside_masks(self):
+        # another category and another span boundary, the same tokens variable
+        gold = [mklog("x 1 2", "O B-OID I-OID")]
+        assert general_accuracy([mklog("x 1 2", "O B-OID B-LOI")], gold) == 1.0
+        assert general_accuracy([mklog("x 1 2", "O O B-OID")], gold) == 0.0
 
     def test_permutation_invariance(self):
         order = [2, 0, 3, 1]
@@ -154,6 +160,22 @@ def test_variable_aware_never_exceeds_general():
     for _ in range(200):
         preds, golds = random_pair(rng, n_logs=5)
         assert variable_aware_accuracy(preds, golds) <= general_accuracy(preds, golds)
+
+
+def iob_repaired(tags):
+    """``tags`` with each I- tag that may not follow its predecessor made a B- tag."""
+    out = []
+    for tag in tags:
+        ok = is_valid_transition(out[-1] if out else None, tag)
+        out.append(tag if ok else Tag("B", tag.category))
+    return tuple(out)
+
+
+@given(st.lists(st.sampled_from(ALL_TAGS), min_size=1, max_size=8).map(iob_repaired))
+def test_general_accuracy_ignores_categories(tags):
+    log = AnnotatedLog(tuple(f"t{k}" for k in range(len(tags))), tags)
+    relabeled = tuple(t if t.is_outside else Tag(t.prefix, "LOI") for t in tags)
+    assert general_accuracy([AnnotatedLog(log.tokens, relabeled)], [log]) == 1.0
 
 
 def test_report_serialization_round_trip():

@@ -125,10 +125,7 @@ def batch_emissions(model, token_lists, dropout_seed=None):
     as ``loss_and_gradients`` builds them; returns the emissions and cache."""
     table, ids, lengths = forward_batch(model, token_lists)
     used, index = _distinct_rows(ids, lengths)
-    char_rep = None
-    if model.hp.use_char_channel:
-        char_rep = _char_reps(table.char_ids[used], model)[0]
-    rows = _input_rows(model, table.word_ids[used], char_rep)
+    rows = _input_rows(model, table.word_ids[used], _char_reps(table.char_ids[used], model)[0])
     return _forward(rows, model, index, lengths, dropout_seed)
 
 
@@ -619,6 +616,35 @@ class TestGradients:
     def test_frozen_transition_gradient_zero(self, tiny_model, corpus):
         m = tiny_model
         _, grads = loss_and_gradients(m, *train_batch(m, corpus[:4]))
+        assert (grads["trans"][m.frozen_trans] == 0).all()
+        assert (grads["start"][m.frozen_start] == 0).all()
+
+    def test_log_z_sums_over_iob_valid_paths_only(self, vocabs):
+        # I-VAR's emission outscores any stored frozen score, so a forbidden
+        # start on it would dominate log Z; read at -inf, it counts for nothing
+        wv, cv = vocabs
+        hp = dataclasses.replace(TINY_HP, dropout=0.0)
+        m = init_model(hp, wv, cv, seed=4, mode=BINARY, dtype=np.float64)
+        i_var = m.tag_index(Tag.parse("I-VAR"))
+        m.params["proj_b"][i_var] = 20000.0
+        allowed = ~m.frozen_trans
+        m.params["trans"][allowed] = np.linspace(-1.0, 1.0, np.count_nonzero(allowed))
+        gold = AnnotatedLog(("alpha", "beta", "7"), tuple(map(Tag.parse, ("O", "B-VAR", "O"))))
+        loss, grads = loss_and_gradients(m, *train_batch(m, [gold]))
+        E = batch_emissions(m, [gold.tokens])[0][0]
+        p = m.params
+
+        def score(path):
+            return (p["start"][path[0]] + E[np.arange(len(path)), path].sum()
+                    + sum(p["trans"][a, b] for a, b in zip(path, path[1:])) + p["end"][path[-1]])
+
+        def iob_valid(path):
+            tags = [m.tags[k] for k in path]
+            return all(map(is_valid_transition, (None, *tags), tags))
+
+        paths = itertools.product(range(m.n_tags), repeat=len(gold.tokens))
+        log_z = np.logaddexp.reduce([score(path) for path in paths if iob_valid(path)])
+        assert loss == pytest.approx(log_z - score([m.tag_index(t) for t in gold.tags]), rel=1e-12)
         assert (grads["trans"][m.frozen_trans] == 0).all()
         assert (grads["start"][m.frozen_start] == 0).all()
 

@@ -1,15 +1,11 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from logvar.errors import TagError
 from logvar.taxonomy import (
     BINARY,
     CATEGORY_ABBREVS,
-    BinaryTag,
     Tag,
     VariableCategory,
-    collapse_binary,
     is_valid_transition,
     tag_vocabulary,
 )
@@ -73,23 +69,3 @@ def test_transition_rules():
     assert is_valid_transition(B_OID, None)  # sequence end always fine
     assert is_valid_transition(O, O)
     assert is_valid_transition(I_OID, B_OID)
-
-
-def test_collapse_binary():
-    tags = [Tag.parse(t) for t in ("O", "B-OID", "I-OID")]
-    assert collapse_binary(tags) == [
-        BinaryTag.STATIC, BinaryTag.VARIABLE, BinaryTag.VARIABLE
-    ]
-    assert collapse_binary([]) == []
-    assert collapse_binary([Tag.parse("O")] * 2) == [BinaryTag.STATIC] * 2
-
-
-@given(st.lists(st.sampled_from(ALL_TAGS)))
-def test_collapse_preserves_length(tags):
-    assert len(collapse_binary(tags)) == len(tags)
-
-
-@given(st.lists(st.sampled_from(ALL_TAGS)))
-def test_collapse_invariant_under_category_relabeling(tags):
-    relabeled = [t if t.is_outside else Tag(t.prefix, "LOI") for t in tags]
-    assert collapse_binary(tags) == collapse_binary(relabeled)
