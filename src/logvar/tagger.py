@@ -372,26 +372,36 @@ def _lstm_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of one LSTM direction given d loss / d output, (B, T, H).
 
-    The input gradient is per step, (B, T, Din), not per row.
+    The input gradient is per step, (B, T, Din), not per row. Only ``dh``
+    and ``dc`` chain through time, so the other factors are computed for
+    all steps before the loop: ``G``, (T, B, 4H), holds the gate factors
+    g*i*(1-i), c_prev*f*(1-f), i*(1-g^2) and tanh(c)*o*(1-o), by which
+    ``dc``, ``dc``, ``dc`` and ``dh`` scale into ``dz``, and ``oc`` holds
+    o*(1-tanh(c)^2). Each step then carries ``dc * f`` and ``dz[t] @ Wh.T``.
     """
     hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
     tanh_c = np.tanh(cs[1:])
     t_len, b_len, h_dim = tanh_c.shape
     i_, f_, g_, o_ = _gate_slices(h_dim)
-    dz = np.empty_like(gates)  # (T, B, 4H)
-    dh_next = np.zeros((b_len, h_dim), dtype=Wx.dtype)
-    dc_next = np.zeros((b_len, h_dim), dtype=Wx.dtype)
+    i_g, f_g, g_g, o_g = gates[..., i_], gates[..., f_], gates[..., g_], gates[..., o_]
+    G = np.empty_like(gates)  # (T, B, 4H)
+    G[..., i_] = g_g * i_g * (1.0 - i_g)
+    G[..., f_] = cs[:-1] * f_g * (1.0 - f_g)
+    G[..., g_] = i_g * (1.0 - g_g**2)
+    G[..., o_] = tanh_c * o_g * (1.0 - o_g)
+    oc = o_g * (1.0 - tanh_c**2)  # (T, B, H)
+    dz = np.empty_like(gates)
+    dz4 = dz.reshape(t_len, b_len, 4, h_dim)  # the four gate blocks of dz
+    dh = np.zeros((b_len, h_dim), dtype=Wx.dtype)
+    dc = np.zeros((b_len, h_dim), dtype=Wx.dtype)
     for t in range(t_len - 1, -1, -1):
-        act = gates[t]
-        i_g, f_g, g_g, o_g = act[:, i_], act[:, f_], act[:, g_], act[:, o_]
-        dh = d_h[:, t] + dh_next
-        dc = dc_next + dh * o_g * (1.0 - tanh_c[t] ** 2)
-        dz[t, :, i_] = dc * g_g * i_g * (1.0 - i_g)
-        dz[t, :, f_] = dc * cs[t] * f_g * (1.0 - f_g)
-        dz[t, :, g_] = dc * i_g * (1.0 - g_g**2)
-        dz[t, :, o_] = dh * tanh_c[t] * o_g * (1.0 - o_g)
-        dc_next = dc * f_g
-        dh_next = dz[t] @ Wh.T
+        dh += d_h[:, t]
+        dc += dh * oc[t]
+        dz4[t, :, :3] = dc[:, None]
+        dz4[t, :, 3] = dh
+        dz[t] *= G[t]
+        dc *= f_g[t]
+        dh = dz[t] @ Wh.T
     flat_dz = dz.reshape(-1, 4 * h_dim)
     inputs = cache["rows"][cache["index"].T]  # (T, B, Din), each step's input
     d_wx = inputs.reshape(-1, inputs.shape[2]).T @ flat_dz

@@ -1,7 +1,12 @@
 """Training loop, fine-tuning, checkpoint selection, and model files.
 
 The optimizer is Adam (bias-corrected moments, beta1=0.9, beta2=0.999,
-eps=1e-8) on mean batch loss with global-norm gradient clipping. After each
+eps=1e-8) on mean batch loss with global-norm gradient clipping. Adam folds
+its bias corrections into two scalars, so it matches the textbook formula
+to the rounding of the parameters' dtype, not bitwise. The global norm is
+one ``np.dot`` per gradient tensor in the gradient's own dtype; only when
+that is not finite is it taken again from float64 copies, so a huge but
+finite float32 gradient is clipped, not taken for divergence. After each
 epoch the selection metric is computed on the validation set; the returned
 model is the checkpoint with the best validation metric, earlier epoch on
 ties. Runs are deterministic for a fixed seed. A minibatch whose loss or
@@ -20,6 +25,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -90,8 +96,11 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
-        # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-        # param -= lr * (m/bc1) / (sqrt(v/bc2) + eps), so results are bitwise those
+        # lr * (m/bc1) / (sqrt(v/bc2) + eps) with the bias corrections folded
+        # into two scalars, a * m / (sqrt(v) + eps'): m and v in place, one
+        # temporary and 12 passes per tensor
+        a = self.lr * math.sqrt(bc2) / bc1
+        eps = EPS * math.sqrt(bc2)
         for k, g in grads.items():
             m, v = self.m[k], self.v[k]
             tmp = np.multiply(g, 1.0 - BETA1)
@@ -101,20 +110,28 @@ class Adam:
             tmp *= g
             v *= BETA2
             v += tmp
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += EPS
-            step = m / bc1
-            step *= self.lr
-            step /= tmp
-            params[k] -= step
+            np.sqrt(v, out=tmp)
+            tmp += eps
+            np.divide(m, tmp, out=tmp)
+            tmp *= a
+            params[k] -= tmp
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale ``grads`` in place to a global L2 norm of at most ``max_norm``
     (no clipping when it is 0) and return the norm before clipping; a
-    gradient that is not finite is left as it is."""
-    total = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values())))
+    gradient that is not finite is left as it is.
+
+    The squared norm is one ``np.dot`` per tensor in the gradient's own
+    dtype, summed as Python floats. When that total is not finite (float32
+    squares overflow once the norm passes about 1.8e19, or an entry is NaN
+    or inf) it is summed again from float64 copies, so a huge but finite
+    gradient still gets a finite norm and is clipped.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # retried in float64 below
+        total = math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values()))
+    if not math.isfinite(total):
+        total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
     if 0 < max_norm < total < np.inf:
         scale = max_norm / total
         for g in grads.values():

@@ -114,6 +114,36 @@ def reference_emissions(enc, model):
     return h @ p["proj_W"] + p["proj_b"]
 
 
+def reference_lstm_backward(d_h, Wx, Wh, cache):
+    """``_lstm_backward`` as a per-step loop that computes each gate's
+    derivative where it is used; the oracle for the hoisted kernel."""
+    hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
+    tanh_c = np.tanh(cs[1:])
+    t_len, b_len, h_dim = tanh_c.shape
+    i_, f_, g_, o_ = (slice(k * h_dim, (k + 1) * h_dim) for k in range(4))
+    dz = np.empty_like(gates)
+    dh_next = np.zeros((b_len, h_dim), dtype=Wx.dtype)
+    dc_next = np.zeros((b_len, h_dim), dtype=Wx.dtype)
+    for t in range(t_len - 1, -1, -1):
+        act = gates[t]
+        i_g, f_g, g_g, o_g = act[:, i_], act[:, f_], act[:, g_], act[:, o_]
+        dh = d_h[:, t] + dh_next
+        dc = dc_next + dh * o_g * (1.0 - tanh_c[t] ** 2)
+        dz[t, :, i_] = dc * g_g * i_g * (1.0 - i_g)
+        dz[t, :, f_] = dc * cs[t] * f_g * (1.0 - f_g)
+        dz[t, :, g_] = dc * i_g * (1.0 - g_g**2)
+        dz[t, :, o_] = dh * tanh_c[t] * o_g * (1.0 - o_g)
+        dc_next = dc * f_g
+        dh_next = dz[t] @ Wh.T
+    flat_dz = dz.reshape(-1, 4 * h_dim)
+    inputs = cache["rows"][cache["index"].T]
+    d_wx = inputs.reshape(-1, inputs.shape[2]).T @ flat_dz
+    d_wh = hs[:-1].reshape(-1, h_dim).T @ flat_dz
+    d_b = flat_dz.sum(axis=0)
+    d_inputs = (flat_dz @ Wx.T).reshape(t_len, b_len, -1).transpose(1, 0, 2)
+    return d_inputs, d_wx, d_wh, d_b
+
+
 def forward_batch(model, token_lists):
     """``_forward``'s batch for tokenized messages: token table, padded ids, lengths."""
     table, ids, lengths = token_table(model, token_lists)
@@ -653,6 +683,34 @@ class TestGradients:
         _, grads = loss_and_gradients(m, *train_batch(m, corpus[:4]))
         assert (grads["word_emb"][PAD] == 0).all()
         assert (grads["char_emb"][PAD] == 0).all()
+
+
+class TestLstmBackward:
+    @pytest.mark.parametrize("b_len, t_len", itertools.product((1, 3, 8), (1, 2, 13, 35)))
+    @pytest.mark.parametrize("dtype, rtol, atol", [
+        (np.float64, 1e-12, 1e-12), (np.float32, F32_RTOL, F32_ATOL),
+    ])
+    def test_matches_per_step_reference(self, b_len, t_len, dtype, rtol, atol):
+        # ragged lengths: log 0 is full, the others end early and their
+        # padded steps read row 0 and carry zero output gradient, as in training
+        rng = np.random.default_rng(100 * b_len + t_len)
+        d_in, h_dim, n_rows = 10, 6, 20
+        Wx = (rng.standard_normal((d_in, 4 * h_dim)) * 0.5).astype(dtype)
+        Wh = (rng.standard_normal((h_dim, 4 * h_dim)) * 0.5).astype(dtype)
+        b = (rng.standard_normal(4 * h_dim) * 0.5).astype(dtype)
+        rows = rng.standard_normal((n_rows, d_in)).astype(dtype)
+        lengths = rng.integers(1, t_len + 1, size=b_len)
+        lengths[0] = t_len
+        real = np.arange(t_len) < lengths[:, None]
+        index = np.where(real, rng.integers(0, n_rows, size=(b_len, t_len)), 0)
+        _, cache = tagger._lstm_forward(rows, Wx, Wh, b, index)
+        d_h = np.where(real[..., None], rng.standard_normal((b_len, t_len, h_dim)), 0.0)
+        d_h = d_h.astype(dtype)
+        got = tagger._lstm_backward(d_h, Wx, Wh, cache)
+        want = reference_lstm_backward(d_h, Wx, Wh, cache)
+        for name, g, w in zip(("d_inputs", "d_wx", "d_wh", "d_b"), got, want):
+            assert g.dtype == dtype and g.shape == w.shape, name
+            np.testing.assert_allclose(g, w, rtol=rtol, atol=atol, err_msg=name)
 
 
 class TestPadding:

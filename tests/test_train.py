@@ -190,26 +190,30 @@ class TestOptimizer:
             opt.step(params, {"x": 2 * params["x"]})
         assert np.abs(params["x"]).max() < 1e-3
 
-    def test_adam_in_place_update_is_bitwise_the_reference_formula(self):
+    def test_adam_matches_a_float64_reference_of_its_formula(self):
+        # the folded bias corrections round differently from the textbook
+        # order, so float32 parameters match a float64 run of the formula
+        # to a few float32 ulps of the largest parameter, not bitwise
         rng = np.random.default_rng(0)
         shapes = {"w": (40, 30), "b": (30,)}
         params = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
-        ref = {k: v.copy() for k, v in params.items()}
+        ref = {k: v.astype(np.float64) for k, v in params.items()}
         m = {k: np.zeros_like(v) for k, v in ref.items()}
         v = {k: np.zeros_like(x) for k, x in ref.items()}
         opt = Adam(params, lr=0.01)
         b1, b2, eps = BETA1, BETA2, EPS
-        for t in range(1, 6):
+        for t in range(1, 51):
             grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
             opt.step(params, grads)
             bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
             for k, g in grads.items():
+                g = g.astype(np.float64)
                 m[k] = b1 * m[k] + (1.0 - b1) * g
                 v[k] = b2 * v[k] + (1.0 - b2) * g * g
                 ref[k] -= 0.01 * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
-            for k in shapes:
-                assert np.array_equal(params[k], ref[k])
-                assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k])
+        assert all(params[k].dtype == np.float32 for k in shapes)
+        err = max(np.abs(params[k] - ref[k]).max() for k in shapes)
+        assert err <= 1e-6 * max(np.abs(ref[k]).max() for k in shapes)
 
     def test_clip_global_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
@@ -217,6 +221,31 @@ class TestOptimizer:
         assert total == pytest.approx(5.0)
         clipped = np.sqrt(grads["a"][0] ** 2 + grads["b"][0] ** 2)
         assert clipped == pytest.approx(1.0)
+
+    def test_float32_norm_of_a_minibatch_gradient_matches_float64(self):
+        logs, _ = generate_synthetic(seed=8, n_templates=5, n_logs=50)
+        logs = logs[:8]
+        wv, cv = build_vocabs(logs)
+        model = init_model(SMALL_HP, wv, cv, seed=1)
+        table, ids, lengths = tagger.token_table(model, [log.tokens for log in logs])
+        starts = np.cumsum(lengths) - lengths
+        gold = np.array([model.tag_index(t) for log in logs for t in log.tags])
+        _, grads = tagger.loss_and_gradients(
+            model, table, tagger._padded(ids, starts, lengths), lengths,
+            tagger._padded(gold, starts, lengths), dropout_seed=7,
+        )
+        assert all(g.dtype == np.float32 for g in grads.values())
+        want = np.sqrt(sum((g.astype(np.float64) ** 2).sum() for g in grads.values()))
+        assert clip_global_norm(grads, 0.0) == pytest.approx(want, rel=1e-6)
+
+    def test_huge_finite_float32_gradient_is_clipped(self):
+        # 1e20 squared overflows float32, but the norm is finite: it is
+        # taken again in float64, returned and clipped, not read as divergence
+        grads = {"a": np.array([1e20, -3.0], dtype=np.float32), "b": np.ones(4, np.float32)}
+        total = clip_global_norm(grads, 5.0)
+        assert total == pytest.approx(1e20, rel=1e-6)
+        clipped = np.sqrt(sum((g.astype(np.float64) ** 2).sum() for g in grads.values()))
+        assert clipped == pytest.approx(5.0, rel=1e-6)
 
 
 class TestConfigurationTypes:
