@@ -19,8 +19,9 @@ backward direction reads each log through a per-log reversal index), so
 padded steps never reach a real step and the recurrences need no mask;
 Viterbi carries each score unchanged through padded steps. Training runs a
 minibatch the same way: one forward pass, one batched CRF forward-backward
-whose gradient is zero on padded steps, and one backward pass, in which
-those zero gradients keep padded steps out of every parameter gradient.
+whose gradient is zero on padded steps and carries the batch mean's 1/B
+(exact when B is a power of two), and one backward pass, linear in it, in
+which those zero gradients keep padded steps out of every parameter gradient.
 So a padded step may read any input row, and nothing else handles padding.
 
 A token's input row (word embedding and char-CNN output) is a function of
@@ -284,8 +285,8 @@ def _char_reps(char_ids: np.ndarray, model: TaggerModel) -> tuple[np.ndarray, di
 
 
 def _char_backward(
-    d_rep: np.ndarray, model: TaggerModel, cache: dict | None, grads: dict[str, np.ndarray]
-) -> None:
+    d_rep: np.ndarray, model: TaggerModel, cache: dict | None
+) -> dict[str, np.ndarray]:
     """Char-CNN gradients given d loss / d rep of each row of one ``_char_reps``.
 
     Each group's pre-activations are computed again here, not kept from
@@ -294,11 +295,12 @@ def _char_backward(
     table entries summed there: scatter it into ``d_table[k]``, then
     ``dW[k] = emb.T @ d_table[k]`` and ``d_emb = sum_k d_table[k] @ W[k].T``.
     The PAD entries are constant, so ``d_table[k]``'s PAD row is zero and
-    the stored PAD embedding adds nothing to ``dW``.
+    the stored PAD embedding adds nothing to ``dW``. Returns the gradients
+    of char_emb, char_W and char_b.
     """
-    if cache is None:  # no char channel: the reps are constant zeros
-        return
     p = model.params
+    if cache is None:  # no char channel: the reps are constant zeros
+        return {name: np.zeros_like(p[name]) for name in ("char_emb", "char_W", "char_b")}
     n_filters = model.hp.char_filters
     emb, table, chars = p["char_emb"], cache["table"], cache["chars"]
     kern = table.shape[0]
@@ -310,16 +312,15 @@ def _char_backward(
         at = np.arange(len(rows))[:, None]
         for k in range(kern):
             read[k, rows] = ids_p[at, arg + k]
-    grads["char_b"] += d_rep.sum(axis=0)
-    cols = np.arange(n_filters)
-    for k in range(kern):
-        d_table = np.bincount(
-            (read[k] * n_filters + cols).ravel(), weights=d_rep.ravel(),
-            minlength=emb.shape[0] * n_filters,
-        ).reshape(emb.shape[0], n_filters).astype(emb.dtype)
-        d_table[PAD] = 0.0
-        grads["char_W"][k] += emb.T @ d_table
-        grads["char_emb"] += d_table @ p["char_W"][k].T
+    # one bincount for all kernel slots, slot k's (n_chars, F) bins after slot k - 1's
+    n_chars = emb.shape[0]
+    bins = (read + n_chars * np.arange(kern)[:, None, None]) * n_filters + np.arange(n_filters)
+    d_table = np.bincount(bins.ravel(), weights=np.tile(d_rep.ravel(), kern),
+                          minlength=kern * n_chars * n_filters)
+    d_table = d_table.reshape(kern, n_chars, n_filters).astype(emb.dtype)
+    d_table[:, PAD] = 0.0
+    d_emb = (d_table @ p["char_W"].transpose(0, 2, 1)).sum(axis=0)
+    return {"char_emb": d_emb, "char_W": emb.T @ d_table, "char_b": d_rep.sum(axis=0)}
 
 
 def _gate_slices(h_dim: int) -> tuple[slice, slice, slice, slice]:
@@ -519,21 +520,20 @@ def _forward(
 
 
 def _backward_net(
-    d_emissions: np.ndarray, model: TaggerModel, cache: dict, grads: dict[str, np.ndarray]
-) -> np.ndarray:
-    """Accumulate network gradients given d loss / d emissions, (B, T, n_tags).
+    d_emissions: np.ndarray, model: TaggerModel, cache: dict
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Network gradients given d loss / d emissions, (B, T, n_tags).
 
     Padded steps must carry zero gradient; they then contribute nothing.
     Returns d loss / d input row of every real step, (tokens, Din), log
-    after log.
+    after log, and the gradients of proj_W, proj_b and both LSTM directions.
     """
     p = model.params
     h_dim = model.hp.lstm_hidden
     d_emissions = d_emissions.astype(p["proj_W"].dtype)
     h_d = cache["h_d"]
     flat_de = d_emissions.reshape(-1, d_emissions.shape[2])
-    grads["proj_W"] += h_d.reshape(-1, 2 * h_dim).T @ flat_de
-    grads["proj_b"] += flat_de.sum(axis=0)
+    grads = {"proj_W": h_d.reshape(-1, 2 * h_dim).T @ flat_de, "proj_b": flat_de.sum(axis=0)}
     d_hd = (flat_de @ p["proj_W"].T).reshape(h_d.shape)
     if cache["m2"] is not None:
         d_hd = d_hd * cache["m2"]
@@ -541,53 +541,51 @@ def _backward_net(
     d_inputs = []
     for d, d_h in (("f", d_hd[..., :h_dim]), ("b", d_hd[..., h_dim:][rev])):
         d_in, *d_w = _lstm_backward(d_h, p[f"lstm_{d}_Wx"], p[f"lstm_{d}_Wh"], cache[f"lstm_{d}"])
-        for name, grad in zip(("Wx", "Wh", "b"), d_w):
-            grads[f"lstm_{d}_{name}"] += grad
+        grads.update(zip((f"lstm_{d}_Wx", f"lstm_{d}_Wh", f"lstm_{d}_b"), d_w))
         d_inputs.append(d_in)
     d_u = d_inputs[0] + d_inputs[1][rev]
     if cache["m1"] is not None:
         d_u = d_u * cache["m1"]
-    return d_u[cache["real"]]
+    return d_u[cache["real"]], grads
 
 
 def loss_and_gradients(
     model: TaggerModel, table: EncodedLog, ids: np.ndarray, lengths: np.ndarray,
     gold: np.ndarray, dropout_seed: int = 0,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean per-log CRF negative log-likelihood and exact gradients.
+    """Mean per-log CRF negative log-likelihood and exact gradients in ``model.params`` order.
 
     The batch is a token table, the (B, T) row ids of B right-padded logs
     and their lengths; ``gold`` holds the gold tag indices in the same
     (B, T) layout. The input layer runs over the batch's distinct rows (the
     char-CNN as in ``decode``, each row once), then one forward pass, one
     CRF forward-backward and one backward pass; log b draws its dropout
-    masks from ``dropout_seed + b``. The CRF reads ``_crf_scores``, so the
-    IOB-forbidden entries' gradients are exact zeros whenever the loss is
-    finite, as are the PAD embeddings', which no token reads.
+    masks from ``dropout_seed + b``. The mean is taken once, on the CRF's
+    gradients, which the backward pass is linear in; at B = 2^k the scale is
+    exact, and the result is bitwise the sum scaled at the end. The CRF
+    reads ``_crf_scores``, so the IOB-forbidden entries' gradients are exact
+    zeros whenever the loss is finite, as are the PAD embeddings', which no
+    token reads.
     """
     p, hp = model.params, model.hp
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
     used, index = _distinct_rows(ids, lengths)
     char_rep, char_cache = _char_reps(table.char_ids[used], model)
     word_ids = table.word_ids[used]
     emissions, cache = _forward(
         _input_rows(model, word_ids, char_rep), model, index, lengths, dropout_seed
     )
-    loss, d_e, d_trans, d_s, d_e_end = crf.nll_gradients(
-        emissions, *_crf_scores(model), p["end"], gold, lengths
-    )
-    for name, grad in (("trans", d_trans), ("start", d_s), ("end", d_e_end)):
-        grads[name] += grad.astype(p[name].dtype)
-    d_u = _backward_net(d_e, model, cache, grads)
+    loss, d_e, *d_crf = crf.nll_gradients(emissions, *_crf_scores(model), p["end"], gold, lengths)
+    scale = 1.0 / len(lengths)
+    d_u, grads = _backward_net(d_e * scale, model, cache)
     read = index[cache["real"]]  # the row each real step read, log after log
+    grads["word_emb"] = np.zeros_like(p["word_emb"])
     np.add.at(grads["word_emb"], word_ids[read], d_u[:, : hp.word_dim])
     d_rep = np.zeros((len(used), hp.char_filters), dtype=d_u.dtype)
     np.add.at(d_rep, read, d_u[:, hp.word_dim :])
-    _char_backward(d_rep, model, char_cache, grads)
-    scale = 1.0 / len(lengths)
-    for name in grads:
-        grads[name] *= scale
-    return loss * scale, grads
+    grads.update(_char_backward(d_rep, model, char_cache))
+    for name, grad in zip(("trans", "start", "end"), d_crf):
+        grads[name] = (grad * scale).astype(p[name].dtype)
+    return loss * scale, {name: grads[name] for name in p}
 
 
 def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[Tag]]:

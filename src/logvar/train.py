@@ -189,8 +189,8 @@ def train(
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {b_idx}"
                 )
-            if cfg.freeze_word_embeddings:
-                grads["word_emb"][:] = 0.0
+            if cfg.freeze_word_embeddings:  # clip and Adam skip it, so it never moves
+                del grads["word_emb"]
             if not np.isfinite(clip_global_norm(grads, cfg.gradient_clip_norm)):
                 raise DivergenceError(
                     f"non-finite gradient at epoch {epoch}, batch {b_idx}"

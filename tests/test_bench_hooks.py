@@ -44,5 +44,6 @@ def test_trace_records_every_layer_span():
         loss_and_gradients(model, table, _padded(ids, starts, lengths), lengths,
                            _padded(gold, starts, lengths), dropout_seed=1)
     names = {span[0] for span in tracer.spans}
-    assert {"tagger.lstm_f", "tagger.lstm_b", "tagger.char_cnn", "tagger.lstm_bwd"} <= names
+    assert {"tagger.forward", "tagger.lstm_f", "tagger.lstm_b", "tagger.char_cnn",
+            "tagger.lstm_bwd", "tagger.backward_net"} <= names
     assert tracer.unmeasured == set()

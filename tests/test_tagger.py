@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import logvar.tagger as tagger
+from logvar import crf
 from logvar.corpus import AnnotatedLog
 from logvar.embed import PAD, build_vocabs, encode_log
 from logvar.synth import generate_synthetic
@@ -142,6 +143,34 @@ def reference_lstm_backward(d_h, Wx, Wh, cache):
     d_b = flat_dz.sum(axis=0)
     d_inputs = (flat_dz @ Wx.T).reshape(t_len, b_len, -1).transpose(1, 0, 2)
     return d_inputs, d_wx, d_wh, d_b
+
+
+def reference_loss_and_gradients(model, table, ids, lengths, gold, dropout_seed):
+    """``loss_and_gradients`` with the mean taken at the end: the same kernels
+    run on the CRF's summed gradients, add into zero-filled gradients, and
+    every gradient is scaled by 1/B last."""
+    p, hp = model.params, model.hp
+    used, index = _distinct_rows(ids, lengths)
+    char_rep, char_cache = _char_reps(table.char_ids[used], model)
+    word_ids = table.word_ids[used]
+    emissions, cache = _forward(
+        _input_rows(model, word_ids, char_rep), model, index, lengths, dropout_seed)
+    loss, d_e, *d_crf = crf.nll_gradients(
+        emissions, *tagger._crf_scores(model), p["end"], gold, lengths)
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    d_u, net = tagger._backward_net(d_e, model, cache)
+    read = index[cache["real"]]
+    np.add.at(grads["word_emb"], word_ids[read], d_u[:, : hp.word_dim])
+    d_rep = np.zeros((len(used), hp.char_filters), dtype=d_u.dtype)
+    np.add.at(d_rep, read, d_u[:, hp.word_dim :])
+    net.update(tagger._char_backward(d_rep, model, char_cache))
+    net.update(zip(("trans", "start", "end"), d_crf))
+    for name, grad in net.items():
+        grads[name] += grad.astype(p[name].dtype)
+    scale = 1.0 / len(lengths)
+    for grad in grads.values():
+        grad *= scale
+    return loss * scale, grads
 
 
 def forward_batch(model, token_lists):
@@ -642,6 +671,51 @@ class TestGradients:
         for name, grad in grads.items():
             mean = sum(g[name] for _, g in per) / len(per)
             np.testing.assert_allclose(grad, mean, rtol=rtol, atol=atol, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_are_fresh_arrays_in_params_order(self, vocabs, corpus, dtype):
+        # clip and Adam scale and read them in place, and clip sums its
+        # per-tensor norms in this order
+        wv, cv = vocabs
+        m = init_model(TINY_HP, wv, cv, seed=6, dtype=dtype)
+        _, grads = loss_and_gradients(m, *train_batch(m, corpus[:5]), dropout_seed=2)
+        assert list(grads) == list(m.params)
+        for name, grad in grads.items():
+            assert grad.dtype == dtype and grad.shape == m.params[name].shape, name
+            for other in (*grads.values(), *m.params.values()):
+                assert other is grad or not np.shares_memory(grad, other), name
+
+    def test_char_gradients_are_zeros_without_the_char_channel(self, vocabs, corpus):
+        wv, cv = vocabs
+        m = init_model(dataclasses.replace(TINY_HP, use_char_channel=False), wv, cv, seed=6)
+        _, grads = loss_and_gradients(m, *train_batch(m, corpus[:5]), dropout_seed=2)
+        for name in ("char_emb", "char_W", "char_b"):
+            assert grads[name].shape == m.params[name].shape, name
+            assert grads[name].dtype == m.params[name].dtype, name
+            assert not grads[name].any(), name
+
+    @pytest.mark.parametrize("b_len", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("dtype, rtol, atol", [
+        (np.float64, 1e-12, 1e-12), (np.float32, F32_RTOL, F32_ATOL),
+    ])
+    def test_mean_at_the_crf_equals_mean_at_the_end(self, vocabs, corpus, b_len, dtype,
+                                                    rtol, atol):
+        # the backward pass is linear in the CRF's gradients, and a scale by
+        # 1/B is exact when B is a power of two
+        wv, cv = vocabs
+        m = init_model(TINY_HP, wv, cv, seed=7, dtype=dtype)
+        batch = train_batch(m, corpus[10 : 10 + b_len])
+        loss, grads = loss_and_gradients(m, *batch, dropout_seed=30)
+        want_loss, want = reference_loss_and_gradients(m, *batch, dropout_seed=30)
+        assert list(grads) == list(want)
+        if b_len & (b_len - 1) == 0:
+            assert loss == want_loss
+            for name, grad in grads.items():
+                assert grad.tobytes() == want[name].tobytes(), name
+        else:
+            assert loss == pytest.approx(want_loss, rel=rtol, abs=atol)
+            for name, grad in grads.items():
+                np.testing.assert_allclose(grad, want[name], rtol=rtol, atol=atol, err_msg=name)
 
     def test_frozen_transition_gradient_zero(self, tiny_model, corpus):
         m = tiny_model
