@@ -17,7 +17,9 @@ it sorts tokenized messages by length and runs them in padded batches.
 log's padding comes after its last real step, in both LSTM directions (the
 backward direction reads each log through a per-log reversal index), so
 padded steps never reach a real step and the recurrences need no mask;
-Viterbi carries each score unchanged through padded steps. Training runs a
+Viterbi carries each score unchanged through padded steps. The two
+directions are independent, so one ``_lstm_forward`` call advances both in
+a single time loop, their states stacked (2, B, H). Training runs a
 minibatch the same way: one forward pass, one batched CRF forward-backward
 whose gradient is zero on padded steps and carries the batch mean's 1/B
 (exact when B is a power of two), and one backward pass, linear in it, in
@@ -329,43 +331,57 @@ def _gate_slices(h_dim: int) -> tuple[slice, slice, slice, slice]:
 
 
 def _lstm_forward(
-    rows: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray, index: np.ndarray
-) -> tuple[np.ndarray, dict]:
-    """One LSTM direction over a right-padded batch of B sequences of T steps.
+    rows: np.ndarray, Wx: tuple[np.ndarray, np.ndarray], Wh: tuple[np.ndarray, np.ndarray],
+    b: tuple[np.ndarray, np.ndarray], index: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, list[dict]]:
+    """Both LSTM directions over a right-padded batch of B sequences of T steps.
 
-    ``rows`` holds input rows, (N, Din), and ``index``, (B, T), picks the
-    row each step reads; returns the outputs, (B, T, H). The input
-    projection ``rows @ Wx + b`` is one matmul over the rows, so a row that
-    many steps share is projected once; each step then adds one
-    (B, H) @ (H, 4H) product. Padding follows every sequence's last real
-    step, so it never reaches a real step's output. Caches are time-major.
+    ``rows`` holds input rows, (N, Din); direction d has weights ``Wx[d]``,
+    ``Wh[d]`` and ``b[d]``, and ``index[d]``, (B, T), picks the row each of
+    its steps reads. The two directions are independent, so they advance
+    together in one time loop: their states are stacked (2, B, H), each step
+    makes one (2, B, H) @ (2, H, 4H) product and runs the gate arithmetic
+    once over (2, B, 4H). The input projection ``rows @ Wx[d] + b[d]`` is
+    one matmul over the rows per direction, so a row that many steps share
+    is projected once. Padding follows every sequence's last real step, so
+    it never reaches a real step's output. Returns the outputs, (2, B, T, H),
+    each direction in its own step order, and one cache per direction for
+    ``_lstm_backward``: time-major views of the stacked arrays.
     """
-    b_len, t_len = index.shape
-    h_dim = Wh.shape[0]
-    dtype = Wx.dtype
+    b_len, t_len = index[0].shape
+    h_dim = Wh[0].shape[0]
+    dtype = Wx[0].dtype
     i_, f_, g_, o_ = _gate_slices(h_dim)
-    # x @ Wx + b of every step, time-major; each step adds its h @ Wh and
-    # overwrites the sum with the i, f, g, o gate activations
-    gates = (rows @ Wx + b)[index.T]  # (T, B, 4H)
+    proj = np.empty((2, len(rows), 4 * h_dim), dtype=dtype)
+    for d in range(2):
+        np.matmul(rows, Wx[d], out=proj[d])
+        proj[d] += b[d]
+    # x @ Wx + b of every step, time-major, (T, 2, B, 4H), in one gather;
+    # each step adds its h @ Wh and overwrites the sum with the i, f, g, o
+    # gate activations
+    gates = proj[np.arange(2)[:, None], np.stack(index, axis=1).T]
+    del proj  # not held through the time loop
+    Wh2 = np.stack(Wh)  # (2, H, 4H)
     # sigmoid(z) = tanh(z / 2) / 2 + 1/2, so one tanh serves all four gates:
     # scale by 1/2 before and after it, except on the tanh-activated g gate
     scale = np.full(4 * h_dim, 0.5, dtype=dtype)
     scale[g_] = 1.0
     shift = np.full(4 * h_dim, 0.5, dtype=dtype)
     shift[g_] = 0.0
-    hs = np.zeros((t_len + 1, b_len, h_dim), dtype=dtype)
-    cs = np.zeros((t_len + 1, b_len, h_dim), dtype=dtype)
+    hs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=dtype)
+    cs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=dtype)
     for t in range(t_len):
         act = gates[t]
-        act += hs[t] @ Wh
+        act += hs[t] @ Wh2
         act *= scale
         np.tanh(act, out=act)
         act *= scale
         act += shift
-        cs[t + 1] = act[:, f_] * cs[t] + act[:, i_] * act[:, g_]
-        np.multiply(act[:, o_], np.tanh(cs[t + 1]), out=hs[t + 1])
-    cache = {"rows": rows, "index": index, "hs": hs, "cs": cs, "gates": gates}
-    return hs[1:].transpose(1, 0, 2), cache
+        cs[t + 1] = act[..., f_] * cs[t] + act[..., i_] * act[..., g_]
+        np.multiply(act[..., o_], np.tanh(cs[t + 1]), out=hs[t + 1])
+    caches = [{"rows": rows, "index": index[d], "hs": hs[:, d], "cs": cs[:, d],
+               "gates": gates[:, d]} for d in range(2)]
+    return hs[1:].transpose(1, 2, 0, 3), caches
 
 
 def _lstm_backward(
@@ -490,10 +506,12 @@ def _forward(
     ``rows`` are the batch's input rows from ``_input_rows``, and step t of
     log b reads row ``index[b, t]`` (``_distinct_rows``). Log b's steps
     [0, lengths[b]) are real; its padded steps may read any row and score
-    garbage that no caller reads. ``dropout_seed`` None means no dropout:
-    both LSTM directions then project each row once; under dropout (masks
-    from ``_dropout_masks``) every position has its own masked row. Returns
-    the emissions and the cache the backward pass reads.
+    garbage that no caller reads. One ``_lstm_forward`` call runs both LSTM
+    directions in one time loop, the backward one through ``index[rev]``.
+    ``dropout_seed`` None means no dropout: both directions then project
+    each row once; under dropout (masks from ``_dropout_masks``) every
+    position has its own masked row. Returns the emissions and the cache the
+    backward pass reads, with one LSTM cache per direction.
     """
     p = model.params
     hp = model.hp
@@ -508,11 +526,10 @@ def _forward(
     # direction too padding comes after the last real step; rev is its own
     # inverse
     rev = (np.arange(b_len)[:, None], np.where(real, lengths[:, None] - 1 - steps, steps))
-    h, cache = [], {"lengths": lengths, "real": real, "rev": rev, "m1": m1, "m2": m2}
-    for d, d_index in (("f", index), ("b", index[rev])):
-        h_dir, cache[f"lstm_{d}"] = _lstm_forward(
-            rows, p[f"lstm_{d}_Wx"], p[f"lstm_{d}_Wh"], p[f"lstm_{d}_b"], d_index)
-        h.append(h_dir)
+    cache = {"lengths": lengths, "real": real, "rev": rev, "m1": m1, "m2": m2}
+    h, (cache["lstm_f"], cache["lstm_b"]) = _lstm_forward(
+        rows, (p["lstm_f_Wx"], p["lstm_b_Wx"]), (p["lstm_f_Wh"], p["lstm_b_Wh"]),
+        (p["lstm_f_b"], p["lstm_b_b"]), (index, index[rev]))
     h_cat = np.concatenate([h[0], h[1][rev]], axis=2)  # (B, T, 2H)
     h_d = cache["h_d"] = h_cat * m2 if m2 is not None else h_cat
     emissions = h_d.reshape(-1, h_d.shape[2]) @ p["proj_W"] + p["proj_b"]

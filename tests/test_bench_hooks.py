@@ -1,11 +1,13 @@
 """The benchmark's layer trace still hooks the tagger's internals.
 
 ``benchmarks/layertrace.py`` replaces functions by name and reads some of
-their arguments: ``_forward``'s model is its second argument, the LSTM
-direction is told by ``_lstm_forward``'s second argument (``Wx``), and
-``_char_forward`` gets (N, L) char-id rows first. This test runs one decode
-and one training step under the trace and checks the spans that depend on
-those rules.
+their arguments: ``_forward``'s model is its second argument, and
+``_char_forward`` gets (N, L) char-id rows first. Its LSTM probe names a
+span ``tagger.lstm_f`` or ``tagger.lstm_b`` by ``_lstm_forward``'s second
+argument; one call now runs both directions, so every LSTM forward span
+takes one of those names and ``lstm_f + lstm_b`` is the LSTM forward time.
+This test runs one decode and one training step under the trace and checks
+the spans that depend on those rules.
 """
 
 import importlib.util
@@ -44,6 +46,13 @@ def test_trace_records_every_layer_span():
         loss_and_gradients(model, table, _padded(ids, starts, lengths), lengths,
                            _padded(gold, starts, lengths), dropout_seed=1)
     names = {span[0] for span in tracer.spans}
-    assert {"tagger.forward", "tagger.lstm_f", "tagger.lstm_b", "tagger.char_cnn",
-            "tagger.lstm_bwd", "tagger.backward_net"} <= names
+    assert {"tagger.forward", "tagger.char_cnn", "tagger.lstm_bwd",
+            "tagger.backward_net"} <= names
     assert tracer.unmeasured == set()
+    # one LSTM forward span, whatever its name, under each forward pass
+    lstm = {"tagger.lstm", "tagger.lstm_f", "tagger.lstm_b"}
+    forwards = [i for i, span in enumerate(tracer.spans) if span[0] == "tagger.forward"]
+    assert len(forwards) == 2  # the decode batch and the training step
+    for i in forwards:
+        assert sum(span[0] in lstm and span[3] == i for span in tracer.spans) == 1
+    assert sum(span[0] in lstm for span in tracer.spans) == len(forwards)

@@ -115,6 +115,53 @@ def reference_emissions(enc, model):
     return h @ p["proj_W"] + p["proj_b"]
 
 
+def reference_lstm_forward(rows, Wx, Wh, b, index):
+    """One LSTM direction in its own time loop, as ``_lstm_forward`` ran
+    before both directions shared one; the oracle for the fused kernel."""
+    b_len, t_len = index.shape
+    h_dim = Wh.shape[0]
+    dtype = Wx.dtype
+    i_, f_, g_, o_ = (slice(k * h_dim, (k + 1) * h_dim) for k in range(4))
+    gates = (rows @ Wx + b)[index.T]  # (T, B, 4H)
+    scale = np.full(4 * h_dim, 0.5, dtype=dtype)
+    scale[g_] = 1.0
+    shift = np.full(4 * h_dim, 0.5, dtype=dtype)
+    shift[g_] = 0.0
+    hs = np.zeros((t_len + 1, b_len, h_dim), dtype=dtype)
+    cs = np.zeros((t_len + 1, b_len, h_dim), dtype=dtype)
+    for t in range(t_len):
+        act = gates[t]
+        act += hs[t] @ Wh
+        act *= scale
+        np.tanh(act, out=act)
+        act *= scale
+        act += shift
+        cs[t + 1] = act[:, f_] * cs[t] + act[:, i_] * act[:, g_]
+        np.multiply(act[:, o_], np.tanh(cs[t + 1]), out=hs[t + 1])
+    cache = {"rows": rows, "index": index, "hs": hs, "cs": cs, "gates": gates}
+    return hs[1:].transpose(1, 0, 2), cache
+
+
+def lstm_case(b_len, t_len, dtype, seed):
+    """Random input rows and weights of both LSTM directions, and a ragged
+    batch's two step indexes as ``_forward`` builds them: log 0 is full, the
+    others end early, their padded steps read row 0, and the backward
+    direction reads each log's real steps reversed. Returns the arguments of
+    ``_lstm_forward`` and the real-step mask, (B, T)."""
+    rng = np.random.default_rng(seed)
+    d_in, h_dim, n_rows = 10, 6, 20
+    Wx, Wh, b = ([(rng.standard_normal(shape) * 0.5).astype(dtype) for _ in range(2)]
+                 for shape in ((d_in, 4 * h_dim), (h_dim, 4 * h_dim), (4 * h_dim,)))
+    rows = rng.standard_normal((n_rows, d_in)).astype(dtype)
+    lengths = rng.integers(1, t_len + 1, size=b_len)
+    lengths[0] = t_len
+    steps = np.arange(t_len)
+    real = steps < lengths[:, None]
+    index = np.where(real, rng.integers(0, n_rows, size=(b_len, t_len)), 0)
+    rev = (np.arange(b_len)[:, None], np.where(real, lengths[:, None] - 1 - steps, steps))
+    return (rows, Wx, Wh, b, (index, index[rev])), real
+
+
 def reference_lstm_backward(d_h, Wx, Wh, cache):
     """``_lstm_backward`` as a per-step loop that computes each gate's
     derivative where it is used; the oracle for the hoisted kernel."""
@@ -466,9 +513,8 @@ class TestTokenTable:
         assert len(keys) == len(tokens)  # case variants differ in chars, long words in id
         (char_ids,) = seen["char"]  # one group: fewer rows than CHAR_GROUP_ROWS
         assert len(char_ids) == len(tokens)  # one char row per distinct token
-        rows_f, rows_b = seen["lstm"]
-        assert rows_f is rows_b
-        assert len(rows_f) == len(keys)  # one per distinct key
+        (rows,) = seen["lstm"]  # one call runs both directions
+        assert len(rows) == len(keys)  # one per distinct key
 
     @pytest.mark.parametrize("use_chars", [True, False])
     def test_eval_emissions_match_per_position_reference(self, model, corpus, use_chars):
@@ -759,32 +805,50 @@ class TestGradients:
         assert (grads["char_emb"][PAD] == 0).all()
 
 
+class TestLstmForward:
+    """The two-direction ``_lstm_forward`` against one per-direction loop
+    each: float64 within 1e-12, float32 within F32_RTOL/F32_ATOL."""
+
+    @pytest.mark.parametrize("b_len, t_len", itertools.product((1, 3, 8, 16, 32), (1, 2, 13, 35)))
+    @pytest.mark.parametrize("dtype, rtol, atol", [
+        (np.float64, 1e-12, 1e-12), (np.float32, F32_RTOL, F32_ATOL),
+    ])
+    def test_matches_per_direction_reference(self, b_len, t_len, dtype, rtol, atol):
+        (rows, Wx, Wh, b, index), _ = lstm_case(b_len, t_len, dtype, 200 * b_len + t_len)
+        h, caches = tagger._lstm_forward(rows, Wx, Wh, b, index)
+        assert h.shape == (2, b_len, t_len, Wh[0].shape[0]) and len(caches) == 2
+        for d in range(2):
+            want_h, want = reference_lstm_forward(rows, Wx[d], Wh[d], b[d], index[d])
+            np.testing.assert_allclose(h[d], want_h, rtol=rtol, atol=atol, err_msg=f"h[{d}]")
+            assert caches[d]["rows"] is rows
+            np.testing.assert_array_equal(caches[d]["index"], index[d])
+            for name in ("hs", "cs", "gates"):
+                got = caches[d][name]
+                assert got.dtype == dtype and got.shape == want[name].shape, name
+                np.testing.assert_allclose(got, want[name], rtol=rtol, atol=atol,
+                                           err_msg=f"{name}[{d}]")
+
+
 class TestLstmBackward:
     @pytest.mark.parametrize("b_len, t_len", itertools.product((1, 3, 8), (1, 2, 13, 35)))
     @pytest.mark.parametrize("dtype, rtol, atol", [
         (np.float64, 1e-12, 1e-12), (np.float32, F32_RTOL, F32_ATOL),
     ])
     def test_matches_per_step_reference(self, b_len, t_len, dtype, rtol, atol):
-        # ragged lengths: log 0 is full, the others end early and their
-        # padded steps read row 0 and carry zero output gradient, as in training
-        rng = np.random.default_rng(100 * b_len + t_len)
-        d_in, h_dim, n_rows = 10, 6, 20
-        Wx = (rng.standard_normal((d_in, 4 * h_dim)) * 0.5).astype(dtype)
-        Wh = (rng.standard_normal((h_dim, 4 * h_dim)) * 0.5).astype(dtype)
-        b = (rng.standard_normal(4 * h_dim) * 0.5).astype(dtype)
-        rows = rng.standard_normal((n_rows, d_in)).astype(dtype)
-        lengths = rng.integers(1, t_len + 1, size=b_len)
-        lengths[0] = t_len
-        real = np.arange(t_len) < lengths[:, None]
-        index = np.where(real, rng.integers(0, n_rows, size=(b_len, t_len)), 0)
-        _, cache = tagger._lstm_forward(rows, Wx, Wh, b, index)
-        d_h = np.where(real[..., None], rng.standard_normal((b_len, t_len, h_dim)), 0.0)
-        d_h = d_h.astype(dtype)
-        got = tagger._lstm_backward(d_h, Wx, Wh, cache)
-        want = reference_lstm_backward(d_h, Wx, Wh, cache)
-        for name, g, w in zip(("d_inputs", "d_wx", "d_wh", "d_b"), got, want):
-            assert g.dtype == dtype and g.shape == w.shape, name
-            np.testing.assert_allclose(g, w, rtol=rtol, atol=atol, err_msg=name)
+        # each direction's cache is its view of the fused forward's arrays;
+        # padded steps carry zero output gradient, as in training
+        (rows, Wx, Wh, b, index), real = lstm_case(b_len, t_len, dtype, 100 * b_len + t_len)
+        h_dim = Wh[0].shape[0]
+        _, caches = tagger._lstm_forward(rows, Wx, Wh, b, index)
+        rng = np.random.default_rng(b_len + 100 * t_len)
+        for d in range(2):
+            d_h = np.where(real[..., None], rng.standard_normal((b_len, t_len, h_dim)), 0.0)
+            d_h = d_h.astype(dtype)
+            got = tagger._lstm_backward(d_h, Wx[d], Wh[d], caches[d])
+            want = reference_lstm_backward(d_h, Wx[d], Wh[d], caches[d])
+            for name, g, w in zip(("d_inputs", "d_wx", "d_wh", "d_b"), got, want):
+                assert g.dtype == dtype and g.shape == w.shape, name
+                np.testing.assert_allclose(g, w, rtol=rtol, atol=atol, err_msg=f"{name}[{d}]")
 
 
 class TestPadding:
