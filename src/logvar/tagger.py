@@ -55,6 +55,7 @@ word, so that little of the gather and sum is spent on PAD positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -385,9 +386,10 @@ def _lstm_forward(
 
 
 def _lstm_backward(
-    d_h: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, cache: dict
+    d_h: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, cache: dict, real: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of one LSTM direction given d loss / d output, (B, T, H).
+    """Gradients of one LSTM direction given d loss / d output, (B, T, H),
+    which is zero on the padded steps of the real-step mask ``real``, (B, T).
 
     The input gradient is per step, (B, T, Din), not per row. Only ``dh``
     and ``dc`` chain through time, so the other factors are computed for
@@ -395,6 +397,10 @@ def _lstm_backward(
     g*i*(1-i), c_prev*f*(1-f), i*(1-g^2) and tanh(c)*o*(1-o), by which
     ``dc``, ``dc``, ``dc`` and ``dh`` scale into ``dz``, and ``oc`` holds
     o*(1-tanh(c)^2). Each step then carries ``dc * f`` and ``dz[t] @ Wh.T``.
+    Padding follows each sequence's last real step, so ``dz`` is zero on
+    padded steps, and the weight, bias and input gradients are taken over
+    the real steps alone, time-major as the loop runs; padded steps get a
+    zero input gradient.
     """
     hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
     tanh_c = np.tanh(cs[1:])
@@ -419,13 +425,15 @@ def _lstm_backward(
         dz[t] *= G[t]
         dc *= f_g[t]
         dh = dz[t] @ Wh.T
-    flat_dz = dz.reshape(-1, 4 * h_dim)
-    inputs = cache["rows"][cache["index"].T]  # (T, B, Din), each step's input
-    d_wx = inputs.reshape(-1, inputs.shape[2]).T @ flat_dz
-    d_wh = hs[:-1].reshape(-1, h_dim).T @ flat_dz
-    d_b = flat_dz.sum(axis=0)
-    d_inputs = (flat_dz @ Wx.T).reshape(t_len, b_len, -1).transpose(1, 0, 2)
-    return d_inputs, d_wx, d_wh, d_b
+    steps = real.T  # (T, B)
+    real_dz = dz[steps]  # (n, 4H), the real steps time-major
+    inputs = cache["rows"][cache["index"].T[steps]]  # (n, Din), each real step's input
+    d_wx = inputs.T @ real_dz
+    d_wh = hs[:-1][steps].T @ real_dz
+    d_b = real_dz.sum(axis=0)
+    d_inputs = np.zeros((t_len, b_len, Wx.shape[0]), dtype=Wx.dtype)
+    d_inputs[steps] = real_dz @ Wx.T
+    return d_inputs.transpose(1, 0, 2), d_wx, d_wh, d_b
 
 
 def _dropout_masks(
@@ -554,22 +562,38 @@ def _backward_net(
     d_hd = (flat_de @ p["proj_W"].T).reshape(h_d.shape)
     if cache["m2"] is not None:
         d_hd = d_hd * cache["m2"]
-    rev = cache["rev"]
+    rev, real = cache["rev"], cache["real"]  # rev maps real steps to real steps
     d_inputs = []
     for d, d_h in (("f", d_hd[..., :h_dim]), ("b", d_hd[..., h_dim:][rev])):
-        d_in, *d_w = _lstm_backward(d_h, p[f"lstm_{d}_Wx"], p[f"lstm_{d}_Wh"], cache[f"lstm_{d}"])
+        d_in, *d_w = _lstm_backward(d_h, p[f"lstm_{d}_Wx"], p[f"lstm_{d}_Wh"],
+                                    cache[f"lstm_{d}"], real)
         grads.update(zip((f"lstm_{d}_Wx", f"lstm_{d}_Wh", f"lstm_{d}_b"), d_w))
         d_inputs.append(d_in)
     d_u = d_inputs[0] + d_inputs[1][rev]
     if cache["m1"] is not None:
         d_u = d_u * cache["m1"]
-    return d_u[cache["real"]], grads
+    return d_u[real], grads
+
+
+class RowGrad(NamedTuple):
+    """The gradient of an embedding matrix that is zero outside a few rows:
+    ``rows``, sorted and distinct, and the gradient ``values`` at them,
+    (len(rows), width)."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+    def dense(self, like: np.ndarray) -> np.ndarray:
+        """The full gradient, zeros shaped like the matrix ``like`` but at ``rows``."""
+        out = np.zeros_like(like)
+        out[self.rows] = self.values
+        return out
 
 
 def loss_and_gradients(
     model: TaggerModel, table: EncodedLog, ids: np.ndarray, lengths: np.ndarray,
     gold: np.ndarray, dropout_seed: int = 0,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, dict[str, np.ndarray | RowGrad]]:
     """Mean per-log CRF negative log-likelihood and exact gradients in ``model.params`` order.
 
     The batch is a token table, the (B, T) row ids of B right-padded logs
@@ -581,8 +605,13 @@ def loss_and_gradients(
     gradients, which the backward pass is linear in; at B = 2^k the scale is
     exact, and the result is bitwise the sum scaled at the end. The CRF
     reads ``_crf_scores``, so the IOB-forbidden entries' gradients are exact
-    zeros whenever the loss is finite, as are the PAD embeddings', which no
-    token reads.
+    zeros whenever the loss is finite, as is the gradient of char_emb's PAD row.
+
+    A minibatch reads few of the word embeddings, so their gradient is a
+    ``RowGrad`` of the word ids read, as ``torch.nn.Embedding(sparse=True)``
+    gives it: each row sums its steps' gradients in step order, bitwise the
+    rows of the dense gradient, which is zero elsewhere. PAD, which no token
+    reads, is never among the rows. Every other gradient is a dense array.
     """
     p, hp = model.params, model.hp
     used, index = _distinct_rows(ids, lengths)
@@ -595,8 +624,10 @@ def loss_and_gradients(
     scale = 1.0 / len(lengths)
     d_u, grads = _backward_net(d_e * scale, model, cache)
     read = index[cache["real"]]  # the row each real step read, log after log
-    grads["word_emb"] = np.zeros_like(p["word_emb"])
-    np.add.at(grads["word_emb"], word_ids[read], d_u[:, : hp.word_dim])
+    words, word_of_row = np.unique(word_ids, return_inverse=True)
+    d_words = np.zeros((len(words), hp.word_dim), dtype=p["word_emb"].dtype)
+    np.add.at(d_words, word_of_row[read], d_u[:, : hp.word_dim])
+    grads["word_emb"] = RowGrad(words, d_words)
     d_rep = np.zeros((len(used), hp.char_filters), dtype=d_u.dtype)
     np.add.at(d_rep, read, d_u[:, hp.word_dim :])
     grads.update(_char_backward(d_rep, model, char_cache))

@@ -6,7 +6,10 @@ its bias corrections into two scalars, so it matches the textbook formula
 to the rounding of the parameters' dtype, not bitwise. The global norm is
 one ``np.dot`` per gradient tensor in the gradient's own dtype; only when
 that is not finite is it taken again from float64 copies, so a huge but
-finite float32 gradient is clipped, not taken for divergence. After each
+finite float32 gradient is clipped, not taken for divergence. The word
+embeddings' gradient is a ``RowGrad`` of the rows a minibatch read: the norm
+sums those rows, and Adam adds their gradient terms there alone while still
+decaying and moving every row, bitwise the dense update. After each
 epoch the selection metric is computed on the validation set; the returned
 model is the checkpoint with the best validation metric, earlier epoch on
 ties. Runs are deterministic for a fixed seed. A minibatch whose loss or
@@ -39,6 +42,7 @@ from .evaluate import general_accuracy, variable_aware_accuracy
 from .tagger import (
     FROZEN_SCORE,
     Hyperparams,
+    RowGrad,
     TaggerModel,
     _padded,
     check_field_types,
@@ -92,7 +96,16 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGrad]) -> None:
+        """One update of every parameter named in ``grads``.
+
+        A ``RowGrad`` is a gradient that is zero outside its rows. Adam stays
+        dense there: every row's moments decay and every row moves, since an
+        unread row's m is not zero once it has been read. Only the
+        ``(1-beta1)*g`` and ``(1-beta2)*g*g`` terms are added at the rows
+        alone; elsewhere they are +0.0, and adding +0.0 leaves a moment as it
+        is (m and v are never -0.0), so the step is bitwise the dense one.
+        """
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
@@ -103,38 +116,46 @@ class Adam:
         eps = EPS * math.sqrt(bc2)
         for k, g in grads.items():
             m, v = self.m[k], self.v[k]
-            tmp = np.multiply(g, 1.0 - BETA1)
             m *= BETA1
-            m += tmp
-            np.multiply(g, 1.0 - BETA2, out=tmp)
-            tmp *= g
             v *= BETA2
-            v += tmp
-            np.sqrt(v, out=tmp)
+            if isinstance(g, RowGrad):
+                rows, g = g
+                m[rows] += g * (1.0 - BETA1)
+                v[rows] += g * (1.0 - BETA2) * g
+                tmp = np.sqrt(v)
+            else:
+                tmp = np.multiply(g, 1.0 - BETA1)
+                m += tmp
+                np.multiply(g, 1.0 - BETA2, out=tmp)
+                tmp *= g
+                v += tmp
+                np.sqrt(v, out=tmp)
             tmp += eps
             np.divide(m, tmp, out=tmp)
             tmp *= a
             params[k] -= tmp
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
+def clip_global_norm(grads: dict[str, np.ndarray | RowGrad], max_norm: float) -> float:
     """Scale ``grads`` in place to a global L2 norm of at most ``max_norm``
     (no clipping when it is 0) and return the norm before clipping; a
     gradient that is not finite is left as it is.
 
     The squared norm is one ``np.dot`` per tensor in the gradient's own
-    dtype, summed as Python floats. When that total is not finite (float32
-    squares overflow once the norm passes about 1.8e19, or an entry is NaN
-    or inf) it is summed again from float64 copies, so a huge but finite
-    gradient still gets a finite norm and is clipped.
+    dtype, summed as Python floats; a ``RowGrad`` counts and scales its
+    rows' values, since the rest of its gradient is zero. When that total is
+    not finite (float32 squares overflow once the norm passes about 1.8e19,
+    or an entry is NaN or inf) it is summed again from float64 copies, so a
+    huge but finite gradient still gets a finite norm and is clipped.
     """
+    arrays = [g.values if isinstance(g, RowGrad) else g for g in grads.values()]
     with np.errstate(over="ignore", invalid="ignore"):  # retried in float64 below
-        total = math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values()))
+        total = math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in arrays))
     if not math.isfinite(total):
-        total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
+        total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in arrays))
     if 0 < max_norm < total < np.inf:
         scale = max_norm / total
-        for g in grads.values():
+        for g in arrays:
             g *= scale
     return total
 

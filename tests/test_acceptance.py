@@ -139,6 +139,7 @@ def test_criterion_2_gradient_finite_differences():
         gold = np.array([model.tag_index(t) for l in logs for t in l.tags])
         batch = (table, _padded(ids, starts, lengths), lengths, _padded(gold, starts, lengths))
         _, grads = loss_and_gradients(model, *batch, dropout_seed=b)
+        grads["word_emb"] = grads["word_emb"].dense(model.params["word_emb"])
         for name, arr in model.params.items():
             flat, gflat = arr.ravel(), grads[name].ravel()
             for i in range(flat.size):

@@ -15,6 +15,7 @@ from logvar.tagger import (
     CHAR_GROUP_ROWS,
     FROZEN_SCORE,
     Hyperparams,
+    RowGrad,
     TaggerModel,
     _char_forward,
     _char_pre,
@@ -190,6 +191,49 @@ def reference_lstm_backward(d_h, Wx, Wh, cache):
     d_b = flat_dz.sum(axis=0)
     d_inputs = (flat_dz @ Wx.T).reshape(t_len, b_len, -1).transpose(1, 0, 2)
     return d_inputs, d_wx, d_wh, d_b
+
+
+def all_steps_lstm_backward(d_h, Wx, Wh, cache):
+    """``_lstm_backward`` as it was before it skipped padded steps: the same
+    time loop, then the weight, bias and input gradients over every step,
+    padded ones included; the oracle for the real-step kernel."""
+    hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
+    tanh_c = np.tanh(cs[1:])
+    t_len, b_len, h_dim = tanh_c.shape
+    i_, f_, g_, o_ = tagger._gate_slices(h_dim)
+    i_g, f_g, g_g, o_g = gates[..., i_], gates[..., f_], gates[..., g_], gates[..., o_]
+    G = np.empty_like(gates)
+    G[..., i_] = g_g * i_g * (1.0 - i_g)
+    G[..., f_] = cs[:-1] * f_g * (1.0 - f_g)
+    G[..., g_] = i_g * (1.0 - g_g**2)
+    G[..., o_] = tanh_c * o_g * (1.0 - o_g)
+    oc = o_g * (1.0 - tanh_c**2)
+    dz = np.empty_like(gates)
+    dz4 = dz.reshape(t_len, b_len, 4, h_dim)
+    dh = np.zeros((b_len, h_dim), dtype=Wx.dtype)
+    dc = np.zeros((b_len, h_dim), dtype=Wx.dtype)
+    for t in range(t_len - 1, -1, -1):
+        dh += d_h[:, t]
+        dc += dh * oc[t]
+        dz4[t, :, :3] = dc[:, None]
+        dz4[t, :, 3] = dh
+        dz[t] *= G[t]
+        dc *= f_g[t]
+        dh = dz[t] @ Wh.T
+    flat_dz = dz.reshape(-1, 4 * h_dim)
+    inputs = cache["rows"][cache["index"].T]
+    d_wx = inputs.reshape(-1, inputs.shape[2]).T @ flat_dz
+    d_wh = hs[:-1].reshape(-1, h_dim).T @ flat_dz
+    d_b = flat_dz.sum(axis=0)
+    d_inputs = (flat_dz @ Wx.T).reshape(t_len, b_len, -1).transpose(1, 0, 2)
+    return d_inputs, d_wx, d_wh, d_b
+
+
+def dense_grads(model, grads):
+    """``loss_and_gradients``' gradients with the word embeddings' ``RowGrad``
+    made a full array, zero at the rows it does not hold."""
+    return {name: g.dense(model.params[name]) if isinstance(g, RowGrad) else g
+            for name, g in grads.items()}
 
 
 def reference_loss_and_gradients(model, table, ids, lengths, gold, dropout_seed):
@@ -683,6 +727,7 @@ class TestGradients:
         m = init_model(TINY_HP, wv, cv, seed=4, dtype=np.float64)
         batch = train_batch(m, corpus[:3])
         loss, grads = loss_and_gradients(m, *batch, dropout_seed=13)
+        grads = dense_grads(m, grads)
         h = 1e-5
         rng = np.random.default_rng(0)
         for name, arr in m.params.items():
@@ -714,21 +759,29 @@ class TestGradients:
         per = [loss_and_gradients(m, *train_batch(m, [log]), dropout_seed=21 + i)
                for i, log in enumerate(logs)]
         assert loss == pytest.approx(np.mean([l for l, _ in per]), rel=rtol, abs=atol)
-        for name, grad in grads.items():
-            mean = sum(g[name] for _, g in per) / len(per)
+        for name, grad in dense_grads(m, grads).items():
+            mean = sum(dense_grads(m, g)[name] for _, g in per) / len(per)
             np.testing.assert_allclose(grad, mean, rtol=rtol, atol=atol, err_msg=name)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gradients_are_fresh_arrays_in_params_order(self, vocabs, corpus, dtype):
         # clip and Adam scale and read them in place, and clip sums its
-        # per-tensor norms in this order
+        # per-tensor norms in this order; the word embeddings' gradient is
+        # its rows read, sorted and distinct, and their values
         wv, cv = vocabs
         m = init_model(TINY_HP, wv, cv, seed=6, dtype=dtype)
-        _, grads = loss_and_gradients(m, *train_batch(m, corpus[:5]), dropout_seed=2)
+        logs = corpus[:5]
+        _, grads = loss_and_gradients(m, *train_batch(m, logs), dropout_seed=2)
         assert list(grads) == list(m.params)
-        for name, grad in grads.items():
-            assert grad.dtype == dtype and grad.shape == m.params[name].shape, name
-            for other in (*grads.values(), *m.params.values()):
+        assert isinstance(grads["word_emb"], RowGrad)
+        rows = grads["word_emb"].rows
+        want = sorted({wv.lookup(tok) for log in logs for tok in log.tokens})
+        assert rows.tolist() == want and PAD not in want
+        arrays = [g.values if isinstance(g, RowGrad) else g for g in grads.values()]
+        for name, grad in zip(grads, arrays):
+            shape = (len(rows), TINY_HP.word_dim) if name == "word_emb" else m.params[name].shape
+            assert grad.dtype == dtype and grad.shape == shape, name
+            for other in (*arrays, *m.params.values()):
                 assert other is grad or not np.shares_memory(grad, other), name
 
     def test_char_gradients_are_zeros_without_the_char_channel(self, vocabs, corpus):
@@ -752,6 +805,7 @@ class TestGradients:
         m = init_model(TINY_HP, wv, cv, seed=7, dtype=dtype)
         batch = train_batch(m, corpus[10 : 10 + b_len])
         loss, grads = loss_and_gradients(m, *batch, dropout_seed=30)
+        grads = dense_grads(m, grads)
         want_loss, want = reference_loss_and_gradients(m, *batch, dropout_seed=30)
         assert list(grads) == list(want)
         if b_len & (b_len - 1) == 0:
@@ -801,6 +855,7 @@ class TestGradients:
     def test_pad_embedding_gradients_zero(self, tiny_model, corpus):
         m = tiny_model
         _, grads = loss_and_gradients(m, *train_batch(m, corpus[:4]))
+        grads = dense_grads(m, grads)
         assert (grads["word_emb"][PAD] == 0).all()
         assert (grads["char_emb"][PAD] == 0).all()
 
@@ -830,25 +885,49 @@ class TestLstmForward:
 
 
 class TestLstmBackward:
-    @pytest.mark.parametrize("b_len, t_len", itertools.product((1, 3, 8), (1, 2, 13, 35)))
-    @pytest.mark.parametrize("dtype, rtol, atol", [
-        (np.float64, 1e-12, 1e-12), (np.float32, F32_RTOL, F32_ATOL),
-    ])
-    def test_matches_per_step_reference(self, b_len, t_len, dtype, rtol, atol):
-        # each direction's cache is its view of the fused forward's arrays;
-        # padded steps carry zero output gradient, as in training
+    SHAPES = list(itertools.product((1, 3, 8), (1, 2, 13, 35)))
+
+    @staticmethod
+    def directions(b_len, t_len, dtype):
+        """Per direction: the output gradient, zero on padded steps as in
+        training, the direction's weights, its cache (its view of the fused
+        forward's arrays) and the real-step mask."""
         (rows, Wx, Wh, b, index), real = lstm_case(b_len, t_len, dtype, 100 * b_len + t_len)
         h_dim = Wh[0].shape[0]
         _, caches = tagger._lstm_forward(rows, Wx, Wh, b, index)
         rng = np.random.default_rng(b_len + 100 * t_len)
         for d in range(2):
             d_h = np.where(real[..., None], rng.standard_normal((b_len, t_len, h_dim)), 0.0)
-            d_h = d_h.astype(dtype)
-            got = tagger._lstm_backward(d_h, Wx[d], Wh[d], caches[d])
-            want = reference_lstm_backward(d_h, Wx[d], Wh[d], caches[d])
+            yield d_h.astype(dtype), Wx[d], Wh[d], caches[d], real
+
+    @pytest.mark.parametrize("b_len, t_len", SHAPES)
+    @pytest.mark.parametrize("dtype, rtol, atol", [
+        (np.float64, 1e-12, 1e-12), (np.float32, F32_RTOL, F32_ATOL),
+    ])
+    def test_matches_per_step_reference(self, b_len, t_len, dtype, rtol, atol):
+        for d, (d_h, Wx, Wh, cache, real) in enumerate(self.directions(b_len, t_len, dtype)):
+            got = tagger._lstm_backward(d_h, Wx, Wh, cache, real)
+            want = reference_lstm_backward(d_h, Wx, Wh, cache)
             for name, g, w in zip(("d_inputs", "d_wx", "d_wh", "d_b"), got, want):
                 assert g.dtype == dtype and g.shape == w.shape, name
                 np.testing.assert_allclose(g, w, rtol=rtol, atol=atol, err_msg=f"{name}[{d}]")
+
+    @pytest.mark.parametrize("b_len, t_len", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_real_steps_equal_all_steps_bitwise(self, b_len, t_len, dtype):
+        # dz is zero on padded steps, so leaving them out of the weight
+        # products and the bias sum changes no bit at these shapes, whose
+        # products have an inner dimension of at most B * T = 280. Larger
+        # ones can cross a BLAS block boundary: with OpenBLAS, B = 8, T = 49
+        # differs in the last bits in float64, and B = 16, T = 35 in float32
+        for d, (d_h, Wx, Wh, cache, real) in enumerate(self.directions(b_len, t_len, dtype)):
+            got = tagger._lstm_backward(d_h, Wx, Wh, cache, real)
+            want = all_steps_lstm_backward(d_h, Wx, Wh, cache)
+            assert got[0][real].tobytes() == want[0][real].tobytes(), f"d_inputs[{d}]"
+            assert not got[0][~real].any(), f"d_inputs[{d}]"
+            for name, g, w in zip(("d_wx", "d_wh", "d_b"), got[1:], want[1:]):
+                assert g.dtype == dtype and g.shape == w.shape, name
+                assert g.tobytes() == w.tobytes(), f"{name}[{d}]"
 
 
 class TestPadding:
@@ -895,7 +974,8 @@ class TestPadding:
             runs.append(loss_and_gradients(m, *batch, dropout_seed=8))
         (loss_a, grads_a), (loss_b, grads_b) = runs
         assert loss_a == loss_b
-        for name, grad in grads_a.items():
+        grads_b = dense_grads(m, grads_b)
+        for name, grad in dense_grads(m, grads_a).items():
             np.testing.assert_array_equal(grad, grads_b[name], err_msg=name)
 
     def test_decode_allocates_nothing_sized_by_max_word_len(self, vocabs):

@@ -126,14 +126,40 @@ class TestForeignTags:
 
 
 class TestTrainingOptions:
-    def test_frozen_word_embeddings_stay_bitwise_the_initial_ones(self, memorization_run):
+    def test_frozen_word_embeddings_stay_bitwise_the_initial_ones(
+        self, memorization_run, monkeypatch
+    ):
+        # and no gradient of word_emb's full shape is built: the minibatch
+        # gradient is a RowGrad of the rows read, which train() drops before
+        # clip and Adam see the gradients
         train_set, val_set, best, _, _, model = memorization_run
         assert not np.array_equal(best.params["word_emb"], model.params["word_emb"])
+        built, stepped = [], []
+        real_loss, real_step = train_module.loss_and_gradients, Adam.step
+
+        def loss_spy(*args):
+            loss, grads = real_loss(*args)
+            built.append(dict(grads))
+            return loss, grads
+
+        def step_spy(opt, params, grads):
+            stepped.append(grads)
+            return real_step(opt, params, grads)
+
+        monkeypatch.setattr(train_module, "loss_and_gradients", loss_spy)
+        monkeypatch.setattr(Adam, "step", step_spy)
         cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.02, seed=7,
                           freeze_word_embeddings=True)
         frozen, _ = train(model, train_set, val_set, cfg)
         for name, arr in model.params.items():
             assert np.array_equal(frozen.params[name], arr) == (name == "word_emb"), name
+        assert len(stepped) == len(built) == 2 * 5
+        full = model.params["word_emb"].shape
+        for grads, step in zip(built, stepped):
+            assert "word_emb" not in step
+            rows = grads.pop("word_emb").rows
+            assert len(rows) < full[0]
+            assert all(g.shape != full for g in grads.values())
 
     def test_general_accuracy_scores_and_selects_the_checkpoint(
         self, memorization_run, monkeypatch
@@ -215,6 +241,56 @@ class TestOptimizer:
         err = max(np.abs(params[k] - ref[k]).max() for k in shapes)
         assert err <= 1e-6 * max(np.abs(ref[k]).max() for k in shapes)
 
+    def test_adam_on_row_gradients_is_bitwise_the_dense_step(self):
+        # row 0 plays PAD (zero and never read), row 1 is read at the first
+        # step only, rows 40 to 49 are never read, and the rest at random
+        rng = np.random.default_rng(3)
+        init = {"emb": rng.standard_normal((50, 6)).astype(np.float32),
+                "w": rng.standard_normal((6, 4)).astype(np.float32)}
+        init["emb"][0] = 0.0
+        rows_p, dense_p = copy.deepcopy(init), copy.deepcopy(init)
+        rows_opt, dense_opt = Adam(rows_p, lr=0.01), Adam(dense_p, lr=0.01)
+        row_1 = []
+        for t in range(30):
+            rows = np.array([1]) if t == 0 else np.flatnonzero(rng.random(40) < 0.2)
+            rows = rows[rows > 1] if t else rows
+            values = rng.standard_normal((len(rows), 6)).astype(np.float32)
+            g_w = rng.standard_normal((6, 4)).astype(np.float32)
+            dense = np.zeros_like(init["emb"])
+            dense[rows] = values
+            rows_opt.step(rows_p, {"emb": tagger.RowGrad(rows, values), "w": g_w.copy()})
+            dense_opt.step(dense_p, {"emb": dense, "w": g_w})
+            for name in init:
+                for got, want in ((rows_p, dense_p), (rows_opt.m, dense_opt.m),
+                                  (rows_opt.v, dense_opt.v)):
+                    assert got[name].tobytes() == want[name].tobytes(), (t, name)
+            row_1.append(rows_p["emb"][1].copy())
+        assert all((a != b).all() for a, b in zip(row_1, row_1[1:]))  # idle, still moving
+        assert not rows_p["emb"][0].any()
+        np.testing.assert_array_equal(rows_p["emb"][40:], init["emb"][40:])  # m stays zero
+
+    @pytest.mark.parametrize("max_norm", [0.0, 1.0])
+    def test_clip_global_norm_on_row_gradients(self, max_norm):
+        # the norm sums the rows' squares in another order than a dense
+        # array's: equal within float32 rounding, and the rows scale alike
+        rng = np.random.default_rng(4)
+        rows = np.array([2, 5, 6, 30])
+        values = rng.standard_normal((4, 8)).astype(np.float32)
+        w = rng.standard_normal(10).astype(np.float32)
+        dense = np.zeros((40, 8), np.float32)
+        dense[rows] = values
+        norm = np.sqrt((values.astype(np.float64) ** 2).sum() + (w.astype(np.float64) ** 2).sum())
+        grads = {"emb": tagger.RowGrad(rows, values.copy()), "w": w.copy()}
+        want = {"emb": dense, "w": w.copy()}
+        total = clip_global_norm(grads, max_norm)
+        assert total == pytest.approx(clip_global_norm(want, max_norm), rel=1e-6)
+        assert total == pytest.approx(norm, rel=1e-6)
+        np.testing.assert_array_equal(grads["emb"].rows, rows)
+        np.testing.assert_allclose(grads["emb"].values, want["emb"][rows], rtol=1e-6)
+        np.testing.assert_allclose(grads["w"], want["w"], rtol=1e-6)
+        if max_norm:
+            assert not np.allclose(grads["w"], w)
+
     def test_clip_global_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
         total = clip_global_norm(grads, 1.0)
@@ -234,8 +310,9 @@ class TestOptimizer:
             model, table, tagger._padded(ids, starts, lengths), lengths,
             tagger._padded(gold, starts, lengths), dropout_seed=7,
         )
-        assert all(g.dtype == np.float32 for g in grads.values())
-        want = np.sqrt(sum((g.astype(np.float64) ** 2).sum() for g in grads.values()))
+        dense = dict(grads, word_emb=grads["word_emb"].dense(model.params["word_emb"]))
+        assert all(g.dtype == np.float32 for g in dense.values())
+        want = np.sqrt(sum((g.astype(np.float64) ** 2).sum() for g in dense.values()))
         assert clip_global_norm(grads, 0.0) == pytest.approx(want, rel=1e-6)
 
     def test_huge_finite_float32_gradient_is_clipped(self):
