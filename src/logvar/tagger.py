@@ -3,7 +3,8 @@
 The full forward pass, its exact analytic gradients, and Viterbi decoding,
 implemented directly on numpy arrays. A model owns its vocabularies,
 hyperparameters, and fixed tag ordering; inference is deterministic and a
-model is immutable during tagging (training mutates it under one writer).
+model is immutable during tagging (training mutates its own writeable copy
+under one writer). Concurrent readers may share a model.
 
 IOB structure is enforced inside the CRF by one rule, ``_crf_scores``: the
 transitions and starts that would make a tag sequence ill-formed score -inf,
@@ -28,22 +29,42 @@ So a padded step may read any input row, and nothing else handles padding.
 
 A token's input row (word embedding and char-CNN output) is a function of
 the token alone, and so, without dropout, is each LSTM direction's input
-projection ``x @ Wx + b``; logs repeat their tokens heavily. So a batch is
-a token table, an ``EncodedLog`` of distinct tokens that ``token_table``
-builds once per ``decode`` call or ``train`` run, and a (B, T) array of row
-ids into it. ``decode`` computes the char-CNN output of the whole table
-once per call; training computes it per minibatch, over the minibatch's
-distinct rows, through the same ``_char_reps`` and its backward. The token
-table is the only dedup: each of its rows is convolved once, and two
-tokens that share their first max_word_len characters are convolved once
-each. Each LSTM direction projects one row per distinct id of a batch.
-Under dropout every position is masked differently, so training projects
-one row per position.
+projection ``x @ Wx + b``; logs repeat their tokens heavily, within a call
+and across calls. So the LSTM reads its inputs as a projection table, (2,
+N, 4H), and a (B, T) array of row ids into it. ``_project`` builds every
+such table over at least two rows, so that a row's projection has the same
+bits whatever else is projected with it (OpenBLAS multiplies one row by
+another kernel; from two rows on, no row depends on the row count).
+
+Training builds a token table, an ``EncodedLog`` of distinct tokens, once
+per ``train`` run (``token_table``), computes the char-CNN output per
+minibatch over the minibatch's distinct rows through ``_char_reps`` and its
+backward, and projects one row per distinct id; under dropout every
+position is masked differently, so it projects one row per position.
+
+``decode`` reads what depends on the parameters alone, the char table, the
+stacked recurrent weights, the gate constants and the CRF's -inf scores,
+from the model's ``_prepared`` view, with a token store: a least recently
+used map from a token string to its projection, STORE_ROWS rows. A call
+whose distinct tokens number at most STORE_ROWS first marks those the store
+holds as recently used, then encodes, convolves and projects only the
+others, in one ``_project``, and writes them over free or least recently
+used slots, never over the call's own tokens; its batches gather from the
+store. A larger call builds a token table for the call, computes its
+char-CNN output once, and projects each batch's distinct rows. Only a
+read-only model keeps its view, and with it the store, across calls: every
+tensor ``writeable`` False, as ``load_model`` gives it, so no write can make
+a kept projection stale. The view lives in a weak map beside the model, not
+in a field, so a model still deep-copies; a writeable model gets a fresh
+view per call. ``decode`` holds the view's lock while it runs, so
+concurrent decodes of one read-only model run one at a time. Either way
+each distinct token of a call is convolved at most once: tokens that share
+their first max_word_len characters are convolved once each.
 
 The char-CNN's convolution is linear in the character embedding, so it is
 read from a per-character table, table[k] = char_emb @ char_W[k] of shape
-(kernel, n_chars, filters) with the PAD row zero, built once per
-``_char_reps`` call: a word's pre-activation at position j is char_b plus
+(kernel, n_chars, filters) with the PAD row zero, built with the
+``_prepared`` view: a word's pre-activation at position j is char_b plus
 the sum over k of table[k] at the character in window slot k. That is a
 gather and a sum instead of a matmul over the embedding width per
 character. The centre slot's PAD row is -inf, so a PAD position's
@@ -54,6 +75,10 @@ word, so that little of the gather and sum is spent on PAD positions.
 
 from __future__ import annotations
 
+import operator
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -263,18 +288,20 @@ def _char_forward(char_ids: np.ndarray, table: np.ndarray, bias: np.ndarray) -> 
     return rep
 
 
-def _char_reps(char_ids: np.ndarray, model: TaggerModel) -> tuple[np.ndarray, dict | None]:
+def _char_reps(
+    char_ids: np.ndarray, model: TaggerModel, table: np.ndarray | None
+) -> tuple[np.ndarray, dict | None]:
     """Char-CNN representation of each of N right-padded char rows, (N, F).
 
-    Every row is convolved once, with one char table for the call. The rows
-    run sorted by length in groups of CHAR_GROUP_ROWS, each trimmed to its
-    longest word, so that few of the positions a group gathers and sums are
-    PAD. Returns the reps and the cache ``_char_backward`` reads. Without
-    the char channel every rep is zero and the cache is None.
+    Every row is convolved once, with the model's ``_char_table`` ``table``
+    (None without the char channel). The rows run sorted by length in
+    groups of CHAR_GROUP_ROWS, each trimmed to its longest word, so that few
+    of the positions a group gathers and sums are PAD. Returns the reps and
+    the cache ``_char_backward`` reads. Without the char channel every rep
+    is zero and the cache is None.
     """
     if not model.hp.use_char_channel:
         return np.zeros((len(char_ids), model.hp.char_filters), model.params["char_b"].dtype), None
-    table = _char_table(model)
     n_chars = np.count_nonzero(char_ids != PAD, axis=1)
     order = np.argsort(n_chars, kind="stable")
     rep = np.empty((len(char_ids), table.shape[2]), dtype=table.dtype)
@@ -331,65 +358,63 @@ def _gate_slices(h_dim: int) -> tuple[slice, slice, slice, slice]:
     return tuple(slice(k * h_dim, (k + 1) * h_dim) for k in range(4))
 
 
-def _lstm_forward(
-    rows: np.ndarray, Wx: tuple[np.ndarray, np.ndarray], Wh: tuple[np.ndarray, np.ndarray],
-    b: tuple[np.ndarray, np.ndarray], index: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, list[dict]]:
-    """Both LSTM directions over a right-padded batch of B sequences of T steps.
-
-    ``rows`` holds input rows, (N, Din); direction d has weights ``Wx[d]``,
-    ``Wh[d]`` and ``b[d]``, and ``index[d]``, (B, T), picks the row each of
-    its steps reads. The two directions are independent, so they advance
-    together in one time loop: their states are stacked (2, B, H), each step
-    makes one (2, B, H) @ (2, H, 4H) product and runs the gate arithmetic
-    once over (2, B, 4H). The input projection ``rows @ Wx[d] + b[d]`` is
-    one matmul over the rows per direction, so a row that many steps share
-    is projected once. Padding follows every sequence's last real step, so
-    it never reaches a real step's output. Returns the outputs, (2, B, T, H),
-    each direction in its own step order, and one cache per direction for
-    ``_lstm_backward``: time-major views of the stacked arrays.
-    """
-    b_len, t_len = index[0].shape
-    h_dim = Wh[0].shape[0]
-    dtype = Wx[0].dtype
-    i_, f_, g_, o_ = _gate_slices(h_dim)
-    proj = np.empty((2, len(rows), 4 * h_dim), dtype=dtype)
-    for d in range(2):
-        np.matmul(rows, Wx[d], out=proj[d])
-        proj[d] += b[d]
-    # x @ Wx + b of every step, time-major, (T, 2, B, 4H), in one gather;
-    # each step adds its h @ Wh and overwrites the sum with the i, f, g, o
-    # gate activations
-    gates = proj[np.arange(2)[:, None], np.stack(index, axis=1).T]
-    del proj  # not held through the time loop
-    Wh2 = np.stack(Wh)  # (2, H, 4H)
-    # sigmoid(z) = tanh(z / 2) / 2 + 1/2, so one tanh serves all four gates:
-    # scale by 1/2 before and after it, except on the tanh-activated g gate
+def _gate_affine(h_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The scale and shift of ``_lstm_forward``'s one tanh over all four gates,
+    (4H,) each: sigmoid(z) = tanh(z / 2) / 2 + 1/2, so the i, f and o gates
+    scale by 1/2 before and after the tanh and shift by 1/2; the
+    tanh-activated g gate scales by 1 and shifts by 0."""
+    g_ = _gate_slices(h_dim)[2]
     scale = np.full(4 * h_dim, 0.5, dtype=dtype)
     scale[g_] = 1.0
     shift = np.full(4 * h_dim, 0.5, dtype=dtype)
     shift[g_] = 0.0
-    hs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=dtype)
-    cs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=dtype)
+    return scale, shift
+
+
+def _lstm_forward(
+    gates: np.ndarray, Wh: np.ndarray, scale: np.ndarray, shift: np.ndarray,
+) -> tuple[np.ndarray, list[dict]]:
+    """Both LSTM directions over a right-padded batch of B sequences of T steps.
+
+    ``gates`` holds each step's input projection ``x @ Wx[d] + b[d]``,
+    time-major, (T, 2, B, 4H), as ``_forward`` gathers it from a projection
+    table; each step adds its h @ Wh and overwrites the sum with the i, f, g,
+    o gate activations. ``Wh`` is both directions' recurrent weights, (2, H,
+    4H); ``scale`` and ``shift`` are ``_gate_affine``'s. The two directions
+    are independent, so they advance together in one time loop: their states
+    are stacked (2, B, H), each step makes one (2, B, H) @ (2, H, 4H)
+    product and runs the gate arithmetic once over (2, B, 4H). Padding
+    follows every sequence's last real step, so it never reaches a real
+    step's output. Returns the outputs, (2, B, T, H), each direction in its
+    own step order, and one cache per direction for ``_lstm_backward``:
+    time-major views of the stacked arrays.
+    """
+    t_len, _, b_len, _ = gates.shape
+    h_dim = Wh.shape[1]
+    i_, f_, g_, o_ = _gate_slices(h_dim)
+    hs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=gates.dtype)
+    cs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=gates.dtype)
     for t in range(t_len):
         act = gates[t]
-        act += hs[t] @ Wh2
+        act += hs[t] @ Wh
         act *= scale
         np.tanh(act, out=act)
         act *= scale
         act += shift
         cs[t + 1] = act[..., f_] * cs[t] + act[..., i_] * act[..., g_]
         np.multiply(act[..., o_], np.tanh(cs[t + 1]), out=hs[t + 1])
-    caches = [{"rows": rows, "index": index[d], "hs": hs[:, d], "cs": cs[:, d],
-               "gates": gates[:, d]} for d in range(2)]
+    caches = [{"hs": hs[:, d], "cs": cs[:, d], "gates": gates[:, d]} for d in range(2)]
     return hs[1:].transpose(1, 2, 0, 3), caches
 
 
 def _lstm_backward(
-    d_h: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, cache: dict, real: np.ndarray
+    d_h: np.ndarray, rows: np.ndarray, index: np.ndarray, Wx: np.ndarray, Wh: np.ndarray,
+    cache: dict, real: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of one LSTM direction given d loss / d output, (B, T, H),
-    which is zero on the padded steps of the real-step mask ``real``, (B, T).
+    which is zero on the padded steps of the real-step mask ``real``, (B, T);
+    step t of sequence b read the projection of input row
+    ``rows[index[b, t]]``.
 
     The input gradient is per step, (B, T, Din), not per row. Only ``dh``
     and ``dc`` chain through time, so the other factors are computed for
@@ -427,7 +452,7 @@ def _lstm_backward(
         dh = dz[t] @ Wh.T
     steps = real.T  # (T, B)
     real_dz = dz[steps]  # (n, 4H), the real steps time-major
-    inputs = cache["rows"][cache["index"].T[steps]]  # (n, Din), each real step's input
+    inputs = rows[index.T[steps]]  # (n, Din), each real step's input
     d_wx = inputs.T @ real_dz
     d_wh = hs[:-1][steps].T @ real_dz
     d_b = real_dz.sum(axis=0)
@@ -459,16 +484,25 @@ def _dropout_masks(
     return m1, m2
 
 
+def _distinct_tokens(
+    token_lists: list[tuple[str, ...]]
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The messages' distinct tokens in first-seen order, every position's
+    index among them (message after message), and the token counts."""
+    rows: dict[str, int] = {}
+    ids = np.fromiter((rows.setdefault(tok, len(rows)) for tokens in token_lists for tok in tokens),
+                      dtype=np.intp)
+    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
+    return list(rows), ids, lengths
+
+
 def token_table(
     model: TaggerModel, token_lists: list[tuple[str, ...]]
 ) -> tuple[EncodedLog, np.ndarray, np.ndarray]:
     """The ``encode_log`` of the messages' distinct tokens in first-seen order,
     every position's row in it (message after message), and the token counts."""
-    rows: dict[str, int] = {}
-    ids = np.fromiter((rows.setdefault(tok, len(rows)) for tokens in token_lists for tok in tokens),
-                      dtype=np.intp)
-    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
-    table = encode_log(list(rows), model.word_vocab, model.char_vocab, model.hp.max_word_len)
+    tokens, ids, lengths = _distinct_tokens(token_lists)
+    table = encode_log(tokens, model.word_vocab, model.char_vocab, model.hp.max_word_len)
     return table, ids, lengths
 
 
@@ -497,6 +531,25 @@ def _input_rows(model: TaggerModel, word_ids: np.ndarray, char_rep: np.ndarray) 
     return np.concatenate([model.params["word_emb"][word_ids], char_rep], axis=1)
 
 
+def _project(model: TaggerModel, rows: np.ndarray) -> np.ndarray:
+    """Both LSTM directions' input projections ``rows @ Wx + b`` of (N, Din)
+    rows, N >= 1, as a (2, N, 4H) table.
+
+    The matmul runs over at least two rows; a lone row is doubled. From two
+    rows on, OpenBLAS gives each row the same bits whatever the row count
+    and wherever the row sits, and a one-row product (a gemv) does not; so a
+    row's projection is a function of the row alone, and a token store's
+    projections equal a per-batch table's bitwise.
+    """
+    p = model.params
+    x = rows if len(rows) > 1 else np.concatenate([rows, rows])
+    proj = np.empty((2, len(x), p["lstm_f_b"].shape[0]), dtype=p["lstm_f_b"].dtype)
+    for d, direction in enumerate("fb"):
+        np.matmul(x, p[f"lstm_{direction}_Wx"], out=proj[d])
+        proj[d] += p[f"lstm_{direction}_b"]
+    return proj[:, : len(rows)]
+
+
 def _crf_scores(model: TaggerModel) -> tuple[np.ndarray, np.ndarray]:
     """The CRF's ``trans`` and ``start`` as decoding and training read them:
     the IOB-forbidden entries at -inf, so that no path through one counts."""
@@ -505,49 +558,156 @@ def _crf_scores(model: TaggerModel) -> tuple[np.ndarray, np.ndarray]:
             np.where(model.frozen_start, -np.inf, p["start"]))
 
 
+# Tokens whose input projections a read-only model's token store keeps:
+# (2, STORE_ROWS, 4H) values, 1 MB at 4H = 512 in float32.
+STORE_ROWS = 256
+
+
+class _Prepared:
+    """What the forward pass reads of a model besides its parameters.
+
+    The tensors derived from the parameters alone: the char table, both
+    directions' recurrent weights stacked (2, H, 4H), the gate scale and
+    shift, and the CRF's ``trans`` and ``start`` with -inf at the
+    IOB-forbidden entries. And a token store: ``slots`` maps a token to its
+    slot, least recently used first, and ``proj``, (2, STORE_ROWS, 4H), holds
+    each slot's ``_project`` row, allocated on first use. ``lock`` guards the
+    store. The view holds the parameter arrays it was derived from, not the
+    model, so that a weak map from models to views frees both together.
+    """
+
+    def __init__(self, model: TaggerModel):
+        p = model.params
+        self.params = tuple(p.values())
+        self.char_table = _char_table(model) if model.hp.use_char_channel else None
+        self.Wh = np.stack((p["lstm_f_Wh"], p["lstm_b_Wh"]))
+        self.scale, self.shift = _gate_affine(model.hp.lstm_hidden, p["lstm_f_Wh"].dtype)
+        self.trans, self.start = _crf_scores(model)
+        for arr in (self.char_table, self.Wh, self.scale, self.shift, self.trans, self.start):
+            if arr is not None:
+                arr.flags.writeable = False
+        self.slots: OrderedDict[str, int] = OrderedDict()
+        self.proj: np.ndarray | None = None
+        self.lock = threading.Lock()
+
+    def slots_of(self, model: TaggerModel, tokens: list[str]) -> np.ndarray:
+        """The store slot of each of at most STORE_ROWS distinct ``tokens``.
+
+        Every token found is marked most recently used first. The misses
+        alone are encoded, convolved and projected, in one ``_project``,
+        and take the free slots, then those least recently used; the call's
+        own tokens were just marked recent, so none of them is evicted. The
+        store changes only once the projections are computed, so a call that
+        raises leaves it as it was.
+        """
+        slots = self.slots
+        out = np.empty(len(tokens), dtype=np.intp)
+        missed = []
+        for i, tok in enumerate(tokens):
+            slot = slots.get(tok)
+            if slot is None:
+                missed.append(i)
+            else:
+                slots.move_to_end(tok)
+                out[i] = slot
+        if missed:
+            new = [tokens[i] for i in missed]
+            enc = encode_log(new, model.word_vocab, model.char_vocab, model.hp.max_word_len)
+            char_rep = _char_reps(enc.char_ids, model, self.char_table)[0]
+            proj = _project(model, _input_rows(model, enc.word_ids, char_rep))
+            if self.proj is None:
+                self.proj = np.zeros((2, STORE_ROWS, proj.shape[2]), dtype=proj.dtype)
+            for i, tok in zip(missed, new):
+                slot = len(slots) if len(slots) < STORE_ROWS else slots.popitem(last=False)[1]
+                out[i] = slots[tok] = slot
+            self.proj[:, out[missed]] = proj
+        return out
+
+
+# read-only model -> its view; a writeable model gets a fresh view per call
+_PREPARED: weakref.WeakKeyDictionary[TaggerModel, _Prepared] = weakref.WeakKeyDictionary()
+_PREPARED_LOCK = threading.Lock()
+
+
+def _prepared(model: TaggerModel) -> _Prepared:
+    """The model's prepared view: built once and kept while every parameter
+    is read-only (``load_model``'s models) and still the same array, built
+    afresh on each call otherwise, so that no view outlives a parameter
+    change."""
+    arrays = tuple(model.params.values())
+    if any(arr.flags.writeable for arr in arrays):
+        return _Prepared(model)
+    with _PREPARED_LOCK:
+        view = _PREPARED.get(model)
+        if (view is None or len(view.params) != len(arrays)
+                or not all(map(operator.is_, view.params, arrays))):
+            view = _PREPARED[model] = _Prepared(model)
+    return view
+
+
 def _forward(
-    rows: np.ndarray, model: TaggerModel, index: np.ndarray, lengths: np.ndarray,
-    dropout_seed: int | None = None,
+    proj: np.ndarray, model: TaggerModel, index: np.ndarray, lengths: np.ndarray,
+    view: _Prepared, m2: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Emission scores of a right-padded batch of logs, (B, T, n_tags).
 
-    ``rows`` are the batch's input rows from ``_input_rows``, and step t of
-    log b reads row ``index[b, t]`` (``_distinct_rows``). Log b's steps
-    [0, lengths[b]) are real; its padded steps may read any row and score
-    garbage that no caller reads. One ``_lstm_forward`` call runs both LSTM
-    directions in one time loop, the backward one through ``index[rev]``.
-    ``dropout_seed`` None means no dropout: both directions then project
-    each row once; under dropout (masks from ``_dropout_masks``) every
-    position has its own masked row. Returns the emissions and the cache the
+    ``proj`` is a projection table, (2, N, 4H): row n of ``proj[d]`` is
+    some input row's ``x @ Wx[d] + b[d]`` (``_project``), and step t of log
+    b reads row ``index[b, t]``; ``view`` is the model's ``_prepared`` view.
+    Log b's steps [0, lengths[b]) are real; its padded steps may read any
+    row and score garbage that no caller reads. Every step's row is gathered
+    once, the backward direction's through ``index[rev]``, and the table is
+    dropped before the time loop, so a caller that passes a fresh table
+    without keeping it frees it there. One ``_lstm_forward`` call runs both
+    LSTM directions in one time loop. ``m2``, from ``_dropout_masks``, masks
+    the LSTM outputs in training. Returns the emissions and the cache the
     backward pass reads, with one LSTM cache per direction.
     """
     p = model.params
-    hp = model.hp
     b_len, t_max = index.shape
     steps = np.arange(t_max)
     real = steps < lengths[:, None]  # (B, T)
-    m1, m2 = _dropout_masks(model, real, dropout_seed)
-    if m1 is not None:
-        rows = (rows[index] * m1).reshape(-1, hp.input_dim)
-        index = np.arange(b_len * t_max).reshape(b_len, t_max)
     # index[rev] reverses each log's real steps in place, so in the backward
     # direction too padding comes after the last real step; rev is its own
     # inverse
     rev = (np.arange(b_len)[:, None], np.where(real, lengths[:, None] - 1 - steps, steps))
-    cache = {"lengths": lengths, "real": real, "rev": rev, "m1": m1, "m2": m2}
-    h, (cache["lstm_f"], cache["lstm_b"]) = _lstm_forward(
-        rows, (p["lstm_f_Wx"], p["lstm_b_Wx"]), (p["lstm_f_Wh"], p["lstm_b_Wh"]),
-        (p["lstm_f_b"], p["lstm_b_b"]), (index, index[rev]))
+    cache = {"lengths": lengths, "real": real, "rev": rev, "m2": m2, "index": index}
+    gates = proj[np.arange(2)[:, None], np.stack((index, index[rev]), axis=1).T]
+    del proj
+    h, (cache["lstm_f"], cache["lstm_b"]) = _lstm_forward(gates, view.Wh, view.scale, view.shift)
     h_cat = np.concatenate([h[0], h[1][rev]], axis=2)  # (B, T, 2H)
     h_d = cache["h_d"] = h_cat * m2 if m2 is not None else h_cat
     emissions = h_d.reshape(-1, h_d.shape[2]) @ p["proj_W"] + p["proj_b"]
     return emissions.reshape(b_len, t_max, -1), cache
 
 
+def _train_forward(
+    rows: np.ndarray, model: TaggerModel, index: np.ndarray, lengths: np.ndarray,
+    view: _Prepared, dropout_seed: int | None = None,
+) -> tuple[np.ndarray, dict]:
+    """``_forward`` of a batch from its input rows (``_input_rows``), step t
+    of log b reading row ``index[b, t]`` (``_distinct_rows``).
+
+    ``dropout_seed`` None means no dropout: both directions then project
+    each row once. Under dropout (masks from ``_dropout_masks``) every
+    position has its own masked row, projected on its own. The cache also
+    holds the rows the LSTM read and the input masks, for ``_backward_net``.
+    """
+    real = np.arange(index.shape[1]) < lengths[:, None]
+    m1, m2 = _dropout_masks(model, real, dropout_seed)
+    if m1 is not None:
+        rows = (rows[index] * m1).reshape(-1, model.hp.input_dim)
+        index = np.arange(index.size).reshape(index.shape)
+    emissions, cache = _forward(_project(model, rows), model, index, lengths, view, m2)
+    cache.update(rows=rows, m1=m1)
+    return emissions, cache
+
+
 def _backward_net(
     d_emissions: np.ndarray, model: TaggerModel, cache: dict
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Network gradients given d loss / d emissions, (B, T, n_tags).
+    """Network gradients given d loss / d emissions, (B, T, n_tags), and
+    ``_train_forward``'s cache.
 
     Padded steps must carry zero gradient; they then contribute nothing.
     Returns d loss / d input row of every real step, (tokens, Din), log
@@ -564,9 +724,11 @@ def _backward_net(
         d_hd = d_hd * cache["m2"]
     rev, real = cache["rev"], cache["real"]  # rev maps real steps to real steps
     d_inputs = []
-    for d, d_h in (("f", d_hd[..., :h_dim]), ("b", d_hd[..., h_dim:][rev])):
-        d_in, *d_w = _lstm_backward(d_h, p[f"lstm_{d}_Wx"], p[f"lstm_{d}_Wh"],
-                                    cache[f"lstm_{d}"], real)
+    index = cache["index"]
+    directions = (("f", d_hd[..., :h_dim], index), ("b", d_hd[..., h_dim:][rev], index[rev]))
+    for d, d_h, idx in directions:
+        d_in, *d_w = _lstm_backward(d_h, cache["rows"], idx, p[f"lstm_{d}_Wx"],
+                                    p[f"lstm_{d}_Wh"], cache[f"lstm_{d}"], real)
         grads.update(zip((f"lstm_{d}_Wx", f"lstm_{d}_Wh", f"lstm_{d}_b"), d_w))
         d_inputs.append(d_in)
     d_u = d_inputs[0] + d_inputs[1][rev]
@@ -604,8 +766,9 @@ def loss_and_gradients(
     masks from ``dropout_seed + b``. The mean is taken once, on the CRF's
     gradients, which the backward pass is linear in; at B = 2^k the scale is
     exact, and the result is bitwise the sum scaled at the end. The CRF
-    reads ``_crf_scores``, so the IOB-forbidden entries' gradients are exact
-    zeros whenever the loss is finite, as is the gradient of char_emb's PAD row.
+    reads ``_crf_scores`` (through the model's ``_prepared`` view), so the
+    IOB-forbidden entries' gradients are exact zeros whenever the loss is
+    finite, as is the gradient of char_emb's PAD row.
 
     A minibatch reads few of the word embeddings, so their gradient is a
     ``RowGrad`` of the word ids read, as ``torch.nn.Embedding(sparse=True)``
@@ -614,13 +777,15 @@ def loss_and_gradients(
     reads, is never among the rows. Every other gradient is a dense array.
     """
     p, hp = model.params, model.hp
+    view = _prepared(model)
     used, index = _distinct_rows(ids, lengths)
-    char_rep, char_cache = _char_reps(table.char_ids[used], model)
+    char_rep, char_cache = _char_reps(table.char_ids[used], model, view.char_table)
     word_ids = table.word_ids[used]
-    emissions, cache = _forward(
-        _input_rows(model, word_ids, char_rep), model, index, lengths, dropout_seed
+    emissions, cache = _train_forward(
+        _input_rows(model, word_ids, char_rep), model, index, lengths, view, dropout_seed
     )
-    loss, d_e, *d_crf = crf.nll_gradients(emissions, *_crf_scores(model), p["end"], gold, lengths)
+    loss, d_e, *d_crf = crf.nll_gradients(emissions, view.trans, view.start, p["end"], gold,
+                                          lengths)
     scale = 1.0 / len(lengths)
     d_u, grads = _backward_net(d_e * scale, model, cache)
     read = index[cache["real"]]  # the row each real step read, log after log
@@ -639,38 +804,53 @@ def loss_and_gradients(
 def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[Tag]]:
     """Viterbi-decode tokenized messages; one tag list per message, in input order.
 
-    One ``token_table`` covers the call, and ``_char_reps`` computes the
-    char-CNN output of its rows once. Messages are sorted by token count and
-    run in right-padded batches of at most BATCH_TOKENS padded tokens (a
-    longer message goes alone), each batch as the input rows of its
-    distinct tokens and its (B, T) index into them; an empty message gets
-    ``[]``. Padding never reaches a message's real steps, so the batch a
+    Messages are sorted by token count and run in right-padded batches of
+    at most BATCH_TOKENS padded tokens (a longer message goes alone); an
+    empty message gets ``[]``. When the call's distinct tokens fit in the
+    token store (at most STORE_ROWS) every batch reads its LSTM input
+    projections from the store by slot, and only the tokens the store
+    lacks are encoded, convolved and projected. A larger call builds one
+    ``token_table``, computes the char-CNN output of its rows once, and
+    projects each batch's distinct rows. Either way a token's projection
+    is a function of the token alone (``_project``), so the batch a
     message lands in changes its scores only by float rounding in the
-    shared matmuls, not its tags. Raises NonFiniteScores if a batch's
-    real-step emissions are not all finite (weights that overflow float32);
-    the call runs with numpy's overflow and invalid-value warnings off, so
-    that error is the only report.
+    shared recurrent and emission matmuls, not its tags. The call holds the
+    model's ``_prepared`` view's lock throughout, so concurrent calls on
+    one read-only model run one at a time. Raises NonFiniteScores if a
+    batch's real-step emissions are not all finite (weights that overflow
+    float32); the call runs with numpy's overflow and invalid-value
+    warnings off, so that error is the only report.
     """
-    trans, start = _crf_scores(model)
-    table, ids, lengths = token_table(model, token_lists)
+    view = _prepared(model)
+    tokens, ids, lengths = _distinct_tokens(token_lists)
+    stored = len(tokens) <= STORE_ROWS
     starts = np.cumsum(lengths) - lengths
     order = np.argsort(lengths, kind="stable")
     out: list[list[Tag]] = [[] for _ in token_lists]
     lo = int(np.count_nonzero(lengths == 0))  # empty messages sort first and keep []
-    with np.errstate(over="ignore", invalid="ignore"):
-        char_rep = _char_reps(table.char_ids, model)[0]
+    with view.lock, np.errstate(over="ignore", invalid="ignore"):
+        if stored:
+            slot_ids = view.slots_of(model, tokens)[ids]
+        else:
+            table = encode_log(tokens, model.word_vocab, model.char_vocab, model.hp.max_word_len)
+            char_rep = _char_reps(table.char_ids, model, view.char_table)[0]
         while lo < len(order):
             hi = lo + 1
             while hi < len(order) and (hi + 1 - lo) * lengths[order[hi]] <= BATCH_TOKENS:
                 hi += 1
             batch = order[lo:hi]
             n = lengths[batch]
-            used, index = _distinct_rows(_padded(ids, starts[batch], n), n)
-            rows = _input_rows(model, table.word_ids[used], char_rep[used])
-            emissions = _forward(rows, model, index, n)[0]
+            if stored:
+                index = _padded(slot_ids, starts[batch], n)
+            else:
+                used, index = _distinct_rows(_padded(ids, starts[batch], n), n)
+                rows = _input_rows(model, table.word_ids[used], char_rep[used])
+            # a per-batch table is not kept here, so _forward frees it early
+            emissions = _forward(view.proj if stored else _project(model, rows), model, index, n,
+                                 view)[0]
             if not np.isfinite(emissions[np.arange(emissions.shape[1]) < n[:, None]]).all():
                 raise NonFiniteScores("the model's emission scores are not finite")
-            paths = crf.viterbi_decode(emissions, trans, start, model.params["end"], n)
+            paths = crf.viterbi_decode(emissions, view.trans, view.start, model.params["end"], n)
             for i, path in zip(batch, paths):
                 out[i] = [model.tags[k] for k in path]
             lo = hi

@@ -334,6 +334,11 @@ def load_model(path: str | Path) -> TaggerModel:
     sizes and tag alphabet, that every tensor value is finite, and that the
     IOB-forbidden entries of ``trans`` and ``start`` hold ``FROZEN_SCORE``;
     any mismatch raises ``FormatError``.
+
+    The model is read-only: every tensor has ``writeable`` False, so an
+    in-place write raises, and decoding keeps what it derives from the
+    tensors, a token store among it, across calls. ``train`` and
+    ``finetune`` work on a writeable copy.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:4] != MAGIC:
@@ -395,4 +400,6 @@ def load_model(path: str | Path) -> TaggerModel:
                 f"{path}: tensor {name} holds an IOB-forbidden entry that is not "
                 f"{FROZEN_SCORE}"
             )
+    for arr in params.values():
+        arr.flags.writeable = False
     return model

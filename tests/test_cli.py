@@ -1,8 +1,13 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logvar.cli import _config_defaults, _hyperparams, _train_config, build_parser, main
 from logvar.corpus import AnnotatedLog, read_annotations, read_lines, write_annotations
@@ -717,3 +722,51 @@ class TestConfigFile:
         assert run["collapse_binary"] == "True"  # the flag beats the config's false
         assert run["token_level"] == "True"  # from the config
         assert "seed" not in run
+
+
+FUZZ_TAG_LINES = "Starting executor ID 5 on host meso-07\na\nx <*> 7 y\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    """A tiny saved model's bytes and a folder holding the raw lines to tag."""
+    logs, _ = generate_synthetic(seed=8, n_templates=5, n_logs=50)
+    wv, cv = build_vocabs(logs[:20])
+    hp = Hyperparams(word_dim=4, char_emb_dim=3, char_filters=3, char_kernel=3,
+                     lstm_hidden=3, max_word_len=6)
+    folder = tmp_path_factory.mktemp("cli-fuzz")
+    save_model(init_model(hp, wv, cv, seed=0), folder / "model.valb")
+    (folder / "lines.txt").write_text(FUZZ_TAG_LINES)
+    return (folder / "model.valb").read_bytes(), folder
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzz_tag_model_bytes_exit_zero_or_one_json_error(fuzz_model, data):
+    # truncated or bit-flipped model bytes, with the checksum left stale or
+    # sealed again (so that the flips reach the parser and the tagger)
+    blob, folder = fuzz_model
+    blob = bytearray(blob)
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 7)),
+                               max_size=4))
+    for pos, bit in flips:
+        blob[pos] ^= 1 << bit
+    del blob[data.draw(st.integers(0, len(blob))):]
+    if data.draw(st.booleans()) and len(blob) > 8:
+        blob[-8:] = hashlib.blake2b(bytes(blob[:-8]), digest_size=8).digest()
+    (folder / "mutated.valb").write_bytes(bytes(blob))
+    out = folder / "out" / "tagged.tsv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["tag", "--model", str(folder / "mutated.valb"),
+                     "--input", str(folder / "lines.txt"), "--output", str(out)])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+        assert [log.tokens for log in read_annotations(out)] == [
+            tuple(raw.split()) for raw in FUZZ_TAG_LINES.splitlines()]
+    else:
+        assert code == 1, lines
+        (line,) = lines
+        assert set(json.loads(line)) == {"error", "message"}
+    assert list(folder.rglob("*.tmp")) == []

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,8 +24,9 @@ from logvar.tagger import (
     _char_reps,
     _char_table,
     _distinct_rows,
-    _forward,
     _input_rows,
+    _prepared,
+    _train_forward,
     _padded,
     decode,
     init_model,
@@ -139,7 +142,7 @@ def reference_lstm_forward(rows, Wx, Wh, b, index):
         act += shift
         cs[t + 1] = act[:, f_] * cs[t] + act[:, i_] * act[:, g_]
         np.multiply(act[:, o_], np.tanh(cs[t + 1]), out=hs[t + 1])
-    cache = {"rows": rows, "index": index, "hs": hs, "cs": cs, "gates": gates}
+    cache = {"hs": hs, "cs": cs, "gates": gates}
     return hs[1:].transpose(1, 0, 2), cache
 
 
@@ -163,7 +166,16 @@ def lstm_case(b_len, t_len, dtype, seed):
     return (rows, Wx, Wh, b, (index, index[rev])), real
 
 
-def reference_lstm_backward(d_h, Wx, Wh, cache):
+def lstm_forward(rows, Wx, Wh, b, index):
+    """``_lstm_forward`` on each direction's steps' ``rows @ Wx[d] + b[d]``,
+    gathered time-major as ``_forward`` gathers them."""
+    proj = np.stack([rows @ Wx[d] + b[d] for d in range(2)])
+    gates = proj[np.arange(2)[:, None], np.stack(index, axis=1).T]
+    return tagger._lstm_forward(gates, np.stack(Wh),
+                                *tagger._gate_affine(Wh[0].shape[0], Wx[0].dtype))
+
+
+def reference_lstm_backward(d_h, rows, index, Wx, Wh, cache):
     """``_lstm_backward`` as a per-step loop that computes each gate's
     derivative where it is used; the oracle for the hoisted kernel."""
     hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
@@ -185,7 +197,7 @@ def reference_lstm_backward(d_h, Wx, Wh, cache):
         dc_next = dc * f_g
         dh_next = dz[t] @ Wh.T
     flat_dz = dz.reshape(-1, 4 * h_dim)
-    inputs = cache["rows"][cache["index"].T]
+    inputs = rows[index.T]
     d_wx = inputs.reshape(-1, inputs.shape[2]).T @ flat_dz
     d_wh = hs[:-1].reshape(-1, h_dim).T @ flat_dz
     d_b = flat_dz.sum(axis=0)
@@ -193,7 +205,7 @@ def reference_lstm_backward(d_h, Wx, Wh, cache):
     return d_inputs, d_wx, d_wh, d_b
 
 
-def all_steps_lstm_backward(d_h, Wx, Wh, cache):
+def all_steps_lstm_backward(d_h, rows, index, Wx, Wh, cache):
     """``_lstm_backward`` as it was before it skipped padded steps: the same
     time loop, then the weight, bias and input gradients over every step,
     padded ones included; the oracle for the real-step kernel."""
@@ -221,7 +233,7 @@ def all_steps_lstm_backward(d_h, Wx, Wh, cache):
         dc *= f_g[t]
         dh = dz[t] @ Wh.T
     flat_dz = dz.reshape(-1, 4 * h_dim)
-    inputs = cache["rows"][cache["index"].T]
+    inputs = rows[index.T]
     d_wx = inputs.reshape(-1, inputs.shape[2]).T @ flat_dz
     d_wh = hs[:-1].reshape(-1, h_dim).T @ flat_dz
     d_b = flat_dz.sum(axis=0)
@@ -242,10 +254,11 @@ def reference_loss_and_gradients(model, table, ids, lengths, gold, dropout_seed)
     every gradient is scaled by 1/B last."""
     p, hp = model.params, model.hp
     used, index = _distinct_rows(ids, lengths)
-    char_rep, char_cache = _char_reps(table.char_ids[used], model)
+    char_rep, char_cache = char_reps(table.char_ids[used], model)
     word_ids = table.word_ids[used]
-    emissions, cache = _forward(
-        _input_rows(model, word_ids, char_rep), model, index, lengths, dropout_seed)
+    emissions, cache = _train_forward(
+        _input_rows(model, word_ids, char_rep), model, index, lengths, _prepared(model),
+        dropout_seed)
     loss, d_e, *d_crf = crf.nll_gradients(
         emissions, *tagger._crf_scores(model), p["end"], gold, lengths)
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
@@ -275,13 +288,18 @@ def batch_emissions(model, token_lists, dropout_seed=None):
     as ``loss_and_gradients`` builds them; returns the emissions and cache."""
     table, ids, lengths = forward_batch(model, token_lists)
     used, index = _distinct_rows(ids, lengths)
-    rows = _input_rows(model, table.word_ids[used], _char_reps(table.char_ids[used], model)[0])
-    return _forward(rows, model, index, lengths, dropout_seed)
+    rows = _input_rows(model, table.word_ids[used], char_reps(table.char_ids[used], model)[0])
+    return _train_forward(rows, model, index, lengths, _prepared(model), dropout_seed)
 
 
 def forward_one(model, tokens, dropout_seed=None):
     """``_forward``'s emissions of one message, a batch of one, (T, n_tags)."""
     return batch_emissions(model, [tokens], dropout_seed)[0][0]
+
+
+def char_reps(char_ids, model):
+    """``_char_reps`` with a char table built for the call."""
+    return _char_reps(char_ids, model, _char_table(model))
 
 
 def char_forward(char_ids, model):
@@ -308,6 +326,46 @@ def train_batch(model, logs):
     table, ids, lengths = forward_batch(model, [log.tokens for log in logs])
     flat_gold = np.array([model.tag_index(t) for log in logs for t in log.tags])
     return table, ids, lengths, _padded(flat_gold, np.cumsum(lengths) - lengths, lengths)
+
+
+def read_only(model):
+    """A copy of ``model`` with read-only tensors, as ``load_model`` gives them."""
+    params = {name: arr.copy() for name, arr in model.params.items()}
+    for arr in params.values():
+        arr.flags.writeable = False
+    return TaggerModel(model.hp, model.mode, model.word_vocab, model.char_vocab, params)
+
+
+def storeless_decode(model, token_lists):
+    """``decode`` as it ran before the token store, kept as its oracle: one
+    token table and char-CNN pass per call, and per batch the projection
+    ``rows @ Wx + b`` of the batch's distinct rows, at whatever row count.
+    Returns the tags and, per batch, its emissions, lengths and projected
+    row count."""
+    p = model.params
+    view = _prepared(model)
+    table, ids, lengths = token_table(model, token_lists)
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(lengths, kind="stable")
+    char_rep = char_reps(table.char_ids, model)[0]
+    tags, batches = [[] for _ in token_lists], []
+    lo = int(np.count_nonzero(lengths == 0))
+    while lo < len(order):
+        hi = lo + 1
+        while hi < len(order) and (hi + 1 - lo) * lengths[order[hi]] <= tagger.BATCH_TOKENS:
+            hi += 1
+        batch = order[lo:hi]
+        n = lengths[batch]
+        used, index = _distinct_rows(_padded(ids, starts[batch], n), n)
+        rows = _input_rows(model, table.word_ids[used], char_rep[used])
+        proj = np.stack([rows @ p[f"lstm_{d}_Wx"] + p[f"lstm_{d}_b"] for d in "fb"])
+        emissions = tagger._forward(proj, model, index, n, view)[0]
+        paths = crf.viterbi_decode(emissions, *tagger._crf_scores(model), p["end"], n)
+        for i, path in zip(batch, paths):
+            tags[i] = [model.tags[k] for k in path]
+        batches.append((emissions, n, len(used)))
+        lo = hi
+    return tags, batches
 
 
 TINY_HP = Hyperparams(
@@ -537,28 +595,43 @@ class TestTokenTable:
         assert decode(model, msgs) == [decode(model, [m])[0] for m in msgs]
 
     def test_one_input_row_per_distinct_char_row_and_word_id(self, model, monkeypatch):
-        seen = {"char": [], "lstm": []}
-        char_forward, lstm_forward = tagger._char_forward, tagger._lstm_forward
+        # a read-only model's token store misses each token once: one char
+        # row and one projected input row per distinct token, and none on a
+        # second call
+        seen = {"char": [], "project": [], "forward": []}
+        char_forward, project, forward = tagger._char_forward, tagger._project, tagger._forward
 
         def char_spy(char_ids, *args):
             seen["char"].append(char_ids)
             return char_forward(char_ids, *args)
 
-        def lstm_spy(rows, *args):
-            seen["lstm"].append(rows)
-            return lstm_forward(rows, *args)
+        def project_spy(m, rows):
+            seen["project"].append(rows)
+            return project(m, rows)
+
+        def forward_spy(proj, *args):
+            seen["forward"].append(proj)
+            return forward(proj, *args)
 
         monkeypatch.setattr(tagger, "_char_forward", char_spy)
-        monkeypatch.setattr(tagger, "_lstm_forward", lstm_spy)
-        msgs = self.messages(model)
-        decode(model, msgs)  # one batch
-        tokens = {tok for m in msgs for tok in m}
-        keys = {(tok[: model.hp.max_word_len], model.word_vocab.lookup(tok)) for tok in tokens}
+        monkeypatch.setattr(tagger, "_project", project_spy)
+        monkeypatch.setattr(tagger, "_forward", forward_spy)
+        m = read_only(model)
+        msgs = self.messages(m)
+        decode(m, msgs)  # one batch
+        tokens = {tok for msg in msgs for tok in msg}
+        keys = {(tok[: m.hp.max_word_len], m.word_vocab.lookup(tok)) for tok in tokens}
         assert len(keys) == len(tokens)  # case variants differ in chars, long words in id
         (char_ids,) = seen["char"]  # one group: fewer rows than CHAR_GROUP_ROWS
         assert len(char_ids) == len(tokens)  # one char row per distinct token
-        (rows,) = seen["lstm"]  # one call runs both directions
+        (rows,) = seen["project"]  # one projection for the call
         assert len(rows) == len(keys)  # one per distinct key
+        (proj,) = seen["forward"]  # one batch, read from the store
+        assert proj is _prepared(m).proj
+        for found in seen.values():
+            found.clear()
+        decode(m, msgs)
+        assert seen["char"] == seen["project"] == [] and len(seen["forward"]) == 1
 
     @pytest.mark.parametrize("use_chars", [True, False])
     def test_eval_emissions_match_per_position_reference(self, model, corpus, use_chars):
@@ -609,7 +682,7 @@ class TestCharRepsPerCall:
         for dtype in (np.float32, np.float64):
             m = init_model(hp, wv, cv, seed=kernel, dtype=dtype)
             table = token_table(m, [tuple(tokens)])[0]
-            rep, cache = _char_reps(table.char_ids, m)
+            rep, cache = char_reps(table.char_ids, m)
             assert rep.dtype == dtype
             assert len(tokens) > CHAR_GROUP_ROWS and len(cache["groups"]) == 2
             for batch in np.array_split(rng.permutation(len(tokens)), 3):  # as decode batches
@@ -625,15 +698,23 @@ class TestCharRepsPerCall:
         assert self.REFUSED[:30] == self.RESET[:30]
         msgs = [("worker", self.REFUSED), (self.RESET, "5", self.REFUSED), (self.RESET,)]
         table = token_table(m, msgs)[0]
-        rep = _char_reps(table.char_ids, m)[0]
+        rep = char_reps(table.char_ids, m)[0]
         assert [len(chars) for chars, _ in seen] == [4]
         np.testing.assert_array_equal(rep[1], rep[2])  # first seen: worker, refused, reset, 5
         assert not np.array_equal(rep[0], rep[1])
         assert decode(m, msgs) == [decode(m, [msg])[0] for msg in msgs]
 
+    @staticmethod
+    def convolved(seen):
+        """The char rows ``_char_forward`` saw, PAD stripped, sorted."""
+        return sorted(tuple(row[row != PAD]) for chars, _ in seen for row in chars)
+
     def test_decode_builds_one_char_table_and_convolves_each_token_once(
         self, tiny_model, corpus, monkeypatch
     ):
+        # a read-only model builds its char table once, whatever the calls;
+        # a call that fits the token store convolves its misses once each,
+        # and a larger one every token of its table once
         seen = self.spy_char_forward(monkeypatch)
         calls = {"table": 0, "forward": 0}
         real_table, real_forward = tagger._char_table, tagger._forward
@@ -648,15 +729,23 @@ class TestCharRepsPerCall:
 
         monkeypatch.setattr(tagger, "_char_table", table_spy)
         monkeypatch.setattr(tagger, "_forward", forward_spy)
-        msgs = [log.tokens for log in corpus] * 2
-        decode(tiny_model, msgs)
-        assert calls["forward"] >= 3  # batches
-        assert calls["table"] == 1
+        m = read_only(tiny_model)
+        msgs = [log.tokens for log in corpus[:20]] * 2
+        table = token_table(m, msgs)[0]
+        assert len(table.char_ids) <= tagger.STORE_ROWS
+        decode(m, msgs)
+        assert calls["forward"] >= 2  # batches
         assert all(table is seen[0][1] for _, table in seen)
-        table = token_table(tiny_model, msgs)[0]
-        rows = [tuple(row[row != PAD]) for chars, _ in seen for row in chars]
-        assert len(rows) == len(table.char_ids)
-        assert sorted(rows) == sorted(tuple(row[row != PAD]) for row in table.char_ids)
+        want = sorted(tuple(row[row != PAD]) for row in table.char_ids)
+        assert self.convolved(seen) == want
+        seen.clear()
+        decode(m, msgs)  # every token a store hit
+        assert seen == []
+        big = [log.tokens for log in corpus] + [tuple(f"w{i}" for i in range(tagger.STORE_ROWS))]
+        table = token_table(m, big)[0]
+        decode(m, big)
+        assert self.convolved(seen) == sorted(tuple(row[row != PAD]) for row in table.char_ids)
+        assert calls["table"] == 1
 
     def test_groups_are_fixed_slices_of_the_length_sorted_rows(self, tiny_model, monkeypatch):
         seen = self.spy_char_forward(monkeypatch)
@@ -668,7 +757,7 @@ class TestCharRepsPerCall:
         # first group is CHAR_GROUP_ROWS two-char rows, and the second the
         # other 44 with the 20 three-char rows, trimmed to three characters
         table = token_table(m, [tuple(three[:20] + two[:300])])[0]
-        _char_reps(table.char_ids, m)
+        char_reps(table.char_ids, m)
         assert [chars.shape for chars, _ in seen] == [(CHAR_GROUP_ROWS, 2), (64, 3)]
 
     def test_more_spellings_than_the_group_cap_split_with_reps_unchanged(
@@ -680,7 +769,7 @@ class TestCharRepsPerCall:
         words = ["".join(t) for t in itertools.product(letters, repeat=3)]
         words = words[: 2 * CHAR_GROUP_ROWS + 88]  # all three characters long
         table = token_table(m, [tuple(words)])[0]
-        rep, _ = _char_reps(table.char_ids, m)
+        rep, _ = char_reps(table.char_ids, m)
         assert [len(chars) for chars, _ in seen] == [CHAR_GROUP_ROWS, CHAR_GROUP_ROWS, 88]
         np.testing.assert_array_equal(rep, per_batch_char_reps(table.char_ids, m))
 
@@ -870,13 +959,11 @@ class TestLstmForward:
     ])
     def test_matches_per_direction_reference(self, b_len, t_len, dtype, rtol, atol):
         (rows, Wx, Wh, b, index), _ = lstm_case(b_len, t_len, dtype, 200 * b_len + t_len)
-        h, caches = tagger._lstm_forward(rows, Wx, Wh, b, index)
+        h, caches = lstm_forward(rows, Wx, Wh, b, index)
         assert h.shape == (2, b_len, t_len, Wh[0].shape[0]) and len(caches) == 2
         for d in range(2):
             want_h, want = reference_lstm_forward(rows, Wx[d], Wh[d], b[d], index[d])
             np.testing.assert_allclose(h[d], want_h, rtol=rtol, atol=atol, err_msg=f"h[{d}]")
-            assert caches[d]["rows"] is rows
-            np.testing.assert_array_equal(caches[d]["index"], index[d])
             for name in ("hs", "cs", "gates"):
                 got = caches[d][name]
                 assert got.dtype == dtype and got.shape == want[name].shape, name
@@ -890,24 +977,26 @@ class TestLstmBackward:
     @staticmethod
     def directions(b_len, t_len, dtype):
         """Per direction: the output gradient, zero on padded steps as in
-        training, the direction's weights, its cache (its view of the fused
-        forward's arrays) and the real-step mask."""
+        training, the input rows and the row each step read, the direction's
+        weights, its cache (its view of the fused forward's arrays) and the
+        real-step mask."""
         (rows, Wx, Wh, b, index), real = lstm_case(b_len, t_len, dtype, 100 * b_len + t_len)
         h_dim = Wh[0].shape[0]
-        _, caches = tagger._lstm_forward(rows, Wx, Wh, b, index)
+        _, caches = lstm_forward(rows, Wx, Wh, b, index)
         rng = np.random.default_rng(b_len + 100 * t_len)
         for d in range(2):
             d_h = np.where(real[..., None], rng.standard_normal((b_len, t_len, h_dim)), 0.0)
-            yield d_h.astype(dtype), Wx[d], Wh[d], caches[d], real
+            yield d_h.astype(dtype), rows, index[d], Wx[d], Wh[d], caches[d], real
 
     @pytest.mark.parametrize("b_len, t_len", SHAPES)
     @pytest.mark.parametrize("dtype, rtol, atol", [
         (np.float64, 1e-12, 1e-12), (np.float32, F32_RTOL, F32_ATOL),
     ])
     def test_matches_per_step_reference(self, b_len, t_len, dtype, rtol, atol):
-        for d, (d_h, Wx, Wh, cache, real) in enumerate(self.directions(b_len, t_len, dtype)):
-            got = tagger._lstm_backward(d_h, Wx, Wh, cache, real)
-            want = reference_lstm_backward(d_h, Wx, Wh, cache)
+        for d, (d_h, rows, index, Wx, Wh, cache, real) in enumerate(
+                self.directions(b_len, t_len, dtype)):
+            got = tagger._lstm_backward(d_h, rows, index, Wx, Wh, cache, real)
+            want = reference_lstm_backward(d_h, rows, index, Wx, Wh, cache)
             for name, g, w in zip(("d_inputs", "d_wx", "d_wh", "d_b"), got, want):
                 assert g.dtype == dtype and g.shape == w.shape, name
                 np.testing.assert_allclose(g, w, rtol=rtol, atol=atol, err_msg=f"{name}[{d}]")
@@ -920,9 +1009,10 @@ class TestLstmBackward:
         # products have an inner dimension of at most B * T = 280. Larger
         # ones can cross a BLAS block boundary: with OpenBLAS, B = 8, T = 49
         # differs in the last bits in float64, and B = 16, T = 35 in float32
-        for d, (d_h, Wx, Wh, cache, real) in enumerate(self.directions(b_len, t_len, dtype)):
-            got = tagger._lstm_backward(d_h, Wx, Wh, cache, real)
-            want = all_steps_lstm_backward(d_h, Wx, Wh, cache)
+        for d, (d_h, rows, index, Wx, Wh, cache, real) in enumerate(
+                self.directions(b_len, t_len, dtype)):
+            got = tagger._lstm_backward(d_h, rows, index, Wx, Wh, cache, real)
+            want = all_steps_lstm_backward(d_h, rows, index, Wx, Wh, cache)
             assert got[0][real].tobytes() == want[0][real].tobytes(), f"d_inputs[{d}]"
             assert not got[0][~real].any(), f"d_inputs[{d}]"
             for name, g, w in zip(("d_wx", "d_wh", "d_b"), got[1:], want[1:]):
@@ -952,13 +1042,14 @@ class TestPadding:
         m = init_model(TINY_HP, wv, cv, seed=6)
         table, ids, lengths = forward_batch(m, [corpus[i].tokens for i in self.LOGS])
         used, index = _distinct_rows(ids, lengths)
-        rows = _input_rows(m, table.word_ids[used], _char_reps(table.char_ids[used], m)[0])
+        rows = _input_rows(m, table.word_ids[used], char_reps(table.char_ids[used], m)[0])
         assert not np.array_equal(rows[0], rows[-1])
         real = np.arange(ids.shape[1]) < lengths[:, None]
         emissions = []
         for row in (0, len(used) - 1):
             index[~real] = row
-            emissions.append(_forward(rows, m, index, lengths, dropout_seed)[0][real])
+            emissions.append(
+                _train_forward(rows, m, index, lengths, _prepared(m), dropout_seed)[0][real])
         np.testing.assert_array_equal(*emissions)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.2])
@@ -1030,3 +1121,132 @@ class TestDecode:
         b = tag_log(tiny_model, raw)
         assert a == b
         assert a.tokens == tuple(raw.split())
+
+
+class TestTokenStore:
+    """A read-only model's token store against ``storeless_decode``.
+
+    Tags are equal in every case. A token's projection is a function of the
+    token alone (``_project`` never multiplies a single row), so emissions
+    are bitwise equal wherever the oracle projected at least two rows; a
+    batch of one distinct token, which the oracle projects as one row (a
+    gemv), agrees to 1e-6 of its largest emission.
+    """
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Each ``_forward`` call's emissions and lengths, and each ``_project`` call's rows."""
+        seen = {"forward": [], "project": []}
+        forward, project = tagger._forward, tagger._project
+
+        def forward_spy(proj, model, index, lengths, *args):
+            out = forward(proj, model, index, lengths, *args)
+            seen["forward"].append((out[0], lengths))
+            return out
+
+        def project_spy(model, rows):
+            seen["project"].append(len(rows))
+            return project(model, rows)
+
+        monkeypatch.setattr(tagger, "_forward", forward_spy)
+        monkeypatch.setattr(tagger, "_project", project_spy)
+        return seen
+
+    @staticmethod
+    def check(model, token_lists, spy):
+        """Decode through the store and the oracle; return the projected row counts."""
+        spy["forward"].clear()
+        spy["project"].clear()
+        tags = decode(model, token_lists)
+        got, projected = list(spy["forward"]), list(spy["project"])
+        want_tags, want = storeless_decode(model, token_lists)
+        assert tags == want_tags
+        assert len(got) == len(want)
+        for (emissions, n), (oracle, want_n, n_rows) in zip(got, want):
+            assert n.tolist() == want_n.tolist()
+            real = np.arange(emissions.shape[1]) < n[:, None]
+            if n_rows >= 2:
+                assert emissions[real].tobytes() == oracle[real].tobytes()
+            else:
+                gap = np.abs(emissions[real] - oracle[real]).max()
+                assert gap <= 1e-6 * np.abs(oracle[real]).max()
+        return projected
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_store_decode_equals_storeless_decode(self, vocabs, corpus, spy, dtype):
+        wv, cv = vocabs
+        m = read_only(init_model(TINY_HP, wv, cv, seed=11, dtype=dtype))
+        view = _prepared(m)
+        rows = tagger.STORE_ROWS
+        msgs = [log.tokens for log in corpus[:12]]
+        first = {tok for msg in msgs for tok in msg}
+        assert 20 < len(first) < rows // 2
+        # all misses, then all hits
+        assert self.check(m, msgs, spy) == [len(first)]
+        assert self.check(m, msgs, spy) == []
+        line = msgs[0]  # its tokens are the least recently used from here on
+        before = storeless_decode(m, [line])[0]
+        # exactly one miss, projected as a doubled row
+        assert self.check(m, msgs[4:7] + [("lone-miss",) + msgs[5]], spy) == [1]
+        # one distinct token: the oracle's one-row projection
+        assert self.check(m, [("x", "x", "x")], spy) == [1]
+        # more misses than free slots: the least recently used are evicted,
+        # the call's own tokens never
+        fill = tuple(f"f{i}" for i in range(rows - len(view.slots) - 10))
+        self.check(m, [fill], spy)
+        assert len(view.slots) == rows - 10
+        more = (msgs[6][0],) + tuple(f"g{i}" for i in range(40))
+        assert self.check(m, [more], spy) == [40]
+        assert len(view.slots) == rows and set(more) <= set(view.slots)
+        evicted = set(first) - set(view.slots)
+        assert evicted and set(line) & evicted
+        # a line after its tokens are evicted
+        assert decode(m, [line]) == before
+        self.check(m, [line], spy)
+        # a call larger than the store: a per-call table, the store untouched
+        slots = dict(view.slots)
+        big = msgs + [tuple(f"h{i}" for i in range(rows))]
+        self.check(m, big, spy)
+        assert dict(view.slots) == slots
+
+    def test_line_emissions_are_bitwise_the_same_before_and_after_eviction(
+        self, tiny_model, corpus, spy
+    ):
+        m = read_only(tiny_model)
+        line = corpus[3].tokens
+        spy["forward"].clear()
+        decode(m, [line])
+        ((before, _),) = spy["forward"]
+        decode(m, [tuple(f"e{i}" for i in range(tagger.STORE_ROWS))])
+        assert not set(line) & set(_prepared(m).slots)
+        spy["forward"].clear()
+        decode(m, [line])
+        ((after, _),) = spy["forward"]
+        assert after.tobytes() == before.tobytes()
+
+    def test_threads_get_the_tags_of_one(self, tiny_model, corpus, monkeypatch):
+        # more threads than cores, a short switch interval, and a small store,
+        # so that the threads' calls interleave and evict each other's tokens
+        monkeypatch.setattr(tagger, "STORE_ROWS", 24)
+        lines = [" ".join(log.tokens) for log in corpus] * 2
+        want = [tag_log(read_only(tiny_model), raw) for raw in lines]
+        m = read_only(tiny_model)
+        got = {}
+
+        def run(k):
+            order = lines if k % 2 == 0 else lines[::-1]
+            got[k] = [tag_log(m, raw) for raw in order]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(4):
+            assert got[k] == (want if k % 2 == 0 else want[::-1]), k

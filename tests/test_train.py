@@ -508,6 +508,68 @@ class TestSerialization:
         assert loaded.n_tags == 3
 
 
+class TestReadOnlyModels:
+    """``load_model`` gives a read-only model; decoding keeps state for it across calls."""
+
+    @pytest.fixture
+    def loaded(self, memorization_run, tmp_path):
+        _, _, best, _, _, _ = memorization_run
+        path = tmp_path / "model.valb"
+        save_model(best, path)
+        return path, load_model(path)
+
+    def test_in_place_write_to_a_loaded_tensor_raises(self, loaded):
+        _, model = loaded
+        for name, arr in model.params.items():
+            assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            model.params["proj_b"][0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.params["lstm_f_Wx"] += 1.0
+
+    def test_finetune_of_a_loaded_model_trains_a_copy(self, loaded):
+        path, model = loaded
+        logs, _ = generate_synthetic(seed=21, n_templates=5, n_logs=50)
+        tuned, history = finetune(model, logs[:5], logs[5:10], TrainConfig(epochs=2, seed=3))
+        assert len(history) == 2
+        assert any((tuned.params[n] != model.params[n]).any() for n in model.params)
+        assert all(arr.flags.writeable for arr in tuned.params.values())
+        for name, arr in load_model(path).params.items():
+            assert arr.tobytes() == model.params[name].tobytes(), name
+
+    def test_deepcopy_after_decode(self, loaded, memorization_run):
+        _, model = loaded
+        lines = [" ".join(log.tokens) for log in memorization_run[1]]
+        tags = [tag_log(model, raw) for raw in lines]
+        twin = copy.deepcopy(model)
+        assert [tag_log(twin, raw) for raw in lines] == tags
+        assert [tag_log(model, raw) for raw in lines] == tags
+
+    def test_save_of_a_loaded_model_round_trips_byte_identically(self, loaded, tmp_path):
+        path, model = loaded
+        tag_log(model, "Starting executor ID 5 on host meso-07")
+        save_model(model, tmp_path / "again.valb")
+        assert (tmp_path / "again.valb").read_bytes() == path.read_bytes()
+
+    def test_in_place_change_to_a_writeable_model_reaches_the_next_decode(
+        self, memorization_run
+    ):
+        _, val_set, best, _, _, _ = memorization_run
+        # proj_b, read after the LSTM, and the input weights, whose
+        # projections a token store would hold
+        msgs = [log.tokens for log in val_set]
+        for name in ("proj_b", "lstm_f_Wx"):
+            model = copy.deepcopy(best)
+            first = tagger.decode(model, msgs)
+            if name == "proj_b":
+                model.params[name][model.tag_index(Tag.parse("B-OTP"))] += 50.0
+            else:
+                model.params[name] *= -1.0
+            second = tagger.decode(model, msgs)
+            assert second != first, name
+            assert second == tagger.decode(copy.deepcopy(model), msgs), name
+
+
 class TestNonFiniteModels:
     def test_non_finite_tensor_value_is_a_format_error(self, memorization_run, tmp_path):
         _, _, best, _, _, _ = memorization_run
