@@ -115,7 +115,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     pretrained = None
     if args.vectors:
         pretrained, coverage = load_word_vectors(args.vectors, wv, hp.word_dim, seed=args.seed)
-        print(f"pretrained vector coverage: {coverage:.3f}", file=sys.stderr)
+        print(f"pretrained vector coverage: {coverage:.3f}")
     model = init_model(hp, wv, cv, pretrained=pretrained, seed=args.seed, mode=args.mode)
     best, history = train(model, train_set, val_set, _train_config(args))
     return _save_trained(best, history, args)

@@ -19,6 +19,7 @@ import math
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -193,20 +194,27 @@ class SplitSpec:
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise ValueError(f"split fractions sum to {total}, expected 1.0")
 
+    def sizes(self, n: int) -> tuple[int, int]:
+        """The train and val sizes of a split of ``n`` logs: floor(frac * n)
+        of each fraction read as the decimal it prints as, in exact integer
+        arithmetic, so that 0.7 of 90 is 63 (0.7 * 90 is 62.99... in floats)."""
+        ratios = (Decimal(repr(f)).as_integer_ratio() for f in (self.train_frac, self.val_frac))
+        return tuple(n * num // den for num, den in ratios)
+
 
 def split_dataset(
     logs: list[AnnotatedLog], spec: SplitSpec
 ) -> tuple[list[AnnotatedLog], list[AnnotatedLog], list[AnnotatedLog]]:
     """Random disjoint train/val/test partition, deterministic per seed.
 
-    Train and val get floor(frac * N) logs each; the remainder goes to test.
+    Train and val get ``spec.sizes(N)`` logs, floor(frac * N) each; the
+    remainder goes to test.
     """
     if len(logs) < 5:
         raise ValueError("need at least 5 logs to split")
     n = len(logs)
     order = np.random.default_rng(spec.seed).permutation(n)
-    n_train = int(spec.train_frac * n)
-    n_val = int(spec.val_frac * n)
+    n_train, n_val = spec.sizes(n)
     train = [logs[k] for k in order[:n_train]]
     val = [logs[k] for k in order[n_train : n_train + n_val]]
     test = [logs[k] for k in order[n_train + n_val :]]

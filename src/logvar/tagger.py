@@ -2,9 +2,11 @@
 
 The full forward pass, its exact analytic gradients, and Viterbi decoding,
 implemented directly on numpy arrays. A model owns its vocabularies,
-hyperparameters, and fixed tag ordering; inference is deterministic and a
-model is immutable during tagging (training mutates its own writeable copy
-under one writer). Concurrent readers may share a model.
+hyperparameters, and fixed tag ordering; inference is deterministic.
+No code here writes into a parameter array once a model has been used:
+training replaces a parameter with a new array at each step, and the
+arrays a model is first decoded with become read-only. Concurrent readers
+may share a model.
 
 IOB structure is enforced inside the CRF by one rule, ``_crf_scores``: the
 transitions and starts that would make a tag sequence ill-formed score -inf,
@@ -51,15 +53,15 @@ holds as recently used, then encodes, convolves and projects only the
 others, in one ``_project``, and writes them over free or least recently
 used slots, never over the call's own tokens; its batches gather from the
 store. A larger call builds a token table for the call, computes its
-char-CNN output once, and projects each batch's distinct rows. Only a
-read-only model keeps its view, and with it the store, across calls: every
-tensor ``writeable`` False, as ``load_model`` gives it, so no write can make
-a kept projection stale. The view lives in a weak map beside the model, not
-in a field, so a model still deep-copies; a writeable model gets a fresh
-view per call. ``decode`` holds the view's lock while it runs, so
-concurrent decodes of one read-only model run one at a time. Either way
-each distinct token of a call is convolved at most once: tokens that share
-their first max_word_len characters are convolved once each.
+char-CNN output once, and projects each batch's distinct rows. Every
+model keeps its view, and with it the store, across calls until a
+``params`` entry is replaced by another array; building the view makes the
+tensors it reads read-only, so no in-place write can make a kept projection
+stale. The view lives in a weak map beside the model, not in a field, so a
+model still deep-copies. ``decode`` holds the view's lock while it runs, so
+concurrent decodes of one model run one at a time. Either way each distinct
+token of a call is convolved at most once: tokens that share their first
+max_word_len characters are convolved once each.
 
 The char-CNN's convolution is linear in the character embedding, so it is
 read from a per-character table, table[k] = char_emb @ char_W[k] of shape
@@ -75,7 +77,6 @@ word, so that little of the gather and sum is spent on PAD positions.
 
 from __future__ import annotations
 
-import operator
 import threading
 import weakref
 from collections import OrderedDict
@@ -558,7 +559,7 @@ def _crf_scores(model: TaggerModel) -> tuple[np.ndarray, np.ndarray]:
             np.where(model.frozen_start, -np.inf, p["start"]))
 
 
-# Tokens whose input projections a read-only model's token store keeps:
+# Tokens whose input projections a model's token store keeps:
 # (2, STORE_ROWS, 4H) values, 1 MB at 4H = 512 in float32.
 STORE_ROWS = 256
 
@@ -624,23 +625,21 @@ class _Prepared:
         return out
 
 
-# read-only model -> its view; a writeable model gets a fresh view per call
 _PREPARED: weakref.WeakKeyDictionary[TaggerModel, _Prepared] = weakref.WeakKeyDictionary()
 _PREPARED_LOCK = threading.Lock()
 
 
 def _prepared(model: TaggerModel) -> _Prepared:
-    """The model's prepared view: built once and kept while every parameter
-    is read-only (``load_model``'s models) and still the same array, built
-    afresh on each call otherwise, so that no view outlives a parameter
-    change."""
+    """The model's prepared view, kept while every ``params`` entry is the
+    array it was built from and built again once one is another array. A
+    build makes those arrays read-only, so no in-place write can make a kept
+    view stale; a parameter changes only by being replaced."""
     arrays = tuple(model.params.values())
-    if any(arr.flags.writeable for arr in arrays):
-        return _Prepared(model)
     with _PREPARED_LOCK:
         view = _PREPARED.get(model)
-        if (view is None or len(view.params) != len(arrays)
-                or not all(map(operator.is_, view.params, arrays))):
+        if view is None or list(map(id, view.params)) != list(map(id, arrays)):
+            for arr in arrays:
+                arr.flags.writeable = False
             view = _PREPARED[model] = _Prepared(model)
     return view
 
@@ -653,7 +652,7 @@ def _forward(
 
     ``proj`` is a projection table, (2, N, 4H): row n of ``proj[d]`` is
     some input row's ``x @ Wx[d] + b[d]`` (``_project``), and step t of log
-    b reads row ``index[b, t]``; ``view`` is the model's ``_prepared`` view.
+    b reads row ``index[b, t]``; ``view`` is a ``_Prepared`` view of the model.
     Log b's steps [0, lengths[b]) are real; its padded steps may read any
     row and score garbage that no caller reads. Every step's row is gathered
     once, the backward direction's through ``index[rev]``, and the table is
@@ -766,7 +765,8 @@ def loss_and_gradients(
     masks from ``dropout_seed + b``. The mean is taken once, on the CRF's
     gradients, which the backward pass is linear in; at B = 2^k the scale is
     exact, and the result is bitwise the sum scaled at the end. The CRF
-    reads ``_crf_scores`` (through the model's ``_prepared`` view), so the
+    reads ``_crf_scores`` (through a ``_Prepared`` view built for the call
+    and not kept, since training replaces the parameters every step), so the
     IOB-forbidden entries' gradients are exact zeros whenever the loss is
     finite, as is the gradient of char_emb's PAD row.
 
@@ -777,7 +777,7 @@ def loss_and_gradients(
     reads, is never among the rows. Every other gradient is a dense array.
     """
     p, hp = model.params, model.hp
-    view = _prepared(model)
+    view = _Prepared(model)
     used, index = _distinct_rows(ids, lengths)
     char_rep, char_cache = _char_reps(table.char_ids[used], model, view.char_table)
     word_ids = table.word_ids[used]
@@ -816,7 +816,7 @@ def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[
     message lands in changes its scores only by float rounding in the
     shared recurrent and emission matmuls, not its tags. The call holds the
     model's ``_prepared`` view's lock throughout, so concurrent calls on
-    one read-only model run one at a time. Raises NonFiniteScores if a
+    one model run one at a time. Raises NonFiniteScores if a
     batch's real-step emissions are not all finite (weights that overflow
     float32); the call runs with numpy's overflow and invalid-value
     warnings off, so that error is the only report.

@@ -25,12 +25,11 @@ all preceding bytes.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,13 +104,16 @@ class Adam:
         ``(1-beta1)*g`` and ``(1-beta2)*g*g`` terms are added at the rows
         alone; elsewhere they are +0.0, and adding +0.0 leaves a moment as it
         is (m and v are never -0.0), so the step is bitwise the dense one.
+
+        No parameter is written in place: each new value is a new array in
+        ``params``, so the arrays a decoded model holds never change.
         """
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
         # lr * (m/bc1) / (sqrt(v/bc2) + eps) with the bias corrections folded
         # into two scalars, a * m / (sqrt(v) + eps'): m and v in place, one
-        # temporary and 12 passes per tensor
+        # temporary, which becomes the new parameter, and 12 passes per tensor
         a = self.lr * math.sqrt(bc2) / bc1
         eps = EPS * math.sqrt(bc2)
         for k, g in grads.items():
@@ -133,7 +135,7 @@ class Adam:
             tmp += eps
             np.divide(m, tmp, out=tmp)
             tmp *= a
-            params[k] -= tmp
+            params[k] = np.subtract(params[k], tmp, out=tmp)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray | RowGrad], max_norm: float) -> float:
@@ -167,14 +169,24 @@ def _val_metric(model: TaggerModel, val: list[AnnotatedLog], metric: str) -> flo
     return fn(preds, val)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     init: TaggerModel,
     train_set: list[AnnotatedLog],
     val_set: list[AnnotatedLog],
     cfg: TrainConfig,
 ) -> tuple[TaggerModel, list[EpochStats]]:
-    """Train a copy of ``init``; return the best checkpoint and per-epoch history.
-    Raises TagError, before training, if either set holds a tag outside the model's alphabet."""
+    """Train from ``init``; return the best checkpoint and per-epoch history.
+
+    ``init`` is left as it is: the working model starts with ``init``'s
+    arrays, and Adam puts every update in a new array, so nothing is
+    copied; a checkpoint is a model over the arrays of its epoch, and a
+    tensor training never updates (the frozen ``word_emb``) is ``init``'s
+    own array. Validation decodes each epoch's model, which makes its
+    tensors read-only. The run has numpy's overflow and invalid-value
+    warnings off: a loss or gradient norm that is not finite raises
+    ``DivergenceError``, and that is the report. Raises TagError, before
+    training, if either set holds a tag outside the model's alphabet."""
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
     alphabet = set(init.tags)
@@ -183,7 +195,7 @@ def train(
         if foreign is not None:
             raise TagError(f"the {name} set holds the tag {foreign}, which is not in "
                            f"the alphabet of a {init.mode} model")
-    model = copy.deepcopy(init)
+    model = replace(init, params=dict(init.params))
     table, ids, lengths = token_table(model, [log.tokens for log in train_set])
     gold = np.fromiter((model.tag_index(t) for log in train_set for t in log.tags),
                        dtype=np.int64, count=len(ids))
@@ -221,7 +233,7 @@ def train(
         metric = _val_metric(model, val_set, cfg.selection_metric)
         history.append(EpochStats(epoch, float(np.mean(losses)), metric))
         if best is None or metric > best_metric:
-            best, best_metric = copy.deepcopy(model), metric
+            best, best_metric = replace(model, params=dict(model.params)), metric
     return best, history
 
 
@@ -234,7 +246,9 @@ def finetune(
     """Continue optimization from pretrained weights on a small target sample.
 
     The pretrained vocabularies are reused; target tokens outside them go
-    through UNK and the character channel.
+    through UNK and the character channel. As with ``train``,
+    ``pretrained`` is left as it is and shares the arrays training never
+    updates with the tuned model.
     """
     return train(pretrained, target_train, target_val, cfg)
 
@@ -335,10 +349,9 @@ def load_model(path: str | Path) -> TaggerModel:
     IOB-forbidden entries of ``trans`` and ``start`` hold ``FROZEN_SCORE``;
     any mismatch raises ``FormatError``.
 
-    The model is read-only: every tensor has ``writeable`` False, so an
-    in-place write raises, and decoding keeps what it derives from the
-    tensors, a token store among it, across calls. ``train`` and
-    ``finetune`` work on a writeable copy.
+    Like every model, the loaded one keeps what decoding derives from its
+    tensors, a token store among it, across calls; its first decode makes
+    the tensors read-only, so an in-place write raises after it.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:4] != MAGIC:
@@ -400,6 +413,4 @@ def load_model(path: str | Path) -> TaggerModel:
                 f"{path}: tensor {name} holds an IOB-forbidden entry that is not "
                 f"{FROZEN_SCORE}"
             )
-    for arr in params.values():
-        arr.flags.writeable = False
     return model

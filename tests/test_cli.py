@@ -770,3 +770,114 @@ def test_fuzz_tag_model_bytes_exit_zero_or_one_json_error(fuzz_model, data):
         (line,) = lines
         assert set(json.loads(line)) == {"error", "message"}
     assert list(folder.rglob("*.tmp")) == []
+
+
+def _run_fuzzed(folder, argv):
+    """``main(argv)``'s exit code and stderr lines, checked: exit 0, or exit 1
+    or 2 with one JSON error line on stderr; no traceback; no ``.tmp`` left."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert code in (1, 2), lines
+        (line,) = lines
+        assert set(json.loads(line)) == {"error", "message"}
+    assert list(folder.rglob("*.tmp")) == []
+    return code, lines
+
+
+# bytes that split, end or spoil a line or a token
+ODD_BYTES = st.sampled_from([b"\n", b"\r", b"\r\n", b" ", b"\t", b"\x0c", b"\x00", b"\xff",
+                             b"\xc3", "\u00a0".encode(), "\u2028".encode(), "\u00e9".encode(),
+                             b"<*>", b"#"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.lists(st.one_of(ODD_BYTES, st.binary(max_size=12),
+                              st.text(st.characters(codec="utf-8"), max_size=8).map(str.encode)),
+                    max_size=20).map(b"".join),
+       command=st.sampled_from(["tag", "parse"]))
+def test_fuzz_raw_log_bytes_through_tag_and_parse(fuzz_model, raw, command):
+    _, folder = fuzz_model
+    (folder / "raw.txt").write_bytes(raw)
+    out = folder / "raw-out" / "out"
+    code, lines = _run_fuzzed(folder, [command, "--model", str(folder / "model.valb"),
+                                       "--input", str(folder / "raw.txt"), "--output", str(out)])
+    if code == 0:
+        text = raw.decode("utf-8").split("\n")
+        if text[-1] == "":
+            text.pop()  # the last line's "\n" ends it
+        lines_in = [line.removesuffix("\r") for line in text]
+        empty = [i for i, line in enumerate(lines_in, 1) if not line.split()]
+        assert lines == [f"line {i}: empty log, skipped" for i in empty]
+        written = (read_annotations(out) if command == "tag"
+                   else out.read_text(encoding="utf-8").splitlines())
+        assert len(written) == len(lines_in) - len(empty)
+    else:
+        assert json.loads(lines[0])["error"] == "FormatError"  # a byte that is not UTF-8
+
+
+# values an option's type, choices or range may refuse, or take oddly
+ODD_VALUES = st.one_of(
+    st.sampled_from(["", "nan", "-inf", "inf", "1e309", "-0", "0", "-1", "1_000", "0x10",
+                     "\u0661\u0662", "1" * 5000, "1e-320", "yes", "NO", "binary", "multiclass",
+                     "general_accuracy", "OID,OTP", "O,,", "0.2,0.2,0.6", "1,1,-1",
+                     "0.5,0.5,1e-17", "#", "= =", "<*>", "\x00", "\x0c", "\u2028"]),
+    st.integers().map(str), st.floats().map(repr),
+    st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=12),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_commands(fuzz_model):
+    """Each command's argv with every path and every size pinned by a flag,
+    so that a config file changes only the other options."""
+    _, folder = fuzz_model
+    logs, _ = generate_synthetic(seed=8, n_templates=5, n_logs=50)
+    write_annotations(logs[:12], folder / "train.tsv")
+    write_annotations(logs[12:18], folder / "val.tsv")
+    (folder / "vectors.txt").write_text("executor 1 2 3 4\n")
+    (folder / "structured.csv").write_text("Content,EventTemplate\ntook 5 s,took <*> s\n")
+    out = folder / "cfg-out"
+
+    def f(name):
+        return str(folder / name)
+
+    sizes = ["--epochs", "1", "--word-dim", "4", "--char-emb-dim", "3", "--char-filters", "3",
+             "--char-kernel", "3", "--lstm-hidden", "3", "--max-word-len", "6",
+             "--min-freq", "1"]
+    return {
+        "split": ["split", "--input", f("train.tsv"), "--out-dir", str(out / "split")],
+        "train": ["train", "--train", f("train.tsv"), "--val", f("val.tsv"),
+                  "--out", str(out / "m.valb"), "--vectors", f("vectors.txt"), *sizes],
+        "finetune": ["finetune", "--model", f("model.valb"), "--train", f("train.tsv"),
+                     "--val", f("val.tsv"), "--out", str(out / "t.valb"), "--epochs", "1"],
+        "tag": ["tag", "--model", f("model.valb"), "--input", f("lines.txt"),
+                "--output", str(out / "tagged.tsv")],
+        "parse": ["parse", "--model", f("model.valb"), "--input", f("lines.txt"),
+                  "--output", str(out / "parsed.jsonl"), "--templates", str(out / "t.jsonl")],
+        "eval": ["eval", "--gold", f("val.tsv"), "--pred", f("val.tsv"),
+                 "--report", str(out / "report.json")],
+        "derive-annotations": ["derive-annotations", "--structured", f("structured.csv"),
+                               "--out", str(out / "derived.tsv")],
+        "synth": ["synth", "--templates", "2", "--logs", "5", "--out", str(out / "s.tsv")],
+    }
+
+
+_PARSER, _COMMANDS = build_parser()
+CONFIG_KEYS = sorted({action.dest for p in (_PARSER, *_COMMANDS.values()) for action in p._actions
+                      if action.dest != "help"})
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), ODD_VALUES),
+                        min_size=1, max_size=4),
+       command=st.sampled_from(["split", "train", "finetune", "tag", "parse", "eval",
+                                "derive-annotations", "synth"]))
+def test_fuzz_config_values_of_known_keys(fuzz_model, fuzz_commands, entries, command):
+    _, folder = fuzz_model
+    cfg = folder / "fuzz.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries), encoding="utf-8")
+    _run_fuzzed(folder, ["--config", str(cfg), *fuzz_commands[command]])

@@ -190,6 +190,19 @@ class TestSplit:
         combined = sorted(l.text for l in tr + va + te)
         assert combined == sorted(l.text for l in logs)
 
+    def test_sizes_floor_the_decimal_fraction(self):
+        # in floats 0.7 * 90 is 62.99..., and 0.29 * 100 is 28.99...
+        logs, _ = generate_synthetic(seed=3, n_templates=5, n_logs=100)
+        assert [len(p) for p in split_dataset(logs[:90], SplitSpec(0.7, 0.1, 0.2, seed=1))] \
+            == [63, 9, 18]
+        assert [len(p) for p in split_dataset(logs, SplitSpec(0.29, 0.29, 0.42, seed=1))] \
+            == [29, 29, 42]
+        for k in range(1, 100):
+            rest = (100 - k) / 200
+            as_train, as_val = SplitSpec(k / 100, rest, rest, 0), SplitSpec(rest, k / 100, rest, 0)
+            for n in range(5, 2001):
+                assert as_train.sizes(n)[0] == as_val.sizes(n)[1] == k * n // 100, (k, n)
+
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError):
             SplitSpec(0.5, 0.5, 0.5, seed=0)

@@ -551,7 +551,7 @@ class TestBatchedForward:
             return real(char_ids, *args)
 
         monkeypatch.setattr(tagger, "_char_forward", spy)
-        m = tiny_model
+        m = copy.deepcopy(tiny_model)  # no token store yet, whatever ran before
         a, b, c, d, e = m.char_vocab.chars()[:5]
         words = [(a + b, c + d, a + b), (c + d, e), (a + b,)]
         decode(m, words)

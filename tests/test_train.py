@@ -509,7 +509,8 @@ class TestSerialization:
 
 
 class TestReadOnlyModels:
-    """``load_model`` gives a read-only model; decoding keeps state for it across calls."""
+    """A model's tensors become read-only when it is first decoded; decoding
+    keeps state for it across calls, until a tensor is replaced."""
 
     @pytest.fixture
     def loaded(self, memorization_run, tmp_path):
@@ -520,6 +521,7 @@ class TestReadOnlyModels:
 
     def test_in_place_write_to_a_loaded_tensor_raises(self, loaded):
         _, model = loaded
+        tag_log(model, "Starting executor ID 5 on host meso-07")
         for name, arr in model.params.items():
             assert not arr.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
@@ -533,7 +535,8 @@ class TestReadOnlyModels:
         tuned, history = finetune(model, logs[:5], logs[5:10], TrainConfig(epochs=2, seed=3))
         assert len(history) == 2
         assert any((tuned.params[n] != model.params[n]).any() for n in model.params)
-        assert all(arr.flags.writeable for arr in tuned.params.values())
+        # validation decoded every checkpoint, the tuned one among them
+        assert not any(arr.flags.writeable for arr in tuned.params.values())
         for name, arr in load_model(path).params.items():
             assert arr.tobytes() == model.params[name].tobytes(), name
 
@@ -554,20 +557,74 @@ class TestReadOnlyModels:
     def test_in_place_change_to_a_writeable_model_reaches_the_next_decode(
         self, memorization_run
     ):
+        # a decode makes the tensors read-only, so a change is a new array
+        # in params; proj_b is read after the LSTM, and the input weights'
+        # projections are what the token store holds
         _, val_set, best, _, _, _ = memorization_run
-        # proj_b, read after the LSTM, and the input weights, whose
-        # projections a token store would hold
         msgs = [log.tokens for log in val_set]
         for name in ("proj_b", "lstm_f_Wx"):
             model = copy.deepcopy(best)
             first = tagger.decode(model, msgs)
-            if name == "proj_b":
-                model.params[name][model.tag_index(Tag.parse("B-OTP"))] += 50.0
-            else:
+            with pytest.raises(ValueError, match="read-only"):
                 model.params[name] *= -1.0
+            if name == "proj_b":
+                changed = model.params[name].copy()
+                changed[model.tag_index(Tag.parse("B-OTP"))] += 50.0
+            else:
+                changed = model.params[name] * -1.0
+            model.params[name] = changed
             second = tagger.decode(model, msgs)
             assert second != first, name
             assert second == tagger.decode(copy.deepcopy(model), msgs), name
+
+
+class TestSharedParameters:
+    """No library code writes into a parameter array: Adam puts each update
+    in a new array, so ``train`` shares arrays with ``init`` and its
+    checkpoints instead of copying them, and a trained model keeps its view."""
+
+    @pytest.fixture
+    def small_run(self, memorization_run):
+        train_set, val_set, _, _, _, init = memorization_run
+        return train_set[:8], val_set[:4], copy.deepcopy(init)
+
+    def test_a_read_only_model_trains_and_decodes(self, small_run):
+        train_set, val_set, model = small_run
+        for arr in model.params.values():
+            arr.flags.writeable = False
+        params = dict(model.params)
+        Adam(params, 0.01).step(params, {k: np.ones_like(v) for k, v in params.items()})
+        assert all((params[k] < model.params[k]).all() for k in params)
+        best, history = train(model, train_set, val_set, TrainConfig(epochs=2, seed=3))
+        assert len(history) == 2
+        assert len(tagger.decode(best, [log.tokens for log in val_set])) == len(val_set)
+
+    def test_train_leaves_init_unchanged(self, small_run):
+        train_set, val_set, init = small_run
+        before = {k: (v, v.tobytes()) for k, v in init.params.items()}
+        best, _ = train(init, train_set, val_set, TrainConfig(epochs=2, seed=3))
+        for name, (arr, data) in before.items():
+            assert init.params[name] is arr and arr.tobytes() == data, name
+            assert best.params[name] is not arr, name
+
+    def test_frozen_word_embeddings_are_the_init_array(self, small_run):
+        train_set, val_set, init = small_run
+        cfg = TrainConfig(epochs=2, seed=3, freeze_word_embeddings=True)
+        best, _ = train(init, train_set, val_set, cfg)
+        assert best.params["word_emb"] is init.params["word_emb"]
+
+    def test_a_trained_model_keeps_its_token_store(self, small_run, monkeypatch):
+        train_set, val_set, init = small_run
+        best, _ = train(init, train_set, val_set, TrainConfig(epochs=2, seed=3))
+        msgs = [log.tokens for log in val_set]
+        first = tagger.decode(best, msgs)
+        calls = []
+        for name in ("encode_log", "_char_forward"):
+            real = getattr(tagger, name)
+            monkeypatch.setattr(tagger, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        assert tagger.decode(best, msgs) == first
+        assert calls == []
 
 
 class TestNonFiniteModels:
