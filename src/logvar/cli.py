@@ -35,7 +35,7 @@ from .parse import DEFAULT_WILDCARD, parse_corpus, result_record
 from .tagger import Hyperparams, TaggerModel, init_model, tag_logs
 from .taxonomy import BINARY, CATEGORY_ABBREVS, MULTICLASS, VariableCategory
 from .train import (
-    GENERAL, VARIABLE_AWARE, EpochStats, TrainConfig, finetune, load_model, save_model, train,
+    SELECTION_METRICS, EpochStats, TrainConfig, finetune, load_model, save_model, train,
 )
 
 DEFAULT_SEED = 42
@@ -80,18 +80,33 @@ def _parse_preserve(text: str) -> set[VariableCategory]:
     return out
 
 
-def _from_args(cls: type, args: argparse.Namespace, **renamed: object):
-    """A ``cls`` with each field from the option of its name, but those in ``renamed``."""
-    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
-                  if f.name not in renamed}, **renamed)
+# the config fields whose option is not named after the field, and the
+# choices and help of some fields' options
+_RENAMED = {"gradient_clip_norm": "clip_norm", "use_char_channel": "no_char_channel"}
+_EXTRA = {"selection_metric": {"choices": list(SELECTION_METRICS)},
+          "use_char_channel": {"help": "char-ablated baseline (word embeddings only)"}}
 
 
-def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return _from_args(TrainConfig, args, gradient_clip_norm=args.clip_norm)
+def _add_config_flags(p: argparse.ArgumentParser, cls: type) -> None:
+    """One option per field of the config dataclass ``cls``, ``--`` and the
+    field's name (or its ``_RENAMED`` name), of the field's type and default.
+    A bool field's option is a store_true flag; a field that defaults to
+    True is set False by it."""
+    for f in dataclasses.fields(cls):
+        kind = type(f.default)
+        opts = ({"action": "store_true"} if kind is bool
+                else {"type": None if kind is str else kind, "default": f.default})
+        p.add_argument("--" + _RENAMED.get(f.name, f.name).replace("_", "-"), **opts,
+                       **_EXTRA.get(f.name, {}))
 
 
-def _hyperparams(args: argparse.Namespace) -> Hyperparams:
-    return _from_args(Hyperparams, args, use_char_channel=not args.no_char_channel)
+def _from_args(cls: type, args: argparse.Namespace):
+    """A ``cls`` with each field from its option (``_add_config_flags``)."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        value = getattr(args, _RENAMED.get(f.name, f.name))
+        values[f.name] = not value if f.default is True else value
+    return cls(**values)
 
 
 def cmd_split(args: argparse.Namespace) -> int:
@@ -111,13 +126,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_set = read_annotations(args.train)
     val_set = read_annotations(args.val)
     wv, cv = build_vocabs(train_set, min_freq=args.min_freq)
-    hp = _hyperparams(args)
+    hp = _from_args(Hyperparams, args)
     pretrained = None
     if args.vectors:
         pretrained, coverage = load_word_vectors(args.vectors, wv, hp.word_dim, seed=args.seed)
         print(f"pretrained vector coverage: {coverage:.3f}")
     model = init_model(hp, wv, cv, pretrained=pretrained, seed=args.seed, mode=args.mode)
-    best, history = train(model, train_set, val_set, _train_config(args))
+    best, history = train(model, train_set, val_set, _from_args(TrainConfig, args))
     return _save_trained(best, history, args)
 
 
@@ -125,7 +140,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     train_set = read_annotations(args.train)
     val_set = read_annotations(args.val)
-    best, history = finetune(model, train_set, val_set, _train_config(args))
+    best, history = finetune(model, train_set, val_set, _from_args(TrainConfig, args))
     return _save_trained(best, history, args)
 
 
@@ -241,30 +256,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--clip-norm", type=float, default=TrainConfig.gradient_clip_norm)
-    p.add_argument("--freeze-word-embeddings", action="store_true")
-    p.add_argument("--selection-metric", default=TrainConfig.selection_metric,
-                   choices=[VARIABLE_AWARE, GENERAL])
-
-
-def _add_hp_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--word-dim", type=int, default=Hyperparams.word_dim)
-    p.add_argument("--char-emb-dim", type=int, default=Hyperparams.char_emb_dim)
-    p.add_argument("--char-filters", type=int, default=Hyperparams.char_filters)
-    p.add_argument("--char-kernel", type=int, default=Hyperparams.char_kernel)
-    p.add_argument("--lstm-hidden", type=int, default=Hyperparams.lstm_hidden)
-    p.add_argument("--dropout", type=float, default=Hyperparams.dropout)
-    p.add_argument("--max-word-len", type=int, default=Hyperparams.max_word_len)
-    p.add_argument("--min-freq", type=int, default=1)
-    p.add_argument("--no-char-channel", action="store_true",
-                   help="char-ablated baseline (word embeddings only)")
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each subcommand's parser by name."""
     parser = _Parser(prog="logvar", description="variable-aware log abstraction toolkit")
@@ -287,8 +278,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True)
     p.add_argument("--mode", default=MULTICLASS, choices=[MULTICLASS, BINARY])
     p.add_argument("--vectors", help="pretrained word vector file (text format)")
-    _add_train_flags(p)
-    _add_hp_flags(p)
+    _add_config_flags(p, TrainConfig)
+    _add_config_flags(p, Hyperparams)
+    p.add_argument("--min-freq", type=int, default=1)
     p.set_defaults(func=cmd_train)
 
     p = commands["finetune"] = sub.add_parser(
@@ -297,7 +289,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--out", required=True)
-    _add_train_flags(p)
+    _add_config_flags(p, TrainConfig)
     p.set_defaults(func=cmd_finetune)
 
     p = commands["tag"] = sub.add_parser(

@@ -47,12 +47,18 @@ def read_lines(path: str | Path) -> Iterator[str]:
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:
     """Write ``data`` (a str as UTF-8) to ``path``: create the parent
-    directory, write ``<path>.tmp``, then rename it over ``path``."""
+    directory, write ``<path>.tmp``, then rename it over ``path``. When the
+    write or the rename fails, ``<path>.tmp`` is removed and the error
+    raised."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-    tmp.replace(path)
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def tokenize(raw: str) -> list[str]:

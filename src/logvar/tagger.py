@@ -5,8 +5,8 @@ implemented directly on numpy arrays. A model owns its vocabularies,
 hyperparameters, and fixed tag ordering; inference is deterministic.
 No code here writes into a parameter array once a model has been used:
 training replaces a parameter with a new array at each step, and the
-arrays a model is first decoded with become read-only. Concurrent readers
-may share a model.
+arrays a model is first decoded or trained with become read-only.
+Concurrent readers may share a model.
 
 IOB structure is enforced inside the CRF by one rule, ``_crf_scores``: the
 transitions and starts that would make a tag sequence ill-formed score -inf,
@@ -42,17 +42,20 @@ Training builds a token table, an ``EncodedLog`` of distinct tokens, once
 per ``train`` run (``token_table``), computes the char-CNN output per
 minibatch over the minibatch's distinct rows through ``_char_reps`` and its
 backward, and projects one row per distinct id; under dropout every
-position is masked differently, so it projects one row per position.
+position is masked differently, so it projects one row per position. A
+model with a dropout rate of 0 draws no masks; otherwise log b of minibatch
+i of epoch e draws them from one seed, ``batch_dropout_seed(seed, e, i) + b``.
 
 ``decode`` reads what depends on the parameters alone, the char table, the
 stacked recurrent weights, the gate constants and the CRF's -inf scores,
 from the model's ``_prepared`` view, with a token store: a least recently
-used map from a token string to its projection, STORE_ROWS rows. A call
-whose distinct tokens number at most STORE_ROWS first marks those the store
-holds as recently used, then encodes, convolves and projects only the
-others, in one ``_project``, and writes them over free or least recently
-used slots, never over the call's own tokens; its batches gather from the
-store. A larger call builds a token table for the call, computes its
+used map from a token string to its projection, STORE_ROWS rows. A
+training step reads the same view, but not its store. A ``decode`` call
+whose distinct tokens number at most STORE_ROWS first marks those the
+store holds as recently used, then encodes, convolves and projects only
+the others, in one ``_project``, and writes them over free or least
+recently used slots, never over the call's own tokens; its batches gather
+from the store. A larger call builds a token table for the call, computes its
 char-CNN output once, and projects each batch's distinct rows. Every
 model keeps its view, and with it the store, across calls until a
 ``params`` entry is replaced by another array; building the view makes the
@@ -462,17 +465,23 @@ def _lstm_backward(
     return d_inputs.transpose(1, 0, 2), d_wx, d_wh, d_b
 
 
+def batch_dropout_seed(seed: int, epoch: int, batch: int) -> int:
+    """The dropout seed of minibatch ``batch`` of epoch ``epoch`` in a run
+    seeded ``seed``; ``_dropout_masks`` adds each log's place in the batch."""
+    return seed * 1_000_003 + epoch * 10_007 + batch * 131
+
+
 def _dropout_masks(
-    model: TaggerModel, real: np.ndarray, dropout_seed: int | None
+    model: TaggerModel, real: np.ndarray, dropout_seed: int
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Inverted-dropout masks of the LSTM inputs and outputs, (B, T, width),
-    or None for both without dropout (``dropout_seed`` None or rate 0).
+    or None for both at a dropout rate of 0.
 
     Log b draws its masks over its real steps from ``dropout_seed + b``:
     the masks it would get alone at that seed. Padded steps get zero.
     """
     p = model.hp.dropout
-    if dropout_seed is None or p == 0.0:
+    if p == 0.0:
         return None, None
     scale = 1.0 / (1.0 - p)
     dtype = model.params["proj_W"].dtype
@@ -573,13 +582,15 @@ class _Prepared:
     IOB-forbidden entries. And a token store: ``slots`` maps a token to its
     slot, least recently used first, and ``proj``, (2, STORE_ROWS, 4H), holds
     each slot's ``_project`` row, allocated on first use. ``lock`` guards the
-    store. The view holds the parameter arrays it was derived from, not the
-    model, so that a weak map from models to views frees both together.
+    store. The view holds weak references to the parameter arrays it was
+    derived from, so that it keeps no replaced array alive (training
+    replaces every array at each step), and no reference to the model, so
+    that a weak map from models to views frees both together.
     """
 
     def __init__(self, model: TaggerModel):
         p = model.params
-        self.params = tuple(p.values())
+        self.params = [weakref.ref(arr) for arr in p.values()]
         self.char_table = _char_table(model) if model.hp.use_char_channel else None
         self.Wh = np.stack((p["lstm_f_Wh"], p["lstm_b_Wh"]))
         self.scale, self.shift = _gate_affine(model.hp.lstm_hidden, p["lstm_f_Wh"].dtype)
@@ -637,7 +648,7 @@ def _prepared(model: TaggerModel) -> _Prepared:
     arrays = tuple(model.params.values())
     with _PREPARED_LOCK:
         view = _PREPARED.get(model)
-        if view is None or list(map(id, view.params)) != list(map(id, arrays)):
+        if view is None or [id(ref()) for ref in view.params] != list(map(id, arrays)):
             for arr in arrays:
                 arr.flags.writeable = False
             view = _PREPARED[model] = _Prepared(model)
@@ -682,13 +693,13 @@ def _forward(
 
 def _train_forward(
     rows: np.ndarray, model: TaggerModel, index: np.ndarray, lengths: np.ndarray,
-    view: _Prepared, dropout_seed: int | None = None,
+    view: _Prepared, dropout_seed: int,
 ) -> tuple[np.ndarray, dict]:
     """``_forward`` of a batch from its input rows (``_input_rows``), step t
     of log b reading row ``index[b, t]`` (``_distinct_rows``).
 
-    ``dropout_seed`` None means no dropout: both directions then project
-    each row once. Under dropout (masks from ``_dropout_masks``) every
+    Without dropout (rate 0) both directions project each row once. Under
+    dropout (masks from ``_dropout_masks`` at ``dropout_seed``) every
     position has its own masked row, projected on its own. The cache also
     holds the rows the LSTM read and the input masks, for ``_backward_net``.
     """
@@ -744,12 +755,6 @@ class RowGrad(NamedTuple):
     rows: np.ndarray
     values: np.ndarray
 
-    def dense(self, like: np.ndarray) -> np.ndarray:
-        """The full gradient, zeros shaped like the matrix ``like`` but at ``rows``."""
-        out = np.zeros_like(like)
-        out[self.rows] = self.values
-        return out
-
 
 def loss_and_gradients(
     model: TaggerModel, table: EncodedLog, ids: np.ndarray, lengths: np.ndarray,
@@ -764,11 +769,12 @@ def loss_and_gradients(
     CRF forward-backward and one backward pass; log b draws its dropout
     masks from ``dropout_seed + b``. The mean is taken once, on the CRF's
     gradients, which the backward pass is linear in; at B = 2^k the scale is
-    exact, and the result is bitwise the sum scaled at the end. The CRF
-    reads ``_crf_scores`` (through a ``_Prepared`` view built for the call
-    and not kept, since training replaces the parameters every step), so the
-    IOB-forbidden entries' gradients are exact zeros whenever the loss is
-    finite, as is the gradient of char_emb's PAD row.
+    exact, and the result is bitwise the sum scaled at the end. The call
+    reads the model's ``_prepared`` view, as ``decode`` does, which makes
+    the tensors read-only: to change a parameter, replace its array, and
+    the next call builds the view again. The CRF reads ``_crf_scores``
+    through it, so the IOB-forbidden entries' gradients are exact zeros
+    whenever the loss is finite, as is the gradient of char_emb's PAD row.
 
     A minibatch reads few of the word embeddings, so their gradient is a
     ``RowGrad`` of the word ids read, as ``torch.nn.Embedding(sparse=True)``
@@ -777,7 +783,7 @@ def loss_and_gradients(
     reads, is never among the rows. Every other gradient is a dense array.
     """
     p, hp = model.params, model.hp
-    view = _Prepared(model)
+    view = _prepared(model)
     used, index = _distinct_rows(ids, lengths)
     char_rep, char_cache = _char_reps(table.char_ids[used], model, view.char_table)
     word_ids = table.word_ids[used]

@@ -14,7 +14,9 @@ epoch the selection metric is computed on the validation set; the returned
 model is the checkpoint with the best validation metric, earlier epoch on
 ties. Runs are deterministic for a fixed seed. A minibatch whose loss or
 gradient norm is not finite raises ``DivergenceError`` naming its epoch and
-batch, before the optimizer step, so the parameters never take a NaN.
+batch, before the optimizer step, so no NaN gradient reaches a parameter.
+A finite step can still overflow a parameter to inf; the next minibatch's
+loss, or the epoch's validation, then raises ``DivergenceError``.
 
 Model file layout: magic "VALB", u32 format version, u32-length-prefixed
 UTF-8 JSON metadata (hyperparams, mode, tag ordering, vocabularies), then
@@ -36,7 +38,9 @@ import numpy as np
 
 from .corpus import AnnotatedLog, write_atomic
 from .embed import CharVocab, WordVocab, vocab_index
-from .errors import ChecksumError, DivergenceError, FormatError, TagError, VersionError
+from .errors import (
+    ChecksumError, DivergenceError, FormatError, NonFiniteScores, TagError, VersionError,
+)
 from .evaluate import general_accuracy, variable_aware_accuracy
 from .tagger import (
     FROZEN_SCORE,
@@ -44,6 +48,7 @@ from .tagger import (
     RowGrad,
     TaggerModel,
     _padded,
+    batch_dropout_seed,
     check_field_types,
     decode,
     loss_and_gradients,
@@ -59,6 +64,7 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator ter
 
 VARIABLE_AWARE = "variable_aware_accuracy"
 GENERAL = "general_accuracy"
+SELECTION_METRICS = (VARIABLE_AWARE, GENERAL)
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ class TrainConfig:
             raise ValueError("invalid training configuration")
         if not 0 <= self.gradient_clip_norm < np.inf:  # 0 means no clipping
             raise ValueError("gradient_clip_norm must be finite and >= 0")
-        if self.selection_metric not in (VARIABLE_AWARE, GENERAL):
+        if self.selection_metric not in SELECTION_METRICS:
             raise ValueError(f"unknown selection metric: {self.selection_metric!r}")
 
 
@@ -90,6 +96,7 @@ class EpochStats:
 
 class Adam:
     def __init__(self, params: dict[str, np.ndarray], lr: float):
+        """An optimizer of the tensors in ``params``, each with its moments at zero."""
         self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -182,11 +189,12 @@ def train(
     arrays, and Adam puts every update in a new array, so nothing is
     copied; a checkpoint is a model over the arrays of its epoch, and a
     tensor training never updates (the frozen ``word_emb``) is ``init``'s
-    own array. Validation decodes each epoch's model, which makes its
-    tensors read-only. The run has numpy's overflow and invalid-value
-    warnings off: a loss or gradient norm that is not finite raises
-    ``DivergenceError``, and that is the report. Raises TagError, before
-    training, if either set holds a tag outside the model's alphabet."""
+    own array. Every minibatch reads the working model's ``_prepared`` view,
+    which makes its tensors read-only. The run has numpy's overflow and
+    invalid-value warnings off: a loss, gradient norm or validation score
+    that is not finite raises ``DivergenceError``, and that is the report.
+    Raises TagError, before training, if either set holds a tag outside the
+    model's alphabet."""
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
     alphabet = set(init.tags)
@@ -201,7 +209,8 @@ def train(
                        dtype=np.int64, count=len(ids))
     starts = np.cumsum(lengths) - lengths
 
-    opt = Adam(model.params, cfg.learning_rate)
+    frozen = ("word_emb",) if cfg.freeze_word_embeddings else ()
+    opt = Adam({k: v for k, v in model.params.items() if k not in frozen}, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
     best: TaggerModel | None = None
@@ -213,24 +222,22 @@ def train(
         for b_idx, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[lo : lo + cfg.batch_size]
             n = lengths[batch]
-            dropout_seed = cfg.seed * 1_000_003 + epoch * 10_007 + b_idx * 131
             loss, grads = loss_and_gradients(
                 model, table, _padded(ids, starts[batch], n), n,
-                _padded(gold, starts[batch], n), dropout_seed,
+                _padded(gold, starts[batch], n), batch_dropout_seed(cfg.seed, epoch, b_idx),
             )
             if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {b_idx}"
-                )
-            if cfg.freeze_word_embeddings:  # clip and Adam skip it, so it never moves
-                del grads["word_emb"]
+                raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
+            for name in frozen:  # clip and Adam skip it, so it never moves
+                del grads[name]
             if not np.isfinite(clip_global_norm(grads, cfg.gradient_clip_norm)):
-                raise DivergenceError(
-                    f"non-finite gradient at epoch {epoch}, batch {b_idx}"
-                )
+                raise DivergenceError(f"non-finite gradient at epoch {epoch}, batch {b_idx}")
             opt.step(model.params, grads)
             losses.append(loss)
-        metric = _val_metric(model, val_set, cfg.selection_metric)
+        try:
+            metric = _val_metric(model, val_set, cfg.selection_metric)
+        except NonFiniteScores as exc:  # the epoch's last step overflowed a parameter
+            raise DivergenceError(f"non-finite validation scores at epoch {epoch}") from exc
         history.append(EpochStats(epoch, float(np.mean(losses)), metric))
         if best is None or metric > best_metric:
             best, best_metric = replace(model, params=dict(model.params)), metric

@@ -139,17 +139,19 @@ def test_criterion_2_gradient_finite_differences():
         gold = np.array([model.tag_index(t) for l in logs for t in l.tags])
         batch = (table, _padded(ids, starts, lengths), lengths, _padded(gold, starts, lengths))
         _, grads = loss_and_gradients(model, *batch, dropout_seed=b)
-        grads["word_emb"] = grads["word_emb"].dense(model.params["word_emb"])
-        for name, arr in model.params.items():
-            flat, gflat = arr.ravel(), grads[name].ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                up, _ = loss_and_gradients(model, *batch, dropout_seed=b)
-                flat[i] = orig - h
-                dn, _ = loss_and_gradients(model, *batch, dropout_seed=b)
-                flat[i] = orig
-                fd = (up - dn) / (2 * h)
+        rows, values = grads["word_emb"]
+        grads["word_emb"] = np.zeros_like(model.params["word_emb"])
+        grads["word_emb"][rows] = values
+        for name, arr in list(model.params.items()):
+            gflat = grads[name].ravel()
+            for i in range(arr.size):
+                losses = []
+                for d in (h, -h):  # replaced, not written: the arrays are read-only
+                    model.params[name] = arr.copy()
+                    model.params[name].ravel()[i] += d
+                    losses.append(loss_and_gradients(model, *batch, dropout_seed=b)[0])
+                model.params[name] = arr
+                fd = (losses[0] - losses[1]) / (2 * h)
                 rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6)
                 max_rel = max(max_rel, rel)
     elapsed = time.time() - t0

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logvar.cli import _config_defaults, _hyperparams, _train_config, build_parser, main
+from logvar.cli import _RENAMED, _config_defaults, _from_args, build_parser, main
 from logvar.corpus import AnnotatedLog, read_annotations, read_lines, write_annotations
 from logvar.embed import build_vocabs, load_word_vectors
 from logvar.errors import FormatError
@@ -163,6 +164,32 @@ class TestBadInput:
         assert err["message"].startswith(f"{bad}: line 2: ")
         assert not (tmp_path / "m.valb").exists()
 
+    def test_overflow_in_an_epochs_last_step_is_a_divergence_error(
+        self, corpus_file, tmp_path, capsys
+    ):
+        # the one Adam step overflows a parameter to inf; validation then
+        # meets non-finite scores, which train reports as divergence
+        logs = read_annotations(corpus_file)
+        write_annotations(logs[:4], tmp_path / "t.tsv")
+        write_annotations(logs[4:8], tmp_path / "v.tsv")
+        assert main(["train", "--train", str(tmp_path / "t.tsv"), "--val", str(tmp_path / "v.tsv"),
+                     "--out", str(tmp_path / "m.valb"), "--batch-size", "8",
+                     "--learning-rate", "1e30", "--epochs", "1"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DivergenceError", "message": "non-finite validation scores at epoch 0"}
+        assert not (tmp_path / "m.valb").exists()
+
+    def test_output_onto_a_directory_leaves_no_temporary_file(self, trained_model, tmp_path,
+                                                             capsys):
+        _, model_path = trained_model
+        raw = tmp_path / "raw.txt"
+        raw.write_text("alpha 1\n")
+        (tmp_path / "out" / "tagged.tsv").mkdir(parents=True)
+        assert main(["tag", "--model", str(model_path), "--input", str(raw),
+                     "--output", str(tmp_path / "out" / "tagged.tsv")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["tagged.tsv"]
+
 
     @pytest.mark.parametrize("command", ["finetune", "train"])
     def test_tag_outside_the_model_alphabet_is_a_tag_error(self, trained_model, tmp_path,
@@ -211,8 +238,24 @@ class TestDefaults:
     def test_train_defaults_are_the_dataclass_defaults(self):
         parser, _ = build_parser()
         args = parser.parse_args(["train", "--train", "t.tsv", "--val", "v.tsv", "--out", "m"])
-        assert _hyperparams(args) == Hyperparams()
-        assert _train_config(args) == TrainConfig()
+        assert _from_args(Hyperparams, args) == Hyperparams()
+        assert _from_args(TrainConfig, args) == TrainConfig()
+
+    @pytest.mark.parametrize("command, configs", [
+        ("train", (TrainConfig, Hyperparams)), ("finetune", (TrainConfig,))])
+    def test_each_config_field_has_one_option_of_its_type_and_default(self, command, configs):
+        actions = build_parser()[1][command]._actions
+        for cls in configs:
+            for f in dataclasses.fields(cls):
+                dest = _RENAMED.get(f.name, f.name)
+                [action] = [a for a in actions if a.dest == dest]
+                assert action.option_strings == ["--" + dest.replace("_", "-")]
+                if isinstance(f.default, bool):  # a flag sets it off its default
+                    assert isinstance(action, argparse._StoreTrueAction)
+                    assert action.default is False
+                else:
+                    assert action.type is (None if isinstance(f.default, str) else type(f.default))
+                    assert action.default == f.default and type(action.default) is type(f.default)
 
 
 class TestOptionCensus:
@@ -220,11 +263,11 @@ class TestOptionCensus:
     removed one) shows up as an edit of these lists."""
 
     TOP_LEVEL = ["--config"]
-    TRAIN_FLAGS = ["--seed", "--epochs", "--batch-size", "--learning-rate", "--clip-norm",
+    TRAIN_FLAGS = ["--epochs", "--batch-size", "--learning-rate", "--clip-norm", "--seed",
                    "--freeze-word-embeddings", "--selection-metric"]
     HP_FLAGS = ["--word-dim", "--char-emb-dim", "--char-filters", "--char-kernel",
-                "--lstm-hidden", "--dropout", "--max-word-len", "--min-freq",
-                "--no-char-channel"]
+                "--lstm-hidden", "--dropout", "--max-word-len", "--no-char-channel",
+                "--min-freq"]
     COMMANDS = {
         "split": ["--input", "--ratios", "--seed", "--out-dir"],
         "train": ["--train", "--val", "--out", "--mode", "--vectors", *TRAIN_FLAGS, *HP_FLAGS],

@@ -127,6 +127,13 @@ class TestWriteAtomic:
         assert path.read_bytes() == (data.encode() if isinstance(data, str) else data)
         assert list(path.parent.iterdir()) == [path]
 
+    def test_a_failed_rename_removes_the_temporary_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.mkdir()
+        with pytest.raises(OSError):
+            write_atomic(path, "text")
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestDeriveBinary:
     def test_openstack_example(self):

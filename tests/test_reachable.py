@@ -1,7 +1,8 @@
-"""Every library function is reached from outside its own definition.
+"""Every library function and method is reached from outside its own definition.
 
 An AST scan in place of a coverage tool: a module-level function of
-``src/logvar`` must be named somewhere in ``src/``, ``benchmarks/`` or
+``src/logvar``, or a method or property of a module-level class there
+(dunders aside), must be named somewhere in ``src/``, ``benchmarks/`` or
 ``demos/`` outside its own ``def``, or be listed in ``__all__``. Tests do
 not count, so a code path that only tests reach is flagged. A name counts
 as a read of a bare name, an attribute, an imported name, or a string that
@@ -15,6 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "logvar"
 USERS = [ROOT / "src", ROOT / "benchmarks", ROOT / "demos"]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -33,28 +35,48 @@ def _names(node: ast.AST) -> set[str]:
     return names
 
 
+def _defs(tree: ast.Module) -> tuple[dict[str, ast.AST], list[ast.AST]]:
+    """Each module-level function and each method of a module-level class,
+    by qualified name, and the module's other nodes."""
+    defs, rest = {}, []
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, FUNCTIONS):
+                    defs[f"{node.name}.{sub.name}"] = sub
+                else:
+                    rest.append(sub)
+            rest += [*node.bases, *node.keywords, *node.decorator_list]
+        else:
+            rest.append(node)
+    return defs, rest
+
+
 def unreached_functions(modules: list[Path], users: list[Path]) -> list[str]:
-    """``file:line: name`` of each module-level function in ``modules`` that
-    no file under ``users`` names outside its own ``def`` or ``__all__`` lists."""
-    outside: set[str] = set()  # names read outside any module-level function
+    """``file:line: name`` of each module-level function and each method (not
+    a dunder) in ``modules`` that no file under ``users`` names outside its
+    own ``def`` or ``__all__`` lists."""
+    outside: set[str] = set()  # names read outside any function or method
     inside: dict[tuple[Path, str], set[str]] = {}  # names read inside each one
     for path in sorted({p.resolve() for d in users for p in d.rglob("*.py")}):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inside[(path, node.name)] = _names(node)
-            else:
-                outside |= _names(node)
+        defs, rest = _defs(ast.parse(path.read_text(encoding="utf-8")))
+        for qualname, node in defs.items():
+            inside[(path, qualname)] = _names(node)
+        for node in rest:
+            outside |= _names(node)
     unreached = []
     for module in modules:
         module = module.resolve()
-        for node in ast.parse(module.read_text(encoding="utf-8")).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for qualname, node in _defs(ast.parse(module.read_text(encoding="utf-8")))[0].items():
+            if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             elsewhere = node.name in outside or any(
                 node.name in names for key, names in inside.items()
-                if key != (module, node.name))
+                if key != (module, qualname))
             if not elsewhere:
-                unreached.append(f"{module.name}:{node.lineno}: {node.name}")
+                unreached.append(f"{module.name}:{node.lineno}: {qualname}")
     return unreached
 
 
@@ -71,13 +93,19 @@ def test_scan_flags_an_unreached_function(tmp_path):
     (lib / "m.py").write_text(
         "__all__ = ['public']\n"
         "def public(): return helper()\n"
-        "def helper(): return 1\n"
+        "def helper(): return C().size\n"
         "def recursive(n): return recursive(n - 1)\n"
         "def hooked(): pass\n"
         "def documented():\n"
         "    '''Not called: documented is only in prose.'''\n"
         "class C:\n"
+        "    def __init__(self): self.method()\n"
         "    def method(self): pass\n"
+        "    def again(self): return self.again()\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    @property\n"
+        "    def unread(self): return 2\n"
         "def dead(): pass\n"
     )
     (user / "u.py").write_text(
@@ -85,4 +113,5 @@ def test_scan_flags_an_unreached_function(tmp_path):
         "print('documented is not called')\n"
     )
     assert unreached_functions([lib / "m.py"], [lib, user]) == [
-        "m.py:4: recursive", "m.py:6: documented", "m.py:10: dead"]
+        "m.py:4: recursive", "m.py:6: documented", "m.py:11: C.again", "m.py:15: C.unread",
+        "m.py:16: dead"]

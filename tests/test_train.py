@@ -134,7 +134,7 @@ class TestTrainingOptions:
         # clip and Adam see the gradients
         train_set, val_set, best, _, _, model = memorization_run
         assert not np.array_equal(best.params["word_emb"], model.params["word_emb"])
-        built, stepped = [], []
+        built, stepped, opts = [], [], set()
         real_loss, real_step = train_module.loss_and_gradients, Adam.step
 
         def loss_spy(*args):
@@ -144,6 +144,7 @@ class TestTrainingOptions:
 
         def step_spy(opt, params, grads):
             stepped.append(grads)
+            opts.add(opt)
             return real_step(opt, params, grads)
 
         monkeypatch.setattr(train_module, "loss_and_gradients", loss_spy)
@@ -160,6 +161,8 @@ class TestTrainingOptions:
             rows = grads.pop("word_emb").rows
             assert len(rows) < full[0]
             assert all(g.shape != full for g in grads.values())
+        [opt] = opts  # and Adam keeps no moments of word_emb
+        assert set(opt.m) == set(opt.v) == set(model.params) - {"word_emb"}
 
     def test_general_accuracy_scores_and_selects_the_checkpoint(
         self, memorization_run, monkeypatch
@@ -310,7 +313,9 @@ class TestOptimizer:
             model, table, tagger._padded(ids, starts, lengths), lengths,
             tagger._padded(gold, starts, lengths), dropout_seed=7,
         )
-        dense = dict(grads, word_emb=grads["word_emb"].dense(model.params["word_emb"]))
+        rows, values = grads["word_emb"]
+        dense = dict(grads, word_emb=np.zeros_like(model.params["word_emb"]))
+        dense["word_emb"][rows] = values
         assert all(g.dtype == np.float32 for g in dense.values())
         want = np.sqrt(sum((g.astype(np.float64) ** 2).sum() for g in dense.values()))
         assert clip_global_norm(grads, 0.0) == pytest.approx(want, rel=1e-6)
