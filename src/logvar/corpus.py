@@ -1,9 +1,10 @@
 """Tokenization, file I/O, template-alignment annotation, splits.
 
 Every text file the toolkit reads (annotation, word-vector, config and
-structured CSV files, raw log lines) goes through ``read_lines``: UTF-8,
-split on "\n" alone with one trailing "\r" stripped per line, so a lone
-"\r", a form feed or a Unicode line separator stays inside its line. A
+structured CSV files, raw log lines) goes through ``read_lines``: UTF-8
+less one leading byte-order mark, split on "\n" alone with one trailing
+"\r" stripped per line, so a lone "\r", a form feed or a Unicode line
+separator stays inside its line. A
 byte that is not UTF-8, and every error a reader finds, raises naming the
 file and line ("{path}: line N: ..."). Every file the toolkit writes goes
 through ``write_atomic``, which creates the parent directory and renames a
@@ -37,8 +38,9 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 
 def read_lines(path: str | Path) -> Iterator[str]:
     """Stream a text file's lines, split on "\n" alone, less one trailing
-    "\r" each; a byte that is not UTF-8 raises FormatError."""
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+    "\r" each and one leading byte-order mark (U+FEFF) on the file, which
+    Windows editors write; a byte that is not UTF-8 raises FormatError."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="\n") as fh:
         for lineno, line in enumerate(fh, 1):
             if _UNDECODED.search(line):
                 raise FormatError(f"{path}: line {lineno}: not UTF-8 text")

@@ -22,12 +22,26 @@ backward direction reads each log through a per-log reversal index), so
 padded steps never reach a real step and the recurrences need no mask;
 Viterbi carries each score unchanged through padded steps. The two
 directions are independent, so one ``_lstm_forward`` call advances both in
-a single time loop, their states stacked (2, B, H). Training runs a
+a single time loop, their states stacked (2, B, H), and one
+``_lstm_backward`` call runs both back in a single loop. Training runs a
 minibatch the same way: one forward pass, one batched CRF forward-backward
 whose gradient is zero on padded steps and carries the batch mean's 1/B
 (exact when B is a power of two), and one backward pass, linear in it, in
 which those zero gradients keep padded steps out of every parameter gradient.
 So a padded step may read any input row, and nothing else handles padding.
+
+The LSTM step has no broadcast operand. sigmoid(z) = (tanh(z / 2) + 1) / 2,
+so the i, f and o pre-activations are halved where they are made, once:
+``_project`` halves those columns of the input projection, and the
+``_Prepared`` view keeps the recurrent weights scaled. The step then carries
+each sigmoid gate as ``tanh + 1`` and the hidden state doubled, and halves
+the cell state once per step and the outputs once after the loop. Every
+scale is a power of two, so the outputs have the bits of a step that forms
+each sigmoid as tanh(z / 2) / 2 + 1 / 2 from the unscaled pre-activation.
+The backward pass reads the doubled gates and the scaled weights as they
+are: its gate factors carry the inverse of the weights' scale, which the
+doubled gates give with no extra pass, so each step's product has the
+unscaled product's bits.
 
 A token's input row (word embedding and char-CNN output) is a function of
 the token alone, and so, without dropout, is each LSTM direction's input
@@ -47,8 +61,8 @@ model with a dropout rate of 0 draws no masks; otherwise log b of minibatch
 i of epoch e draws them from one seed, ``batch_dropout_seed(seed, e, i) + b``.
 
 ``decode`` reads what depends on the parameters alone, the char table, the
-stacked recurrent weights, the gate constants and the CRF's -inf scores,
-from the model's ``_prepared`` view, with a token store: a least recently
+stacked and scaled recurrent weights and the CRF's -inf scores, from the
+model's ``_prepared`` view, with a token store: a least recently
 used map from a token string to its projection, STORE_ROWS rows. A
 training step reads the same view, but not its store. A ``decode`` call
 whose distinct tokens number at most STORE_ROWS first marks those the
@@ -61,10 +75,11 @@ model keeps its view, and with it the store, across calls until a
 ``params`` entry is replaced by another array; building the view makes the
 tensors it reads read-only, so no in-place write can make a kept projection
 stale. The view lives in a weak map beside the model, not in a field, so a
-model still deep-copies. ``decode`` holds the view's lock while it runs, so
-concurrent decodes of one model run one at a time. Either way each distinct
-token of a call is convolved at most once: tokens that share their first
-max_word_len characters are convolved once each.
+model still deep-copies. A ``decode`` call that reads the store holds the
+view's lock while it runs, so such calls on one model run one at a time; a
+larger call touches no mutable state and runs beside them. Either way each
+distinct token of a call is convolved at most once: tokens that share their
+first max_word_len characters are convolved once each.
 
 The char-CNN's convolution is linear in the character embedding, so it is
 read from a per-character table, table[k] = char_emb @ char_W[k] of shape
@@ -83,6 +98,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -362,107 +378,152 @@ def _gate_slices(h_dim: int) -> tuple[slice, slice, slice, slice]:
     return tuple(slice(k * h_dim, (k + 1) * h_dim) for k in range(4))
 
 
-def _gate_affine(h_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The scale and shift of ``_lstm_forward``'s one tanh over all four gates,
-    (4H,) each: sigmoid(z) = tanh(z / 2) / 2 + 1/2, so the i, f and o gates
-    scale by 1/2 before and after the tanh and shift by 1/2; the
-    tanh-activated g gate scales by 1 and shifts by 0."""
-    g_ = _gate_slices(h_dim)[2]
-    scale = np.full(4 * h_dim, 0.5, dtype=dtype)
-    scale[g_] = 1.0
-    shift = np.full(4 * h_dim, 0.5, dtype=dtype)
-    shift[g_] = 0.0
-    return scale, shift
+def _recurrent_scale(h_dim: int, dtype) -> np.ndarray:
+    """``c``, (4H,): the factor by which the ``_Prepared`` view scales each
+    column of the stacked recurrent weights, 1/4 on the i, f and o columns
+    and 1/2 on the g columns. Powers of two scale every value exactly."""
+    c = np.full(4 * h_dim, 0.25, dtype=dtype)
+    c[_gate_slices(h_dim)[2]] = 0.5
+    return c
 
 
-def _lstm_forward(
-    gates: np.ndarray, Wh: np.ndarray, scale: np.ndarray, shift: np.ndarray,
-) -> tuple[np.ndarray, list[dict]]:
+def _lstm_forward(gates: np.ndarray, Wh: np.ndarray) -> tuple[np.ndarray, dict]:
     """Both LSTM directions over a right-padded batch of B sequences of T steps.
 
-    ``gates`` holds each step's input projection ``x @ Wx[d] + b[d]``,
-    time-major, (T, 2, B, 4H), as ``_forward`` gathers it from a projection
-    table; each step adds its h @ Wh and overwrites the sum with the i, f, g,
-    o gate activations. ``Wh`` is both directions' recurrent weights, (2, H,
-    4H); ``scale`` and ``shift`` are ``_gate_affine``'s. The two directions
-    are independent, so they advance together in one time loop: their states
-    are stacked (2, B, H), each step makes one (2, B, H) @ (2, H, 4H)
-    product and runs the gate arithmetic once over (2, B, 4H). Padding
-    follows every sequence's last real step, so it never reaches a real
-    step's output. Returns the outputs, (2, B, T, H), each direction in its
-    own step order, and one cache per direction for ``_lstm_backward``:
-    time-major views of the stacked arrays.
+    ``gates`` holds each step's input projection as ``_project`` gives it,
+    ``x @ Wx[d] + b[d]`` with its i, f and o columns halved, time-major,
+    (T, 2, B, 4H); each step adds its recurrent term and overwrites the sum
+    with the gates. ``Wh`` is both directions' recurrent weights stacked,
+    (2, H, 4H), as the ``_Prepared`` view keeps them, scaled by
+    ``_recurrent_scale``. The two directions are independent, so
+    they advance together in one time loop: their states are stacked (2, B,
+    H) and each step makes one (2, B, H) @ (2, H, 4H) product.
+
+    sigmoid(z) = (tanh(z / 2) + 1) / 2, and every scale here is a power of
+    two, so the step needs no broadcast operand, and its outputs have the
+    bits (barring subnormals) of a step that forms each sigmoid as tanh(z /
+    2) / 2 + 1 / 2 from the unscaled pre-activation: the i, f and o
+    columns carry ``tanh + 1``, twice the gate; the loop carries ``h``
+    doubled, which against ``Wh``'s extra 1/2 gives the recurrent term
+    scaled as ``gates`` is; the new ``c``, ``2f * c + 2i * g``, is halved
+    once per step; and ``hs`` is halved once after the loop. Each step
+    writes ``c`` and ``2h`` into preallocated buffers. The state starts at
+    zero, so the first step adds a zero in place of its recurrent product:
+    the product of a zero state and finite weights is +0, and adding +0 is
+    what the product's sum did (it turns a -0 into +0). Padding follows
+    every sequence's last real
+    step, so it never reaches a real step's output. Returns the outputs,
+    (2, B, T, H), each direction in its own step order, and the cache for
+    ``_lstm_backward``: ``hs`` and ``cs``, (T + 1, 2, B, H), from the zero
+    state on, and ``gates`` with doubled i, f and o activations.
     """
-    t_len, _, b_len, _ = gates.shape
-    h_dim = Wh.shape[1]
-    i_, f_, g_, o_ = _gate_slices(h_dim)
-    hs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=gates.dtype)
-    cs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=gates.dtype)
-    for t in range(t_len):
-        act = gates[t]
-        act += hs[t] @ Wh
-        act *= scale
-        np.tanh(act, out=act)
-        act *= scale
-        act += shift
-        cs[t + 1] = act[..., f_] * cs[t] + act[..., i_] * act[..., g_]
-        np.multiply(act[..., o_], np.tanh(cs[t + 1]), out=hs[t + 1])
-    caches = [{"hs": hs[:, d], "cs": cs[:, d], "gates": gates[:, d]} for d in range(2)]
-    return hs[1:].transpose(1, 2, 0, 3), caches
+    t_len, _, b_len, four_h = gates.shape
+    h_dim = four_h // 4
+    dtype = gates.dtype
+    zero, one, half = dtype.type(0.0), dtype.type(1.0), dtype.type(0.5)
+    hs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=dtype)
+    cs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=dtype)
+    rec = np.empty((2, b_len, four_h), dtype=dtype)
+    tmp = np.empty((2, b_len, h_dim), dtype=dtype)
+    # per-gate views of every step, (T, 2, B, .); the i and f columns adjoin
+    i_g, f_g, g_g, o_g = (gates[..., s] for s in _gate_slices(h_dim))
+    if_g = gates[..., : 2 * h_dim]
+    steps = zip(gates, if_g, i_g, f_g, g_g, o_g, hs[:-1], hs[1:], cs[:-1], cs[1:])
+    # positional out arguments: at B = 1 each call's overhead is its cost
+    add, mul, tanh = np.add, np.multiply, np.tanh
+    for t, (act, if_, i, f, g, o, h, h_next, c, c_next) in enumerate(steps):
+        if t:
+            np.matmul(h, Wh, rec)
+            add(act, rec, act)
+        else:  # the state starts at zero, and so does the first recurrent term
+            add(act, zero, act)
+        tanh(act, act)
+        add(if_, one, if_)
+        add(o, one, o)
+        mul(f, c, c_next)
+        mul(i, g, tmp)
+        add(c_next, tmp, c_next)
+        mul(c_next, half, c_next)
+        tanh(c_next, tmp)
+        mul(o, tmp, h_next)
+    hs *= half
+    return hs[1:].transpose(1, 2, 0, 3), {"hs": hs, "cs": cs, "gates": gates}
 
 
 def _lstm_backward(
-    d_h: np.ndarray, rows: np.ndarray, index: np.ndarray, Wx: np.ndarray, Wh: np.ndarray,
-    cache: dict, real: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of one LSTM direction given d loss / d output, (B, T, H),
-    which is zero on the padded steps of the real-step mask ``real``, (B, T);
-    step t of sequence b read the projection of input row
-    ``rows[index[b, t]]``.
+    d_h: np.ndarray, rows: np.ndarray, index: np.ndarray, Wx: tuple[np.ndarray, np.ndarray],
+    Wh: np.ndarray, cache: dict, real: np.ndarray,
+) -> tuple[np.ndarray, tuple, tuple]:
+    """Gradients of both LSTM directions given d loss / d output, time-major,
+    (T, 2, B, H), each direction in its own step order, zero on the padded
+    steps of the real-step mask ``real``, (B, T); step t of sequence b in
+    direction d read the projection of input row ``rows[index[t, d, b]]``.
 
-    The input gradient is per step, (B, T, Din), not per row. Only ``dh``
-    and ``dc`` chain through time, so the other factors are computed for
-    all steps before the loop: ``G``, (T, B, 4H), holds the gate factors
-    g*i*(1-i), c_prev*f*(1-f), i*(1-g^2) and tanh(c)*o*(1-o), by which
-    ``dc``, ``dc``, ``dc`` and ``dh`` scale into ``dz``, and ``oc`` holds
-    o*(1-tanh(c)^2). Each step then carries ``dc * f`` and ``dz[t] @ Wh.T``.
-    Padding follows each sequence's last real step, so ``dz`` is zero on
-    padded steps, and the weight, bias and input gradients are taken over
-    the real steps alone, time-major as the loop runs; padded steps get a
-    zero input gradient.
+    ``Wx`` is the two directions' input weights. ``Wh`` and ``cache`` are
+    what ``_lstm_forward`` read and returned: the stacked recurrent weights
+    with each column scaled by ``c``, ``_recurrent_scale``, and gates whose
+    i, f and o columns hold twice the gate.
+    Both directions run back in one time loop over the fused (T, 2, B, .)
+    arrays. Only ``dh`` and ``dc`` chain through time, so the other factors
+    are computed for all steps of both directions at once before the loop:
+    ``G``, (T, 2, B, 4H), holds the gate factors g*i*(1-i), c_prev*f*(1-f),
+    i*(1-g^2) and tanh(c)*o*(1-o) divided by ``c``, by which ``dc``, ``dc``,
+    ``dc`` and ``dh`` scale into ``dz / c``, and ``oc`` holds o*(1-tanh(c)^2).
+    The doubled gates give those quotients directly (4g*i*(1-i) is g * 2i *
+    (2 - 2i)), and a power of two scales exactly, so ``(dz / c) @ Wh.T`` has
+    the bits of the unscaled ``dz @ Wh.T``. Each step turns ``G[t]`` into
+    ``dz[t] / c`` in place, carries ``dc * f`` and, but for the first step,
+    makes one stacked (2, B, 4H) @ (2, 4H, H) product. Padding follows each
+    sequence's last real step, so ``dz`` is zero on padded steps, and each
+    direction's real steps, time-major as the loop runs, are scaled back by
+    ``c`` once for its weight, bias and input gradients; padded steps get a
+    zero input gradient. Returns the input gradients, (2, B, T, Din), then
+    the forward and the backward direction's (Wx, Wh, bias) gradients.
     """
     hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
     tanh_c = np.tanh(cs[1:])
-    t_len, b_len, h_dim = tanh_c.shape
+    t_len, _, b_len, h_dim = tanh_c.shape
     i_, f_, g_, o_ = _gate_slices(h_dim)
-    i_g, f_g, g_g, o_g = gates[..., i_], gates[..., f_], gates[..., g_], gates[..., o_]
-    G = np.empty_like(gates)  # (T, B, 4H)
-    G[..., i_] = g_g * i_g * (1.0 - i_g)
-    G[..., f_] = cs[:-1] * f_g * (1.0 - f_g)
-    G[..., g_] = i_g * (1.0 - g_g**2)
-    G[..., o_] = tanh_c * o_g * (1.0 - o_g)
-    oc = o_g * (1.0 - tanh_c**2)  # (T, B, H)
-    dz = np.empty_like(gates)
-    dz4 = dz.reshape(t_len, b_len, 4, h_dim)  # the four gate blocks of dz
-    dh = np.zeros((b_len, h_dim), dtype=Wx.dtype)
-    dc = np.zeros((b_len, h_dim), dtype=Wx.dtype)
+    # the doubled gates 2i, 2f and 2o, and g
+    i2, f2, g_g, o2 = gates[..., i_], gates[..., f_], gates[..., g_], gates[..., o_]
+    G = np.empty_like(gates)  # (T, 2, B, 4H)
+    G[..., i_] = g_g * i2 * (2.0 - i2)
+    G[..., f_] = cs[:-1] * f2 * (2.0 - f2)
+    G[..., g_] = i2 * (1.0 - g_g**2)
+    G[..., o_] = tanh_c * o2 * (2.0 - o2)
+    oc = o2 * 0.5 * (1.0 - tanh_c**2)  # (T, 2, B, H)
+    f_g = f2 * 0.5
+    # step t turns G[t] into dz[t] / c in place, so the two share a buffer
+    dz = G
+    dz_c = dz.reshape(t_len, 2, b_len, 4, h_dim)[:, :, :, :3]  # the blocks dc drives
+    dz_o = dz[..., o_]
+    dh = np.zeros((2, b_len, h_dim), dtype=gates.dtype)
+    dc = np.zeros_like(dh)
+    tmp = np.empty_like(dh)
+    # a transposed view: a contiguous transposed copy runs another BLAS
+    # kernel, with other bits
+    WhT = Wh.transpose(0, 2, 1)
+    add, mul = np.add, np.multiply
     for t in range(t_len - 1, -1, -1):
-        dh += d_h[:, t]
-        dc += dh * oc[t]
-        dz4[t, :, :3] = dc[:, None]
-        dz4[t, :, 3] = dh
-        dz[t] *= G[t]
-        dc *= f_g[t]
-        dh = dz[t] @ Wh.T
+        add(dh, d_h[t], dh)
+        mul(dh, oc[t], tmp)
+        add(dc, tmp, dc)
+        mul(dz_c[t], dc[..., None, :], dz_c[t])
+        mul(dz_o[t], dh, dz_o[t])
+        mul(dc, f_g[t], dc)
+        if t:  # the first step's dh would reach no earlier step
+            np.matmul(dz[t], WhT, dh)
     steps = real.T  # (T, B)
-    real_dz = dz[steps]  # (n, 4H), the real steps time-major
-    inputs = rows[index.T[steps]]  # (n, Din), each real step's input
-    d_wx = inputs.T @ real_dz
-    d_wh = hs[:-1][steps].T @ real_dz
-    d_b = real_dz.sum(axis=0)
-    d_inputs = np.zeros((t_len, b_len, Wx.shape[0]), dtype=Wx.dtype)
-    d_inputs[steps] = real_dz @ Wx.T
-    return d_inputs.transpose(1, 0, 2), d_wx, d_wh, d_b
+    c = _recurrent_scale(h_dim, gates.dtype)
+    d_inputs = np.zeros((2, t_len, b_len, rows.shape[1]), dtype=gates.dtype)
+    grads = []
+    for d in range(2):
+        real_dz = dz[:, d][steps]  # (n, 4H), the real steps time-major
+        real_dz *= c
+        inputs = rows[index[:, d][steps]]  # (n, Din), each real step's input
+        grads.append((inputs.T @ real_dz, hs[:-1, d][steps].T @ real_dz, real_dz.sum(axis=0)))
+        d_inputs[d][steps] = real_dz @ Wx[d].T
+    return d_inputs.transpose(0, 2, 1, 3), *grads
 
 
 def batch_dropout_seed(seed: int, epoch: int, batch: int) -> int:
@@ -543,7 +604,11 @@ def _input_rows(model: TaggerModel, word_ids: np.ndarray, char_rep: np.ndarray) 
 
 def _project(model: TaggerModel, rows: np.ndarray) -> np.ndarray:
     """Both LSTM directions' input projections ``rows @ Wx + b`` of (N, Din)
-    rows, N >= 1, as a (2, N, 4H) table.
+    rows, N >= 1, as a (2, N, 4H) table with the i, f and o columns halved,
+    as ``_lstm_forward`` reads them. The rows and the bias are halved, which
+    halves every column, and the g columns are doubled back: a power of two
+    scales exactly, and the rows are narrower than the three gates' columns.
+    No scaled copy of ``Wx`` is kept.
 
     The matmul runs over at least two rows; a lone row is doubled. From two
     rows on, OpenBLAS gives each row the same bits whatever the row count
@@ -552,11 +617,12 @@ def _project(model: TaggerModel, rows: np.ndarray) -> np.ndarray:
     projections equal a per-batch table's bitwise.
     """
     p = model.params
-    x = rows if len(rows) > 1 else np.concatenate([rows, rows])
+    x = (rows if len(rows) > 1 else np.concatenate([rows, rows])) * 0.5
     proj = np.empty((2, len(x), p["lstm_f_b"].shape[0]), dtype=p["lstm_f_b"].dtype)
     for d, direction in enumerate("fb"):
         np.matmul(x, p[f"lstm_{direction}_Wx"], out=proj[d])
-        proj[d] += p[f"lstm_{direction}_b"]
+        proj[d] += p[f"lstm_{direction}_b"] * 0.5
+    proj[..., _gate_slices(proj.shape[2] // 4)[2]] *= 2.0
     return proj[:, : len(rows)]
 
 
@@ -577,9 +643,10 @@ class _Prepared:
     """What the forward pass reads of a model besides its parameters.
 
     The tensors derived from the parameters alone: the char table, both
-    directions' recurrent weights stacked (2, H, 4H), the gate scale and
-    shift, and the CRF's ``trans`` and ``start`` with -inf at the
-    IOB-forbidden entries. And a token store: ``slots`` maps a token to its
+    directions' recurrent weights stacked (2, H, 4H) and scaled by
+    ``_recurrent_scale`` as ``_lstm_forward`` reads them, and the CRF's
+    ``trans`` and ``start`` with -inf at the IOB-forbidden entries. And a
+    token store: ``slots`` maps a token to its
     slot, least recently used first, and ``proj``, (2, STORE_ROWS, 4H), holds
     each slot's ``_project`` row, allocated on first use. ``lock`` guards the
     store. The view holds weak references to the parameter arrays it was
@@ -593,9 +660,9 @@ class _Prepared:
         self.params = [weakref.ref(arr) for arr in p.values()]
         self.char_table = _char_table(model) if model.hp.use_char_channel else None
         self.Wh = np.stack((p["lstm_f_Wh"], p["lstm_b_Wh"]))
-        self.scale, self.shift = _gate_affine(model.hp.lstm_hidden, p["lstm_f_Wh"].dtype)
+        self.Wh *= _recurrent_scale(model.hp.lstm_hidden, self.Wh.dtype)
         self.trans, self.start = _crf_scores(model)
-        for arr in (self.char_table, self.Wh, self.scale, self.shift, self.trans, self.start):
+        for arr in (self.char_table, self.Wh, self.trans, self.start):
             if arr is not None:
                 arr.flags.writeable = False
         self.slots: OrderedDict[str, int] = OrderedDict()
@@ -671,7 +738,8 @@ def _forward(
     without keeping it frees it there. One ``_lstm_forward`` call runs both
     LSTM directions in one time loop. ``m2``, from ``_dropout_masks``, masks
     the LSTM outputs in training. Returns the emissions and the cache the
-    backward pass reads, with one LSTM cache per direction.
+    backward pass reads: ``_lstm_forward``'s, the scaled recurrent weights it
+    read and each step's row, (T, 2, B).
     """
     p = model.params
     b_len, t_max = index.shape
@@ -681,10 +749,12 @@ def _forward(
     # direction too padding comes after the last real step; rev is its own
     # inverse
     rev = (np.arange(b_len)[:, None], np.where(real, lengths[:, None] - 1 - steps, steps))
-    cache = {"lengths": lengths, "real": real, "rev": rev, "m2": m2, "index": index}
-    gates = proj[np.arange(2)[:, None], np.stack((index, index[rev]), axis=1).T]
+    steps_index = np.stack((index, index[rev]), axis=1).T  # (T, 2, B)
+    cache = {"lengths": lengths, "real": real, "rev": rev, "m2": m2, "index": steps_index,
+             "Wh": view.Wh}
+    gates = proj[np.arange(2)[:, None], steps_index]
     del proj
-    h, (cache["lstm_f"], cache["lstm_b"]) = _lstm_forward(gates, view.Wh, view.scale, view.shift)
+    h, cache["lstm"] = _lstm_forward(gates, view.Wh)
     h_cat = np.concatenate([h[0], h[1][rev]], axis=2)  # (B, T, 2H)
     h_d = cache["h_d"] = h_cat * m2 if m2 is not None else h_cat
     emissions = h_d.reshape(-1, h_d.shape[2]) @ p["proj_W"] + p["proj_b"]
@@ -733,14 +803,15 @@ def _backward_net(
     if cache["m2"] is not None:
         d_hd = d_hd * cache["m2"]
     rev, real = cache["rev"], cache["real"]  # rev maps real steps to real steps
-    d_inputs = []
-    index = cache["index"]
-    directions = (("f", d_hd[..., :h_dim], index), ("b", d_hd[..., h_dim:][rev], index[rev]))
-    for d, d_h, idx in directions:
-        d_in, *d_w = _lstm_backward(d_h, cache["rows"], idx, p[f"lstm_{d}_Wx"],
-                                    p[f"lstm_{d}_Wh"], cache[f"lstm_{d}"], real)
-        grads.update(zip((f"lstm_{d}_Wx", f"lstm_{d}_Wh", f"lstm_{d}_b"), d_w))
-        d_inputs.append(d_in)
+    # both directions' output gradients time-major, each in its own step order
+    d_h = np.empty((d_hd.shape[1], 2, d_hd.shape[0], h_dim), dtype=d_hd.dtype)
+    d_h[:, 0] = d_hd[..., :h_dim].transpose(1, 0, 2)
+    d_h[:, 1] = d_hd[..., h_dim:][rev].transpose(1, 0, 2)
+    d_inputs, *d_w = _lstm_backward(d_h, cache["rows"], cache["index"],
+                                    (p["lstm_f_Wx"], p["lstm_b_Wx"]), cache["Wh"], cache["lstm"],
+                                    real)
+    for d, d_wd in zip("fb", d_w):
+        grads.update(zip((f"lstm_{d}_Wx", f"lstm_{d}_Wh", f"lstm_{d}_b"), d_wd))
     d_u = d_inputs[0] + d_inputs[1][rev]
     if cache["m1"] is not None:
         d_u = d_u * cache["m1"]
@@ -820,9 +891,10 @@ def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[
     projects each batch's distinct rows. Either way a token's projection
     is a function of the token alone (``_project``), so the batch a
     message lands in changes its scores only by float rounding in the
-    shared recurrent and emission matmuls, not its tags. The call holds the
-    model's ``_prepared`` view's lock throughout, so concurrent calls on
-    one model run one at a time. Raises NonFiniteScores if a
+    shared recurrent and emission matmuls, not its tags. A call that reads
+    the store holds the model's ``_prepared`` view's lock throughout, so
+    such calls on one model run one at a time; a larger call reads only
+    read-only tensors and takes no lock. Raises NonFiniteScores if a
     batch's real-step emissions are not all finite (weights that overflow
     float32); the call runs with numpy's overflow and invalid-value
     warnings off, so that error is the only report.
@@ -834,7 +906,7 @@ def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[
     order = np.argsort(lengths, kind="stable")
     out: list[list[Tag]] = [[] for _ in token_lists]
     lo = int(np.count_nonzero(lengths == 0))  # empty messages sort first and keep []
-    with view.lock, np.errstate(over="ignore", invalid="ignore"):
+    with view.lock if stored else nullcontext(), np.errstate(over="ignore", invalid="ignore"):
         if stored:
             slot_ids = view.slots_of(model, tokens)[ids]
         else:

@@ -454,6 +454,8 @@ def _derived_tokens(path, tmp_path, model_path):
     return [log.tokens for log in read_annotations(out)]
 
 
+BOM = "\ufeff".encode()  # the UTF-8 byte-order mark, EF BB BF
+
 # Each text input, three lines of it and what reading them gives. Line 2
 # holds a lone "\r" and a form feed; if either broke the line, the reading
 # would differ (a comment's tail would become a line of its own).
@@ -487,6 +489,40 @@ class TestOneLinePolicy:
         with pytest.raises(FormatError) as info:
             read(bad, tmp_path, model_path)
         assert str(info.value).startswith(f"{bad}: line 3: ")
+
+    @pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
+    @pytest.mark.parametrize("name", list(TEXT_INPUTS))
+    def test_one_leading_byte_order_mark_is_dropped(self, trained_model, tmp_path, name, bom):
+        _, model_path = trained_model
+        read, lines, expected = TEXT_INPUTS[name]
+        path = tmp_path / "input.txt"
+        path.write_bytes(bom + "\n".join(lines).encode() + b"\n")
+        assert read(path, tmp_path, model_path) == expected
+
+    @pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
+    def test_identical_raw_lines_after_a_bom_share_a_template(self, trained_model, tmp_path,
+                                                              capsys, bom):
+        _, model_path = trained_model
+        raw = tmp_path / "raw.txt"
+        raw.write_bytes(bom + b"connection closed by peer\n" * 2)
+        out = tmp_path / "parsed.jsonl"
+        assert main(["parse", "--model", str(model_path), "--input", str(raw),
+                     "--output", str(out)]) == 0
+        assert "parsed 2 logs into 1 templates" in capsys.readouterr().out
+        first, second = (json.loads(line) for line in out.read_text().splitlines())
+        assert first["template"] == second["template"]
+        assert "\ufeff" not in first["template"]
+
+    @pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
+    def test_vec_header_after_a_bom_is_read(self, tmp_path, bom):
+        path = tmp_path / "vectors.vec"
+        path.write_bytes(bom + b"3 2\na 1 2\nb 3 4\nc 5 6\n")
+        assert _vector_rows(path, tmp_path, None) == [[1, 2], [3, 4], [5, 6]]
+
+    def test_only_one_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "raw.txt"
+        path.write_bytes(BOM * 2 + b"a\n" + BOM + b"b\n")
+        assert list(read_lines(path)) == ["\ufeffa", "\ufeffb"]
 
     def test_lone_carriage_return_outside_quotes_is_a_csv_format_error(self, tmp_path):
         path = tmp_path / "structured.csv"

@@ -4,6 +4,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,9 @@ from logvar.tagger import (
     token_table,
 )
 from logvar.taxonomy import BINARY, Tag, check_iob, is_valid_transition
+from logvar.train import load_model
+
+PINNED_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "model.bin"
 
 # float32 tolerance for kernels whose summation order differs from the
 # reference: a few ulps of the O(1) activations
@@ -168,13 +172,126 @@ def lstm_case(b_len, t_len, dtype, seed):
     return (rows, Wx, Wh, b, (index, index[rev])), real
 
 
-def lstm_forward(rows, Wx, Wh, b, index):
-    """``_lstm_forward`` on each direction's steps' ``rows @ Wx[d] + b[d]``,
-    gathered time-major as ``_forward`` gathers them."""
+def halve_sigmoid_gates(a):
+    """Halve the i, f and o columns of a (.., 4H) array in place, as
+    ``_project`` leaves them; return it."""
+    h_dim = a.shape[-1] // 4
+    a[..., : 2 * h_dim] *= 0.5
+    a[..., 3 * h_dim :] *= 0.5
+    return a
+
+
+def lstm_gates(rows, Wx, b, index):
+    """Each direction's steps' ``rows @ Wx[d] + b[d]``, gathered time-major
+    as ``_forward`` gathers them, (T, 2, B, 4H), unscaled."""
     proj = np.stack([rows @ Wx[d] + b[d] for d in range(2)])
-    gates = proj[np.arange(2)[:, None], np.stack(index, axis=1).T]
-    return tagger._lstm_forward(gates, np.stack(Wh),
-                                *tagger._gate_affine(Wh[0].shape[0], Wx[0].dtype))
+    return proj[np.arange(2)[:, None], np.stack(index, axis=1).T]
+
+
+def scaled_Wh(Wh):
+    """Both directions' recurrent weights stacked and scaled as the
+    ``_Prepared`` view keeps them: i, f and o columns by 1/4, g by 1/2."""
+    stacked = np.stack(Wh)
+    return stacked * tagger._recurrent_scale(stacked.shape[1], stacked.dtype)
+
+
+def lstm_forward(rows, Wx, Wh, b, index):
+    """``_lstm_forward`` on ``lstm_gates`` with the i, f and o columns
+    halved, as ``_project`` gives them, and ``scaled_Wh``."""
+    gates = halve_sigmoid_gates(lstm_gates(rows, Wx, b, index))
+    return tagger._lstm_forward(gates, scaled_Wh(Wh))
+
+
+def activations(cache):
+    """Per direction, ``_lstm_forward``'s cache with the doubled i, f and o
+    gates halved back to the activations, as the per-direction kernels read it."""
+    gates = halve_sigmoid_gates(cache["gates"].copy())
+    return [{"hs": cache["hs"][:, d], "cs": cache["cs"][:, d], "gates": gates[:, d]}
+            for d in range(2)]
+
+
+def broadcast_lstm_forward(gates, Wh):
+    """``_lstm_forward`` as it ran before its step went broadcast-free, kept
+    as the oracle of the bitwise rewrite: both directions in one loop, the
+    true ``h`` carried against the unscaled stacked ``Wh``, (2, H, 4H), and
+    the sigmoid gates made by a (4H,) scale before and after one tanh and a
+    (4H,) shift. ``gates`` is unscaled and overwritten; returns the outputs
+    and one cache per direction."""
+    t_len, _, b_len, _ = gates.shape
+    h_dim = Wh.shape[1]
+    i_, f_, g_, o_ = tagger._gate_slices(h_dim)
+    scale = np.full(4 * h_dim, 0.5, dtype=gates.dtype)
+    scale[g_] = 1.0
+    shift = np.full(4 * h_dim, 0.5, dtype=gates.dtype)
+    shift[g_] = 0.0
+    hs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=gates.dtype)
+    cs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=gates.dtype)
+    for t in range(t_len):
+        act = gates[t]
+        act += hs[t] @ Wh
+        act *= scale
+        np.tanh(act, out=act)
+        act *= scale
+        act += shift
+        cs[t + 1] = act[..., f_] * cs[t] + act[..., i_] * act[..., g_]
+        np.multiply(act[..., o_], np.tanh(cs[t + 1]), out=hs[t + 1])
+    caches = [{"hs": hs[:, d], "cs": cs[:, d], "gates": gates[:, d]} for d in range(2)]
+    return hs[1:].transpose(1, 2, 0, 3), caches
+
+
+def per_direction_lstm_backward(d_h, rows, index, Wx, Wh, cache, real):
+    """``_lstm_backward`` as it ran before both directions shared one time
+    loop, kept as the oracle of the fused kernel: one direction, (B, T, H)
+    output gradients, (B, T) row index, its own Wx and Wh, and its strided
+    view of the fused forward cache."""
+    hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
+    tanh_c = np.tanh(cs[1:])
+    t_len, b_len, h_dim = tanh_c.shape
+    i_, f_, g_, o_ = tagger._gate_slices(h_dim)
+    i_g, f_g, g_g, o_g = gates[..., i_], gates[..., f_], gates[..., g_], gates[..., o_]
+    G = np.empty_like(gates)
+    G[..., i_] = g_g * i_g * (1.0 - i_g)
+    G[..., f_] = cs[:-1] * f_g * (1.0 - f_g)
+    G[..., g_] = i_g * (1.0 - g_g**2)
+    G[..., o_] = tanh_c * o_g * (1.0 - o_g)
+    oc = o_g * (1.0 - tanh_c**2)
+    dz = np.empty_like(gates)
+    dz4 = dz.reshape(t_len, b_len, 4, h_dim)
+    dh = np.zeros((b_len, h_dim), dtype=Wx.dtype)
+    dc = np.zeros((b_len, h_dim), dtype=Wx.dtype)
+    for t in range(t_len - 1, -1, -1):
+        dh += d_h[:, t]
+        dc += dh * oc[t]
+        dz4[t, :, :3] = dc[:, None]
+        dz4[t, :, 3] = dh
+        dz[t] *= G[t]
+        dc *= f_g[t]
+        dh = dz[t] @ Wh.T
+    steps = real.T
+    real_dz = dz[steps]
+    inputs = rows[index.T[steps]]
+    d_wx = inputs.T @ real_dz
+    d_wh = hs[:-1][steps].T @ real_dz
+    d_b = real_dz.sum(axis=0)
+    d_inputs = np.zeros((t_len, b_len, Wx.shape[0]), dtype=Wx.dtype)
+    d_inputs[steps] = real_dz @ Wx.T
+    return d_inputs.transpose(1, 0, 2), d_wx, d_wh, d_b
+
+
+def broadcast_forward(proj, model, index, lengths):
+    """``_forward``'s emissions as they were computed before the
+    broadcast-free LSTM step, from an unscaled projection table: the gather,
+    ``broadcast_lstm_forward`` and the emission projection."""
+    p = model.params
+    b_len, t_max = index.shape
+    steps = np.arange(t_max)
+    real = steps < lengths[:, None]
+    rev = (np.arange(b_len)[:, None], np.where(real, lengths[:, None] - 1 - steps, steps))
+    gates = proj[np.arange(2)[:, None], np.stack((index, index[rev]), axis=1).T]
+    h, _ = broadcast_lstm_forward(gates, np.stack((p["lstm_f_Wh"], p["lstm_b_Wh"])))
+    h_cat = np.concatenate([h[0], h[1][rev]], axis=2)
+    emissions = h_cat.reshape(-1, h_cat.shape[2]) @ p["proj_W"] + p["proj_b"]
+    return emissions.reshape(b_len, t_max, -1)
 
 
 def reference_lstm_backward(d_h, rows, index, Wx, Wh, cache):
@@ -372,7 +489,7 @@ def storeless_decode(model, token_lists):
         used, index = _distinct_rows(_padded(ids, starts[batch], n), n)
         rows = _input_rows(model, table.word_ids[used], char_rep[used])
         proj = np.stack([rows @ p[f"lstm_{d}_Wx"] + p[f"lstm_{d}_b"] for d in "fb"])
-        emissions = tagger._forward(proj, model, index, n, view)[0]
+        emissions = tagger._forward(halve_sigmoid_gates(proj), model, index, n, view)[0]
         paths = crf.viterbi_decode(emissions, *tagger._crf_scores(model), p["end"], n)
         for i, path in zip(batch, paths):
             tags[i] = [model.tags[k] for k in path]
@@ -962,55 +1079,94 @@ class TestGradients:
 
 class TestLstmForward:
     """The two-direction ``_lstm_forward`` against one per-direction loop
-    each: float64 within 1e-12, float32 within F32_RTOL/F32_ATOL."""
+    each, float64 within 1e-12 and float32 within F32_RTOL/F32_ATOL, and
+    against the broadcast step it replaced, bitwise."""
 
-    @pytest.mark.parametrize("b_len, t_len", itertools.product((1, 3, 8, 16, 32), (1, 2, 13, 35)))
+    SHAPES = list(itertools.product((1, 3, 8, 16, 32), (1, 2, 13, 35)))
+
+    @pytest.mark.parametrize("b_len, t_len", SHAPES)
     @pytest.mark.parametrize("dtype, rtol, atol", [
         (np.float64, 1e-12, 1e-12), (np.float32, F32_RTOL, F32_ATOL),
     ])
     def test_matches_per_direction_reference(self, b_len, t_len, dtype, rtol, atol):
         (rows, Wx, Wh, b, index), _ = lstm_case(b_len, t_len, dtype, 200 * b_len + t_len)
-        h, caches = lstm_forward(rows, Wx, Wh, b, index)
-        assert h.shape == (2, b_len, t_len, Wh[0].shape[0]) and len(caches) == 2
-        for d in range(2):
+        h, cache = lstm_forward(rows, Wx, Wh, b, index)
+        assert h.shape == (2, b_len, t_len, Wh[0].shape[0])
+        for d, got_d in enumerate(activations(cache)):
             want_h, want = reference_lstm_forward(rows, Wx[d], Wh[d], b[d], index[d])
             np.testing.assert_allclose(h[d], want_h, rtol=rtol, atol=atol, err_msg=f"h[{d}]")
             for name in ("hs", "cs", "gates"):
-                got = caches[d][name]
+                got = got_d[name]
                 assert got.dtype == dtype and got.shape == want[name].shape, name
                 np.testing.assert_allclose(got, want[name], rtol=rtol, atol=atol,
                                            err_msg=f"{name}[{d}]")
 
+    @pytest.mark.parametrize("b_len, t_len", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_broadcast_step_bitwise(self, b_len, t_len, dtype):
+        (rows, Wx, Wh, b, index), _ = lstm_case(b_len, t_len, dtype, 200 * b_len + t_len)
+        h, cache = lstm_forward(rows, Wx, Wh, b, index)
+        want_h, want = broadcast_lstm_forward(lstm_gates(rows, Wx, b, index), np.stack(Wh))
+        assert h.tobytes() == want_h.tobytes()
+        for d, got in enumerate(activations(cache)):
+            for name in ("hs", "cs", "gates"):
+                assert got[name].tobytes() == want[d][name].tobytes(), f"{name}[{d}]"
+
 
 class TestLstmBackward:
+    """The fused two-direction ``_lstm_backward`` against per-direction
+    oracles: a per-step loop within tolerance, and the all-steps and
+    per-direction kernels it replaced bitwise."""
+
     SHAPES = list(itertools.product((1, 3, 8), (1, 2, 13, 35)))
+    NAMES = ("d_inputs", "d_wx", "d_wh", "d_b")
 
     @staticmethod
-    def directions(b_len, t_len, dtype):
-        """Per direction: the output gradient, zero on padded steps as in
-        training, the input rows and the row each step read, the direction's
-        weights, its cache (its view of the fused forward's arrays) and the
-        real-step mask."""
+    def case(b_len, t_len, dtype):
+        """The fused kernel's arguments, the output gradients zero on padded
+        steps as in training, and per direction the oracles' arguments: its
+        (B, T, H) output gradient, the input rows and the row each step
+        read, the direction's weights and ``activations`` of the fused cache."""
         (rows, Wx, Wh, b, index), real = lstm_case(b_len, t_len, dtype, 100 * b_len + t_len)
         h_dim = Wh[0].shape[0]
-        _, caches = lstm_forward(rows, Wx, Wh, b, index)
+        _, cache = lstm_forward(rows, Wx, Wh, b, index)
         rng = np.random.default_rng(b_len + 100 * t_len)
-        for d in range(2):
-            d_h = np.where(real[..., None], rng.standard_normal((b_len, t_len, h_dim)), 0.0)
-            yield d_h.astype(dtype), rows, index[d], Wx[d], Wh[d], caches[d], real
+        d_hs = [np.where(real[..., None], rng.standard_normal((b_len, t_len, h_dim)),
+                         0.0).astype(dtype) for _ in range(2)]
+        fused = (np.stack(d_hs, axis=1).transpose(2, 1, 0, 3), rows,
+                 np.stack(index, axis=1).T, Wx, scaled_Wh(Wh), cache, real)
+        directions = [(d_hs[d], rows, index[d], Wx[d], Wh[d], cache_d)
+                      for d, cache_d in enumerate(activations(cache))]
+        return fused, directions
+
+    @staticmethod
+    def direction(got, d):
+        """Direction d's input, Wx, Wh and bias gradients of a fused result."""
+        return (got[0][d], *got[1 + d])
 
     @pytest.mark.parametrize("b_len, t_len", SHAPES)
     @pytest.mark.parametrize("dtype, rtol, atol", [
         (np.float64, 1e-12, 1e-12), (np.float32, F32_RTOL, F32_ATOL),
     ])
     def test_matches_per_step_reference(self, b_len, t_len, dtype, rtol, atol):
-        for d, (d_h, rows, index, Wx, Wh, cache, real) in enumerate(
-                self.directions(b_len, t_len, dtype)):
-            got = tagger._lstm_backward(d_h, rows, index, Wx, Wh, cache, real)
-            want = reference_lstm_backward(d_h, rows, index, Wx, Wh, cache)
-            for name, g, w in zip(("d_inputs", "d_wx", "d_wh", "d_b"), got, want):
+        fused, directions = self.case(b_len, t_len, dtype)
+        got = tagger._lstm_backward(*fused)
+        for d, args in enumerate(directions):
+            want = reference_lstm_backward(*args)
+            for name, g, w in zip(self.NAMES, self.direction(got, d), want):
                 assert g.dtype == dtype and g.shape == w.shape, name
                 np.testing.assert_allclose(g, w, rtol=rtol, atol=atol, err_msg=f"{name}[{d}]")
+
+    @pytest.mark.parametrize("b_len, t_len", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_per_direction_kernel_bitwise(self, b_len, t_len, dtype):
+        fused, directions = self.case(b_len, t_len, dtype)
+        got = tagger._lstm_backward(*fused)
+        real = fused[-1]
+        for d, args in enumerate(directions):
+            want = per_direction_lstm_backward(*args, real)
+            for name, g, w in zip(self.NAMES, self.direction(got, d), want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), f"{name}[{d}]"
 
     @pytest.mark.parametrize("b_len, t_len", SHAPES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1020,15 +1176,49 @@ class TestLstmBackward:
         # products have an inner dimension of at most B * T = 280. Larger
         # ones can cross a BLAS block boundary: with OpenBLAS, B = 8, T = 49
         # differs in the last bits in float64, and B = 16, T = 35 in float32
-        for d, (d_h, rows, index, Wx, Wh, cache, real) in enumerate(
-                self.directions(b_len, t_len, dtype)):
-            got = tagger._lstm_backward(d_h, rows, index, Wx, Wh, cache, real)
-            want = all_steps_lstm_backward(d_h, rows, index, Wx, Wh, cache)
-            assert got[0][real].tobytes() == want[0][real].tobytes(), f"d_inputs[{d}]"
-            assert not got[0][~real].any(), f"d_inputs[{d}]"
-            for name, g, w in zip(("d_wx", "d_wh", "d_b"), got[1:], want[1:]):
+        fused, directions = self.case(b_len, t_len, dtype)
+        got = tagger._lstm_backward(*fused)
+        real = fused[-1]
+        for d, args in enumerate(directions):
+            want = all_steps_lstm_backward(*args)
+            d_in, *d_w = self.direction(got, d)
+            assert d_in[real].tobytes() == want[0][real].tobytes(), f"d_inputs[{d}]"
+            assert not d_in[~real].any(), f"d_inputs[{d}]"
+            for name, g, w in zip(self.NAMES[1:], d_w, want[1:]):
                 assert g.dtype == dtype and g.shape == w.shape, name
                 assert g.tobytes() == w.tobytes(), f"{name}[{d}]"
+
+
+class TestPinnedModel:
+    """``decode`` on the pinned benchmark model, through the token store and
+    through a per-call table, against ``broadcast_forward``: emissions
+    bitwise equal on every step, so tags equal too."""
+
+    def test_decode_emissions_equal_the_broadcast_step_bitwise(self, monkeypatch):
+        model = load_model(PINNED_MODEL)
+        held = generate_synthetic(seed=1, n_templates=20, n_logs=1300)[0][900:]
+        bulk = [log.tokens for log in held]  # a call larger than the store
+        assert len({tok for tokens in bulk for tok in tokens}) > tagger.STORE_ROWS
+        joined = [sum((log.tokens for log in held[k : k + 4]), ()) for k in range(0, 40, 4)]
+        seen = []
+        forward = tagger._forward
+
+        def spy(proj, model, index, lengths, view):
+            # the projection doubled back to ``x @ Wx + b``: halving was exact
+            unscaled = proj * 2.0
+            unscaled[..., 2 * (proj.shape[-1] // 4) : 3 * (proj.shape[-1] // 4)] *= 0.5
+            out = forward(proj, model, index, lengths, view)
+            seen.append((out[0], unscaled, index, lengths))
+            return out
+
+        monkeypatch.setattr(tagger, "_forward", spy)
+        decode(model, bulk)
+        decode(model, joined[:1])  # one line: the stream workload's batch of one
+        decode(model, joined)
+        assert len(seen) > 3 and {len(n) for *_, n in seen} > {1}
+        for emissions, unscaled, index, lengths in seen:
+            want = broadcast_forward(unscaled, model, index, lengths)
+            assert emissions.tobytes() == want.tobytes()
 
 
 class TestPadding:
@@ -1219,6 +1409,28 @@ class TestTokenStore:
         big = msgs + [tuple(f"h{i}" for i in range(rows))]
         self.check(m, big, spy)
         assert dict(view.slots) == slots
+
+    def test_only_a_call_that_reads_the_store_takes_the_lock(self, tiny_model):
+        m = read_only(tiny_model)
+        view = _prepared(m)
+        large = [tuple(f"t{i}" for i in range(tagger.STORE_ROWS + 1))]
+        small = [("alpha", "beta", "7")]
+        done = {}
+
+        def run(key, token_lists):
+            done[key] = decode(m, token_lists)
+
+        with view.lock:
+            worker = threading.Thread(target=run, args=("large", large))
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive() and len(done["large"][0]) == len(large[0])
+            waiting = threading.Thread(target=run, args=("small", small))
+            waiting.start()
+            waiting.join(timeout=0.5)
+            assert waiting.is_alive() and "small" not in done
+        waiting.join(timeout=30)
+        assert not waiting.is_alive() and done["small"] == decode(m, small)
 
     def test_threads_get_the_tags_of_one(self, tiny_model, corpus, monkeypatch):
         # more threads than cores, a short switch interval, and a small store,
