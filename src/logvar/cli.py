@@ -2,9 +2,10 @@
 
 Subcommands: split, train, finetune, tag, parse, eval, derive-annotations,
 synth. Flags may also come from a config file of `key = value` lines
-(`--config`); command-line flags win. Every command echoes the options
-that are set to `run-config.txt` next to its primary output, writes outputs
-atomically, and is byte-reproducible for fixed inputs and seed.
+(`--config`); command-line flags win. Every command writes outputs
+atomically, is byte-reproducible for fixed inputs and seed, and returns the
+path of its primary output; `main` then echoes the options that are set to
+`run-config.txt` next to it.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _from_args(cls: type, args: argparse.Namespace):
     return cls(**values)
 
 
-def cmd_split(args: argparse.Namespace) -> int:
+def cmd_split(args: argparse.Namespace) -> Path:
     spec = SplitSpec(*_parse_ratios(args.ratios), seed=args.seed)
     logs = read_annotations(args.input)
     train_set, val_set, test_set = split_dataset(logs, spec)
@@ -117,12 +118,11 @@ def cmd_split(args: argparse.Namespace) -> int:
     write_annotations(train_set, out / "train.tsv")
     write_annotations(val_set, out / "val.tsv")
     write_annotations(test_set, out / "test.tsv")
-    _echo_run_config(out / "train.tsv", args)
     print(f"split {len(logs)} logs -> {len(train_set)}/{len(val_set)}/{len(test_set)}")
-    return 0
+    return out / "train.tsv"
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> str:
     train_set = read_annotations(args.train)
     val_set = read_annotations(args.val)
     wv, cv = build_vocabs(train_set, min_freq=args.min_freq)
@@ -136,7 +136,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return _save_trained(best, history, args)
 
 
-def cmd_finetune(args: argparse.Namespace) -> int:
+def cmd_finetune(args: argparse.Namespace) -> str:
     model = load_model(args.model)
     train_set = read_annotations(args.train)
     val_set = read_annotations(args.val)
@@ -144,15 +144,14 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     return _save_trained(best, history, args)
 
 
-def _save_trained(best: TaggerModel, history: list[EpochStats], args: argparse.Namespace) -> int:
-    """The tail of ``train`` and ``finetune``: save the best checkpoint,
-    echo the run configuration and print the history."""
+def _save_trained(best: TaggerModel, history: list[EpochStats], args: argparse.Namespace) -> str:
+    """The tail of ``train`` and ``finetune``: save the best checkpoint and
+    print the history."""
     save_model(best, args.out)
-    _echo_run_config(args.out, args)
     for h in history:
         print(f"epoch {h.epoch:3d}  loss {h.train_loss:.4f}  val {h.val_metric:.4f}")
     print(f"saved best checkpoint to {args.out}")
-    return 0
+    return args.out
 
 
 def _nonempty(results: Iterable[object]) -> Iterator[tuple[int, object]]:
@@ -164,15 +163,14 @@ def _nonempty(results: Iterable[object]) -> Iterator[tuple[int, object]]:
             yield i, result
 
 
-def cmd_tag(args: argparse.Namespace) -> int:
+def cmd_tag(args: argparse.Namespace) -> str:
     model = load_model(args.model)
     tagged = [log for _, log in _nonempty(tag_logs(model, list(read_lines(args.input))))]
     write_annotations(tagged, args.output)
-    _echo_run_config(args.output, args)
-    return 0
+    return args.output
 
 
-def cmd_parse(args: argparse.Namespace) -> int:
+def cmd_parse(args: argparse.Namespace) -> str:
     model = load_model(args.model)
     preserve = _parse_preserve(args.preserve)
     results, store = parse_corpus(model, list(read_lines(args.input)), preserve,
@@ -182,12 +180,11 @@ def cmd_parse(args: argparse.Namespace) -> int:
     if args.templates:
         write_atomic(args.templates, "".join(json.dumps(e, ensure_ascii=False) + "\n"
                                              for e in store.summary()))
-    _echo_run_config(args.output, args)
     print(f"parsed {len(records)} logs into {len(store.entries)} templates")
-    return 0
+    return args.output
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> str:
     golds = read_annotations(args.gold)
     preds = read_annotations(args.pred)
     if args.collapse_binary:
@@ -196,11 +193,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(preds, golds, token_level=args.token_level)
     write_atomic(args.report, report.to_json() + "\n")
     print(report.to_text())
-    _echo_run_config(args.report, args)
-    return 0
+    return args.report
 
 
-def cmd_derive_annotations(args: argparse.Namespace) -> int:
+def cmd_derive_annotations(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     derived: list[AnnotatedLog] = []
     errors: list[str] = []
@@ -232,12 +228,11 @@ def cmd_derive_annotations(args: argparse.Namespace) -> int:
         sidecar = out.with_suffix(out.suffix + ".errors")
         write_atomic(sidecar, "\n".join(errors) + "\n")
         print(f"{len(errors)} rows could not be aligned (see {sidecar})", file=sys.stderr)
-    _echo_run_config(out, args)
     print(f"derived {len(derived)} binary-annotated logs")
-    return 0
+    return out
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> Path:
     logs, spec = synth.generate_synthetic(args.seed, args.templates, args.logs)
     out = Path(args.out)
     write_annotations(logs, out)
@@ -249,11 +244,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         for tag in log.tags:
             if tag.prefix == "B":
                 counts[tag.category] += 1
-    _echo_run_config(out, args)
     print("category coverage (B- spans):")
     for cat, n in counts.items():
         print(f"  {cat}: {n}")
-    return 0
+    return out
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -392,7 +386,8 @@ def main(argv: list[str] | None = None) -> int:
             # config values become the command's defaults; flags override them
             commands[args.command].set_defaults(**_config_defaults(args, parser, commands))
             args = parser.parse_args(argv)
-        return args.func(args)
+        _echo_run_config(args.func(args), args)
+        return 0
     except (UsageError, ValueError) as exc:  # ValueError: an argument out of range
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return 2

@@ -102,7 +102,8 @@ class AnnotatedLog:
 def read_annotations(path: str | Path) -> list[AnnotatedLog]:
     """Read annotated logs from a CoNLL-style file.
 
-    A malformed line, an unknown tag or an IOB-ill-formed block raises,
+    A malformed line or a token that holds whitespace raises FormatError,
+    an unknown tag TagError and an IOB-ill-formed block IOBError, each
     naming the file and line.
     """
     logs: list[AnnotatedLog] = []
@@ -113,8 +114,10 @@ def read_annotations(path: str | Path) -> list[AnnotatedLog]:
         if tokens:
             try:
                 logs.append(AnnotatedLog(tuple(tokens), tuple(tags)))
-            except (ValueError, IOBError) as exc:
+            except IOBError as exc:
                 raise IOBError(f"{path}: line {lineno}: {exc}") from exc
+            except ValueError as exc:  # a token that holds whitespace
+                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
             tokens.clear()
             tags.clear()
 

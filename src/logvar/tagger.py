@@ -31,11 +31,12 @@ which those zero gradients keep padded steps out of every parameter gradient.
 So a padded step may read any input row, and nothing else handles padding.
 
 The LSTM step has no broadcast operand. sigmoid(z) = (tanh(z / 2) + 1) / 2,
-so the i, f and o pre-activations are halved where they are made, once:
-``_project`` halves those columns of the input projection, and the
-``_Prepared`` view keeps the recurrent weights scaled. The step then carries
-each sigmoid gate as ``tanh + 1`` and the hidden state doubled, and halves
-the cell state once per step and the outputs once after the loop. Every
+so the i, f and o pre-activations are halved where they are made: the
+``_Prepared`` view keeps the input weights and bias with those columns
+halved, and the recurrent weights scaled, once per set of parameters, so
+``_project`` is a plain matmul and bias add. The step then carries each
+sigmoid gate as ``tanh + 1`` and the hidden state doubled, and halves the
+cell state once per step and the outputs once after the loop. Every
 scale is a power of two, so the outputs have the bits of a step that forms
 each sigmoid as tanh(z / 2) / 2 + 1 / 2 from the unscaled pre-activation.
 The backward pass reads the doubled gates and the scaled weights as they
@@ -61,8 +62,8 @@ model with a dropout rate of 0 draws no masks; otherwise log b of minibatch
 i of epoch e draws them from one seed, ``batch_dropout_seed(seed, e, i) + b``.
 
 ``decode`` reads what depends on the parameters alone, the char table, the
-stacked and scaled recurrent weights and the CRF's -inf scores, from the
-model's ``_prepared`` view, with a token store: a least recently
+stacked and scaled LSTM weights and biases and the CRF's -inf scores,
+from the model's ``_prepared`` view, with a token store: a least recently
 used map from a token string to its projection, STORE_ROWS rows. A
 training step reads the same view, but not its store. A ``decode`` call
 whose distinct tokens number at most STORE_ROWS first marks those the
@@ -381,7 +382,8 @@ def _gate_slices(h_dim: int) -> tuple[slice, slice, slice, slice]:
 def _recurrent_scale(h_dim: int, dtype) -> np.ndarray:
     """``c``, (4H,): the factor by which the ``_Prepared`` view scales each
     column of the stacked recurrent weights, 1/4 on the i, f and o columns
-    and 1/2 on the g columns. Powers of two scale every value exactly."""
+    and 1/2 on the g columns; it scales the input weights and bias by ``2c``.
+    Powers of two scale every value exactly."""
     c = np.full(4 * h_dim, 0.25, dtype=dtype)
     c[_gate_slices(h_dim)[2]] = 0.5
     return c
@@ -533,10 +535,11 @@ def batch_dropout_seed(seed: int, epoch: int, batch: int) -> int:
 
 
 def _dropout_masks(
-    model: TaggerModel, real: np.ndarray, dropout_seed: int
+    model: TaggerModel, shape: tuple[int, int], lengths: np.ndarray, dropout_seed: int
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Inverted-dropout masks of the LSTM inputs and outputs, (B, T, width),
-    or None for both at a dropout rate of 0.
+    """Inverted-dropout masks of the LSTM inputs and outputs of a (B, T)
+    batch of logs of ``lengths`` real steps, (B, T, width), or None for both
+    at a dropout rate of 0.
 
     Log b draws its masks over its real steps from ``dropout_seed + b``:
     the masks it would get alone at that seed. Padded steps get zero.
@@ -546,9 +549,9 @@ def _dropout_masks(
         return None, None
     scale = 1.0 / (1.0 - p)
     dtype = model.params["proj_W"].dtype
-    m1 = np.zeros((*real.shape, model.hp.input_dim), dtype=dtype)
-    m2 = np.zeros((*real.shape, 2 * model.hp.lstm_hidden), dtype=dtype)
-    for b, n in enumerate(real.sum(axis=1)):
+    m1 = np.zeros((*shape, model.hp.input_dim), dtype=dtype)
+    m2 = np.zeros((*shape, 2 * model.hp.lstm_hidden), dtype=dtype)
+    for b, n in enumerate(lengths):
         rng = np.random.default_rng(dropout_seed + b)
         m1[b, :n] = (rng.random((n, m1.shape[2])) >= p) * scale
         m2[b, :n] = (rng.random((n, m2.shape[2])) >= p) * scale
@@ -602,13 +605,11 @@ def _input_rows(model: TaggerModel, word_ids: np.ndarray, char_rep: np.ndarray) 
     return np.concatenate([model.params["word_emb"][word_ids], char_rep], axis=1)
 
 
-def _project(model: TaggerModel, rows: np.ndarray) -> np.ndarray:
+def _project(view: _Prepared, rows: np.ndarray) -> np.ndarray:
     """Both LSTM directions' input projections ``rows @ Wx + b`` of (N, Din)
     rows, N >= 1, as a (2, N, 4H) table with the i, f and o columns halved,
-    as ``_lstm_forward`` reads them. The rows and the bias are halved, which
-    halves every column, and the g columns are doubled back: a power of two
-    scales exactly, and the rows are narrower than the three gates' columns.
-    No scaled copy of ``Wx`` is kept.
+    as ``_lstm_forward`` reads them: the ``_Prepared`` view's ``Wx`` and
+    ``b`` are scaled so.
 
     The matmul runs over at least two rows; a lone row is doubled. From two
     rows on, OpenBLAS gives each row the same bits whatever the row count
@@ -616,13 +617,11 @@ def _project(model: TaggerModel, rows: np.ndarray) -> np.ndarray:
     row's projection is a function of the row alone, and a token store's
     projections equal a per-batch table's bitwise.
     """
-    p = model.params
-    x = (rows if len(rows) > 1 else np.concatenate([rows, rows])) * 0.5
-    proj = np.empty((2, len(x), p["lstm_f_b"].shape[0]), dtype=p["lstm_f_b"].dtype)
-    for d, direction in enumerate("fb"):
-        np.matmul(x, p[f"lstm_{direction}_Wx"], out=proj[d])
-        proj[d] += p[f"lstm_{direction}_b"] * 0.5
-    proj[..., _gate_slices(proj.shape[2] // 4)[2]] *= 2.0
+    x = rows if len(rows) > 1 else np.concatenate([rows, rows])
+    proj = np.empty((2, len(x), view.b.shape[1]), dtype=view.b.dtype)
+    for d in range(2):
+        np.matmul(x, view.Wx[d], out=proj[d])
+        proj[d] += view.b[d]
     return proj[:, : len(rows)]
 
 
@@ -642,27 +641,34 @@ STORE_ROWS = 256
 class _Prepared:
     """What the forward pass reads of a model besides its parameters.
 
-    The tensors derived from the parameters alone: the char table, both
-    directions' recurrent weights stacked (2, H, 4H) and scaled by
-    ``_recurrent_scale`` as ``_lstm_forward`` reads them, and the CRF's
-    ``trans`` and ``start`` with -inf at the IOB-forbidden entries. And a
-    token store: ``slots`` maps a token to its
-    slot, least recently used first, and ``proj``, (2, STORE_ROWS, 4H), holds
-    each slot's ``_project`` row, allocated on first use. ``lock`` guards the
-    store. The view holds weak references to the parameter arrays it was
-    derived from, so that it keeps no replaced array alive (training
-    replaces every array at each step), and no reference to the model, so
-    that a weak map from models to views frees both together.
+    The tensors derived from the parameters alone: the char table; both LSTM
+    directions' weights and biases stacked, scaled by the one
+    ``_recurrent_scale`` vector ``c``, ``Wx`` (2, Din, 4H) and ``b`` (2, 4H)
+    by ``2c`` as ``_project`` reads them and ``Wh`` (2, H, 4H) by ``c`` as
+    ``_lstm_forward`` reads it; and the CRF's ``trans`` and ``start`` with
+    -inf at the IOB-forbidden entries. No other code scales a weight. And a
+    token store: ``slots`` maps a token to its slot, least recently used
+    first, and ``proj``, (2, STORE_ROWS, 4H), holds each slot's ``_project``
+    row, allocated on first use. ``lock`` guards the store. The view holds
+    weak references to the parameter arrays it was derived from, so that it
+    keeps no replaced array alive (training replaces every array at each
+    step), and no reference to the model, so that a weak map from models to
+    views frees both together.
     """
 
     def __init__(self, model: TaggerModel):
         p = model.params
         self.params = [weakref.ref(arr) for arr in p.values()]
         self.char_table = _char_table(model) if model.hp.use_char_channel else None
-        self.Wh = np.stack((p["lstm_f_Wh"], p["lstm_b_Wh"]))
-        self.Wh *= _recurrent_scale(model.hp.lstm_hidden, self.Wh.dtype)
+        c = _recurrent_scale(model.hp.lstm_hidden, p["lstm_f_Wh"].dtype)
+        self.Wx, self.Wh, self.b = (np.stack((p[f"lstm_f_{name}"], p[f"lstm_b_{name}"]))
+                                    for name in ("Wx", "Wh", "b"))
+        # scaled in place: freeing an unscaled stacked copy of Wx raised the
+        # peak RSS of a 2,000-line parse by about 1 MB
+        for arr, scale in ((self.Wx, 2 * c), (self.Wh, c), (self.b, 2 * c)):
+            arr *= scale
         self.trans, self.start = _crf_scores(model)
-        for arr in (self.char_table, self.Wh, self.trans, self.start):
+        for arr in (self.char_table, self.Wx, self.Wh, self.b, self.trans, self.start):
             if arr is not None:
                 arr.flags.writeable = False
         self.slots: OrderedDict[str, int] = OrderedDict()
@@ -693,7 +699,7 @@ class _Prepared:
             new = [tokens[i] for i in missed]
             enc = encode_log(new, model.word_vocab, model.char_vocab, model.hp.max_word_len)
             char_rep = _char_reps(enc.char_ids, model, self.char_table)[0]
-            proj = _project(model, _input_rows(model, enc.word_ids, char_rep))
+            proj = _project(self, _input_rows(model, enc.word_ids, char_rep))
             if self.proj is None:
                 self.proj = np.zeros((2, STORE_ROWS, proj.shape[2]), dtype=proj.dtype)
             for i, tok in zip(missed, new):
@@ -750,8 +756,7 @@ def _forward(
     # inverse
     rev = (np.arange(b_len)[:, None], np.where(real, lengths[:, None] - 1 - steps, steps))
     steps_index = np.stack((index, index[rev]), axis=1).T  # (T, 2, B)
-    cache = {"lengths": lengths, "real": real, "rev": rev, "m2": m2, "index": steps_index,
-             "Wh": view.Wh}
+    cache = {"real": real, "rev": rev, "m2": m2, "index": steps_index, "Wh": view.Wh}
     gates = proj[np.arange(2)[:, None], steps_index]
     del proj
     h, cache["lstm"] = _lstm_forward(gates, view.Wh)
@@ -773,12 +778,11 @@ def _train_forward(
     position has its own masked row, projected on its own. The cache also
     holds the rows the LSTM read and the input masks, for ``_backward_net``.
     """
-    real = np.arange(index.shape[1]) < lengths[:, None]
-    m1, m2 = _dropout_masks(model, real, dropout_seed)
+    m1, m2 = _dropout_masks(model, index.shape, lengths, dropout_seed)
     if m1 is not None:
         rows = (rows[index] * m1).reshape(-1, model.hp.input_dim)
         index = np.arange(index.size).reshape(index.shape)
-    emissions, cache = _forward(_project(model, rows), model, index, lengths, view, m2)
+    emissions, cache = _forward(_project(view, rows), model, index, lengths, view, m2)
     cache.update(rows=rows, m1=m1)
     return emissions, cache
 
@@ -924,9 +928,11 @@ def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[
                 used, index = _distinct_rows(_padded(ids, starts[batch], n), n)
                 rows = _input_rows(model, table.word_ids[used], char_rep[used])
             # a per-batch table is not kept here, so _forward frees it early
-            emissions = _forward(view.proj if stored else _project(model, rows), model, index, n,
-                                 view)[0]
-            if not np.isfinite(emissions[np.arange(emissions.shape[1]) < n[:, None]]).all():
+            emissions, cache = _forward(view.proj if stored else _project(view, rows), model,
+                                        index, n, view)
+            real = cache["real"]
+            del cache  # the LSTM's states, which decoding no longer reads
+            if not np.isfinite(emissions[real]).all():
                 raise NonFiniteScores("the model's emission scores are not finite")
             paths = crf.viterbi_decode(emissions, view.trans, view.start, model.params["end"], n)
             for i, path in zip(batch, paths):

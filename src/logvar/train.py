@@ -62,9 +62,8 @@ FORMAT_VERSION = 1
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator term
 
-VARIABLE_AWARE = "variable_aware_accuracy"
-GENERAL = "general_accuracy"
-SELECTION_METRICS = (VARIABLE_AWARE, GENERAL)
+# the metrics(preds, golds) a checkpoint may be selected by, each named after its function
+SELECTION_METRICS = {f.__name__: f for f in (variable_aware_accuracy, general_accuracy)}
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class TrainConfig:
     gradient_clip_norm: float = 5.0
     seed: int = 42
     freeze_word_embeddings: bool = False
-    selection_metric: str = VARIABLE_AWARE
+    selection_metric: str = variable_aware_accuracy.__name__
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -172,8 +171,7 @@ def clip_global_norm(grads: dict[str, np.ndarray | RowGrad], max_norm: float) ->
 def _val_metric(model: TaggerModel, val: list[AnnotatedLog], metric: str) -> float:
     tags = decode(model, [log.tokens for log in val])
     preds = [AnnotatedLog(log.tokens, tuple(t)) for log, t in zip(val, tags)]
-    fn = variable_aware_accuracy if metric == VARIABLE_AWARE else general_accuracy
-    return fn(preds, val)
+    return SELECTION_METRICS[metric](preds, val)
 
 
 @np.errstate(over="ignore", invalid="ignore")

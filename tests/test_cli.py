@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -960,3 +961,138 @@ def test_fuzz_config_values_of_known_keys(fuzz_model, fuzz_commands, entries, co
     cfg = folder / "fuzz.cfg"
     cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries), encoding="utf-8")
     _run_fuzzed(folder, ["--config", str(cfg), *fuzz_commands[command]])
+
+
+def _csv_line(fields):
+    """``fields`` as one CSV row, quoted as the csv module quotes it, in bytes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue().encode()
+
+
+# tokens of a structured row or an annotation line, some of them odd
+ODD_TOKENS = st.one_of(
+    st.sampled_from(["took", "5", "s", "<*>", "*", "a,b", 'q"q', "é", "a b", "\u00a0",
+                     "x\ny", "\r", "\x0c", "", "#", "# x"]),
+    st.text(st.characters(codec="utf-8"), max_size=4),
+)
+# a content and a template that wildcards some of its tokens, or bytes that
+# spoil a row
+CSV_ROWS = st.one_of(
+    st.lists(st.tuples(ODD_TOKENS, st.booleans()), max_size=5).map(lambda toks: _csv_line(
+        [" ".join(t for t, _ in toks), " ".join("<*>" if wild else t for t, wild in toks)])),
+    st.lists(st.one_of(ODD_BYTES, st.sampled_from([b",", b'"']), st.binary(max_size=6)),
+             max_size=6).map(lambda parts: b"".join(parts) + b"\n"),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(header=st.one_of(st.just(b"Content,EventTemplate\n"),
+                        st.sampled_from([b"EventTemplate,Content,Id\r\n", b"Content\n", b"",
+                                         "\ufeffContent,EventTemplate\n".encode()])),
+       rows=st.lists(CSV_ROWS, max_size=6))
+def test_fuzz_structured_csv_through_derive_annotations(fuzz_model, header, rows):
+    _, folder = fuzz_model
+    (folder / "fuzz.csv").write_bytes(header + b"".join(rows))
+    out = folder / "csv-out" / "derived.tsv"
+    code, _ = _run_fuzzed(folder, ["derive-annotations", "--structured", str(folder / "fuzz.csv"),
+                                   "--out", str(out)])
+    if code == 0:
+        read_annotations(out)  # what it writes reads back
+
+
+# annotation lines: well-formed ones, and odd tokens, tags and bytes
+GOOD_TOKENS = st.sampled_from(["a", "5", "took", "é", "<*>", "0x1f"])
+GOOD_TAGS = st.sampled_from(["O", "B-OID", "B-TID"])
+GOOD_LINES = st.tuples(GOOD_TOKENS, GOOD_TAGS).map(lambda p: "\t".join(p).encode())
+ODD_LINES = st.one_of(
+    st.tuples(ODD_TOKENS, GOOD_TAGS).map(lambda p: "\t".join(p).encode()),
+    st.tuples(GOOD_TOKENS, st.sampled_from(["I-OID", "I-VAR", "B-XYZ", "o", "O ", "", "I-"])).map(
+        lambda p: "\t".join(p).encode()),
+    st.sampled_from([b"# note", b"#\tO", b"a\tO\tO", b"a O", b"\r"]),
+    st.binary(max_size=8),
+)
+
+
+@st.composite
+def annotation_files(draw):
+    """Blocks of well-formed lines, each ended by a blank line, with up to
+    two odd lines put in anywhere."""
+    lines = []
+    for block in draw(st.lists(st.lists(GOOD_LINES, min_size=1, max_size=4), min_size=2,
+                               max_size=10)):
+        lines += [*block, b""]
+    for pos, line in draw(st.lists(st.tuples(st.integers(0, len(lines)), ODD_LINES),
+                                   max_size=2)):
+        lines.insert(pos, line)
+    return b"\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=annotation_files(),
+       command=st.sampled_from(["split", "eval"]), against_itself=st.booleans(),
+       flags=st.lists(st.sampled_from(["--token-level", "--collapse-binary"]), unique=True))
+def test_fuzz_annotation_files_through_split_and_eval(fuzz_model, fuzz_commands, raw, command,
+                                                     against_itself, flags):
+    # fuzz_commands writes val.tsv, the other pred file
+    _, folder = fuzz_model
+    path = folder / "fuzz.tsv"
+    path.write_bytes(raw)
+    out = folder / "tsv-out"
+    if command == "split":
+        argv = ["split", "--input", str(path), "--out-dir", str(out)]
+    else:
+        pred = path if against_itself else folder / "val.tsv"
+        argv = ["eval", "--gold", str(path), "--pred", str(pred),
+                "--report", str(out / "report.json"), *flags]
+    code, lines = _run_fuzzed(folder, argv)
+    if code == 1:  # IOBError is for ill-formed tag sequences alone
+        error = json.loads(lines[0])
+        assert error["error"] in ("FormatError", "TagError", "IOBError", "TokenMismatch"), error
+        assert error["error"] != "IOBError" or "invalid tag transition" in error["message"]
+    if code == 0 and command == "split":
+        parts = [read_annotations(out / f"{name}.tsv") for name in ("train", "val", "test")]
+        assert sorted(map(repr, sum(parts, []))) == sorted(map(repr, read_annotations(path)))
+    elif code == 0:
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_logs"] == len(read_annotations(path))
+        if against_itself:
+            assert report["general_accuracy"] == 1.0
+
+
+# values of a vector line: float32 numbers, finite or not, and text that is not a number
+VEC_VALUES = st.one_of(
+    st.floats(width=32).map(repr),
+    st.sampled_from(["nan", "-inf", "1e309", "3.5e38", "-0", "0x10", "", "1_0", "\u0663", "1e"]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), word_dim=st.integers(1, 4), freeze=st.booleans(),
+       newline=st.sampled_from([b"\n", b"\r\n", b" \n"]))
+def test_fuzz_vector_files_through_train(fuzz_model, fuzz_commands, data, word_dim, freeze,
+                                         newline):
+    # fuzz_commands writes train.tsv and val.tsv; vector lines name their words
+    _, folder = fuzz_model
+    words = sorted({tok for log in read_annotations(folder / "train.tsv") for tok in log.tokens})
+    # a count of values, most often the right one
+    count = st.one_of(st.just(word_dim), st.integers(0, 5))
+    header = data.draw(st.one_of(st.none(), st.tuples(st.integers(0, 9), count)))
+    lines = [] if header is None else [f"{header[0]} {header[1]}".encode()]
+    lines += data.draw(st.lists(st.one_of(
+        st.tuples(st.one_of(st.sampled_from(words), st.sampled_from(words).map(str.upper),
+                            ODD_TOKENS),
+                  count.flatmap(lambda k: st.lists(VEC_VALUES, min_size=k, max_size=k))).map(
+            lambda p: " ".join([p[0], *p[1]]).encode()),
+        st.sampled_from(words).map(lambda w: f"{w} {' '.join(['0.5'] * word_dim)}".encode()),
+        ODD_BYTES,
+    ), max_size=6))
+    (folder / "fuzz.vec").write_bytes(newline.join(lines))
+    out = folder / "vec-out" / "m.valb"
+    argv = ["train", "--train", str(folder / "train.tsv"), "--val", str(folder / "val.tsv"),
+            "--out", str(out), "--vectors", str(folder / "fuzz.vec"), "--epochs", "1",
+            "--word-dim", str(word_dim), "--char-emb-dim", "3", "--char-filters", "3",
+            "--lstm-hidden", "3", "--max-word-len", "6"]
+    code, _ = _run_fuzzed(folder, argv + ["--freeze-word-embeddings"] * freeze)
+    if code == 0:
+        assert load_model(out).params["word_emb"].shape[1] == word_dim

@@ -94,6 +94,20 @@ class TestAnnotationIO:
         with pytest.raises(FormatError, match="line 2"):
             read_annotations(path)
 
+    @pytest.mark.parametrize("token", ["a b", " ", "a\x0cb", "a\u2028b"])
+    def test_token_with_whitespace_is_a_format_error(self, tmp_path, token):
+        path = tmp_path / "ann.tsv"
+        path.write_text(f"ok\tO\n{token}\tO\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"ann\.tsv: line 2: invalid token") as info:
+            read_annotations(path)
+        assert not isinstance(info.value, IOBError)
+
+    def test_ill_formed_tag_sequence_is_an_iob_error(self, tmp_path):
+        path = tmp_path / "ann.tsv"
+        path.write_text("ok\tO\nb\tI-OID\n\nc\tO\n")
+        with pytest.raises(IOBError, match=r"ann\.tsv: line 3: invalid tag transition"):
+            read_annotations(path)
+
     def test_round_trip(self, tmp_path):
         logs, _ = generate_synthetic(seed=9, n_templates=5, n_logs=50)
         path = tmp_path / "ann.tsv"

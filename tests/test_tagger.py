@@ -419,7 +419,8 @@ def batch_emissions(model, token_lists):
     """``_forward`` over tokenized messages as one batch, without dropout;
     returns the emissions and cache."""
     rows, index, lengths = batch_inputs(model, token_lists)
-    return _forward(_project(model, rows), model, index, lengths, _prepared(model))
+    view = _prepared(model)
+    return _forward(_project(view, rows), model, index, lengths, view)
 
 
 def forward_one(model, tokens):
@@ -459,7 +460,7 @@ def train_batch(model, logs):
 
 
 def read_only(model):
-    """A copy of ``model`` with read-only tensors, as ``load_model`` gives them."""
+    """A copy of ``model`` over copies of its tensors, read-only from the start."""
     params = {name: arr.copy() for name, arr in model.params.items()}
     for arr in params.values():
         arr.flags.writeable = False
@@ -665,7 +666,7 @@ class TestBatchedForward:
         assert len(set(counts)) > 3
         emissions, cache = batch_emissions(m, toks)
         assert emissions.shape == (len(toks), max(counts), m.n_tags)
-        assert cache["lengths"].tolist() == counts
+        assert cache["real"].sum(axis=1).tolist() == counts
         for b, t in enumerate(toks):
             np.testing.assert_allclose(
                 emissions[b, : len(t)], forward_one(m, t), rtol=F32_RTOL, atol=F32_ATOL,
@@ -735,9 +736,9 @@ class TestTokenTable:
             seen["char"].append(char_ids)
             return char_forward(char_ids, *args)
 
-        def project_spy(m, rows):
+        def project_spy(view, rows):
             seen["project"].append(rows)
-            return project(m, rows)
+            return project(view, rows)
 
         def forward_spy(proj, *args):
             seen["forward"].append(proj)
@@ -1345,9 +1346,9 @@ class TestTokenStore:
             seen["forward"].append((out[0], lengths))
             return out
 
-        def project_spy(model, rows):
+        def project_spy(view, rows):
             seen["project"].append(len(rows))
-            return project(model, rows)
+            return project(view, rows)
 
         monkeypatch.setattr(tagger, "_forward", forward_spy)
         monkeypatch.setattr(tagger, "_project", project_spy)

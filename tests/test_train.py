@@ -34,7 +34,6 @@ from logvar.train import (
     BETA1,
     BETA2,
     EPS,
-    GENERAL,
     Adam,
     TrainConfig,
     clip_global_norm,
@@ -182,11 +181,12 @@ class TestTrainingOptions:
             snapshots.append({name: arr.copy() for name, arr in m.params.items()})
             return real_decode(m, token_lists)
 
-        monkeypatch.setattr(train_module, "general_accuracy", general_spy)
-        monkeypatch.setattr(train_module, "variable_aware_accuracy", variable_aware_spy)
+        monkeypatch.setitem(train_module.SELECTION_METRICS, "general_accuracy", general_spy)
+        monkeypatch.setitem(train_module.SELECTION_METRICS, "variable_aware_accuracy",
+                            variable_aware_spy)
         monkeypatch.setattr(train_module, "decode", decode_spy)
         cfg = TrainConfig(epochs=14, batch_size=4, learning_rate=0.02, seed=7,
-                          selection_metric=GENERAL)
+                          selection_metric="general_accuracy")
         best, history = train(model, train_set, val_set, cfg)
         assert [h.val_metric for h in history] == scores
         assert len(snapshots) == cfg.epochs
