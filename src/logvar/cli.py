@@ -6,6 +6,15 @@ synth. Flags may also come from a config file of `key = value` lines
 atomically, is byte-reproducible for fixed inputs and seed, and returns the
 path of its primary output; `main` then echoes the options that are set to
 `run-config.txt` next to it.
+
+Exit codes: 0 on success. 2 for the command line itself, one JSON line
+`{"error": "usage", ...}` on stderr: a flag or config value that argparse
+or a check of its range refuses, and `{"error": "io", ...}` for a file that
+cannot be opened or written. 1 for an input's content, one JSON line naming
+the `LogvarError` subclass, and the file where one is known: a malformed
+file, too few logs (`EmptyInput`), a model of the wrong mode (`ModeError`),
+scores that overflow while tagging, a run that diverges. Valid flags never
+exit 2 because of what the files they name hold.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ import dataclasses
 import json
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import synth
@@ -30,13 +40,13 @@ from .corpus import (
     write_atomic,
 )
 from .embed import build_vocabs, load_word_vectors
-from .errors import AlignmentError, EmptyLog, FormatError, LogvarError
+from .errors import AlignmentError, EmptyInput, EmptyLog, FormatError, LogvarError, ModeError
 from .evaluate import evaluate, to_binary_annotations
 from .parse import DEFAULT_WILDCARD, parse_corpus, result_record
 from .tagger import Hyperparams, TaggerModel, init_model, tag_logs
 from .taxonomy import BINARY, CATEGORY_ABBREVS, MULTICLASS, VariableCategory
 from .train import (
-    SELECTION_METRICS, EpochStats, TrainConfig, finetune, load_model, save_model, train,
+    SELECTION_METRICS, TrainConfig, finetune, load_model, save_model, train,
 )
 
 DEFAULT_SEED = 42
@@ -56,6 +66,16 @@ class _Parser(argparse.ArgumentParser):
 def _echo_run_config(out_path: str | Path, args: argparse.Namespace) -> None:
     lines = [f"{k} = {v}" for k, v in sorted(vars(args).items()) if k != "func" and v is not None]
     write_atomic(Path(out_path).parent / "run-config.txt", "\n".join(lines) + "\n")
+
+
+@contextmanager
+def _about(path: str) -> Iterator[None]:
+    """Name ``path`` in an EmptyInput or ModeError raised inside: the file
+    whose content the error is about."""
+    try:
+        yield
+    except (EmptyInput, ModeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
@@ -113,7 +133,8 @@ def _from_args(cls: type, args: argparse.Namespace):
 def cmd_split(args: argparse.Namespace) -> Path:
     spec = SplitSpec(*_parse_ratios(args.ratios), seed=args.seed)
     logs = read_annotations(args.input)
-    train_set, val_set, test_set = split_dataset(logs, spec)
+    with _about(args.input):
+        train_set, val_set, test_set = split_dataset(logs, spec)
     out = Path(args.out_dir)
     write_annotations(train_set, out / "train.tsv")
     write_annotations(val_set, out / "val.tsv")
@@ -125,28 +146,32 @@ def cmd_split(args: argparse.Namespace) -> Path:
 def cmd_train(args: argparse.Namespace) -> str:
     train_set = read_annotations(args.train)
     val_set = read_annotations(args.val)
-    wv, cv = build_vocabs(train_set, min_freq=args.min_freq)
+    with _about(args.train):
+        wv, cv = build_vocabs(train_set, min_freq=args.min_freq)
     hp = _from_args(Hyperparams, args)
     pretrained = None
     if args.vectors:
         pretrained, coverage = load_word_vectors(args.vectors, wv, hp.word_dim, seed=args.seed)
         print(f"pretrained vector coverage: {coverage:.3f}")
     model = init_model(hp, wv, cv, pretrained=pretrained, seed=args.seed, mode=args.mode)
-    best, history = train(model, train_set, val_set, _from_args(TrainConfig, args))
-    return _save_trained(best, history, args)
+    return _fit(train, model, train_set, val_set, args)
 
 
 def cmd_finetune(args: argparse.Namespace) -> str:
     model = load_model(args.model)
-    train_set = read_annotations(args.train)
-    val_set = read_annotations(args.val)
-    best, history = finetune(model, train_set, val_set, _from_args(TrainConfig, args))
-    return _save_trained(best, history, args)
+    return _fit(finetune, model, read_annotations(args.train), read_annotations(args.val), args)
 
 
-def _save_trained(best: TaggerModel, history: list[EpochStats], args: argparse.Namespace) -> str:
-    """The tail of ``train`` and ``finetune``: save the best checkpoint and
-    print the history."""
+def _fit(fit, model: TaggerModel, train_set: list[AnnotatedLog], val_set: list[AnnotatedLog],
+         args: argparse.Namespace) -> str:
+    """The tail of ``train`` and ``finetune``: run ``fit`` (``train`` or
+    ``finetune``), save the best checkpoint and print the history."""
+    try:
+        best, history = fit(model, train_set, val_set, _from_args(TrainConfig, args))
+    except EmptyInput as exc:
+        # fit names the empty set; name its file
+        path = {"training": args.train, "validation": args.val}[exc.which]
+        raise EmptyInput(f"{path}: {exc}", exc.which) from exc
     save_model(best, args.out)
     for h in history:
         print(f"epoch {h.epoch:3d}  loss {h.train_loss:.4f}  val {h.val_metric:.4f}")
@@ -173,8 +198,9 @@ def cmd_tag(args: argparse.Namespace) -> str:
 def cmd_parse(args: argparse.Namespace) -> str:
     model = load_model(args.model)
     preserve = _parse_preserve(args.preserve)
-    results, store = parse_corpus(model, list(read_lines(args.input)), preserve,
-                                  wildcard=args.wildcard)
+    with _about(args.model):
+        results, store = parse_corpus(model, list(read_lines(args.input)), preserve,
+                                      wildcard=args.wildcard)
     records = [result_record(i, result) for i, result in _nonempty(results)]
     write_atomic(args.output, "".join(r + "\n" for r in records))
     if args.templates:
@@ -190,7 +216,8 @@ def cmd_eval(args: argparse.Namespace) -> str:
     if args.collapse_binary:
         golds = [to_binary_annotations(l) for l in golds]
         preds = [to_binary_annotations(l) for l in preds]
-    report = evaluate(preds, golds, token_level=args.token_level)
+    with _about(args.gold):
+        report = evaluate(preds, golds, token_level=args.token_level)
     write_atomic(args.report, report.to_json() + "\n")
     print(report.to_text())
     return args.report
@@ -205,11 +232,9 @@ def cmd_derive_annotations(args: argparse.Namespace) -> Path:
     # fields read as empty, an empty log
     reader = csv.DictReader((line + "\n" for line in read_lines(args.structured)), restval="")
     try:
-        if reader.fieldnames is None or args.content_col not in reader.fieldnames \
-                or args.template_col not in reader.fieldnames:
-            raise UsageError(
-                f"columns {args.content_col!r}/{args.template_col!r} not in {args.structured}"
-            )
+        for column in (args.content_col, args.template_col):
+            if column not in (reader.fieldnames or ()):
+                raise FormatError(f"{args.structured}: the header row has no column {column!r}")
         for row in reader:
             # the row ends on line reader.line_num and spans one more line per
             # newline held in its fields (blank lines before it are skipped)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AlignmentError, EmptyLog, FormatError, IOBError, TagError
+from .errors import AlignmentError, EmptyInput, EmptyLog, FormatError, IOBError, TagError
 from .taxonomy import BINARY_CATEGORY, Tag, OUTSIDE, check_iob
 
 DEFAULT_WILDCARD = "<*>"
@@ -219,10 +219,10 @@ def split_dataset(
     """Random disjoint train/val/test partition, deterministic per seed.
 
     Train and val get ``spec.sizes(N)`` logs, floor(frac * N) each; the
-    remainder goes to test.
+    remainder goes to test. Fewer than 5 logs raise EmptyInput.
     """
     if len(logs) < 5:
-        raise ValueError("need at least 5 logs to split")
+        raise EmptyInput(f"need at least 5 logs to split, got {len(logs)}")
     n = len(logs)
     order = np.random.default_rng(spec.seed).permutation(n)
     n_train, n_val = spec.sizes(n)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import AnnotatedLog, read_lines
-from .errors import DimensionMismatch, FormatError
+from .errors import DimensionMismatch, EmptyInput, FormatError
 
 PAD = 0
 UNK = 1
@@ -69,9 +69,10 @@ def build_vocabs(train: list[AnnotatedLog], min_freq: int = 1) -> tuple[WordVoca
 
     Words are lowercased and kept when they occur at least ``min_freq``
     times; the char vocabulary keeps every character seen, case-preserved.
+    An empty training set raises EmptyInput.
     """
     if not train:
-        raise ValueError("empty training set")
+        raise EmptyInput("the training set holds no logs")
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
     word_counts: Counter[str] = Counter()

@@ -26,7 +26,20 @@ class AlignmentError(LogvarError):
 
 
 class DimensionMismatch(LogvarError):
-    """Pretrained vector dimension differs from the requested dimension."""
+    """Pretrained vectors' dimension or matrix shape differs from the one required."""
+
+
+class EmptyInput(LogvarError):
+    """An input holds too few logs for the step that reads it; ``which``
+    names the input (say "training") when the step reads more than one."""
+
+    def __init__(self, message: str, which: str | None = None):
+        super().__init__(message)
+        self.which = which
+
+
+class ModeError(LogvarError):
+    """A model's tagging mode does not fit the step it is given to."""
 
 
 class DivergenceError(LogvarError):

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import AnnotatedLog
-from .errors import TokenMismatch
+from .errors import EmptyInput, TokenMismatch
 from .taxonomy import BINARY_CATEGORY, Tag
 
 
@@ -34,7 +34,7 @@ def _check_pairs(preds: list[AnnotatedLog], golds: list[AnnotatedLog]) -> None:
     if len(preds) != len(golds):
         raise TokenMismatch(f"{len(preds)} predictions vs {len(golds)} gold logs")
     if not golds:
-        raise ValueError("no logs to evaluate")
+        raise EmptyInput("no logs to evaluate")
     for i, (p, g) in enumerate(zip(preds, golds)):
         if p.tokens != g.tokens:
             raise TokenMismatch(f"log {i}: token sequences differ")

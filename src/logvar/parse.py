@@ -8,6 +8,14 @@ neither preservation nor the choice of wildcard changes template ids. A
 template's identity is its canonical template and the positions of its
 slots, which differ from the positions of the DEFAULT_WILDCARD tokens only
 when a static token is literally the wildcard.
+
+One builder, ``_result``, makes every record from a message's tokens and
+its variable runs, which ``evaluate.spans`` finds in its tags.
+``extract_template`` feeds it a tagged log; ``parse_corpus`` feeds it the
+tokens and the tags that ``tagger.decode_ids``' indices name in
+``model.tags``, so that parsing builds no ``AnnotatedLog`` per line.
+Decoded paths are IOB-well-formed by construction (``tagger._crf_scores``),
+so they are not checked again.
 """
 
 from __future__ import annotations
@@ -17,9 +25,11 @@ import json
 from dataclasses import dataclass, field
 
 from .corpus import DEFAULT_WILDCARD, AnnotatedLog
+from .errors import ModeError
 from .evaluate import spans
+from .tagger import TaggerModel, decode_ids, tokenize_all
 # tag_log stays importable here: the benchmark's layer trace hooks logvar.parse.tag_log
-from .tagger import TaggerModel, tag_log, tag_logs  # noqa: F401
+from .tagger import tag_log  # noqa: F401
 from .taxonomy import MULTICLASS, VariableCategory
 
 
@@ -85,29 +95,28 @@ def template_hash(canonical: str, slots: list[int]) -> str:
     return hashlib.blake2b(payload.encode("utf-8", "surrogatepass"), digest_size=8).hexdigest()
 
 
-def extract_template(
-    log: AnnotatedLog,
-    preserve: set[VariableCategory] | frozenset[VariableCategory] = frozenset(),
-    wildcard: str = DEFAULT_WILDCARD,
+def _result(
+    tokens: tuple[str, ...], runs: list, preserve: set[str], wildcard: str
 ) -> ParseResult:
-    preserve_abbrevs = {c.abbrev for c in preserve}
-    runs = spans(log.tags)
+    """The record of a message of ``tokens`` whose variable occurrences are
+    ``runs``, each (category abbreviation, start, end), in order;
+    ``preserve`` holds the abbreviations whose values stay in the template."""
     out_tokens: list[str] = []
     canon_tokens: list[str] = []
     slots: list[int] = []
     extractions: list[Extraction] = []
     pos = 0
     for cat, start, end in runs:
-        out_tokens.extend(log.tokens[pos:start])
-        canon_tokens.extend(log.tokens[pos:start])
-        value = " ".join(log.tokens[start:end])
-        out_tokens.append(value if cat in preserve_abbrevs else wildcard)
+        out_tokens.extend(tokens[pos:start])
+        canon_tokens.extend(tokens[pos:start])
+        value = " ".join(tokens[start:end])
+        out_tokens.append(value if cat in preserve else wildcard)
         slots.append(len(canon_tokens))
         canon_tokens.append(DEFAULT_WILDCARD)
         extractions.append(Extraction(cat, value, start, end))
         pos = end
-    out_tokens.extend(log.tokens[pos:])
-    canon_tokens.extend(log.tokens[pos:])
+    out_tokens.extend(tokens[pos:])
+    canon_tokens.extend(tokens[pos:])
     canonical = " ".join(canon_tokens)
     return ParseResult(
         template=" ".join(out_tokens),
@@ -115,6 +124,15 @@ def extract_template(
         template_id=template_hash(canonical, slots),
         extractions=tuple(extractions),
     )
+
+
+def extract_template(
+    log: AnnotatedLog,
+    preserve: set[VariableCategory] | frozenset[VariableCategory] = frozenset(),
+    wildcard: str = DEFAULT_WILDCARD,
+) -> ParseResult:
+    """The record of a tagged log: its template, canonical template, id and extractions."""
+    return _result(log.tokens, spans(log.tags), {c.abbrev for c in preserve}, wildcard)
 
 
 def reconstruct(result: ParseResult) -> str:
@@ -144,14 +162,21 @@ def parse_corpus(
 ) -> tuple[list[ParseResult | None], TemplateStore]:
     """Tag and template every raw log; empty lines yield None entries.
 
-    Output order matches input order. Tagging runs in length-sorted batches
-    (``tag_logs``); template ids and ordinals are assigned in a single
-    ordered pass afterwards, so neither depends on how lines were batched.
+    Output order matches input order. Each line is tokenized once, and one
+    ``decode_ids`` call tags them all in length-sorted batches; each record
+    is built from the line's tokens and tag indices, the result
+    ``extract_template`` gives for the line's tagged log. Template ids and
+    ordinals are assigned in a single ordered pass afterwards, so neither
+    depends on how lines were batched. Raises ModeError for a model that is
+    not multiclass.
     """
     if model.mode != MULTICLASS:
-        raise ValueError("parse_corpus requires a multiclass model")
-    results = [None if annotated is None else extract_template(annotated, preserve, wildcard)
-               for annotated in tag_logs(model, raw_logs)]
+        raise ModeError(f"parse needs a {MULTICLASS} model, not a {model.mode} one")
+    tags = model.tags
+    kept = {c.abbrev for c in preserve}
+    token_lists = tokenize_all(raw_logs)
+    results = [_result(tokens, spans([tags[k] for k in path]), kept, wildcard) if tokens else None
+               for tokens, path in zip(token_lists, decode_ids(model, token_lists))]
     store = TemplateStore()
     for result in results:
         if result is not None:

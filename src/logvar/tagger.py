@@ -11,11 +11,16 @@ Concurrent readers may share a model.
 IOB structure is enforced inside the CRF by one rule, ``_crf_scores``: the
 transitions and starts that would make a tag sequence ill-formed score -inf,
 in decoding and in training alike. So every decoded path is well-formed,
-and log Z and its gradients count well-formed paths only.
+and log Z and its gradients count well-formed paths only; no decoded path
+is checked again.
 
 One forward pass, ``_forward``, serves inference and training, and one
-inference entry point, ``decode``, serves parsing, tagging and validation:
-it sorts tokenized messages by length and runs them in padded batches.
+inference entry point, ``decode_ids``, serves parsing, tagging and
+validation: it sorts tokenized messages by length, runs them in padded
+batches and returns each message's tag indices into ``model.tags``.
+``decode``, ``tag_log`` and ``tag_logs`` read those indices as ``Tag``s;
+``parse.parse_corpus`` reads them into each line's record with no
+``AnnotatedLog`` between.
 ``_forward`` runs a batch of logs as a right-padded (B, T) tensor: every
 log's padding comes after its last real step, in both LSTM directions (the
 backward direction reads each log through a per-log reversal index), so
@@ -61,12 +66,12 @@ position is masked differently, so it projects one row per position. A
 model with a dropout rate of 0 draws no masks; otherwise log b of minibatch
 i of epoch e draws them from one seed, ``batch_dropout_seed(seed, e, i) + b``.
 
-``decode`` reads what depends on the parameters alone, the char table, the
+``decode_ids`` reads what depends on the parameters alone, the char table, the
 stacked and scaled LSTM weights and biases and the CRF's -inf scores,
 from the model's ``_prepared`` view, with a token store: a least recently
 used map from a token string to its projection, STORE_ROWS rows. A
-training step reads the same view, but not its store. A ``decode`` call
-whose distinct tokens number at most STORE_ROWS first marks those the
+training step reads the same view, but not its store. A call whose
+distinct tokens number at most STORE_ROWS first marks those the
 store holds as recently used, then encodes, convolves and projects only
 the others, in one ``_project``, and writes them over free or least
 recently used slots, never over the call's own tokens; its batches gather
@@ -76,7 +81,7 @@ model keeps its view, and with it the store, across calls until a
 ``params`` entry is replaced by another array; building the view makes the
 tensors it reads read-only, so no in-place write can make a kept projection
 stale. The view lives in a weak map beside the model, not in a field, so a
-model still deep-copies. A ``decode`` call that reads the store holds the
+model still deep-copies. A ``decode_ids`` call that reads the store holds the
 view's lock while it runs, so such calls on one model run one at a time; a
 larger call touches no mutable state and runs beside them. Either way each
 distinct token of a call is convolved at most once: tokens that share their
@@ -108,7 +113,7 @@ import numpy as np
 from . import crf
 from .corpus import AnnotatedLog, tokenize
 from .embed import PAD, CharVocab, EncodedLog, WordVocab, encode_log
-from .errors import EmptyLog, NonFiniteScores
+from .errors import DimensionMismatch, EmptyLog, NonFiniteScores
 from .taxonomy import MULTICLASS, Tag, is_valid_transition, tag_vocabulary
 
 FROZEN_SCORE = -10000.0  # stored at the IOB-forbidden CRF entries; ``_crf_scores`` reads -inf
@@ -216,7 +221,8 @@ def init_model(
     with ``seed`` then draws the ``_DRAWN`` tensors in order: embeddings
     uniform in [-0.25, 0.25], the rest uniform in +-sqrt(1/fan_in), fan_in
     the product of all dims but the last. A ``pretrained`` word matrix
-    replaces the word_emb draw, which is not made. Then PAD rows are
+    replaces the word_emb draw, which is not made; one of another shape
+    raises DimensionMismatch. Then PAD rows are
     zeroed, forget-gate biases set to 1, and the IOB-violating CRF scores
     stored at FROZEN_SCORE, which ``_crf_scores`` reads as -inf.
     """
@@ -224,7 +230,8 @@ def init_model(
     model = TaggerModel(hp, mode, word_vocab, char_vocab, params)
     shapes = param_shapes(hp, len(word_vocab), len(char_vocab), model.n_tags)
     if pretrained is not None and pretrained.shape != shapes["word_emb"]:
-        raise ValueError(f"pretrained matrix shape {pretrained.shape} != {shapes['word_emb']}")
+        raise DimensionMismatch(
+            f"pretrained matrix shape {pretrained.shape} != {shapes['word_emb']}")
     rng = np.random.default_rng(seed)
     params.update((name, np.zeros(shape, dtype=dtype)) for name, shape in shapes.items())
     for name in _DRAWN:
@@ -245,7 +252,7 @@ def init_model(
 # ---------------------------------------------------------------------------
 # forward pass
 
-# Padded tokens (logs x longest log) per batch in decode. A batch keeps
+# Padded tokens (logs x longest log) per batch in decode_ids. A batch keeps
 # about 8 KB per padded token alive (the LSTM gates and states of both
 # directions), so this bounds the extra peak memory of tagging at about
 # 2 MB; larger batches gained little throughput on the synthetic corpus.
@@ -840,12 +847,12 @@ def loss_and_gradients(
     The batch is a token table, the (B, T) row ids of B right-padded logs
     and their lengths; ``gold`` holds the gold tag indices in the same
     (B, T) layout. The input layer runs over the batch's distinct rows (the
-    char-CNN as in ``decode``, each row once), then one forward pass, one
+    char-CNN as in ``decode_ids``, each row once), then one forward pass, one
     CRF forward-backward and one backward pass; log b draws its dropout
     masks from ``dropout_seed + b``. The mean is taken once, on the CRF's
     gradients, which the backward pass is linear in; at B = 2^k the scale is
     exact, and the result is bitwise the sum scaled at the end. The call
-    reads the model's ``_prepared`` view, as ``decode`` does, which makes
+    reads the model's ``_prepared`` view, as ``decode_ids`` does, which makes
     the tensors read-only: to change a parameter, replace its array, and
     the next call builds the view again. The CRF reads ``_crf_scores``
     through it, so the IOB-forbidden entries' gradients are exact zeros
@@ -882,8 +889,9 @@ def loss_and_gradients(
     return loss * scale, {name: grads[name] for name in p}
 
 
-def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[Tag]]:
-    """Viterbi-decode tokenized messages; one tag list per message, in input order.
+def decode_ids(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[int]]:
+    """Viterbi-decode tokenized messages; one list of tag indices into
+    ``model.tags`` per message, in input order.
 
     Messages are sorted by token count and run in right-padded batches of
     at most BATCH_TOKENS padded tokens (a longer message goes alone); an
@@ -895,20 +903,23 @@ def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[
     projects each batch's distinct rows. Either way a token's projection
     is a function of the token alone (``_project``), so the batch a
     message lands in changes its scores only by float rounding in the
-    shared recurrent and emission matmuls, not its tags. A call that reads
-    the store holds the model's ``_prepared`` view's lock throughout, so
-    such calls on one model run one at a time; a larger call reads only
-    read-only tensors and takes no lock. Raises NonFiniteScores if a
-    batch's real-step emissions are not all finite (weights that overflow
-    float32); the call runs with numpy's overflow and invalid-value
-    warnings off, so that error is the only report.
+    shared recurrent and emission matmuls, not its tags. Every path is
+    IOB-well-formed: Viterbi reads ``_crf_scores``, so no path through a
+    forbidden entry has a finite score, and the real-step emissions are
+    checked finite. A call that reads the store holds the model's
+    ``_prepared`` view's lock throughout, so such calls on one model run one
+    at a time; a larger call reads only read-only tensors and takes no lock.
+    Raises NonFiniteScores if a batch's real-step emissions are not all
+    finite (weights that overflow float32); the call runs with numpy's
+    overflow and invalid-value warnings off, so that error is the only
+    report.
     """
     view = _prepared(model)
     tokens, ids, lengths = _distinct_tokens(token_lists)
     stored = len(tokens) <= STORE_ROWS
     starts = np.cumsum(lengths) - lengths
     order = np.argsort(lengths, kind="stable")
-    out: list[list[Tag]] = [[] for _ in token_lists]
+    out: list[list[int]] = [[] for _ in token_lists]
     lo = int(np.count_nonzero(lengths == 0))  # empty messages sort first and keep []
     with view.lock if stored else nullcontext(), np.errstate(over="ignore", invalid="ignore"):
         if stored:
@@ -936,8 +947,25 @@ def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[
                 raise NonFiniteScores("the model's emission scores are not finite")
             paths = crf.viterbi_decode(emissions, view.trans, view.start, model.params["end"], n)
             for i, path in zip(batch, paths):
-                out[i] = [model.tags[k] for k in path]
+                out[i] = path
             lo = hi
+    return out
+
+
+def decode(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[list[Tag]]:
+    """``decode_ids`` with each index read as its tag in ``model.tags``."""
+    tags = model.tags
+    return [[tags[k] for k in path] for path in decode_ids(model, token_lists)]
+
+
+def tokenize_all(raws: list[str]) -> list[tuple[str, ...]]:
+    """Each raw message's ``tokenize`` tokens; an empty message gives ()."""
+    out: list[tuple[str, ...]] = []
+    for raw in raws:
+        try:
+            out.append(tuple(tokenize(raw)))
+        except EmptyLog:
+            out.append(())
     return out
 
 
@@ -950,11 +978,6 @@ def tag_log(model: TaggerModel, raw: str) -> AnnotatedLog:
 def tag_logs(model: TaggerModel, raws: list[str]) -> list[AnnotatedLog | None]:
     """Tag many raw log messages with one ``decode``; an empty message goes to
     ``decode`` as no tokens, which tags it ``[]``, and gives None."""
-    token_lists: list[tuple[str, ...]] = []
-    for raw in raws:
-        try:
-            token_lists.append(tuple(tokenize(raw)))
-        except EmptyLog:
-            token_lists.append(())
+    token_lists = tokenize_all(raws)
     return [AnnotatedLog(tokens, tuple(tags)) if tags else None
             for tokens, tags in zip(token_lists, decode(model, token_lists))]

@@ -39,7 +39,8 @@ import numpy as np
 from .corpus import AnnotatedLog, write_atomic
 from .embed import CharVocab, WordVocab, vocab_index
 from .errors import (
-    ChecksumError, DivergenceError, FormatError, NonFiniteScores, TagError, VersionError,
+    ChecksumError, DivergenceError, EmptyInput, FormatError, NonFiniteScores, TagError,
+    VersionError,
 )
 from .evaluate import general_accuracy, variable_aware_accuracy
 from .tagger import (
@@ -191,12 +192,15 @@ def train(
     which makes its tensors read-only. The run has numpy's overflow and
     invalid-value warnings off: a loss, gradient norm or validation score
     that is not finite raises ``DivergenceError``, and that is the report.
-    Raises TagError, before training, if either set holds a tag outside the
-    model's alphabet."""
-    if not train_set or not val_set:
-        raise ValueError("train and validation sets must be non-empty")
+    Raises EmptyInput, before training, if either set holds no logs (its
+    ``which`` is "training" or "validation"), and TagError if either holds
+    a tag outside the model's alphabet."""
+    sets = (("training", train_set), ("validation", val_set))
+    for name, logs in sets:
+        if not logs:
+            raise EmptyInput(f"the {name} set holds no logs", which=name)
     alphabet = set(init.tags)
-    for name, logs in (("training", train_set), ("validation", val_set)):
+    for name, logs in sets:
         foreign = next((t for log in logs for t in log.tags if t not in alphabet), None)
         if foreign is not None:
             raise TagError(f"the {name} set holds the tag {foreign}, which is not in "

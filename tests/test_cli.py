@@ -134,6 +134,28 @@ class TestBadInput:
         ["train", "--train", "{empty}", "--val", "{d}/val.tsv", "--out", "{tmp}/m.valb"],
         ["finetune", "--model", "{model}", "--train", "{d}/train.tsv", "--val", "{empty}",
          "--out", "{tmp}/m.valb"],
+        ["finetune", "--model", "{model}", "--train", "{empty}", "--val", "{d}/val.tsv",
+         "--out", "{tmp}/m.valb"],
+        ["eval", "--gold", "{empty}", "--pred", "{empty}", "--report", "{tmp}/r.json"],
+        ["split", "--input", "{tiny}", "--out-dir", "{tmp}"],
+    ], ids=["train-empty-val", "train-empty-train", "finetune-empty-val", "finetune-empty-train",
+            "eval-no-logs", "split-too-few"])
+    def test_content_error_names_its_file(self, trained_model, tmp_path, capsys, argv):
+        # valid flags, and a file that holds too few logs: exit 1, not a usage error
+        d, model_path = trained_model
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        tiny = tmp_path / "tiny.tsv"
+        tiny.write_text("a\tO\n\nb\tO\n")
+        fields = {"d": d, "model": model_path, "empty": empty, "tiny": tiny, "tmp": tmp_path}
+        assert main([a.format(**fields) for a in argv]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "EmptyInput"
+        named = empty if "{empty}" in argv else tiny
+        assert err["message"].startswith(f"{named}: ")
+        assert sorted(tmp_path.iterdir()) == sorted([empty, tiny])  # no output, no run-config
+
+    @pytest.mark.parametrize("argv", [
         ["train", "--train", "{d}/train.tsv", "--val", "{d}/val.tsv", "--out", "{tmp}/m.valb",
          "--epochs", "0"],
         ["train", "--train", "{d}/train.tsv", "--val", "{d}/val.tsv", "--out", "{tmp}/m.valb",
@@ -142,14 +164,10 @@ class TestBadInput:
          "--learning-rate", "nan"],
         ["train", "--train", "{d}/train.tsv", "--val", "{d}/val.tsv", "--out", "{tmp}/m.valb",
          "--clip-norm", "-1"],
-        ["eval", "--gold", "{empty}", "--pred", "{empty}", "--report", "{tmp}/r.json"],
-    ], ids=["train-empty-val", "train-empty-train", "finetune-empty-val", "zero-epochs",
-            "dropout-above-one", "nan-learning-rate", "negative-clip-norm", "eval-no-logs"])
+    ], ids=["zero-epochs", "dropout-above-one", "nan-learning-rate", "negative-clip-norm"])
     def test_usage_error_not_traceback(self, trained_model, tmp_path, capsys, argv):
         d, model_path = trained_model
-        empty = tmp_path / "empty.tsv"
-        empty.write_text("")
-        fields = {"d": d, "model": model_path, "empty": empty, "tmp": tmp_path}
+        fields = {"d": d, "model": model_path, "tmp": tmp_path}
         assert main([a.format(**fields) for a in argv]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
         assert not (tmp_path / "m.valb").exists()
@@ -354,7 +372,7 @@ class TestTagParse:
         assert out.read_bytes() == tpl.read_bytes() == tagged.read_bytes() == b""
         assert capsys.readouterr().err.count("empty log, skipped") == 6
 
-    def test_parse_with_a_binary_model_is_a_usage_error(self, tmp_path, capsys):
+    def test_parse_with_a_binary_model_is_a_mode_error(self, tmp_path, capsys):
         logs = [AnnotatedLog(("alpha", "1"), (OUTSIDE, OUTSIDE))]
         hp = Hyperparams(word_dim=4, char_emb_dim=3, char_filters=2, lstm_hidden=2)
         model_path = tmp_path / "binary.valb"
@@ -363,9 +381,10 @@ class TestTagParse:
         raw.write_text("alpha 1\n")
         out = tmp_path / "p.jsonl"
         assert main(["parse", "--model", str(model_path), "--input", str(raw),
-                     "--output", str(out)]) == 2
+                     "--output", str(out)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "usage"
+        assert err["error"] == "ModeError"
+        assert err["message"].startswith(f"{model_path}: ")
         assert "multiclass" in err["message"]
         assert not out.exists()
         assert not (tmp_path / "run-config.txt").exists()
@@ -995,8 +1014,9 @@ def test_fuzz_structured_csv_through_derive_annotations(fuzz_model, header, rows
     _, folder = fuzz_model
     (folder / "fuzz.csv").write_bytes(header + b"".join(rows))
     out = folder / "csv-out" / "derived.tsv"
-    code, _ = _run_fuzzed(folder, ["derive-annotations", "--structured", str(folder / "fuzz.csv"),
-                                   "--out", str(out)])
+    code, lines = _run_fuzzed(folder, ["derive-annotations", "--structured",
+                                       str(folder / "fuzz.csv"), "--out", str(out)])
+    assert code != 2, lines  # the flags are valid: what the file holds is no usage error
     if code == 0:
         read_annotations(out)  # what it writes reads back
 
@@ -1046,9 +1066,11 @@ def test_fuzz_annotation_files_through_split_and_eval(fuzz_model, fuzz_commands,
         argv = ["eval", "--gold", str(path), "--pred", str(pred),
                 "--report", str(out / "report.json"), *flags]
     code, lines = _run_fuzzed(folder, argv)
+    assert code != 2, lines  # the flags are valid: what the file holds is no usage error
     if code == 1:  # IOBError is for ill-formed tag sequences alone
         error = json.loads(lines[0])
-        assert error["error"] in ("FormatError", "TagError", "IOBError", "TokenMismatch"), error
+        assert error["error"] in ("FormatError", "TagError", "IOBError", "TokenMismatch",
+                                  "EmptyInput"), error
         assert error["error"] != "IOBError" or "invalid tag transition" in error["message"]
     if code == 0 and command == "split":
         parts = [read_annotations(out / f"{name}.tsv") for name in ("train", "val", "test")]
@@ -1093,6 +1115,7 @@ def test_fuzz_vector_files_through_train(fuzz_model, fuzz_commands, data, word_d
             "--out", str(out), "--vectors", str(folder / "fuzz.vec"), "--epochs", "1",
             "--word-dim", str(word_dim), "--char-emb-dim", "3", "--char-filters", "3",
             "--lstm-hidden", "3", "--max-word-len", "6"]
-    code, _ = _run_fuzzed(folder, argv + ["--freeze-word-embeddings"] * freeze)
+    code, lines = _run_fuzzed(folder, argv + ["--freeze-word-embeddings"] * freeze)
+    assert code != 2, lines  # the flags are valid: what the file holds is no usage error
     if code == 0:
         assert load_model(out).params["word_emb"].shape[1] == word_dim

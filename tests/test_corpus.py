@@ -17,6 +17,7 @@ from logvar.corpus import (
 )
 from logvar.errors import (
     AlignmentError,
+    EmptyInput,
     EmptyLog,
     FormatError,
     IOBError,
@@ -232,7 +233,7 @@ class TestSplit:
 
     def test_too_few_logs(self):
         logs, _ = generate_synthetic(seed=4, n_templates=5, n_logs=50)
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyInput, match="got 3"):
             split_dataset(logs[:3], SplitSpec(0.2, 0.2, 0.6, seed=0))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from logvar.corpus import AnnotatedLog
 from logvar.embed import PAD, UNK, build_vocabs, encode_log, load_word_vectors
-from logvar.errors import DimensionMismatch, FormatError
+from logvar.errors import DimensionMismatch, EmptyInput, FormatError
 from logvar.taxonomy import OUTSIDE
 
 
@@ -35,7 +35,7 @@ class TestBuildVocabs:
         assert cv.lookup("A") != cv.lookup("a")
 
     def test_empty_train_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyInput):
             build_vocabs([])
 
 

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from logvar.corpus import AnnotatedLog
-from logvar.errors import TokenMismatch
+from logvar.errors import EmptyInput, TokenMismatch
 from logvar.evaluate import (
     category_prf,
     evaluate,
@@ -55,6 +55,10 @@ class TestAccuracies:
     def test_length_mismatch(self):
         with pytest.raises(TokenMismatch):
             variable_aware_accuracy(PREDS[:2], GOLDS)
+
+    def test_no_logs_is_an_empty_input(self):
+        with pytest.raises(EmptyInput):
+            general_accuracy([], [])
 
     def test_general_compares_the_outside_masks(self):
         # another category and another span boundary, the same tokens variable

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import logvar.tagger as tagger
 from logvar.corpus import AnnotatedLog
 from logvar.embed import build_vocabs
-from logvar.errors import LogvarError
+from logvar.errors import LogvarError, ModeError
 from logvar.parse import (
     TemplateStore,
     extract_template,
@@ -17,8 +17,10 @@ from logvar.parse import (
     template_hash,
 )
 from logvar.synth import generate_synthetic
-from logvar.tagger import Hyperparams, init_model, tag_logs
-from logvar.taxonomy import BINARY, OUTSIDE, Tag, VariableCategory, check_iob
+from logvar.tagger import (
+    FROZEN_SCORE, Hyperparams, decode, decode_ids, init_model, tag_log, tag_logs,
+)
+from logvar.taxonomy import BINARY, MULTICLASS, OUTSIDE, Tag, VariableCategory, check_iob
 
 
 def mklog(text, tags):
@@ -175,7 +177,7 @@ class TestParseCorpus:
         hp = Hyperparams(word_dim=8, char_emb_dim=6, char_filters=4,
                          char_kernel=3, lstm_hidden=4, max_word_len=12)
         binary = init_model(hp, wv, cv, seed=0, mode=BINARY)
-        with pytest.raises(ValueError):
+        with pytest.raises(ModeError, match="multiclass"):
             parse_corpus(binary, ["a b"])
 
     def test_batch_composition_does_not_change_output(self, model, monkeypatch):
@@ -252,3 +254,68 @@ def test_fuzz_raw_lines_parse_or_raise_a_logvar_error(fuzz_model, lines):
         assert annotated.tokens == tuple(tokens)
         check_iob(list(annotated.tags))
         assert reconstruct(result) == " ".join(tokens)
+
+
+def random_model(data, base, modes=(MULTICLASS,)):
+    """A model over ``base``'s vocabularies and sizes with drawn weights: a
+    seed, a bias toward static tokens, and at times allowed transitions and
+    starts far below the score stored at the IOB-forbidden ones."""
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    model = init_model(base.hp, base.word_vocab, base.char_vocab, seed=seed,
+                       mode=data.draw(st.sampled_from(modes), label="mode"))
+    bias = data.draw(st.sampled_from([0.0, 0.03, 1.0]) | st.floats(-1.0, 1.0), label="bias")
+    model.params["proj_b"][model.tag_index(OUTSIDE)] += bias
+    if data.draw(st.booleans(), label="negative transitions"):
+        model.params["trans"][~model.frozen_trans] = 10 * FROZEN_SCORE
+        model.params["start"][~model.frozen_start] = 10 * FROZEN_SCORE
+    return model
+
+
+ODD_LINES = st.lists(st.lists(st.sampled_from(ODD_PIECES), max_size=12).map("".join),
+                     min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), lines=ODD_LINES)
+def test_every_decoded_path_is_iob_well_formed(model, data, lines):
+    # decoding reads the forbidden entries as -inf, so no path crosses one
+    # even where every allowed one scores below their stored FROZEN_SCORE
+    decoded = random_model(data, model, modes=(MULTICLASS, BINARY))
+    token_lists = [tuple(line.split()) for line in lines]
+    for tokens, path in zip(token_lists, decode_ids(decoded, token_lists)):
+        assert len(path) == len(tokens)
+        check_iob([decoded.tags[k] for k in path])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), lines=ODD_LINES | st.just(["Starting executor ID 5 on host meso-07",
+                                                  "x <*> 7 y", "used 126 MB total"]),
+       preserve=st.sets(st.sampled_from(list(VariableCategory))),
+       wildcard=st.sampled_from(["<*>", "*"]))
+def test_parse_corpus_is_extract_template_over_decoded_tags(model, data, lines, preserve,
+                                                            wildcard):
+    decoded = random_model(data, model)
+    results, store = parse_corpus(decoded, lines, preserve, wildcard)
+    token_lists = [tuple(line.split()) for line in lines]
+    expected = [extract_template(AnnotatedLog(tokens, tuple(tags)), preserve, wildcard)
+                if tokens else None
+                for tokens, tags in zip(token_lists, decode(decoded, token_lists))]
+    assert results == expected
+    counts = {}
+    for result in filter(None, expected):
+        counts[result.template_id] = counts.get(result.template_id, 0) + 1
+    assert [(e["template_id"], e["count"]) for e in store.summary()] == list(counts.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), lines=ODD_LINES)
+def test_tags_are_the_decoded_ids_read_in_the_tag_alphabet(model, data, lines):
+    decoded = random_model(data, model, modes=(MULTICLASS, BINARY))
+    token_lists = [tuple(line.split()) for line in lines]
+    paths = decode_ids(decoded, token_lists)
+    expected = [AnnotatedLog(tokens, tuple(decoded.tags[k] for k in path)) if tokens else None
+                for tokens, path in zip(token_lists, paths)]
+    assert decode(decoded, token_lists) == [[decoded.tags[k] for k in path] for path in paths]
+    assert tag_logs(decoded, lines) == expected
+    assert [tag_log(decoded, line) for line, log in zip(lines, expected) if log] == [
+        log for log in expected if log]

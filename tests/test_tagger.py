@@ -13,6 +13,7 @@ import logvar.tagger as tagger
 from logvar import crf
 from logvar.corpus import AnnotatedLog
 from logvar.embed import PAD, build_vocabs, encode_log
+from logvar.errors import DimensionMismatch
 from logvar.synth import generate_synthetic
 from logvar.tagger import (
     CHAR_GROUP_ROWS,
@@ -558,6 +559,12 @@ class TestInit:
         # params is a dict of arrays, which a field-wise == cannot compare
         assert tiny_model == tiny_model
         assert tiny_model != copy.deepcopy(tiny_model)
+
+    def test_pretrained_matrix_of_another_shape_is_a_dimension_mismatch(self, vocabs):
+        wv, cv = vocabs
+        for shape in ((len(wv), TINY_HP.word_dim + 1), (len(wv) - 1, TINY_HP.word_dim)):
+            with pytest.raises(DimensionMismatch, match="pretrained matrix shape"):
+                init_model(TINY_HP, wv, cv, pretrained=np.zeros(shape, np.float32))
 
     def test_binary_mode_three_tags(self, vocabs):
         wv, cv = vocabs

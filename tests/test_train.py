@@ -20,6 +20,7 @@ from logvar.embed import build_vocabs
 from logvar.errors import (
     ChecksumError,
     DivergenceError,
+    EmptyInput,
     FormatError,
     NonFiniteScores,
     TagError,
@@ -95,8 +96,12 @@ class TestTrain:
 
     def test_empty_sets_rejected(self, memorization_run):
         train_set, val_set, _, _, cfg, model = memorization_run
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyInput, match="training set") as caught:
             train(model, [], val_set, cfg)
+        assert caught.value.which == "training"
+        with pytest.raises(EmptyInput, match="validation set") as caught:
+            train(model, train_set, [], cfg)
+        assert caught.value.which == "validation"
 
     def test_history_does_not_depend_on_validation_batching(self, memorization_run, monkeypatch):
         train_set, val_set, _, _, _, model = memorization_run
@@ -199,7 +204,7 @@ class TestTrainingOptions:
 class TestFinetune:
     def test_empty_target_rejected(self, memorization_run):
         _, val_set, best, _, cfg, _ = memorization_run
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyInput, match="training set"):
             finetune(best, [], val_set, cfg)
 
     def test_runs_on_five_logs(self, memorization_run):
