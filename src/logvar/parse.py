@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corpus import DEFAULT_WILDCARD, AnnotatedLog
 from .errors import ModeError
@@ -33,16 +34,17 @@ from .tagger import tag_log  # noqa: F401
 from .taxonomy import MULTICLASS, VariableCategory
 
 
-@dataclass(frozen=True, slots=True)
-class Extraction:
+class Extraction(NamedTuple):
+    """One variable occurrence: a tuple, so cheap to build, and so equal to
+    a plain tuple of the same four values."""
+
     category: str
     value: str
     start: int
     end: int  # exclusive token index
 
     def to_dict(self) -> dict:
-        return {"category": self.category, "value": self.value,
-                "start": self.start, "end": self.end}
+        return self._asdict()
 
 
 @dataclass(frozen=True, slots=True)

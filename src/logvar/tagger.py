@@ -28,7 +28,14 @@ padded steps never reach a real step and the recurrences need no mask;
 Viterbi carries each score unchanged through padded steps. The two
 directions are independent, so one ``_lstm_forward`` call advances both in
 a single time loop, their states stacked (2, B, H), and one
-``_lstm_backward`` call runs both back in a single loop. Training runs a
+``_lstm_backward`` call runs both back in a single loop. ``_lstm_forward``
+gathers its steps' input projections from a table (below) a window of steps
+at a time. Decoding gathers windows of LSTM_WINDOW_ROWS rows into one
+reused buffer, carries the cell state in place and keeps only the outputs,
+so a batch holds about 2.7 KB per padded token at default sizes; training
+gathers every step in one window and keeps the gates and cell states that
+the backward pass reads. Each step's arithmetic is the same either way, so
+the window changes no bit. Training runs a
 minibatch the same way: one forward pass, one batched CRF forward-backward
 whose gradient is zero on padded steps and carries the batch mean's 1/B
 (exact when B is a power of two), and one backward pass, linear in it, in
@@ -252,11 +259,19 @@ def init_model(
 # ---------------------------------------------------------------------------
 # forward pass
 
-# Padded tokens (logs x longest log) per batch in decode_ids. A batch keeps
-# about 8 KB per padded token alive (the LSTM gates and states of both
-# directions), so this bounds the extra peak memory of tagging at about
-# 2 MB; larger batches gained little throughput on the synthetic corpus.
-BATCH_TOKENS = 288
+# Padded tokens (logs x longest log) per batch in decode_ids. At its peak a
+# batch keeps about 2.7 KB per padded token alive (both LSTM directions'
+# outputs, as the loop writes them and joined), besides a per-batch
+# projection table of 4 KB per distinct token in a call larger than the
+# token store; at H = 128 in float32. Of 288, 576 and 864, 576 was the
+# largest at which a warm 2,000-line parse took no more page faults than at
+# 288 (the freed batch memory stays below glibc's trim threshold) and peak
+# RSS stayed within 1 MB; parse-bulk ran 1.17x as fast (BENCH_decode_window.json).
+BATCH_TOKENS = 576
+
+# Rows (logs x steps) per window of gates that decoding's LSTM gathers at a
+# time, at least one step: a buffer of 512 KB at 4H = 512 in float32.
+LSTM_WINDOW_ROWS = 128
 
 # Char rows per char-CNN group. Rows run sorted by their count of
 # characters, in consecutive groups of CHAR_GROUP_ROWS. A group's
@@ -396,17 +411,30 @@ def _recurrent_scale(h_dim: int, dtype) -> np.ndarray:
     return c
 
 
-def _lstm_forward(gates: np.ndarray, Wh: np.ndarray) -> tuple[np.ndarray, dict]:
+def _lstm_forward(
+    proj: np.ndarray, Wh: np.ndarray, index: np.ndarray, window: int | None = None
+) -> tuple[np.ndarray, dict | None]:
     """Both LSTM directions over a right-padded batch of B sequences of T steps.
 
-    ``gates`` holds each step's input projection as ``_project`` gives it,
-    ``x @ Wx[d] + b[d]`` with its i, f and o columns halved, time-major,
-    (T, 2, B, 4H); each step adds its recurrent term and overwrites the sum
-    with the gates. ``Wh`` is both directions' recurrent weights stacked,
-    (2, H, 4H), as the ``_Prepared`` view keeps them, scaled by
-    ``_recurrent_scale``. The two directions are independent, so
-    they advance together in one time loop: their states are stacked (2, B,
-    H) and each step makes one (2, B, H) @ (2, H, 4H) product.
+    ``proj`` is a projection table as ``_project`` gives it, (2, N, 4H):
+    ``x @ Wx[d] + b[d]`` with its i, f and o columns halved; step t of
+    sequence b in direction d reads row ``index[t, d, b]`` of ``proj[d]``,
+    ``index`` time-major, (T, 2, B). ``Wh`` is both directions' recurrent
+    weights stacked, (2, H, 4H), as the ``_Prepared`` view keeps them, scaled
+    by ``_recurrent_scale``. The two directions are independent, so they
+    advance together in one time loop: their states are stacked (2, B, H)
+    and each step makes one (2, B, H) @ (2, H, 4H) product.
+
+    The steps' rows are gathered into gates, (steps, 2, B, 4H), one window
+    of steps at a time; each step adds its recurrent term and overwrites the
+    sum with the gates. With ``window`` None (training) one window holds
+    every step, and the gates and every step's ``c`` are kept for
+    ``_lstm_backward``. Decoding passes a number of steps: each window is
+    gathered into one reused buffer, with ``take``'s ``mode="clip"``, which
+    writes into it directly (the default mode would copy the buffer in and
+    out), and ``c`` is carried in one (2, B, H) buffer, updated in place.
+    Either way every step runs the same arithmetic on the same values, so
+    the outputs have the same bits whatever the window.
 
     sigmoid(z) = (tanh(z / 2) + 1) / 2, and every scale here is a power of
     two, so the step needs no broadcast operand, and its outputs have the
@@ -414,49 +442,64 @@ def _lstm_forward(gates: np.ndarray, Wh: np.ndarray) -> tuple[np.ndarray, dict]:
     2) / 2 + 1 / 2 from the unscaled pre-activation: the i, f and o
     columns carry ``tanh + 1``, twice the gate; the loop carries ``h``
     doubled, which against ``Wh``'s extra 1/2 gives the recurrent term
-    scaled as ``gates`` is; the new ``c``, ``2f * c + 2i * g``, is halved
+    scaled as the gates are; the new ``c``, ``2f * c + 2i * g``, is halved
     once per step; and ``hs`` is halved once after the loop. Each step
     writes ``c`` and ``2h`` into preallocated buffers. The state starts at
     zero, so the first step adds a zero in place of its recurrent product:
     the product of a zero state and finite weights is +0, and adding +0 is
     what the product's sum did (it turns a -0 into +0). Padding follows
-    every sequence's last real
-    step, so it never reaches a real step's output. Returns the outputs,
-    (2, B, T, H), each direction in its own step order, and the cache for
-    ``_lstm_backward``: ``hs`` and ``cs``, (T + 1, 2, B, H), from the zero
-    state on, and ``gates`` with doubled i, f and o activations.
+    every sequence's last real step, so it never reaches a real step's
+    output. Returns the outputs, (2, B, T, H), each direction in its own
+    step order, and in training the cache for ``_lstm_backward``: ``hs`` and
+    ``cs``, (T + 1, 2, B, H), from the zero state on, and ``gates`` with
+    doubled i, f and o activations; in decoding None.
     """
-    t_len, _, b_len, four_h = gates.shape
+    t_len, _, b_len = index.shape
+    n_rows, four_h = proj.shape[1:]
     h_dim = four_h // 4
-    dtype = gates.dtype
+    dtype = proj.dtype
     zero, one, half = dtype.type(0.0), dtype.type(1.0), dtype.type(0.5)
+    # the backward direction's rows follow the forward direction's in the flat table
+    flat, flat_index = proj.reshape(-1, four_h), index + np.array([[0], [n_rows]])
+    keep = window is None  # training keeps the gates and every step's c
+    window = t_len if keep else min(window, t_len)
+    gates = np.empty((window, 2, b_len, four_h), dtype=dtype)
     hs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=dtype)
-    cs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=dtype)
+    cs = np.zeros((t_len + 1 if keep else 1, 2, b_len, h_dim), dtype=dtype)
     rec = np.empty((2, b_len, four_h), dtype=dtype)
     tmp = np.empty((2, b_len, h_dim), dtype=dtype)
-    # per-gate views of every step, (T, 2, B, .); the i and f columns adjoin
-    i_g, f_g, g_g, o_g = (gates[..., s] for s in _gate_slices(h_dim))
-    if_g = gates[..., : 2 * h_dim]
-    steps = zip(gates, if_g, i_g, f_g, g_g, o_g, hs[:-1], hs[1:], cs[:-1], cs[1:])
     # positional out arguments: at B = 1 each call's overhead is its cost
     add, mul, tanh = np.add, np.multiply, np.tanh
-    for t, (act, if_, i, f, g, o, h, h_next, c, c_next) in enumerate(steps):
-        if t:
-            np.matmul(h, Wh, rec)
-            add(act, rec, act)
-        else:  # the state starts at zero, and so does the first recurrent term
-            add(act, zero, act)
-        tanh(act, act)
-        add(if_, one, if_)
-        add(o, one, o)
-        mul(f, c, c_next)
-        mul(i, g, tmp)
-        add(c_next, tmp, c_next)
-        mul(c_next, half, c_next)
-        tanh(c_next, tmp)
-        mul(o, tmp, h_next)
+    for lo in range(0, t_len, window):
+        hi = min(lo + window, t_len)
+        act_w = np.take(flat, flat_index[lo:hi], axis=0, out=gates[: hi - lo], mode="clip")
+        # per-gate views of the window's steps, (steps, 2, B, .); i and f adjoin
+        i_g, f_g, g_g, o_g = (act_w[..., s] for s in _gate_slices(h_dim))
+        if_g = act_w[..., : 2 * h_dim]
+        if keep:
+            prev_c, next_c = cs[lo:hi], cs[lo + 1 : hi + 1]
+        else:  # one buffer, updated in place, is every step's c and next c
+            prev_c = next_c = [cs[0]] * (hi - lo)
+        steps = zip(act_w, if_g, i_g, f_g, g_g, o_g, hs[lo:hi], hs[lo + 1 : hi + 1], prev_c,
+                    next_c)
+        for t, (act, if_, i, f, g, o, h, h_next, c, c_next) in enumerate(steps, lo):
+            if t:
+                np.matmul(h, Wh, rec)
+                add(act, rec, act)
+            else:  # the state starts at zero, and so does the first recurrent term
+                add(act, zero, act)
+            tanh(act, act)
+            add(if_, one, if_)
+            add(o, one, o)
+            mul(f, c, c_next)
+            mul(i, g, tmp)
+            add(c_next, tmp, c_next)
+            mul(c_next, half, c_next)
+            tanh(c_next, tmp)
+            mul(o, tmp, h_next)
     hs *= half
-    return hs[1:].transpose(1, 2, 0, 3), {"hs": hs, "cs": cs, "gates": gates}
+    cache = {"hs": hs, "cs": cs, "gates": gates} if keep else None
+    return hs[1:].transpose(1, 2, 0, 3), cache
 
 
 def _lstm_backward(
@@ -737,7 +780,7 @@ def _prepared(model: TaggerModel) -> _Prepared:
 
 def _forward(
     proj: np.ndarray, model: TaggerModel, index: np.ndarray, lengths: np.ndarray,
-    view: _Prepared, m2: np.ndarray | None = None,
+    view: _Prepared, m2: np.ndarray | None = None, backward: bool = False,
 ) -> tuple[np.ndarray, dict]:
     """Emission scores of a right-padded batch of logs, (B, T, n_tags).
 
@@ -745,14 +788,19 @@ def _forward(
     some input row's ``x @ Wx[d] + b[d]`` (``_project``), and step t of log
     b reads row ``index[b, t]``; ``view`` is a ``_Prepared`` view of the model.
     Log b's steps [0, lengths[b]) are real; its padded steps may read any
-    row and score garbage that no caller reads. Every step's row is gathered
-    once, the backward direction's through ``index[rev]``, and the table is
-    dropped before the time loop, so a caller that passes a fresh table
-    without keeping it frees it there. One ``_lstm_forward`` call runs both
-    LSTM directions in one time loop. ``m2``, from ``_dropout_masks``, masks
-    the LSTM outputs in training. Returns the emissions and the cache the
-    backward pass reads: ``_lstm_forward``'s, the scaled recurrent weights it
-    read and each step's row, (T, 2, B).
+    row and score garbage that no caller reads. The backward direction
+    reads its rows through ``index[rev]``. One ``_lstm_forward`` call runs
+    both LSTM directions in one time loop, gathering each step's row from
+    the table. Decoding gathers windows of LSTM_WINDOW_ROWS rows (at least
+    one step) and keeps no LSTM state but the outputs; ``backward`` (training)
+    gathers every step at once and keeps what the backward pass reads. The
+    table is dropped after the LSTM, so a caller that passes a fresh table
+    without keeping it frees it there, before the outputs of both directions
+    are joined. ``m2``, from ``_dropout_masks``, masks the LSTM outputs in
+    training. Returns the emissions and the cache the backward pass reads:
+    the real-step mask, the reversal index, each step's row, (T, 2, B), the
+    scaled recurrent weights, the joined outputs and ``_lstm_forward``'s
+    cache, None in decoding.
     """
     p = model.params
     b_len, t_max = index.shape
@@ -764,10 +812,11 @@ def _forward(
     rev = (np.arange(b_len)[:, None], np.where(real, lengths[:, None] - 1 - steps, steps))
     steps_index = np.stack((index, index[rev]), axis=1).T  # (T, 2, B)
     cache = {"real": real, "rev": rev, "m2": m2, "index": steps_index, "Wh": view.Wh}
-    gates = proj[np.arange(2)[:, None], steps_index]
+    window = None if backward else max(1, LSTM_WINDOW_ROWS // b_len)
+    h, cache["lstm"] = _lstm_forward(proj, view.Wh, steps_index, window)
     del proj
-    h, cache["lstm"] = _lstm_forward(gates, view.Wh)
     h_cat = np.concatenate([h[0], h[1][rev]], axis=2)  # (B, T, 2H)
+    del h  # in decoding, the last reference to the LSTM states
     h_d = cache["h_d"] = h_cat * m2 if m2 is not None else h_cat
     emissions = h_d.reshape(-1, h_d.shape[2]) @ p["proj_W"] + p["proj_b"]
     return emissions.reshape(b_len, t_max, -1), cache
@@ -789,7 +838,8 @@ def _train_forward(
     if m1 is not None:
         rows = (rows[index] * m1).reshape(-1, model.hp.input_dim)
         index = np.arange(index.size).reshape(index.shape)
-    emissions, cache = _forward(_project(view, rows), model, index, lengths, view, m2)
+    emissions, cache = _forward(_project(view, rows), model, index, lengths, view, m2,
+                                backward=True)
     cache.update(rows=rows, m1=m1)
     return emissions, cache
 
@@ -895,7 +945,10 @@ def decode_ids(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[l
 
     Messages are sorted by token count and run in right-padded batches of
     at most BATCH_TOKENS padded tokens (a longer message goes alone); an
-    empty message gets ``[]``. When the call's distinct tokens fit in the
+    empty message gets ``[]``. A batch's LSTM keeps its outputs but no
+    per-step gates or cell states (``_forward``), so a message that goes
+    alone holds about 2.7 KB per token at default sizes, besides the
+    projection table it reads. When the call's distinct tokens fit in the
     token store (at most STORE_ROWS) every batch reads its LSTM input
     projections from the store by slot, and only the tokens the store
     lacks are encoded, convolved and projected. A larger call builds one
@@ -937,12 +990,13 @@ def decode_ids(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[l
                 index = _padded(slot_ids, starts[batch], n)
             else:
                 used, index = _distinct_rows(_padded(ids, starts[batch], n), n)
-                rows = _input_rows(model, table.word_ids[used], char_rep[used])
-            # a per-batch table is not kept here, so _forward frees it early
-            emissions, cache = _forward(view.proj if stored else _project(view, rows), model,
-                                        index, n, view)
+            # a per-batch table is not kept here, so _forward frees it after the LSTM
+            emissions, cache = _forward(
+                view.proj if stored
+                else _project(view, _input_rows(model, table.word_ids[used], char_rep[used])),
+                model, index, n, view)
             real = cache["real"]
-            del cache  # the LSTM's states, which decoding no longer reads
+            del cache  # the joined LSTM outputs, which Viterbi does not read
             if not np.isfinite(emissions[real]).all():
                 raise NonFiniteScores("the model's emission scores are not finite")
             paths = crf.viterbi_decode(emissions, view.trans, view.start, model.params["end"], n)

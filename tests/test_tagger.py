@@ -158,7 +158,7 @@ def lstm_case(b_len, t_len, dtype, seed):
     batch's two step indexes as ``_forward`` builds them: log 0 is full, the
     others end early, their padded steps read row 0, and the backward
     direction reads each log's real steps reversed. Returns the arguments of
-    ``_lstm_forward`` and the real-step mask, (B, T)."""
+    ``lstm_forward`` and the real-step mask, (B, T)."""
     rng = np.random.default_rng(seed)
     d_in, h_dim, n_rows = 10, 6, 20
     Wx, Wh, b = ([(rng.standard_normal(shape) * 0.5).astype(dtype) for _ in range(2)]
@@ -196,11 +196,12 @@ def scaled_Wh(Wh):
     return stacked * tagger._recurrent_scale(stacked.shape[1], stacked.dtype)
 
 
-def lstm_forward(rows, Wx, Wh, b, index):
-    """``_lstm_forward`` on ``lstm_gates`` with the i, f and o columns
-    halved, as ``_project`` gives them, and ``scaled_Wh``."""
-    gates = halve_sigmoid_gates(lstm_gates(rows, Wx, b, index))
-    return tagger._lstm_forward(gates, scaled_Wh(Wh))
+def lstm_forward(rows, Wx, Wh, b, index, window=None):
+    """``_lstm_forward`` on the table of both directions' ``rows @ Wx[d] +
+    b[d]`` with the i, f and o columns halved, as ``_project`` gives it,
+    ``scaled_Wh`` and the two step indexes time-major, (T, 2, B)."""
+    proj = halve_sigmoid_gates(np.stack([rows @ Wx[d] + b[d] for d in range(2)]))
+    return tagger._lstm_forward(proj, scaled_Wh(Wh), np.stack(index, axis=1).T, window)
 
 
 def activations(cache):
@@ -238,6 +239,43 @@ def broadcast_lstm_forward(gates, Wh):
         np.multiply(act[..., o_], np.tanh(cs[t + 1]), out=hs[t + 1])
     caches = [{"hs": hs[:, d], "cs": cs[:, d], "gates": gates[:, d]} for d in range(2)]
     return hs[1:].transpose(1, 2, 0, 3), caches
+
+
+def gathered_lstm_forward(gates, Wh):
+    """``_lstm_forward`` as it ran before decoding gathered its gates a
+    window at a time, kept as the oracle of every window: ``gates``, every
+    step's row gathered time-major, (T, 2, B, 4H), with the i, f and o
+    columns halved, and ``scaled_Wh``; ``gates`` is overwritten. Returns the
+    outputs and the training cache."""
+    t_len, _, b_len, four_h = gates.shape
+    h_dim = four_h // 4
+    dtype = gates.dtype
+    zero, one, half = dtype.type(0.0), dtype.type(1.0), dtype.type(0.5)
+    hs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=dtype)
+    cs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=dtype)
+    rec = np.empty((2, b_len, four_h), dtype=dtype)
+    tmp = np.empty((2, b_len, h_dim), dtype=dtype)
+    i_g, f_g, g_g, o_g = (gates[..., s] for s in tagger._gate_slices(h_dim))
+    if_g = gates[..., : 2 * h_dim]
+    steps = zip(gates, if_g, i_g, f_g, g_g, o_g, hs[:-1], hs[1:], cs[:-1], cs[1:])
+    add, mul, tanh = np.add, np.multiply, np.tanh
+    for t, (act, if_, i, f, g, o, h, h_next, c, c_next) in enumerate(steps):
+        if t:
+            np.matmul(h, Wh, rec)
+            add(act, rec, act)
+        else:
+            add(act, zero, act)
+        tanh(act, act)
+        add(if_, one, if_)
+        add(o, one, o)
+        mul(f, c, c_next)
+        mul(i, g, tmp)
+        add(c_next, tmp, c_next)
+        mul(c_next, half, c_next)
+        tanh(c_next, tmp)
+        mul(o, tmp, h_next)
+    hs *= half
+    return hs[1:].transpose(1, 2, 0, 3), {"hs": hs, "cs": cs, "gates": gates}
 
 
 def per_direction_lstm_backward(d_h, rows, index, Wx, Wh, cache, real):
@@ -867,6 +905,7 @@ class TestCharRepsPerCall:
 
         monkeypatch.setattr(tagger, "_char_table", table_spy)
         monkeypatch.setattr(tagger, "_forward", forward_spy)
+        monkeypatch.setattr(tagger, "BATCH_TOKENS", 64)  # a call of several batches
         m = read_only(tiny_model)
         msgs = [log.tokens for log in corpus[:20]] * 2
         table = token_table(m, msgs)[0]
@@ -1088,7 +1127,8 @@ class TestGradients:
 class TestLstmForward:
     """The two-direction ``_lstm_forward`` against one per-direction loop
     each, float64 within 1e-12 and float32 within F32_RTOL/F32_ATOL, and
-    against the broadcast step it replaced, bitwise."""
+    against the broadcast step it replaced, bitwise; decoding's windows
+    against the training call and the kernel they replaced, bitwise."""
 
     SHAPES = list(itertools.product((1, 3, 8, 16, 32), (1, 2, 13, 35)))
 
@@ -1119,6 +1159,25 @@ class TestLstmForward:
         for d, got in enumerate(activations(cache)):
             for name in ("hs", "cs", "gates"):
                 assert got[name].tobytes() == want[d][name].tobytes(), f"{name}[{d}]"
+
+    @pytest.mark.parametrize("b_len", (1, 3, 32))
+    @pytest.mark.parametrize("t_len", (1, 2, 13, 35))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_window_equals_the_training_call_bitwise(self, b_len, t_len, dtype):
+        # decoding's windows of gathered gates change no bit of the outputs,
+        # and the training call (one window, its cache kept) matches the
+        # kernel that gathered every step at once, outputs and cache
+        (rows, Wx, Wh, b, index), _ = lstm_case(b_len, t_len, dtype, 300 * b_len + t_len)
+        want_h, want = gathered_lstm_forward(
+            halve_sigmoid_gates(lstm_gates(rows, Wx, b, index)), scaled_Wh(Wh))
+        h, cache = lstm_forward(rows, Wx, Wh, b, index)
+        assert h.tobytes() == want_h.tobytes()
+        for name in ("hs", "cs", "gates"):
+            assert cache[name].tobytes() == want[name].tobytes(), name
+        for window in sorted({1, 2, 3, t_len, t_len + 1}):
+            h_w, no_cache = lstm_forward(rows, Wx, Wh, b, index, window)
+            assert no_cache is None
+            assert h_w.dtype == dtype and h_w.tobytes() == want_h.tobytes(), window
 
 
 class TestLstmBackward:
@@ -1323,6 +1382,25 @@ class TestDecode:
         assert decode(m, [(), ()]) == [[], []]
         alpha, beta = decode(m, [("alpha",), ("beta", "7")])
         assert decode(m, [("alpha",), (), ("beta", "7"), ()]) == [alpha, [], beta, []]
+
+    def test_a_long_line_holds_at_most_3_5_kb_per_token(self):
+        # decoding keeps no per-step LSTM gates or cell states, only a window
+        # of gates and one c buffer: at default sizes its peak is both
+        # directions' outputs, about 2.7 KB per token, where keeping every
+        # step's gates and states took 7.8 KB
+        logs = generate_synthetic(seed=1, n_templates=20, n_logs=600)[0]
+        line = tuple(tok for log in logs for tok in log.tokens)[:4000]
+        wv, cv = build_vocabs(logs[:200])
+        m = init_model(Hyperparams(), wv, cv, seed=0)
+        tagger.decode_ids(m, [line[:10]])  # builds the prepared view and the token store
+        tracemalloc.start()
+        try:
+            (path,) = tagger.decode_ids(m, [line])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(path) == len(line) == 4000
+        assert peak <= 3.5 * 1024 * len(line)
 
     def test_tag_log_deterministic(self, tiny_model):
         raw = "Starting executor ID 5 on host meso-07"
