@@ -266,7 +266,7 @@ def init_model(
 # token store; at H = 128 in float32. Of 288, 576 and 864, 576 was the
 # largest at which a warm 2,000-line parse took no more page faults than at
 # 288 (the freed batch memory stays below glibc's trim threshold) and peak
-# RSS stayed within 1 MB; parse-bulk ran 1.17x as fast (BENCH_decode_window.json).
+# RSS stayed within 1 MB; parse-bulk ran 1.12-1.17x as fast (BENCH_decode_window.json).
 BATCH_TOKENS = 576
 
 # Rows (logs x steps) per window of gates that decoding's LSTM gathers at a
