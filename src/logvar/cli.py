@@ -69,13 +69,14 @@ def _echo_run_config(out_path: str | Path, args: argparse.Namespace) -> None:
 
 
 @contextmanager
-def _about(path: str) -> Iterator[None]:
-    """Name ``path`` in an EmptyInput or ModeError raised inside: the file
-    whose content the error is about."""
+def _about(path: str, **paths: str) -> Iterator[None]:
+    """Name the file an EmptyInput or ModeError raised inside is about:
+    ``paths[exc.which]`` when the error's ``which`` (say "validation") is a
+    key of ``paths``, and ``path`` otherwise."""
     try:
         yield
     except (EmptyInput, ModeError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise type(exc)(f"{paths.get(getattr(exc, 'which', None), path)}: {exc}") from exc
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
@@ -166,12 +167,8 @@ def _fit(fit, model: TaggerModel, train_set: list[AnnotatedLog], val_set: list[A
          args: argparse.Namespace) -> str:
     """The tail of ``train`` and ``finetune``: run ``fit`` (``train`` or
     ``finetune``), save the best checkpoint and print the history."""
-    try:
+    with _about(args.train, validation=args.val):
         best, history = fit(model, train_set, val_set, _from_args(TrainConfig, args))
-    except EmptyInput as exc:
-        # fit names the empty set; name its file
-        path = {"training": args.train, "validation": args.val}[exc.which]
-        raise EmptyInput(f"{path}: {exc}", exc.which) from exc
     save_model(best, args.out)
     for h in history:
         print(f"epoch {h.epoch:3d}  loss {h.train_loss:.4f}  val {h.val_metric:.4f}")

@@ -155,38 +155,42 @@ def derive_binary_annotations(content: str, template: str) -> AnnotatedLog:
     each wildcard ("<*>" or "*") absorbs a run of one or more content
     tokens, tagged B-VAR then I-VAR. Of the alignments that exist, the one
     taken gives each wildcard, left to right, the fewest tokens.
+
+    The alignment is one left-to-right pass, as in glob matching: a
+    wildcard takes one token and becomes the backtrack point; on a
+    mismatch, or content left over at the end, the last wildcard takes one
+    more token and the static tokens after it are matched again. A wildcard
+    to the left of the last one never needs more: moving the static run
+    after it to its earliest match keeps any alignment valid. Memory is
+    O(n + m) for n content and m template tokens; time is Θ(n·m) at worst.
     """
     ctoks = tokenize(content)
     ttoks = tokenize(template)
     n, m = len(ctoks), len(ttoks)
-    # ok[i][j]: content tokens i.. align with template tokens j..
-    ok = [[False] * (m + 1) for _ in range(n + 1)]
-    ok[n][m] = True
-    for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            if ttoks[j] in WILDCARDS:
-                # the wildcard takes token i, then ends or takes more
-                ok[i][j] = ok[i + 1][j + 1] or ok[i + 1][j]
-            else:
-                ok[i][j] = ctoks[i] == ttoks[j] and ok[i + 1][j + 1]
-    if not ok[0][0]:
-        raise AlignmentError(
-            f"the {n} content tokens do not align with template {template!r}: each "
-            f"static token must match in order and each wildcard take one or more tokens"
-        )
-    tags: list[Tag] = []
-    i = 0
-    for j, t in enumerate(ttoks):
-        if t in WILDCARDS:
-            k = 1
-            while not ok[i + k][j + 1]:
-                k += 1
-            tags.append(Tag("B", BINARY_CATEGORY))
-            tags.extend([Tag("I", BINARY_CATEGORY)] * (k - 1))
-            i += k
-        else:
-            tags.append(OUTSIDE)
-            i += 1
+    runs: list[list[int]] = []  # [first, end) content tokens of each wildcard
+    after = 0  # the template index after the last wildcard
+    i = j = 0
+    while i < n or j < m:
+        if i < n and j < m and ttoks[j] in WILDCARDS:
+            runs.append([i, i + 1])
+            after = j + 1
+        elif i == n or j == m or ctoks[i] != ttoks[j]:
+            # at i == n the static tokens after the last wildcard ran out of
+            # content, and giving that wildcard more leaves them less
+            if i == n or not runs:
+                raise AlignmentError(
+                    f"the {n} content tokens do not align with template {template!r}: each "
+                    f"static token must match in order and each wildcard take one or more tokens"
+                )
+            runs[-1][1] += 1
+            i, j = runs[-1][1], after
+            continue
+        i += 1
+        j += 1
+    tags = [OUTSIDE] * n
+    for first, end in runs:
+        tags[first] = Tag("B", BINARY_CATEGORY)
+        tags[first + 1:end] = [Tag("I", BINARY_CATEGORY)] * (end - first - 1)
     return AnnotatedLog(tuple(ctoks), tuple(tags))
 
 

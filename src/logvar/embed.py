@@ -136,7 +136,7 @@ def load_word_vectors(
 
 
 def encode_log(
-    tokens: Sequence[str], wv: WordVocab, cv: CharVocab, max_word_len: int = 30
+    tokens: Sequence[str], wv: WordVocab, cv: CharVocab, max_word_len: int
 ) -> EncodedLog:
     """Word ids and char-id rows for a list of tokens, each truncated to
     ``max_word_len`` characters and right-padded to the longest (one column at least)."""

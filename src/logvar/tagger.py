@@ -88,11 +88,11 @@ model keeps its view, and with it the store, across calls until a
 ``params`` entry is replaced by another array; building the view makes the
 tensors it reads read-only, so no in-place write can make a kept projection
 stale. The view lives in a weak map beside the model, not in a field, so a
-model still deep-copies. A ``decode_ids`` call that reads the store holds the
-view's lock while it runs, so such calls on one model run one at a time; a
-larger call touches no mutable state and runs beside them. Either way each
-distinct token of a call is convolved at most once: tokens that share their
-first max_word_len characters are convolved once each.
+model still deep-copies. A ``decode_ids`` call holds the view's lock while
+it runs, so calls on one model run one at a time. Whether or not a call
+reads the store, each of its distinct tokens is convolved at most once:
+tokens that share their first max_word_len characters are convolved once
+each.
 
 The char-CNN's convolution is linear in the character embedding, so it is
 read from a per-character table, table[k] = char_emb @ char_W[k] of shape
@@ -111,7 +111,6 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -959,13 +958,11 @@ def decode_ids(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[l
     shared recurrent and emission matmuls, not its tags. Every path is
     IOB-well-formed: Viterbi reads ``_crf_scores``, so no path through a
     forbidden entry has a finite score, and the real-step emissions are
-    checked finite. A call that reads the store holds the model's
-    ``_prepared`` view's lock throughout, so such calls on one model run one
-    at a time; a larger call reads only read-only tensors and takes no lock.
-    Raises NonFiniteScores if a batch's real-step emissions are not all
-    finite (weights that overflow float32); the call runs with numpy's
-    overflow and invalid-value warnings off, so that error is the only
-    report.
+    checked finite. A call holds the model's ``_prepared`` view's lock
+    throughout, so calls on one model run one at a time. Raises
+    NonFiniteScores if a batch's real-step emissions are not all finite
+    (weights that overflow float32); the call runs with numpy's overflow and
+    invalid-value warnings off, so that error is the only report.
     """
     view = _prepared(model)
     tokens, ids, lengths = _distinct_tokens(token_lists)
@@ -974,7 +971,7 @@ def decode_ids(model: TaggerModel, token_lists: list[tuple[str, ...]]) -> list[l
     order = np.argsort(lengths, kind="stable")
     out: list[list[int]] = [[] for _ in token_lists]
     lo = int(np.count_nonzero(lengths == 0))  # empty messages sort first and keep []
-    with view.lock if stored else nullcontext(), np.errstate(over="ignore", invalid="ignore"):
+    with view.lock, np.errstate(over="ignore", invalid="ignore"):
         if stored:
             slot_ids = view.slots_of(model, tokens)[ids]
         else:

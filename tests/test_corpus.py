@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +193,125 @@ class TestDeriveBinary:
     def test_length_always_matches_content(self):
         log = derive_binary_annotations("x 1 y 2 2 z", "x <*> y <*> z")
         assert len(log.tags) == len(tokenize("x 1 y 2 2 z"))
+
+
+WORDS = st.sampled_from(["a", "b", "c", "<*>", "*"])
+
+
+@st.composite
+def rows(draw, max_tokens):
+    """A (content, template) pair with 1 to max_tokens content tokens, any of
+    them a literal wildcard: the content is either drawn freely or filled
+    in from the template's wildcards and then perhaps changed in one place,
+    so that many pairs align and many do not."""
+    template = draw(st.lists(WORDS, min_size=1, max_size=max(1, max_tokens // 2)))
+    if draw(st.booleans()):
+        content = draw(st.lists(WORDS, min_size=1, max_size=max_tokens))
+    else:
+        content = []
+        for t in template:
+            content += draw(st.lists(WORDS, min_size=1, max_size=3)) if t in ("<*>", "*") else [t]
+        content = content[:max_tokens]
+        if draw(st.booleans()):
+            content[draw(st.integers(0, len(content) - 1))] = draw(WORDS)
+    return " ".join(content), " ".join(template)
+
+
+def aligned_tags(content, template):
+    """derive_binary_annotations' tags as strings, or None on AlignmentError."""
+    try:
+        return [str(t) for t in derive_binary_annotations(content, template).tags]
+    except AlignmentError:
+        return None
+
+
+def splits(total, k):
+    """Every way to give k wildcards one token or more each, total tokens in
+    all, in lexicographic order of the run lengths."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(1, total - k + 2):
+        for rest in splits(total - first, k - 1):
+            yield (first, *rest)
+
+
+def brute_force_tags(content, template):
+    """The tags of the first split of the content among the wildcards, in
+    lexicographic order of run lengths, under which every static token
+    matches; None when no split does."""
+    ctoks, ttoks = content.split(), template.split()
+    k = sum(t in ("<*>", "*") for t in ttoks)
+    for runs in splits(len(ctoks) - (len(ttoks) - k), k):
+        lengths, i, tags = iter(runs), 0, []
+        for t in ttoks:
+            if t in ("<*>", "*"):
+                r = next(lengths)
+                tags += ["B-VAR"] + ["I-VAR"] * (r - 1)
+                i += r
+            elif ctoks[i] == t:
+                tags.append("O")
+                i += 1
+            else:
+                break
+        else:
+            return tags
+    return None
+
+
+def table_tags(content, template):
+    """The (n+1) x (m+1) table alignment that derive_binary_annotations used
+    before its one-pass walk, kept as an oracle; None when no alignment exists."""
+    ctoks, ttoks = content.split(), template.split()
+    n, m = len(ctoks), len(ttoks)
+    # ok[i][j]: content tokens i.. align with template tokens j..
+    ok = [[False] * (m + 1) for _ in range(n + 1)]
+    ok[n][m] = True
+    for i in range(n - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
+            if ttoks[j] in ("<*>", "*"):
+                ok[i][j] = ok[i + 1][j + 1] or ok[i + 1][j]
+            else:
+                ok[i][j] = ctoks[i] == ttoks[j] and ok[i + 1][j + 1]
+    if not ok[0][0]:
+        return None
+    tags, i = [], 0
+    for j, t in enumerate(ttoks):
+        if t in ("<*>", "*"):
+            k = 1
+            while not ok[i + k][j + 1]:
+                k += 1
+            tags += ["B-VAR"] + ["I-VAR"] * (k - 1)
+            i += k
+        else:
+            tags.append("O")
+            i += 1
+    return tags
+
+
+class TestDeriveBinaryOracles:
+    @given(rows(8))
+    @settings(max_examples=400, deadline=None)
+    def test_short_rows_match_brute_force(self, row):
+        assert aligned_tags(*row) == brute_force_tags(*row)
+
+    @given(rows(200))
+    @settings(max_examples=150, deadline=None)
+    def test_long_rows_match_the_table(self, row):
+        assert aligned_tags(*row) == table_tags(*row)
+
+    def test_a_2000_token_row_holds_no_table(self):
+        template = " ".join(f"s{j} <*>" for j in range(1000))
+        content = " ".join(f"s{j} v{j}" for j in range(1000))
+        tracemalloc.start()
+        try:
+            log = derive_binary_annotations(content, template)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert [str(t) for t in log.tags] == ["O", "B-VAR"] * 1000
 
 
 class TestSplit:

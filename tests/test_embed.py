@@ -64,12 +64,12 @@ class TestEncode:
         tokens = log_of("ab abcdefgh").tokens
         assert encode_log(tokens, self.wv, self.cv, max_word_len=10**6).char_ids.shape == (2, 8)
         assert encode_log(tokens, self.wv, self.cv, max_word_len=5).char_ids.shape == (2, 5)
-        assert encode_log((), self.wv, self.cv).char_ids.shape == (0, 1)
+        assert encode_log((), self.wv, self.cv, max_word_len=30).char_ids.shape == (0, 1)
 
     def test_encoding_total_and_deterministic(self):
         log = log_of("completely unseen Zz9")
-        a = encode_log(log.tokens, self.wv, self.cv)
-        b = encode_log(log.tokens, self.wv, self.cv)
+        a = encode_log(log.tokens, self.wv, self.cv, max_word_len=30)
+        b = encode_log(log.tokens, self.wv, self.cv, max_word_len=30)
         assert (a.word_ids == b.word_ids).all()
         assert (a.char_ids == b.char_ids).all()
 

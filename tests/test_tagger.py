@@ -1496,27 +1496,22 @@ class TestTokenStore:
         self.check(m, big, spy)
         assert dict(view.slots) == slots
 
-    def test_only_a_call_that_reads_the_store_takes_the_lock(self, tiny_model):
+    def test_every_call_takes_the_lock(self, tiny_model):
+        # one call that reads the store and one larger than it: each waits
+        # while the view's lock is held, then gets the tags of an unlocked run
         m = read_only(tiny_model)
         view = _prepared(m)
         large = [tuple(f"t{i}" for i in range(tagger.STORE_ROWS + 1))]
         small = [("alpha", "beta", "7")]
-        done = {}
-
-        def run(key, token_lists):
-            done[key] = decode(m, token_lists)
-
-        with view.lock:
-            worker = threading.Thread(target=run, args=("large", large))
-            worker.start()
-            worker.join(timeout=30)
-            assert not worker.is_alive() and len(done["large"][0]) == len(large[0])
-            waiting = threading.Thread(target=run, args=("small", small))
-            waiting.start()
-            waiting.join(timeout=0.5)
-            assert waiting.is_alive() and "small" not in done
-        waiting.join(timeout=30)
-        assert not waiting.is_alive() and done["small"] == decode(m, small)
+        for token_lists in (large, small):
+            done = []
+            with view.lock:
+                waiting = threading.Thread(target=lambda: done.append(decode(m, token_lists)))
+                waiting.start()
+                waiting.join(timeout=0.5)
+                assert waiting.is_alive() and not done
+            waiting.join(timeout=30)
+            assert not waiting.is_alive() and done == [decode(m, token_lists)]
 
     def test_threads_get_the_tags_of_one(self, tiny_model, corpus, monkeypatch):
         # more threads than cores, a short switch interval, and a small store,
