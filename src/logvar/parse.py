@@ -97,6 +97,14 @@ def template_hash(canonical: str, slots: list[int]) -> str:
     return hashlib.blake2b(payload.encode("utf-8", "surrogatepass"), digest_size=8).hexdigest()
 
 
+def _one_token(wildcard: str) -> str:
+    """``wildcard``, which must be one token, so that a rendered template
+    has as many tokens as its canonical template; ValueError otherwise."""
+    if wildcard.split() != [wildcard]:
+        raise ValueError(f"the wildcard must be one token, not {wildcard!r}")
+    return wildcard
+
+
 def _result(
     tokens: tuple[str, ...], runs: list, preserve: set[str], wildcard: str
 ) -> ParseResult:
@@ -133,8 +141,9 @@ def extract_template(
     preserve: set[VariableCategory] | frozenset[VariableCategory] = frozenset(),
     wildcard: str = DEFAULT_WILDCARD,
 ) -> ParseResult:
-    """The record of a tagged log: its template, canonical template, id and extractions."""
-    return _result(log.tokens, spans(log.tags), {c.abbrev for c in preserve}, wildcard)
+    """The record of a tagged log: its template, canonical template, id and
+    extractions. Raises ValueError for a wildcard that is not one token."""
+    return _result(log.tokens, spans(log.tags), {c.abbrev for c in preserve}, _one_token(wildcard))
 
 
 def reconstruct(result: ParseResult) -> str:
@@ -169,9 +178,11 @@ def parse_corpus(
     is built from the line's tokens and tag indices, the result
     ``extract_template`` gives for the line's tagged log. Template ids and
     ordinals are assigned in a single ordered pass afterwards, so neither
-    depends on how lines were batched. Raises ModeError for a model that is
+    depends on how lines were batched. Raises ValueError, before decoding,
+    for a wildcard that is not one token, and ModeError for a model that is
     not multiclass.
     """
+    wildcard = _one_token(wildcard)
     if model.mode != MULTICLASS:
         raise ModeError(f"parse needs a {MULTICLASS} model, not a {model.mode} one")
     tags = model.tags

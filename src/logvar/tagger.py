@@ -11,8 +11,10 @@ Concurrent readers may share a model.
 IOB structure is enforced inside the CRF by one rule, ``_crf_scores``: the
 transitions and starts that would make a tag sequence ill-formed score -inf,
 in decoding and in training alike. So every decoded path is well-formed,
-and log Z and its gradients count well-formed paths only; no decoded path
-is checked again.
+and log Z and its gradients count well-formed paths only. Only
+``parse.parse_corpus`` relies on that alone; ``tag_log``, ``tag_logs`` and
+``train``'s validation build an ``AnnotatedLog`` per line, which checks
+its tags again.
 
 One forward pass, ``_forward``, serves inference and training, and one
 inference entry point, ``decode_ids``, serves parsing, tagging and
@@ -68,10 +70,10 @@ another kernel; from two rows on, no row depends on the row count).
 Training builds a token table, an ``EncodedLog`` of distinct tokens, once
 per ``train`` run (``token_table``), computes the char-CNN output per
 minibatch over the minibatch's distinct rows through ``_char_reps`` and its
-backward, and projects one row per distinct id; under dropout every
-position is masked differently, so it projects one row per position. A
-model with a dropout rate of 0 draws no masks; otherwise log b of minibatch
-i of epoch e draws them from one seed, ``batch_dropout_seed(seed, e, i) + b``.
+backward, and, at every dropout rate, projects one masked row per position.
+Log b of minibatch i of epoch e draws its masks from one seed,
+``batch_dropout_seed(seed, e, i) + b``; at a rate of 0 the masks keep every
+real step and no generator is drawn.
 
 ``decode_ids`` reads what depends on the parameters alone, the char table, the
 stacked and scaled LSTM weights and biases and the CRF's -inf scores,
@@ -585,19 +587,22 @@ def batch_dropout_seed(seed: int, epoch: int, batch: int) -> int:
 
 def _dropout_masks(
     model: TaggerModel, shape: tuple[int, int], lengths: np.ndarray, dropout_seed: int
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Inverted-dropout masks of the LSTM inputs and outputs of a (B, T)
-    batch of logs of ``lengths`` real steps, (B, T, width), or None for both
-    at a dropout rate of 0.
+    batch of logs of ``lengths`` real steps, (B, T, width); padded steps get
+    zero. This is the only code in the forward and backward passes that
+    reads the dropout rate.
 
     Log b draws its masks over its real steps from ``dropout_seed + b``:
-    the masks it would get alone at that seed. Padded steps get zero.
+    the masks it would get alone at that seed. At a rate of 0 no generator
+    is drawn: both masks are the real-step mask, (B, T, 1), 1 on real steps.
     """
     p = model.hp.dropout
-    if p == 0.0:
-        return None, None
-    scale = 1.0 / (1.0 - p)
     dtype = model.params["proj_W"].dtype
+    if p == 0.0:
+        real = (np.arange(shape[1]) < lengths[:, None]).astype(dtype)[..., None]
+        return real, real
+    scale = 1.0 / (1.0 - p)
     m1 = np.zeros((*shape, model.hp.input_dim), dtype=dtype)
     m2 = np.zeros((*shape, 2 * model.hp.lstm_hidden), dtype=dtype)
     for b, n in enumerate(lengths):
@@ -779,7 +784,7 @@ def _prepared(model: TaggerModel) -> _Prepared:
 
 def _forward(
     proj: np.ndarray, model: TaggerModel, index: np.ndarray, lengths: np.ndarray,
-    view: _Prepared, m2: np.ndarray | None = None, backward: bool = False,
+    view: _Prepared, m2: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Emission scores of a right-padded batch of logs, (B, T, n_tags).
 
@@ -790,16 +795,17 @@ def _forward(
     row and score garbage that no caller reads. The backward direction
     reads its rows through ``index[rev]``. One ``_lstm_forward`` call runs
     both LSTM directions in one time loop, gathering each step's row from
-    the table. Decoding gathers windows of LSTM_WINDOW_ROWS rows (at least
-    one step) and keeps no LSTM state but the outputs; ``backward`` (training)
-    gathers every step at once and keeps what the backward pass reads. The
-    table is dropped after the LSTM, so a caller that passes a fresh table
-    without keeping it frees it there, before the outputs of both directions
-    are joined. ``m2``, from ``_dropout_masks``, masks the LSTM outputs in
-    training. Returns the emissions and the cache the backward pass reads:
-    the real-step mask, the reversal index, each step's row, (T, 2, B), the
-    scaled recurrent weights, the joined outputs and ``_lstm_forward``'s
-    cache, None in decoding.
+    the table. The masks alone tell training from decoding: a forward given
+    ``m2``, the output mask from ``_dropout_masks``, is a training forward,
+    which gathers every step at once, keeps what the backward pass reads and
+    masks the LSTM outputs; a forward without it decodes, gathering windows
+    of LSTM_WINDOW_ROWS rows (at least one step) and keeping no LSTM state
+    but the outputs. The table is dropped after the LSTM, so a caller that
+    passes a fresh table without keeping it frees it there, before the
+    outputs of both directions are joined. Returns the emissions and the
+    cache the backward pass reads: the real-step mask, the reversal index,
+    each step's row, (T, 2, B), the scaled recurrent weights, the joined
+    outputs and ``_lstm_forward``'s cache, None in decoding.
     """
     p = model.params
     b_len, t_max = index.shape
@@ -811,7 +817,7 @@ def _forward(
     rev = (np.arange(b_len)[:, None], np.where(real, lengths[:, None] - 1 - steps, steps))
     steps_index = np.stack((index, index[rev]), axis=1).T  # (T, 2, B)
     cache = {"real": real, "rev": rev, "m2": m2, "index": steps_index, "Wh": view.Wh}
-    window = None if backward else max(1, LSTM_WINDOW_ROWS // b_len)
+    window = None if m2 is not None else max(1, LSTM_WINDOW_ROWS // b_len)
     h, cache["lstm"] = _lstm_forward(proj, view.Wh, steps_index, window)
     del proj
     h_cat = np.concatenate([h[0], h[1][rev]], axis=2)  # (B, T, 2H)
@@ -828,17 +834,14 @@ def _train_forward(
     """``_forward`` of a batch from its input rows (``_input_rows``), step t
     of log b reading row ``index[b, t]`` (``_distinct_rows``).
 
-    Without dropout (rate 0) both directions project each row once. Under
-    dropout (masks from ``_dropout_masks`` at ``dropout_seed``) every
-    position has its own masked row, projected on its own. The cache also
-    holds the rows the LSTM read and the input masks, for ``_backward_net``.
+    Every position's row is masked by ``_dropout_masks`` at ``dropout_seed``
+    and projected on its own, at every dropout rate. The cache also holds
+    the rows the LSTM read and the input masks, for ``_backward_net``.
     """
     m1, m2 = _dropout_masks(model, index.shape, lengths, dropout_seed)
-    if m1 is not None:
-        rows = (rows[index] * m1).reshape(-1, model.hp.input_dim)
-        index = np.arange(index.size).reshape(index.shape)
-    emissions, cache = _forward(_project(view, rows), model, index, lengths, view, m2,
-                                backward=True)
+    rows = (rows[index] * m1).reshape(-1, model.hp.input_dim)
+    index = np.arange(index.size).reshape(index.shape)
+    emissions, cache = _forward(_project(view, rows), model, index, lengths, view, m2)
     cache.update(rows=rows, m1=m1)
     return emissions, cache
 
@@ -859,9 +862,7 @@ def _backward_net(
     h_d = cache["h_d"]
     flat_de = d_emissions.reshape(-1, d_emissions.shape[2])
     grads = {"proj_W": h_d.reshape(-1, 2 * h_dim).T @ flat_de, "proj_b": flat_de.sum(axis=0)}
-    d_hd = (flat_de @ p["proj_W"].T).reshape(h_d.shape)
-    if cache["m2"] is not None:
-        d_hd = d_hd * cache["m2"]
+    d_hd = (flat_de @ p["proj_W"].T).reshape(h_d.shape) * cache["m2"]
     rev, real = cache["rev"], cache["real"]  # rev maps real steps to real steps
     # both directions' output gradients time-major, each in its own step order
     d_h = np.empty((d_hd.shape[1], 2, d_hd.shape[0], h_dim), dtype=d_hd.dtype)
@@ -872,9 +873,7 @@ def _backward_net(
                                     real)
     for d, d_wd in zip("fb", d_w):
         grads.update(zip((f"lstm_{d}_Wx", f"lstm_{d}_Wh", f"lstm_{d}_b"), d_wd))
-    d_u = d_inputs[0] + d_inputs[1][rev]
-    if cache["m1"] is not None:
-        d_u = d_u * cache["m1"]
+    d_u = (d_inputs[0] + d_inputs[1][rev]) * cache["m1"]
     return d_u[real], grads
 
 

@@ -389,6 +389,30 @@ class TestTagParse:
         assert not out.exists()
         assert not (tmp_path / "run-config.txt").exists()
 
+    @pytest.mark.parametrize("wildcard, via", [("", "flag"), ("a b", "flag"), ("a b", "config")])
+    def test_a_wildcard_of_other_than_one_token_is_a_usage_error(
+        self, trained_model, tmp_path, capsys, wildcard, via
+    ):
+        _, model_path = trained_model
+        raw = tmp_path / "raw.txt"
+        raw.write_text("a b 12\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = ["parse", "--model", str(model_path), "--input", str(raw),
+                "--output", str(out_dir / "p.jsonl"), "--templates", str(out_dir / "t.jsonl")]
+        if via == "flag":
+            argv += ["--wildcard", wildcard]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"wildcard = {wildcard}\n")
+            argv = ["--config", str(cfg), *argv]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "usage"
+        assert repr(wildcard) in err["message"]
+        assert list(out_dir.iterdir()) == []  # no output, no .tmp file, no run-config.txt
+
     def test_parse_unknown_preserve_category(self, trained_model, tmp_path, capsys):
         d, model_path = trained_model
         raw = tmp_path / "raw.txt"

@@ -171,6 +171,22 @@ class TestParseCorpus:
         entry = store.entries[results[0].template_id]
         assert entry["count"] == 2
 
+    @pytest.mark.parametrize("wildcard", ["", "a b", "x\ty"])
+    def test_a_wildcard_of_other_than_one_token_is_refused_before_decoding(
+        self, model, monkeypatch, wildcard
+    ):
+        # a rendered template would lose a token, or gain one, against its
+        # canonical template
+        with pytest.raises(ValueError, match="one token"):
+            extract_template(SPARK, wildcard=wildcard)
+
+        def no_decoding(*args):
+            raise AssertionError("decoded")
+
+        monkeypatch.setattr("logvar.parse.decode_ids", no_decoding)
+        with pytest.raises(ValueError, match="one token"):
+            parse_corpus(model, ["a b 12"], wildcard=wildcard)
+
     def test_binary_model_rejected(self):
         logs, _ = generate_synthetic(seed=4, n_templates=5, n_logs=60)
         wv, cv = build_vocabs(logs)

@@ -968,6 +968,43 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_logs", [1, 3, 8])
+    def test_rate_0_training_emissions_equal_the_decode_path_bitwise(
+        self, vocabs, corpus, n_logs, dtype
+    ):
+        # at rate 0 training masks every position's row with the real-step
+        # mask and projects it on its own; decoding projects each distinct
+        # row once and reads it through the index
+        wv, cv = vocabs
+        m = init_model(dataclasses.replace(TINY_HP, dropout=0.0), wv, cv, seed=7, dtype=dtype)
+        token_lists = [log.tokens for log in corpus[:n_logs]]
+        rows, index, lengths = batch_inputs(m, token_lists)
+        real = np.arange(index.shape[1]) < lengths[:, None]
+        if n_logs > 1:
+            assert not real.all()
+        got = _train_forward(rows, m, index, lengths, _prepared(m), 5)[0][real]
+        np.testing.assert_array_equal(got, batch_emissions(m, token_lists)[0][real])
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_only_a_nonzero_rate_draws_from_a_generator(
+        self, vocabs, corpus, monkeypatch, dropout
+    ):
+        wv, cv = vocabs
+        m = init_model(dataclasses.replace(TINY_HP, dropout=dropout), wv, cv, seed=7)
+        batch = train_batch(m, corpus[:3])
+
+        def no_generator(*args):
+            raise AssertionError("a generator was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        if dropout:
+            with pytest.raises(AssertionError, match="a generator was drawn"):
+                loss_and_gradients(m, *batch, dropout_seed=4)
+        else:
+            loss, _ = loss_and_gradients(m, *batch, dropout_seed=4)
+            assert np.isfinite(loss)
+
     def test_char_ablation_equals_zeroed_char_channel(self, vocabs, corpus):
         # the baseline model ("no char channel") must produce exactly the
         # emissions of the full model when the char output is forced to zero
