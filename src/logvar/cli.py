@@ -46,7 +46,7 @@ from .parse import DEFAULT_WILDCARD, parse_corpus, result_record
 from .tagger import Hyperparams, TaggerModel, init_model, tag_logs
 from .taxonomy import BINARY, CATEGORY_ABBREVS, MULTICLASS, VariableCategory
 from .train import (
-    SELECTION_METRICS, TrainConfig, finetune, load_model, save_model, train,
+    SELECTION_METRICS, TrainConfig, load_model, save_model, train,
 )
 
 DEFAULT_SEED = 42
@@ -155,20 +155,20 @@ def cmd_train(args: argparse.Namespace) -> str:
         pretrained, coverage = load_word_vectors(args.vectors, wv, hp.word_dim, seed=args.seed)
         print(f"pretrained vector coverage: {coverage:.3f}")
     model = init_model(hp, wv, cv, pretrained=pretrained, seed=args.seed, mode=args.mode)
-    return _fit(train, model, train_set, val_set, args)
+    return _fit(model, train_set, val_set, args)
 
 
 def cmd_finetune(args: argparse.Namespace) -> str:
     model = load_model(args.model)
-    return _fit(finetune, model, read_annotations(args.train), read_annotations(args.val), args)
+    return _fit(model, read_annotations(args.train), read_annotations(args.val), args)
 
 
-def _fit(fit, model: TaggerModel, train_set: list[AnnotatedLog], val_set: list[AnnotatedLog],
+def _fit(model: TaggerModel, train_set: list[AnnotatedLog], val_set: list[AnnotatedLog],
          args: argparse.Namespace) -> str:
-    """The tail of ``train`` and ``finetune``: run ``fit`` (``train`` or
-    ``finetune``), save the best checkpoint and print the history."""
+    """The tail of ``train`` and ``finetune``: train from ``model`` (fresh or
+    loaded), save the best checkpoint and print the history."""
     with _about(args.train, validation=args.val):
-        best, history = fit(model, train_set, val_set, _from_args(TrainConfig, args))
+        best, history = train(model, train_set, val_set, _from_args(TrainConfig, args))
     save_model(best, args.out)
     for h in history:
         print(f"epoch {h.epoch:3d}  loss {h.train_loss:.4f}  val {h.val_metric:.4f}")

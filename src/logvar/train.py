@@ -7,22 +7,24 @@ to the rounding of the parameters' dtype, not bitwise. The global norm is
 one ``np.dot`` per gradient tensor in the gradient's own dtype; only when
 that is not finite is it taken again from float64 copies, so a huge but
 finite float32 gradient is clipped, not taken for divergence. The word
-embeddings' gradient is a ``RowGrad`` of the rows a minibatch read: the norm
-sums those rows, and Adam adds their gradient terms there alone while still
-decaying and moving every row, bitwise the dense update. After each
-epoch the selection metric is computed on the validation set; the returned
-model is the checkpoint with the best validation metric, earlier epoch on
-ties. Runs are deterministic for a fixed seed. A minibatch whose loss or
-gradient norm is not finite raises ``DivergenceError`` naming its epoch and
-batch, before the optimizer step, so no NaN gradient reaches a parameter.
-A finite step can still overflow a parameter to inf; the next minibatch's
-loss, or the epoch's validation, then raises ``DivergenceError``.
+embeddings' gradient is a ``RowGrad`` of the rows a minibatch read, and the
+norm sums those rows. Adam has one update, in which a dense gradient is a
+gradient at every row: it adds a gradient's terms at its rows alone and
+decays and moves every row, so a ``RowGrad`` step is bitwise the step on
+its dense gradient. After each epoch the selection metric is computed on
+the validation set; the returned model is the checkpoint with the best
+validation metric, earlier epoch on ties. Runs are deterministic for a
+fixed seed. A minibatch whose loss or gradient norm is not finite raises
+``DivergenceError`` naming its epoch and batch, before the optimizer step,
+so no NaN gradient reaches a parameter. A finite step can still overflow a
+parameter to inf; the next minibatch's loss, or the epoch's validation,
+then raises ``DivergenceError``.
 
 Model file layout: magic "VALB", u32 format version, u32-length-prefixed
-UTF-8 JSON metadata (hyperparams, mode, tag ordering, vocabularies), then
-named tensors (u16 name length + name, u8 rank, u32 dims, float32
-little-endian row-major data), and a trailing 8-byte BLAKE2b checksum of
-all preceding bytes.
+UTF-8 JSON metadata (hyperparams, mode, tag ordering, vocabularies), u32
+tensor count, then named tensors (u16 name length + UTF-8 name, u8 rank,
+u32 dims, float32 little-endian row-major data), and a trailing 8-byte
+BLAKE2b checksum of all preceding bytes. Every integer is little-endian.
 """
 
 from __future__ import annotations
@@ -105,12 +107,14 @@ class Adam:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGrad]) -> None:
         """One update of every parameter named in ``grads``.
 
-        A ``RowGrad`` is a gradient that is zero outside its rows. Adam stays
-        dense there: every row's moments decay and every row moves, since an
+        One update serves both kinds of gradient: a ``RowGrad`` is a gradient
+        that is zero outside its rows, and a dense gradient is a gradient at
+        every row. Every row's moments decay and every row moves, since an
         unread row's m is not zero once it has been read. Only the
         ``(1-beta1)*g`` and ``(1-beta2)*g*g`` terms are added at the rows
         alone; elsewhere they are +0.0, and adding +0.0 leaves a moment as it
-        is (m and v are never -0.0), so the step is bitwise the dense one.
+        is (m and v are never -0.0), so a ``RowGrad`` step is bitwise the step
+        on its dense gradient.
 
         No parameter is written in place: each new value is a new array in
         ``params``, so the arrays a decoded model holds never change.
@@ -120,25 +124,21 @@ class Adam:
         bc2 = 1.0 - BETA2**self.t
         # lr * (m/bc1) / (sqrt(v/bc2) + eps) with the bias corrections folded
         # into two scalars, a * m / (sqrt(v) + eps'): m and v in place, one
-        # temporary, which becomes the new parameter, and 12 passes per tensor
+        # temporary of g's size for the gradient terms and one that becomes
+        # the new parameter, and 12 passes per tensor
         a = self.lr * math.sqrt(bc2) / bc1
         eps = EPS * math.sqrt(bc2)
         for k, g in grads.items():
             m, v = self.m[k], self.v[k]
             m *= BETA1
             v *= BETA2
-            if isinstance(g, RowGrad):
-                rows, g = g
-                m[rows] += g * (1.0 - BETA1)
-                v[rows] += g * (1.0 - BETA2) * g
-                tmp = np.sqrt(v)
-            else:
-                tmp = np.multiply(g, 1.0 - BETA1)
-                m += tmp
-                np.multiply(g, 1.0 - BETA2, out=tmp)
-                tmp *= g
-                v += tmp
-                np.sqrt(v, out=tmp)
+            rows, g = g if isinstance(g, RowGrad) else (..., g)
+            tmp = g * (1.0 - BETA1)
+            m[rows] += tmp
+            np.multiply(g, 1.0 - BETA2, out=tmp)
+            tmp *= g
+            v[rows] += tmp
+            tmp = np.sqrt(v)
             tmp += eps
             np.divide(m, tmp, out=tmp)
             tmp *= a
@@ -281,23 +281,16 @@ def _metadata(model: TaggerModel) -> dict:
 
 def save_model(model: TaggerModel, path: str | Path) -> None:
     """Write the model file with ``write_atomic``."""
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", FORMAT_VERSION)
     meta = json.dumps(_metadata(model), ensure_ascii=False).encode("utf-8")
-    blob += struct.pack("<I", len(meta))
-    blob += meta
-    blob += struct.pack("<I", len(model.params))
+    parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(meta)), meta,
+             struct.pack("<I", len(model.params))]
     for name in sorted(model.params):
         arr = np.ascontiguousarray(model.params[name], dtype="<f4")
         nb = name.encode("utf-8")
-        blob += struct.pack("<H", len(nb))
-        blob += nb
-        blob += struct.pack("<B", arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += arr.tobytes()
-    blob += hashlib.blake2b(bytes(blob), digest_size=8).digest()
-    write_atomic(path, bytes(blob))
+        parts += [struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape),
+                  arr.tobytes()]
+    blob = b"".join(parts)
+    write_atomic(path, blob + hashlib.blake2b(blob, digest_size=8).digest())
 
 
 def _is_str_list(value: object, max_len: int | None = None) -> bool:
@@ -352,11 +345,13 @@ def _read_metadata(meta: object, path: str | Path) -> tuple[Hyperparams, str, Wo
 def load_model(path: str | Path) -> TaggerModel:
     """Read a model file.
 
-    Verifies magic, version and checksum, then every metadata key and every
-    tensor's name and shape against the stored hyperparameters, vocabulary
-    sizes and tag alphabet, that every tensor value is finite, and that the
-    IOB-forbidden entries of ``trans`` and ``start`` hold ``FROZEN_SCORE``;
-    any mismatch raises ``FormatError``.
+    Verifies, in this order, the magic, the checksum (``ChecksumError``),
+    the format version (``VersionError``), the body's layout, every metadata
+    key, every tensor's name and shape against the stored hyperparameters,
+    vocabulary sizes and tag alphabet, that every tensor value is finite,
+    and that the IOB-forbidden entries of ``trans`` and ``start`` hold
+    ``FROZEN_SCORE``. Every other mismatch raises ``FormatError``, which
+    both named errors subclass.
 
     Like every model, the loaded one keeps what decoding derives from its
     tensors, a token store among it, across calls; its first decode makes
@@ -370,30 +365,30 @@ def load_model(path: str | Path) -> TaggerModel:
         raise ChecksumError(f"{path}: checksum mismatch (truncated or corrupted)")
     body = memoryview(blob)[:-8]
     off = 4
-    (version,) = struct.unpack_from("<I", body, off)
-    off += 4
+
+    def take(fmt: str) -> tuple:
+        """The little-endian ``fmt`` fields at the cursor, which moves past them."""
+        nonlocal off
+        values = struct.unpack_from("<" + fmt, body, off)
+        off += struct.calcsize("<" + fmt)
+        return values
+
+    (version,) = take("I")
     if version != FORMAT_VERSION:
         raise VersionError(f"{path}: unknown format version {version}")
     params: dict[str, np.ndarray] = {}
     try:
-        (meta_len,) = struct.unpack_from("<I", body, off)
-        off += 4
-        meta = json.loads(bytes(body[off : off + meta_len]).decode("utf-8"))
-        off += meta_len
-        (n_tensors,) = struct.unpack_from("<I", body, off)
-        off += 4
+        (meta_len,) = take("I")
+        meta = json.loads(take(f"{meta_len}s")[0].decode("utf-8"))
+        (n_tensors,) = take("I")
         for _ in range(n_tensors):
-            (name_len,) = struct.unpack_from("<H", body, off)
-            off += 2
-            name = bytes(body[off : off + name_len]).decode("utf-8")
-            off += name_len
-            (ndim,) = struct.unpack_from("<B", body, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", body, off)
-            off += 4 * ndim
-            count = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(body, dtype="<f4", count=count, offset=off).reshape(shape)
-            off += 4 * count
+            (name_len,) = take("H")
+            name = take(f"{name_len}s")[0].decode("utf-8")
+            (ndim,) = take("B")
+            shape = take(f"{ndim}I")
+            # a scalar's count is 1, the product of ()
+            arr = np.frombuffer(body, "<f4", int(np.prod(shape)), off).reshape(shape)
+            off += arr.nbytes
             if name in params:
                 raise FormatError(f"{path}: tensor {name} stored twice")
             params[name] = arr.copy()

@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -783,3 +784,131 @@ def test_fuzz_model_bytes_load_and_tag_or_raise(model_body, data):
         return
     for annotated in tagged:
         check_iob(list(annotated.tags))
+
+
+def reference_load(path):
+    """``load_model`` as it read before its parser took one cursor, kept as an
+    oracle: the magic, checksum and version checks, the body parser that moves
+    its read position by hand, and the checks on what it parsed."""
+    blob = Path(path).read_bytes()
+    if len(blob) < 16 or blob[:4] != b"VALB":
+        raise FormatError("bad magic")
+    if hashlib.blake2b(blob[:-8], digest_size=8).digest() != blob[-8:]:
+        raise ChecksumError("checksum mismatch")
+    body = memoryview(blob)[:-8]
+    off = 4
+    (version,) = struct.unpack_from("<I", body, off)
+    off += 4
+    if version != 1:
+        raise VersionError("unknown format version")
+    params = {}
+    try:
+        (meta_len,) = struct.unpack_from("<I", body, off)
+        off += 4
+        meta = json.loads(bytes(body[off : off + meta_len]).decode("utf-8"))
+        off += meta_len
+        (n_tensors,) = struct.unpack_from("<I", body, off)
+        off += 4
+        for _ in range(n_tensors):
+            (name_len,) = struct.unpack_from("<H", body, off)
+            off += 2
+            name = bytes(body[off : off + name_len]).decode("utf-8")
+            off += name_len
+            (ndim,) = struct.unpack_from("<B", body, off)
+            off += 1
+            shape = struct.unpack_from(f"<{ndim}I", body, off)
+            off += 4 * ndim
+            count = int(np.prod(shape)) if ndim else 1
+            arr = np.frombuffer(body, dtype="<f4", count=count, offset=off).reshape(shape)
+            off += 4 * count
+            if name in params:
+                raise FormatError("tensor stored twice")
+            params[name] = arr.copy()
+    except (struct.error, ValueError) as exc:
+        raise FormatError("malformed model body") from exc
+    if off != len(body):
+        raise FormatError("trailing bytes")
+    model = TaggerModel(*train_module._read_metadata(meta, path), params)
+    expected = tagger.param_shapes(model.hp, len(model.word_vocab), len(model.char_vocab),
+                                   model.n_tags)
+    if {name: arr.shape for name, arr in params.items()} != expected:
+        raise FormatError("tensor names or shapes")
+    if not all(np.isfinite(arr).all() for arr in params.values()):
+        raise FormatError("a value that is not finite")
+    for name, frozen in (("trans", model.frozen_trans), ("start", model.frozen_start)):
+        if (params[name][frozen] != tagger.FROZEN_SCORE).any():
+            raise FormatError("an IOB-forbidden entry")
+    return model
+
+
+def load_outcome(load, path):
+    """The class of the ``FormatError`` that ``load(path)`` raises, or what
+    the model it returns holds: metadata, then each tensor's name, shape and bytes."""
+    try:
+        model = load(path)
+    except FormatError as exc:
+        return type(exc)
+    return (model.hp, model.mode, model.word_vocab, model.char_vocab,
+            [(k, v.shape, v.tobytes()) for k, v in sorted(model.params.items())])
+
+
+def header_offsets(body):
+    """Where each u32, u16 and u8 field of a model body starts: version,
+    metadata length, tensor count, and each tensor's name length, rank and dims."""
+    offsets, off = [4, 8], 12 + struct.unpack_from("<I", body, 8)[0]
+    offsets.append(off)
+    off += 4
+    for _ in range(struct.unpack_from("<I", body, off - 4)[0]):
+        name_len = struct.unpack_from("<H", body, off)[0]
+        offsets += [off, off + 2 + name_len]
+        off += 3 + name_len
+        shape = struct.unpack_from(f"<{body[off - 1]}I", body, off)
+        offsets += range(off, off + 4 * len(shape), 4)
+        off += 4 * (len(shape) + int(np.prod(shape)))
+    assert off == len(body)
+    return offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_model_gives_the_reference_readers_outcome_on_mutated_files(model_body, data):
+    body, folder = model_body
+    blob = bytearray(body)
+    pos = st.sampled_from(header_offsets(body)).flatmap(lambda o: st.integers(o, o + 3))
+    edits = st.tuples(pos | st.integers(0, len(body) - 1), st.integers(0, 255))
+    for pos, value in data.draw(st.lists(edits, max_size=4)):
+        blob[min(pos, len(blob) - 1)] = value
+    del blob[len(blob) - data.draw(st.integers(0, 8)):]
+    blob += hashlib.blake2b(bytes(blob), digest_size=8).digest()
+    path = folder / "mutated.valb"
+    path.write_bytes(bytes(blob))
+    assert load_outcome(load_model, path) == load_outcome(reference_load, path)
+
+
+def layout_blob(meta, tensors):
+    """A model file built field by field from the layout the train module's
+    docstring states, for ``meta`` (JSON bytes) and (name, array) pairs."""
+    fields = [b"VALB", struct.pack("<I", 1), struct.pack("<I", len(meta)), meta,
+              struct.pack("<I", len(tensors))]
+    for name, arr in tensors:
+        raw = name.encode("utf-8")
+        fields += [struct.pack("<H", len(raw)), raw, struct.pack("<B", arr.ndim)]
+        fields += [struct.pack("<I", dim) for dim in arr.shape]
+        fields += [struct.pack("<f", x) for x in np.asarray(arr, dtype=np.float64).ravel()]
+    body = b"".join(fields)
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+def test_save_model_writes_the_documented_layout(memorization_run, tmp_path):
+    _, _, best, _, _, init = memorization_run
+    logs, _ = generate_synthetic(seed=13, n_templates=5, n_logs=50)
+    wv, cv = build_vocabs([to_binary_annotations(log) for log in logs[:20]])
+    binary = init_model(SMALL_HP, wv, cv, seed=2, mode=BINARY)
+    float64 = dataclasses.replace(init, params={
+        **{k: v.astype(np.float64) for k, v in init.params.items()},
+        "přázdný": np.zeros((0, 3))})
+    for model in (best, binary, float64):
+        meta = json.dumps(train_module._metadata(model), ensure_ascii=False).encode("utf-8")
+        path = tmp_path / "model.valb"
+        save_model(model, path)
+        assert path.read_bytes() == layout_blob(meta, sorted(model.params.items()))
