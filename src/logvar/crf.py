@@ -209,9 +209,12 @@ def viterbi_decode(
 
     The forward recursion keeps only the best score per (step, tag), as
     ``scores`` (T, K, B): a max over the previous tag of the (K_prev,
-    K_next, B) candidate sums. No back-pointer table is built. The backtrack
-    recomputes each step's back-pointer for the one tag the path takes, as
-    the argmax over the previous tag of the same float64 sums
+    K_next, B) candidate sums, each step's operands prebuilt views and its
+    results written into reused buffers. No back-pointer table is built.
+    The backtrack reads a batch-major (T, B, K) copy of ``scores`` and the
+    next-major ``trans.T``, so each step's argmax runs over a contiguous
+    last axis: it recomputes each step's back-pointer for the one tag the
+    path takes, as the argmax over the previous tag of the same float64 sums
     ``scores[t-1][:, b] + trans[:, next]``, so it picks the lowest index on
     ties, as an argmax table would. A sequence's final score is read at its
     last real step, and its path keeps that tag through its padded steps.
@@ -224,15 +227,21 @@ def viterbi_decode(
     scores[0] += np.asarray(s, dtype=np.float64)[:, None]
     trans_3d = np.repeat(trans[:, :, None], B, axis=2)  # contiguous adds beat a broadcast
     cand = np.empty((K, K, B))
-    for t in range(1, T):
-        np.add(trans_3d, scores[t - 1][:, None, :], out=cand)  # (prev, next, B)
-        scores[t] += np.maximum.reduce(cand, axis=0)
-    rows = np.arange(B)
-    path = np.empty((B, T), dtype=np.int64)
-    path[:, -1] = np.argmax(scores[lengths - 1, :, rows] + e, axis=1)
+    best = np.empty((K, B))
+    for prev, cur in zip(scores[:-1, :, None, :], scores[1:]):
+        np.add(trans_3d, prev, out=cand)  # (prev, next, B)
+        np.maximum.reduce(cand, axis=0, out=best)
+        np.add(cur, best, out=cur)
+    by_batch = scores.transpose(0, 2, 1).copy()  # (T, B, K)
+    trans_next = trans.T.copy()  # (K_next, K_prev)
+    path = np.empty((T, B), dtype=np.intp)  # time-major
+    path[-1] = np.argmax(by_batch[lengths - 1, np.arange(B)] + e, axis=1)
     shortest = lengths.min() if B else T  # steps below it are real in every row
-    for t in range(T - 1, 0, -1):
-        nxt = path[:, t]
-        back = (scores[t - 1] + trans.take(nxt, axis=1)).argmax(axis=0)  # lowest on ties
-        path[:, t - 1] = back if t < shortest else np.where(t < lengths, back, nxt)
-    return [path[b, :n].tolist() for b, n in enumerate(lengths)]
+    sums = np.empty((B, K))
+    for t, prev, nxt, back in zip(range(T - 1, 0, -1), by_batch[-2::-1], path[:0:-1],
+                                  path[-2::-1]):
+        np.add(prev, trans_next.take(nxt, axis=0), out=sums)
+        sums.argmax(axis=1, out=back)  # lowest on ties
+        if t >= shortest:  # a padded step keeps the next step's tag
+            np.copyto(back, nxt, where=t >= lengths)
+    return [path[:n, b].tolist() for b, n in enumerate(lengths)]

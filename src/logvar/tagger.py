@@ -32,16 +32,18 @@ directions are independent, so one ``_lstm_forward`` call advances both in
 a single time loop, their states stacked (2, B, H), and one
 ``_lstm_backward`` call runs both back in a single loop. ``_lstm_forward``
 gathers its steps' input projections from a table (below) a window of steps
-at a time. Decoding gathers windows of LSTM_WINDOW_ROWS rows into one
-reused buffer, carries the cell state in place and keeps only the outputs,
-so a batch holds about 2.7 KB per padded token at default sizes; training
-gathers every step in one window and keeps the gates and cell states that
-the backward pass reads. Each step's arithmetic is the same either way, so
-the window changes no bit. Training runs a
-minibatch the same way: one forward pass, one batched CRF forward-backward
-whose gradient is zero on padded steps and carries the batch mean's 1/B
-(exact when B is a power of two), and one backward pass, linear in it, in
-which those zero gradients keep padded steps out of every parameter gradient.
+at a time, gate-major, (steps, 4, 2, B, H), so that every operand of a step
+but its one stacked recurrent product is a contiguous block. Decoding
+gathers windows of LSTM_WINDOW_ROWS rows into one reused buffer, carries the
+cell state in place and keeps only the outputs, so a batch holds about 2.7
+KB per padded token at default sizes; training gathers every step in one
+window and keeps the gates and cell states that the backward pass reads.
+Each step's arithmetic is the same either way, so the window changes no
+bit. Training runs a minibatch the same way: one forward pass, one batched
+CRF forward-backward whose gradient is zero on padded steps and carries the
+batch mean's 1/B (exact when B is a power of two), and one backward pass,
+linear in it, in which those zero gradients keep padded steps out of every
+parameter gradient.
 So a padded step may read any input row, and nothing else handles padding.
 
 The LSTM step has no broadcast operand. sigmoid(z) = (tanh(z / 2) + 1) / 2,
@@ -64,8 +66,11 @@ projection ``x @ Wx + b``; logs repeat their tokens heavily, within a call
 and across calls. So the LSTM reads its inputs as a projection table, (2,
 N, 4H), and a (B, T) array of row ids into it. ``_project`` builds every
 such table over at least two rows, so that a row's projection has the same
-bits whatever else is projected with it (OpenBLAS multiplies one row by
-another kernel; from two rows on, no row depends on the row count).
+bits whatever else is projected with it, under OpenBLAS's SkylakeX (AVX-512)
+kernels: they multiply one row by another kernel, and from two rows on no
+row depends on the row count. Under its Haswell and Zen (AVX2) kernels a
+row's bits do change with the row count, so there a stored projection and a
+per-batch one can differ in the last bits.
 
 Training builds a token table, an ``EncodedLog`` of distinct tokens, once
 per ``train`` run (``token_table``), computes the char-CNN output per
@@ -426,10 +431,19 @@ def _lstm_forward(
     advance together in one time loop: their states are stacked (2, B, H)
     and each step makes one (2, B, H) @ (2, H, 4H) product.
 
-    The steps' rows are gathered into gates, (steps, 2, B, 4H), one window
-    of steps at a time; each step adds its recurrent term and overwrites the
-    sum with the gates. With ``window`` None (training) one window holds
-    every step, and the gates and every step's ``c`` are kept for
+    The steps' rows are gathered gate-major into gates, (steps, 4, 2, B, H),
+    one window of steps at a time: ``take`` reads the table as (8N, H) rows,
+    gate k of row r in direction d at row ``4 * (d * N + r) + k``, so each
+    step's i, f, g and o blocks, (2, B, H) each, and its [i f] pair are
+    contiguous, as in cuDNN's RNN kernels (Appleyard et al., arXiv:1604.01946);
+    numpy runs a strided column slice one inner loop per (direction, row).
+    Each step adds its recurrent term and overwrites the sum with the gates.
+    The recurrent product stays one stacked matmul into (2, B, 4H), added
+    through its (4, 2, B, H) transposed view, the step's only strided
+    operand: per-gate products, or reordered columns, change the product's
+    bits under OpenBLAS's AVX2 kernels, so the product keeps the operands it
+    had in the (2, B, 4H) layout. With ``window`` None (training) one window
+    holds every step, and the gates and every step's ``c`` are kept for
     ``_lstm_backward``. Decoding passes a number of steps: each window is
     gathered into one reused buffer, with ``take``'s ``mode="clip"``, which
     writes into it directly (the default mode would copy the buffer in and
@@ -441,7 +455,7 @@ def _lstm_forward(
     two, so the step needs no broadcast operand, and its outputs have the
     bits (barring subnormals) of a step that forms each sigmoid as tanh(z /
     2) / 2 + 1 / 2 from the unscaled pre-activation: the i, f and o
-    columns carry ``tanh + 1``, twice the gate; the loop carries ``h``
+    blocks carry ``tanh + 1``, twice the gate; the loop carries ``h``
     doubled, which against ``Wh``'s extra 1/2 gives the recurrent term
     scaled as the gates are; the new ``c``, ``2f * c + 2i * g``, is halved
     once per step; and ``hs`` is halved once after the loop. Each step
@@ -452,41 +466,42 @@ def _lstm_forward(
     every sequence's last real step, so it never reaches a real step's
     output. Returns the outputs, (2, B, T, H), each direction in its own
     step order, and in training the cache for ``_lstm_backward``: ``hs`` and
-    ``cs``, (T + 1, 2, B, H), from the zero state on, and ``gates`` with
-    doubled i, f and o activations; in decoding None.
+    ``cs``, (T + 1, 2, B, H), from the zero state on, and ``gates``, (T, 4,
+    2, B, H), with doubled i, f and o activations; in decoding None.
     """
     t_len, _, b_len = index.shape
     n_rows, four_h = proj.shape[1:]
     h_dim = four_h // 4
     dtype = proj.dtype
     zero, one, half = dtype.type(0.0), dtype.type(1.0), dtype.type(0.5)
-    # the backward direction's rows follow the forward direction's in the flat table
-    flat, flat_index = proj.reshape(-1, four_h), index + np.array([[0], [n_rows]])
+    # the table as (8N, H) rows: gate k of row r in direction d is row
+    # 4 * (d * N + r) + k, the backward direction's rows after the forward's
+    flat = proj.reshape(-1, h_dim)
+    flat_index = (4 * (index + np.array([[0], [n_rows]])))[:, None] + np.arange(4)[:, None, None]
     keep = window is None  # training keeps the gates and every step's c
     window = t_len if keep else min(window, t_len)
-    gates = np.empty((window, 2, b_len, four_h), dtype=dtype)
+    gates = np.empty((window, 4, 2, b_len, h_dim), dtype=dtype)
     hs = np.zeros((t_len + 1, 2, b_len, h_dim), dtype=dtype)
     cs = np.zeros((t_len + 1 if keep else 1, 2, b_len, h_dim), dtype=dtype)
     rec = np.empty((2, b_len, four_h), dtype=dtype)
+    rec_g = rec.reshape(2, b_len, 4, h_dim).transpose(2, 0, 1, 3)  # gate-major view
     tmp = np.empty((2, b_len, h_dim), dtype=dtype)
     # positional out arguments: at B = 1 each call's overhead is its cost
     add, mul, tanh = np.add, np.multiply, np.tanh
     for lo in range(0, t_len, window):
         hi = min(lo + window, t_len)
         act_w = np.take(flat, flat_index[lo:hi], axis=0, out=gates[: hi - lo], mode="clip")
-        # per-gate views of the window's steps, (steps, 2, B, .); i and f adjoin
-        i_g, f_g, g_g, o_g = (act_w[..., s] for s in _gate_slices(h_dim))
-        if_g = act_w[..., : 2 * h_dim]
         if keep:
             prev_c, next_c = cs[lo:hi], cs[lo + 1 : hi + 1]
         else:  # one buffer, updated in place, is every step's c and next c
             prev_c = next_c = [cs[0]] * (hi - lo)
-        steps = zip(act_w, if_g, i_g, f_g, g_g, o_g, hs[lo:hi], hs[lo + 1 : hi + 1], prev_c,
-                    next_c)
+        # each step's gates are contiguous (2, B, H) blocks; i and f adjoin
+        steps = zip(act_w, act_w[:, :2], *(act_w[:, k] for k in range(4)), hs[lo:hi],
+                    hs[lo + 1 : hi + 1], prev_c, next_c)
         for t, (act, if_, i, f, g, o, h, h_next, c, c_next) in enumerate(steps, lo):
             if t:
                 np.matmul(h, Wh, rec)
-                add(act, rec, act)
+                add(act, rec_g, act)
             else:  # the state starts at zero, and so does the first recurrent term
                 add(act, zero, act)
             tanh(act, act)
@@ -514,8 +529,8 @@ def _lstm_backward(
 
     ``Wx`` is the two directions' input weights. ``Wh`` and ``cache`` are
     what ``_lstm_forward`` read and returned: the stacked recurrent weights
-    with each column scaled by ``c``, ``_recurrent_scale``, and gates whose
-    i, f and o columns hold twice the gate.
+    with each column scaled by ``c``, ``_recurrent_scale``, and gate-major
+    gates, (T, 4, 2, B, H), whose i, f and o blocks hold twice the gate.
     Both directions run back in one time loop over the fused (T, 2, B, .)
     arrays. Only ``dh`` and ``dc`` chain through time, so the other factors
     are computed for all steps of both directions at once before the loop:
@@ -537,9 +552,9 @@ def _lstm_backward(
     tanh_c = np.tanh(cs[1:])
     t_len, _, b_len, h_dim = tanh_c.shape
     i_, f_, g_, o_ = _gate_slices(h_dim)
-    # the doubled gates 2i, 2f and 2o, and g
-    i2, f2, g_g, o2 = gates[..., i_], gates[..., f_], gates[..., g_], gates[..., o_]
-    G = np.empty_like(gates)  # (T, 2, B, 4H)
+    # the doubled gates 2i, 2f and 2o, and g, each (T, 2, B, H)
+    i2, f2, g_g, o2 = (gates[:, k] for k in range(4))
+    G = np.empty((t_len, 2, b_len, 4 * h_dim), dtype=gates.dtype)
     G[..., i_] = g_g * i2 * (2.0 - i2)
     G[..., f_] = cs[:-1] * f2 * (2.0 - f2)
     G[..., g_] = i2 * (1.0 - g_g**2)
@@ -666,10 +681,12 @@ def _project(view: _Prepared, rows: np.ndarray) -> np.ndarray:
     ``b`` are scaled so.
 
     The matmul runs over at least two rows; a lone row is doubled. From two
-    rows on, OpenBLAS gives each row the same bits whatever the row count
-    and wherever the row sits, and a one-row product (a gemv) does not; so a
-    row's projection is a function of the row alone, and a token store's
-    projections equal a per-batch table's bitwise.
+    rows on, OpenBLAS's SkylakeX (AVX-512) kernels give each row the same
+    bits whatever the row count and wherever the row sits, and a one-row
+    product (a gemv) does not; so under those kernels a row's projection is
+    a function of the row alone, and a token store's projections equal a
+    per-batch table's bitwise. Its Haswell and Zen (AVX2) kernels do not
+    keep that: a row's bits there change with the row count.
     """
     x = rows if len(rows) > 1 else np.concatenate([rows, rows])
     proj = np.empty((2, len(x), view.b.shape[1]), dtype=view.b.dtype)

@@ -285,7 +285,7 @@ def save_model(model: TaggerModel, path: str | Path) -> None:
     parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(meta)), meta,
              struct.pack("<I", len(model.params))]
     for name in sorted(model.params):
-        arr = np.ascontiguousarray(model.params[name], dtype="<f4")
+        arr = np.asarray(model.params[name], dtype="<f4", order="C")  # a scalar keeps rank 0
         nb = name.encode("utf-8")
         parts += [struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape),
                   arr.tobytes()]

@@ -329,6 +329,53 @@ def test_single_sequence_equals_reference_and_leaves_input_alone():
         np.testing.assert_array_equal(E, before)
 
 
+def time_major_backtrack_viterbi(E, trans, s, e, lengths):
+    """The Viterbi kernel before its per-step operands were made contiguous.
+
+    Its backtrack gathers ``trans`` columns and takes each argmax over the
+    tag axis of the (T, K, B) scores, a strided axis; kept as the oracle
+    that the batch-major backtrack must match exactly.
+    """
+    E = np.asarray(E)
+    trans = np.asarray(trans, dtype=np.float64)
+    B, T, K = E.shape
+    lengths = np.asarray(lengths)
+    scores = np.array(E.transpose(1, 2, 0), dtype=np.float64, order="C")
+    scores[0] += np.asarray(s, dtype=np.float64)[:, None]
+    trans_3d = np.repeat(trans[:, :, None], B, axis=2)
+    cand = np.empty((K, K, B))
+    for t in range(1, T):
+        np.add(trans_3d, scores[t - 1][:, None, :], out=cand)
+        scores[t] += np.maximum.reduce(cand, axis=0)
+    rows = np.arange(B)
+    path = np.empty((B, T), dtype=np.int64)
+    path[:, -1] = np.argmax(scores[lengths - 1, :, rows] + e, axis=1)
+    shortest = lengths.min() if B else T
+    for t in range(T - 1, 0, -1):
+        nxt = path[:, t]
+        back = (scores[t - 1] + trans.take(nxt, axis=1)).argmax(axis=0)
+        path[:, t - 1] = back if t < shortest else np.where(t < lengths, back, nxt)
+    return [path[b, :n].tolist() for b, n in enumerate(lengths)]
+
+
+def test_viterbi_equals_time_major_backtrack_on_ties():
+    # tolerance: none; both kernels take the same float64 sums and the
+    # lowest-index argmax. Small integer scores make many equal sums, and
+    # -inf transitions and starts make whole candidate rows -inf
+    rng = np.random.default_rng(29)
+    for _ in range(600):
+        B, T, K = int(rng.integers(1, 70)), int(rng.integers(1, 40)), int(rng.choice([3, 5, 21]))
+        lengths = rng.integers(1, T + 1, size=B)
+        lengths[rng.integers(B)] = T
+        E = rng.integers(-2, 3, size=(B, T, K)).astype(np.float32)
+        trans = rng.integers(-2, 3, size=(K, K)).astype(np.float64)
+        s, e = rng.integers(-2, 3, size=K).astype(np.float64), rng.integers(-2, 3, size=K)
+        trans[rng.random((K, K)) < 0.3] = -np.inf
+        s[rng.random(K) < 0.3] = -np.inf
+        assert (viterbi_decode(E, trans, s, e, lengths)
+                == time_major_backtrack_viterbi(E, trans, s, e, lengths))
+
+
 def test_viterbi_empty_batch():
     K = 4
     z = np.zeros(K)

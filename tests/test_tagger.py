@@ -204,10 +204,18 @@ def lstm_forward(rows, Wx, Wh, b, index, window=None):
     return tagger._lstm_forward(proj, scaled_Wh(Wh), np.stack(index, axis=1).T, window)
 
 
+def gates_by_step(gates):
+    """``_lstm_forward``'s gate-major cached gates, (T, 4, 2, B, H), copied
+    into one (T, 2, B, 4H) array, each step's four gates side by side."""
+    t_len, _, _, b_len, h_dim = gates.shape
+    return gates.transpose(0, 2, 3, 1, 4).reshape(t_len, 2, b_len, 4 * h_dim)
+
+
 def activations(cache):
-    """Per direction, ``_lstm_forward``'s cache with the doubled i, f and o
-    gates halved back to the activations, as the per-direction kernels read it."""
-    gates = halve_sigmoid_gates(cache["gates"].copy())
+    """Per direction, ``_lstm_forward``'s cache with the gates ``gates_by_step``
+    and the doubled i, f and o gates halved back to the activations, as the
+    per-direction kernels read it."""
+    gates = halve_sigmoid_gates(gates_by_step(cache["gates"]))
     return [{"hs": cache["hs"][:, d], "cs": cache["cs"][:, d], "gates": gates[:, d]}
             for d in range(2)]
 
@@ -1167,7 +1175,7 @@ class TestLstmForward:
     against the broadcast step it replaced, bitwise; decoding's windows
     against the training call and the kernel they replaced, bitwise."""
 
-    SHAPES = list(itertools.product((1, 3, 8, 16, 32), (1, 2, 13, 35)))
+    SHAPES = list(itertools.product((1, 3, 8, 16, 32, 64, 96), (1, 2, 13, 35)))
 
     @pytest.mark.parametrize("b_len, t_len", SHAPES)
     @pytest.mark.parametrize("dtype, rtol, atol", [
@@ -1209,6 +1217,7 @@ class TestLstmForward:
             halve_sigmoid_gates(lstm_gates(rows, Wx, b, index)), scaled_Wh(Wh))
         h, cache = lstm_forward(rows, Wx, Wh, b, index)
         assert h.tobytes() == want_h.tobytes()
+        cache["gates"] = gates_by_step(cache["gates"])
         for name in ("hs", "cs", "gates"):
             assert cache[name].tobytes() == want[name].tobytes(), name
         for window in sorted({1, 2, 3, t_len, t_len + 1}):

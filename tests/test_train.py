@@ -912,3 +912,21 @@ def test_save_model_writes_the_documented_layout(memorization_run, tmp_path):
         path = tmp_path / "model.valb"
         save_model(model, path)
         assert path.read_bytes() == layout_blob(meta, sorted(model.params.items()))
+
+
+def test_save_model_writes_a_scalar_with_rank_0(memorization_run, tmp_path, monkeypatch):
+    # a 0-d tensor's header holds rank 0 and no dims, then its one value
+    init = memorization_run[-1]
+    model = dataclasses.replace(init, params={**init.params, "scale": np.array(0.5)})
+    meta = json.dumps(train_module._metadata(model), ensure_ascii=False).encode("utf-8")
+    path = tmp_path / "model.valb"
+    save_model(model, path)
+    blob = path.read_bytes()
+    assert blob == layout_blob(meta, sorted(model.params.items()))
+    rank = blob.index(struct.pack("<H", 5) + b"scale") + 7
+    assert blob[rank] == 0 and struct.unpack_from("<f", blob, rank + 1) == (0.5,)
+    shapes = train_module.param_shapes
+    monkeypatch.setattr(train_module, "param_shapes",
+                        lambda *args: {**shapes(*args), "scale": ()})
+    scale = load_model(path).params["scale"]
+    assert scale.shape == () and scale == 0.5
